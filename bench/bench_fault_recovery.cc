@@ -143,28 +143,6 @@ void AppendRowJson(std::string* out, const Row& r) {
   *out += buf;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
-bool ReadJsonNumber(const std::string& path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text;
-  char chunk[4096];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    text.append(chunk, n);
-  }
-  std::fclose(f);
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,21 +250,9 @@ int main(int argc, char** argv) {
 
   // Regression gate: jct_ratio_journal is simulated time over simulated
   // time, so it transfers across machines exactly.
-  if (!opt.baseline.empty()) {
-    double base = 0.0;
-    if (!ReadJsonNumber(opt.baseline, "jct_ratio_journal", &base)) {
-      std::fprintf(stderr, "FAIL: cannot read jct_ratio_journal from %s\n",
-                   opt.baseline.c_str());
-      ok = false;
-    } else if (ratio_journal > 1.2 * base) {
-      std::fprintf(stderr,
-                   "FAIL: jct_ratio_journal %.4fx regressed more than 20%% vs "
-                   "baseline %.4fx\n",
-                   ratio_journal, base);
-      ok = false;
-    } else {
-      std::printf("baseline gate: %.4fx vs baseline %.4fx (ok)\n", ratio_journal, base);
-    }
+  if (!opt.baseline.empty() &&
+      !PassesBaselineGate(opt.baseline, "jct_ratio_journal", ratio_journal, false, 4)) {
+    ok = false;
   }
 
   std::string json = "{\n  \"bench\": \"fault\",\n";
@@ -306,13 +272,5 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  std::FILE* f = std::fopen(opt.json_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("%s written (%s)\n", opt.json_out.c_str(), ok ? "pass" : "FAIL");
-  return ok ? 0 : 1;
+  return WriteBenchJson(opt.json_out, json, ok);
 }

@@ -109,28 +109,6 @@ void AppendRowJson(std::string* out, const Row& r) {
   *out += buf;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
-bool ReadJsonNumber(const std::string& path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text;
-  char chunk[4096];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    text.append(chunk, n);
-  }
-  std::fclose(f);
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 const Row* FindRow(const std::vector<Row>& rows, const std::string& workload,
                    const std::string& policy) {
   for (const Row& r : rows) {
@@ -242,21 +220,9 @@ int main(int argc, char** argv) {
 
   // Regression gate against the committed baseline: Graphene's mixed-bench
   // win must not silently erode.
-  if (!opt.baseline.empty()) {
-    double base = 0.0;
-    if (!ReadJsonNumber(opt.baseline, "graphene_gain_mixed", &base)) {
-      std::fprintf(stderr, "FAIL: cannot read graphene_gain_mixed from %s\n",
-                   opt.baseline.c_str());
-      ok = false;
-    } else if (gain < 0.8 * base) {
-      std::fprintf(stderr,
-                   "FAIL: graphene_gain_mixed %.3fx regressed more than 20%% vs "
-                   "baseline %.3fx\n",
-                   gain, base);
-      ok = false;
-    } else {
-      std::printf("baseline gate: %.3fx vs baseline %.3fx (ok)\n", gain, base);
-    }
+  if (!opt.baseline.empty() &&
+      !PassesBaselineGate(opt.baseline, "graphene_gain_mixed", gain, true, 3)) {
+    ok = false;
   }
 
   std::string json = "{\n  \"bench\": \"policy\",\n";
@@ -273,13 +239,5 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  std::FILE* f = std::fopen(opt.json_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("%s written (%s)\n", opt.json_out.c_str(), ok ? "pass" : "FAIL");
-  return ok ? 0 : 1;
+  return WriteBenchJson(opt.json_out, json, ok);
 }

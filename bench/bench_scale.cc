@@ -187,28 +187,6 @@ void AppendRowJson(std::string* out, const Row& r) {
   *out += buf;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
-bool ReadJsonNumber(const std::string& path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text;
-  char chunk[4096];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    text.append(chunk, n);
-  }
-  std::fclose(f);
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 const Row* FindRow(const std::vector<Row>& rows, const char* mode, int workers) {
   for (const Row& r : rows) {
     if (r.mode == mode && r.workers == workers) {
@@ -328,20 +306,9 @@ int main(int argc, char** argv) {
 
   // Regression gate: the fast/seed ratio is within-host, so it transfers
   // across machines in a way raw events/sec does not.
-  if (!opt.baseline.empty()) {
-    double base = 0.0;
-    if (!ReadJsonNumber(opt.baseline, "speedup_smoke", &base)) {
-      std::fprintf(stderr, "FAIL: cannot read speedup_smoke from %s\n",
-                   opt.baseline.c_str());
-      ok = false;
-    } else if (speedup_smoke < 0.8 * base) {
-      std::fprintf(stderr,
-                   "FAIL: speedup_smoke %.2fx regressed more than 20%% vs baseline %.2fx\n",
-                   speedup_smoke, base);
-      ok = false;
-    } else {
-      std::printf("baseline gate: %.2fx vs baseline %.2fx (ok)\n", speedup_smoke, base);
-    }
+  if (!opt.baseline.empty() &&
+      !PassesBaselineGate(opt.baseline, "speedup_smoke", speedup_smoke, true, 2)) {
+    ok = false;
   }
 
   std::string json = "{\n  \"bench\": \"scale\",\n";
@@ -365,13 +332,5 @@ int main(int argc, char** argv) {
   }
   json += "  ]\n}\n";
 
-  std::FILE* f = std::fopen(opt.json_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("%s written (%s)\n", opt.json_out.c_str(), ok ? "pass" : "FAIL");
-  return ok ? 0 : 1;
+  return WriteBenchJson(opt.json_out, json, ok);
 }

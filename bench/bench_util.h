@@ -105,6 +105,61 @@ inline std::vector<ExperimentResult> RunSchemes(const Workload& workload,
   return results;
 }
 
+// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
+inline bool ReadJsonNumber(const std::string& path, const char* key, double* out) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) {
+    return false;
+  }
+  std::string text;
+  char chunk[4096];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    text.append(chunk, n);
+  }
+  std::fclose(f);
+  const std::string needle = std::string("\"") + key + "\":";
+  const size_t pos = text.find(needle);
+  if (pos == std::string::npos) {
+    return false;
+  }
+  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
+  return true;
+}
+
+// --baseline regression gate: `value` of `key` may be at most 20% worse than
+// the number stored in the committed baseline JSON at `path`. Prints the
+// verdict with `digits` decimals and returns whether the gate passed.
+inline bool PassesBaselineGate(const std::string& path, const char* key, double value,
+                               bool higher_is_better, int digits) {
+  double base = 0.0;
+  if (!ReadJsonNumber(path, key, &base)) {
+    std::fprintf(stderr, "FAIL: cannot read %s from %s\n", key, path.c_str());
+    return false;
+  }
+  if (higher_is_better ? value < 0.8 * base : value > 1.2 * base) {
+    std::fprintf(stderr, "FAIL: %s %.*fx regressed more than 20%% vs baseline %.*fx\n", key,
+                 digits, value, digits, base);
+    return false;
+  }
+  std::printf("baseline gate: %.*fx vs baseline %.*fx (ok)\n", digits, value, digits, base);
+  return true;
+}
+
+// Writes a bench's JSON summary and returns the process exit code: 1 when the
+// file cannot be written or the bench failed, 0 otherwise.
+inline int WriteBenchJson(const std::string& path, const std::string& json, bool ok) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::fwrite(json.data(), 1, json.size(), f);
+  std::fclose(f);
+  std::printf("%s written (%s)\n", path.c_str(), ok ? "pass" : "FAIL");
+  return ok ? 0 : 1;
+}
+
 // Prints a utilization window of a result as CSV series rows.
 inline void PrintWindow(const ExperimentResult& result, double t0, double t1) {
   const auto& s = result.series;

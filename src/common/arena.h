@@ -11,9 +11,8 @@
 // recycle slots strictly LIFO, so allocation patterns are a pure function of
 // the simulation's own event order.
 //
-// Thread-compatibility: pools are NOT internally synchronized. Each pool is
-// owned by exactly one component (a worker, an event queue) and inherits that
-// component's synchronization discipline.
+// Ownership: each pool is owned by exactly one component (a worker, an event
+// queue) on the simulator thread.
 #ifndef SRC_COMMON_ARENA_H_
 #define SRC_COMMON_ARENA_H_
 

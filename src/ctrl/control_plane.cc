@@ -14,7 +14,7 @@
 namespace ursa {
 
 ControlPlane::ControlPlane(Simulator* sim, Cluster* cluster,
-                           const ControlPlaneConfig& config, FaultStats* stats)
+                           const ControlPlaneConfig& config, FaultCounters* stats)
     : sim_(sim), cluster_(cluster), config_(config), stats_(stats), rng_(config.seed) {
   CHECK(config_.loss_prob >= 0.0 && config_.loss_prob < 1.0)
       << "loss_prob must be in [0, 1): a channel that drops everything never "
@@ -34,12 +34,12 @@ ControlPlane::ControlPlane(Simulator* sim, Cluster* cluster,
 ControlPlane::Fate ControlPlane::DrawFate() {
   Fate fate;
   if (stats_ != nullptr) {
-    stats_->RecordMsgSent();
+    ++stats_->msgs_sent;
   }
   fate.lost = config_.loss_prob > 0.0 && rng_.Bernoulli(config_.loss_prob);
   if (fate.lost) {
     if (stats_ != nullptr) {
-      stats_->RecordMsgLost();
+      ++stats_->msgs_lost;
     }
     return fate;
   }
@@ -50,7 +50,7 @@ ControlPlane::Fate ControlPlane::DrawFate() {
     }
     if (config_.delay_prob > 0.0 && rng_.Bernoulli(config_.delay_prob)) {
       if (stats_ != nullptr) {
-        stats_->RecordMsgDelayed();
+        ++stats_->msgs_delayed;
       }
       l += config_.delay_extra;
     }
@@ -60,7 +60,7 @@ ControlPlane::Fate ControlPlane::DrawFate() {
   fate.dup = config_.dup_prob > 0.0 && rng_.Bernoulli(config_.dup_prob);
   if (fate.dup) {
     if (stats_ != nullptr) {
-      stats_->RecordMsgDuplicated();
+      ++stats_->msgs_duplicated;
     }
     fate.dup_latency = latency();
   }
@@ -105,12 +105,12 @@ void ControlPlane::SendDispatch(const std::shared_ptr<PendingDispatch>& p,
     if (p->epoch != epoch_) {
       p->fenced = true;
       if (stats_ != nullptr) {
-        stats_->RecordMsgFenced();
+        ++stats_->msgs_fenced;
       }
       return;
     }
     if (stats_ != nullptr) {
-      stats_->RecordRetransmit();
+      ++stats_->retransmits;
     }
     SendDispatch(p, std::min(config_.ack_timeout_cap, timeout * 2.0));
   });
@@ -123,7 +123,7 @@ void ControlPlane::DeliverDispatch(const std::shared_ptr<PendingDispatch>& p) {
     if (!p->fenced) {
       p->fenced = true;
       if (stats_ != nullptr) {
-        stats_->RecordMsgFenced();
+        ++stats_->msgs_fenced;
       }
       if (tracer_ != nullptr) {
         tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kMsgFenced, p->worker);
@@ -134,7 +134,7 @@ void ControlPlane::DeliverDispatch(const std::shared_ptr<PendingDispatch>& p) {
   if (p->delivered) {
     // A duplicate or late retransmission of an already-acked message.
     if (stats_ != nullptr) {
-      stats_->RecordDupSuppressed();
+      ++stats_->dup_suppressed;
     }
     return;
   }
@@ -144,7 +144,7 @@ void ControlPlane::DeliverDispatch(const std::shared_ptr<PendingDispatch>& p) {
     // send of a placement the recovery resync re-dispatched).
     p->delivered = true;
     if (stats_ != nullptr) {
-      stats_->RecordDupSuppressed();
+      ++stats_->dup_suppressed;
     }
     return;
   }
@@ -197,7 +197,7 @@ void ControlPlane::SendNotify(const std::shared_ptr<PendingNotify>& p, double ti
       return;
     }
     if (stats_ != nullptr) {
-      stats_->RecordRetransmit();
+      ++stats_->retransmits;
     }
     SendNotify(p, std::min(config_.ack_timeout_cap, timeout * 2.0));
   });

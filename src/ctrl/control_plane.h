@@ -33,7 +33,7 @@
 namespace ursa {
 
 class Cluster;
-class FaultStats;
+struct FaultCounters;
 class Simulator;
 class Tracer;
 
@@ -98,7 +98,7 @@ class ControlPlane {
   };
 
   ControlPlane(Simulator* sim, Cluster* cluster, const ControlPlaneConfig& config,
-               FaultStats* stats);
+               FaultCounters* stats);
 
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   // Reliable scheduler-bound deliveries retry while this returns true.
@@ -177,7 +177,7 @@ class ControlPlane {
   Simulator* sim_;
   Cluster* cluster_;
   ControlPlaneConfig config_;
-  FaultStats* stats_;
+  FaultCounters* stats_;
   Tracer* tracer_ = nullptr;
   std::function<bool()> down_check_;
   std::function<void(const CompletionMsg&)> completion_handler_;

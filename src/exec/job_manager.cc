@@ -330,7 +330,7 @@ void JobManager::OnMonotaskComplete(MonotaskId m, int generation) {
 }
 
 void JobManager::ConfigureFaultPolicy(int max_attempts, double backoff_base,
-                                      double backoff_cap, FaultStats* stats) {
+                                      double backoff_cap, FaultCounters* stats) {
   CHECK_GE(max_attempts, 1);
   CHECK_GT(backoff_base, 0.0);
   CHECK_GE(backoff_cap, backoff_base);
@@ -360,7 +360,7 @@ void JobManager::OnMonotaskFailed(MonotaskId m, int generation) {
     // The worker died under us (submission dropped or the scheduler has not
     // recovered yet): retrying there is pointless.
     if (fault_stats_ != nullptr) {
-      fault_stats_->RecordWorkerLossFailure();
+      ++fault_stats_->worker_loss_failures;
     }
     if (trt.spec != nullptr) {
       // A live speculative copy keeps the task going: hand it the race
@@ -375,13 +375,13 @@ void JobManager::OnMonotaskFailed(MonotaskId m, int generation) {
       return;
     }
     if (fault_stats_ != nullptr) {
-      fault_stats_->RecordEscalation();
+      ++fault_stats_->escalations;
     }
     ResetTaskForReplacement(mt.task);
     return;
   }
   if (fault_stats_ != nullptr) {
-    fault_stats_->RecordTransientFailure();
+    ++fault_stats_->transient_failures;
   }
   if (mrt.attempts < max_monotask_attempts_) {
     // Capped exponential backoff on the same worker.
@@ -398,7 +398,7 @@ void JobManager::OnMonotaskFailed(MonotaskId m, int generation) {
     });
   } else {
     if (fault_stats_ != nullptr) {
-      fault_stats_->RecordEscalation();
+      ++fault_stats_->escalations;
     }
     ResetTaskForReplacement(mt.task);
   }
@@ -841,7 +841,7 @@ void JobManager::CompleteTask(TaskId t) {
     rt.recovering = false;
     CHECK_GT(recovering_outstanding_, 0);
     if (--recovering_outstanding_ == 0 && fault_stats_ != nullptr) {
-      fault_stats_->RecordRecoveryLatency(sim_->Now() - recovery_start_);
+      fault_stats_->recovery_latencies.push_back(sim_->Now() - recovery_start_);
     }
   }
   Worker& worker = cluster_->worker(rt.worker);
@@ -1136,7 +1136,7 @@ void JobManager::OnSpecMonotaskFailed(TaskId t, int idx) {
     // The copy was the only live execution (primary's worker died): escalate
     // like a worker loss so the task is re-placed from scratch.
     if (fault_stats_ != nullptr) {
-      fault_stats_->RecordEscalation();
+      ++fault_stats_->escalations;
     }
     ResetTaskForReplacement(t);
   }

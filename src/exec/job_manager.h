@@ -76,7 +76,7 @@ class JobManager {
   // Retry policy for transient monotask failures; `stats` (may be null)
   // receives retry/recovery counters.
   void ConfigureFaultPolicy(int max_attempts, double backoff_base, double backoff_cap,
-                            FaultStats* stats);
+                            FaultCounters* stats);
 
   struct RecoveryResult {
     int tasks_reset = 0;           // Tasks returned to the blocked/ready pool.
@@ -370,7 +370,7 @@ class JobManager {
   int max_monotask_attempts_ = 3;
   double retry_backoff_base_ = 0.25;
   double retry_backoff_cap_ = 4.0;
-  FaultStats* fault_stats_ = nullptr;
+  FaultCounters* fault_stats_ = nullptr;
   int recovering_outstanding_ = 0;
   double recovery_start_ = -1.0;
 

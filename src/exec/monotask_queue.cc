@@ -1,6 +1,5 @@
 #include "src/exec/monotask_queue.h"
 
-#include <map>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -8,7 +7,6 @@
 namespace ursa {
 
 void MonotaskQueue::Push(RunnableMonotask mt) {
-  MutexLock lock(mu_);
   uint64_t seq;
   if (!free_slots_.empty()) {
     seq = free_slots_.back();
@@ -24,7 +22,6 @@ void MonotaskQueue::Push(RunnableMonotask mt) {
 }
 
 RunnableMonotask MonotaskQueue::Pop() {
-  MutexLock lock(mu_);
   CHECK(!order_.empty());
   const Entry entry = *order_.begin();
   order_.erase(order_.begin());
@@ -35,7 +32,6 @@ RunnableMonotask MonotaskQueue::Pop() {
 }
 
 size_t MonotaskQueue::RemoveCancelled() {
-  MutexLock lock(mu_);
   size_t removed = 0;
   for (auto it = order_.begin(); it != order_.end();) {
     RunnableMonotask& mt = slots_[it->seq];
@@ -53,30 +49,10 @@ size_t MonotaskQueue::RemoveCancelled() {
 }
 
 void MonotaskQueue::Reprioritize(const std::function<double(JobId)>& priority_of) {
-  // Snapshot the queued (seq, job) pairs, query the scheduler-side priority
-  // function with the lock released, then rebuild the order under the lock.
-  // Entries pushed between the two critical sections (none today: the
-  // simulator is single-threaded) keep the priority they were pushed with.
-  std::vector<std::pair<uint64_t, JobId>> queued;
-  {
-    MutexLock lock(mu_);
-    queued.reserve(order_.size());
-    for (const Entry& entry : order_) {
-      queued.emplace_back(entry.seq, slots_[entry.seq].job);
-    }
-  }
-  std::map<uint64_t, double> new_priority;
-  for (const auto& [seq, job] : queued) {
-    new_priority.emplace(seq, priority_of(job));
-  }
-  MutexLock lock(mu_);
   std::set<Entry> rebuilt;
   for (const Entry& entry : order_) {
     RunnableMonotask& mt = slots_[entry.seq];
-    const auto it = new_priority.find(entry.seq);
-    if (it != new_priority.end()) {
-      mt.job_priority = it->second;
-    }
+    mt.job_priority = priority_of(mt.job);
     rebuilt.insert(Entry{mt.job_priority, mt.intra_key, entry.seq});
   }
   order_ = std::move(rebuilt);

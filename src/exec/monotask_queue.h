@@ -9,10 +9,6 @@
 //    the stage), network/disk monotasks ascending (make dependents ready
 //    sooner);
 //  * ties broken by enqueue sequence for determinism.
-//
-// Internally synchronized (DESIGN.md section 10): `mu_` guards the queue
-// structures, and Reprioritize releases it while consulting the scheduler's
-// priority function so no foreign code ever runs under a queue lock.
 #ifndef SRC_EXEC_MONOTASK_QUEUE_H_
 #define SRC_EXEC_MONOTASK_QUEUE_H_
 
@@ -21,7 +17,6 @@
 #include <set>
 #include <vector>
 
-#include "src/common/mutex.h"
 #include "src/dag/types.h"
 
 namespace ursa {
@@ -80,34 +75,24 @@ struct RunnableMonotask {
 
 class MonotaskQueue {
  public:
-  void Push(RunnableMonotask mt) EXCLUDES(mu_);
-  bool Empty() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return order_.empty();
-  }
-  size_t Size() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return order_.size();
-  }
+  void Push(RunnableMonotask mt);
+  bool Empty() const { return order_.empty(); }
+  size_t Size() const { return order_.size(); }
 
   // Removes and returns the highest-priority monotask.
-  RunnableMonotask Pop() EXCLUDES(mu_);
+  RunnableMonotask Pop();
 
   // Re-sorts after job priorities changed (SRJF re-ranking). `priority_of`
-  // maps a job id to its current priority; it is invoked with the queue
-  // lock released.
-  void Reprioritize(const std::function<double(JobId)>& priority_of) EXCLUDES(mu_);
+  // maps a job id to its current priority.
+  void Reprioritize(const std::function<double(JobId)>& priority_of);
 
   // Drops every queued monotask whose cancel token fired, without invoking
   // callbacks (cancellation means nobody is waiting for the result). Returns
   // the number removed.
-  size_t RemoveCancelled() EXCLUDES(mu_);
+  size_t RemoveCancelled();
 
   // Total queued input bytes (for APT load reporting).
-  double queued_bytes() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return queued_bytes_;
-  }
+  double queued_bytes() const { return queued_bytes_; }
 
  private:
   struct Entry {
@@ -125,13 +110,12 @@ class MonotaskQueue {
     }
   };
 
-  mutable Mutex mu_;
-  std::set<Entry> order_ GUARDED_BY(mu_);
+  std::set<Entry> order_;
   // Indexed by seq; holes after Pop.
-  std::vector<RunnableMonotask> slots_ GUARDED_BY(mu_);
-  std::vector<uint64_t> free_slots_ GUARDED_BY(mu_);
-  double queued_bytes_ GUARDED_BY(mu_) = 0.0;
-  uint64_t next_seq_ GUARDED_BY(mu_) = 0;
+  std::vector<RunnableMonotask> slots_;
+  std::vector<uint64_t> free_slots_;
+  double queued_bytes_ = 0.0;
+  uint64_t next_seq_ = 0;
 };
 
 }  // namespace ursa

@@ -286,8 +286,6 @@ int Worker::SlotLimit(ResourceType r) const {
 void Worker::PumpQueue(ResourceType r) {
   const int limit = SlotLimit(r);
   while (!queue(r).Empty()) {
-    // Slot admission is a single atomic check-and-increment so two pumping
-    // threads can never oversubscribe the resource.
     if (!ledger_.TryAcquireSlot(r, limit)) {
       return;
     }

@@ -199,10 +199,6 @@ class Worker {
   double cpu_busy_now() const { return ledger_.occupancy(OccupancyKind::kCpuBusy); }
   double disk_busy_now() const { return ledger_.occupancy(OccupancyKind::kDiskBusy); }
 
-  // The annotated occupancy ledger (DESIGN.md section 10); exposed so tests
-  // can hammer it from multiple threads under TSan.
-  OccupancyLedger& ledger() { return ledger_; }
-
  private:
   struct RateMonitor {
     double rate = 0.0;          // Last computed rate (bytes/s per "lane").
@@ -311,8 +307,7 @@ class Worker {
   std::function<void(WorkerId)> fail_listener_;
 
   // Concurrency slots, running bytes, completion counters, memory accounting
-  // and the occupancy mirrors all live in the internally synchronized ledger
-  // (DESIGN.md section 10); no unlocked access path exists.
+  // and the occupancy mirrors.
   OccupancyLedger ledger_;
 
   RateMonitor rates_[kNumMonotaskResources];

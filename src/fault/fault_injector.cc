@@ -104,7 +104,7 @@ FaultPlan MakeRandomFaultPlan(const FaultPlanConfig& config) {
 }
 
 FaultInjector::FaultInjector(Simulator* sim, Cluster* cluster, FaultPlan plan,
-                             FaultStats* stats)
+                             FaultCounters* stats)
     : sim_(sim), cluster_(cluster), plan_(std::move(plan)), stats_(stats) {}
 
 void FaultInjector::Arm() {
@@ -140,7 +140,7 @@ void FaultInjector::Apply(const FaultEvent& event) {
       }
       worker.Fail();
       if (stats_ != nullptr) {
-        stats_->RecordCrashInjected();
+        ++stats_->crashes_injected;
       }
       break;
     case FaultKind::kCrashRecover:
@@ -149,26 +149,26 @@ void FaultInjector::Apply(const FaultEvent& event) {
       }
       worker.Fail();
       if (stats_ != nullptr) {
-        stats_->RecordCrashInjected();
+        ++stats_->crashes_injected;
       }
       sim_->Schedule(event.downtime, [this, w = event.worker] {
         cluster_->worker(w).Recover();
         if (stats_ != nullptr) {
-          stats_->RecordRecoveryInjected();
+          ++stats_->recoveries_injected;
         }
       });
       break;
     case FaultKind::kTransient:
       worker.InjectTransientFailures(event.count);
       if (stats_ != nullptr) {
-        stats_->RecordTransientsInjected(event.count);
+        stats_->transients_injected += event.count;
       }
       break;
     case FaultKind::kDegrade: {
       CHECK_GT(event.factor, 0.0);
       worker.set_speed_factor(event.factor);
       if (stats_ != nullptr) {
-        stats_->RecordDegradeInjected();
+        ++stats_->degrades_injected;
       }
       sim_->Schedule(event.duration, [this, w = event.worker] {
         cluster_->worker(w).set_speed_factor(1.0);

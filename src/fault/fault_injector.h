@@ -79,7 +79,7 @@ FaultPlan MakeRandomFaultPlan(const FaultPlanConfig& config);
 class FaultInjector {
  public:
   // `stats` may be null; when set, injected events are counted there.
-  FaultInjector(Simulator* sim, Cluster* cluster, FaultPlan plan, FaultStats* stats);
+  FaultInjector(Simulator* sim, Cluster* cluster, FaultPlan plan, FaultCounters* stats);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -103,7 +103,7 @@ class FaultInjector {
   Simulator* sim_;
   Cluster* cluster_;
   FaultPlan plan_;
-  FaultStats* stats_;
+  FaultCounters* stats_;
   std::function<void(double)> scheduler_crash_handler_;
   bool armed_ = false;
 };

@@ -1,20 +1,15 @@
 // Counters and time series describing fault-tolerance behavior of one run:
 // injected faults, heartbeat detections, monotask retries, lineage-recovery
-// resets and full restarts. The scheduler, job managers, failure detector and
-// fault injector all write into one shared FaultStats instance so the metrics
-// layer can report recovery behavior instead of merely asserting it.
-//
-// Split in two (DESIGN.md section 10): FaultCounters is the plain copyable
-// value — what the metrics layer reads and ExperimentResult carries — and
-// FaultStats is the internally synchronized recorder the runtime writes
-// through. Readers take a Snapshot(); no reference to guarded state escapes.
+// resets and full restarts. The scheduler owns one FaultCounters; job
+// managers, the failure detector, the fault injector, the message layer and
+// the speculation manager update its fields directly, so the metrics layer
+// can report recovery behavior instead of merely asserting it.
 #ifndef SRC_FAULT_FAULT_STATS_H_
 #define SRC_FAULT_FAULT_STATS_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "src/common/mutex.h"
 #include "src/common/time_series.h"
 #include "src/dag/types.h"
 
@@ -81,6 +76,26 @@ struct FaultCounters {
   StepTracker reexec_series;
   StepTracker wasted_series;  // Cumulative wasted busy seconds.
 
+  // Updates that keep a counter and its time series in step.
+  void RecordDetection(double now, double latency) {
+    ++detections;
+    total_detection_latency += latency;
+    detections_series.Set(now, static_cast<double>(detections));
+  }
+  void RecordRetry(double now) {
+    ++retries;
+    retries_series.Set(now, static_cast<double>(retries));
+  }
+  void RecordTasksReset(double now, int count) {
+    tasks_reset += count;
+    reexec_series.Set(now, static_cast<double>(tasks_reset));
+  }
+  void RecordWastedWork(double now, ResourceType r, double bytes, double seconds) {
+    wasted_bytes[static_cast<int>(r)] += bytes;
+    wasted_seconds[static_cast<int>(r)] += seconds;
+    wasted_series.Set(now, total_wasted_seconds());
+  }
+
   double avg_detection_latency() const {
     return detections > 0 ? total_detection_latency / detections : 0.0;
   }
@@ -129,170 +144,6 @@ struct FaultCounters {
                msgs_delayed >
            0;
   }
-};
-
-// Thread-safe recorder. Every mutation is one short critical section; the
-// lock is never held across foreign code. Sits below UrsaScheduler::state_mu_
-// in the lock hierarchy (see src/common/mutex.h) because job managers record
-// into it from inside scheduler-driven callbacks.
-class FaultStats {
- public:
-  // --- Injection (FaultInjector). ---
-  void RecordCrashInjected() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.crashes_injected;
-  }
-  void RecordRecoveryInjected() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.recoveries_injected;
-  }
-  void RecordTransientsInjected(int count) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    c_.transients_injected += count;
-  }
-  void RecordDegradeInjected() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.degrades_injected;
-  }
-
-  // --- Detection (scheduler / failure detector). ---
-  void RecordDetection(double now, double latency) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.detections;
-    c_.total_detection_latency += latency;
-    c_.detections_series.Set(now, static_cast<double>(c_.detections));
-  }
-  void RecordRejoin([[maybe_unused]] double now) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.rejoins;
-  }
-
-  // --- Monotask-level failures (job managers). ---
-  void RecordTransientFailure() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.transient_failures;
-  }
-  void RecordWorkerLossFailure() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.worker_loss_failures;
-  }
-  void RecordRetry(double now) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.retries;
-    c_.retries_series.Set(now, static_cast<double>(c_.retries));
-  }
-  void RecordEscalation() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.escalations;
-  }
-
-  // --- Recovery (scheduler / job managers). ---
-  void RecordTasksReset(double now, int count) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    c_.tasks_reset += count;
-    c_.reexec_series.Set(now, static_cast<double>(c_.tasks_reset));
-  }
-  void RecordFullRestartEquivalentTasks(int count) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    c_.full_restart_equivalent_tasks += count;
-  }
-  void RecordFullRestart() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.full_restarts;
-  }
-  void RecordRecoveryLatency(double seconds) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    c_.recovery_latencies.push_back(seconds);
-  }
-
-  // --- Control plane (message layer). ---
-  void RecordMsgSent() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.msgs_sent;
-  }
-  void RecordMsgLost() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.msgs_lost;
-  }
-  void RecordMsgDuplicated() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.msgs_duplicated;
-  }
-  void RecordMsgDelayed() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.msgs_delayed;
-  }
-  void RecordMsgFenced() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.msgs_fenced;
-  }
-  void RecordDupSuppressed() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.dup_suppressed;
-  }
-  void RecordRetransmit() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.retransmits;
-  }
-
-  // --- Scheduler crash-recovery (scheduler). ---
-  void RecordSchedulerCrash() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.scheduler_crashes;
-  }
-  void RecordSchedulerRecovery(double latency) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.scheduler_recoveries;
-    c_.scheduler_recovery_latencies.push_back(latency);
-  }
-  void RecordCheckpoint(int64_t journal_records) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.checkpoints;
-    c_.journal_records = journal_records;
-  }
-  void RecordJournalSize(int64_t journal_records) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    c_.journal_records = journal_records;
-  }
-  void RecordRedispatched(int count) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    c_.redispatched_monotasks += count;
-  }
-
-  // --- Speculation (speculation manager). ---
-  void RecordSpeculationLaunched() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.speculations_launched;
-  }
-  void RecordSpeculationWon() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.speculations_won;
-  }
-  void RecordSpeculationLost() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.speculations_lost;
-  }
-  void RecordSpeculationCancelled() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    ++c_.speculations_cancelled;
-  }
-  void RecordWastedWork(double now, ResourceType r, double bytes, double seconds)
-      EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    c_.wasted_bytes[static_cast<int>(r)] += bytes;
-    c_.wasted_seconds[static_cast<int>(r)] += seconds;
-    c_.wasted_series.Set(now, c_.total_wasted_seconds());
-  }
-
-  // Copy of every counter and series at this instant.
-  FaultCounters Snapshot() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return c_;
-  }
-
- private:
-  mutable Mutex mu_;
-  FaultCounters c_ GUARDED_BY(mu_);
 };
 
 }  // namespace ursa

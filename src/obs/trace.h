@@ -74,7 +74,8 @@ enum class TraceEventKind : int8_t {
   kBackpressure = 21,
   // A placement tick exhausted max_scored_pairs_per_tick and deferred the
   // remaining jobs to the next tick (job == kInvalidId; a = pairs scored,
-  // b = jobs skipped). Recorded through AdmissionEvent.
+  // b = admitted jobs with ready stages left ungathered). Recorded through
+  // AdmissionEvent.
   kScoringTruncated = 22,
   // Control-plane message layer + scheduler crash-recovery (DESIGN.md
   // section 14). Recorded through WorkerEvent; worker == kInvalidId for

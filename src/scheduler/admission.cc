@@ -105,7 +105,6 @@ int AdmissionController::PickVictim(const PendingEntry& incoming) const {
 
 AdmissionController::Decision AdmissionController::OnSubmit(const JobInfo& info,
                                                             double now) {
-  MutexLock lock(mu_);
   ++c_.submitted;
   PendingEntry entry;
   entry.id = info.id;
@@ -158,7 +157,6 @@ AdmissionController::Decision AdmissionController::OnSubmit(const JobInfo& info,
 
 AdmissionController::Gate AdmissionController::GateActivation(JobId id, double now,
                                                               bool has_competing_work) {
-  MutexLock lock(mu_);
   const int idx = FindPending(id);
   CHECK_GE(idx, 0) << "activation gate queried for a job not pending admission";
   const PendingEntry& entry = pending_[static_cast<size_t>(idx)];
@@ -174,7 +172,6 @@ AdmissionController::Gate AdmissionController::GateActivation(JobId id, double n
 }
 
 void AdmissionController::OnActivated(JobId id, double now) {
-  MutexLock lock(mu_);
   const int idx = FindPending(id);
   CHECK_GE(idx, 0) << "activated a job not pending admission";
   const PendingEntry entry = pending_[static_cast<size_t>(idx)];
@@ -189,7 +186,6 @@ void AdmissionController::OnActivated(JobId id, double now) {
 }
 
 void AdmissionController::OnJobFinished(JobId id) {
-  MutexLock lock(mu_);
   for (size_t i = 0; i < active_.size(); ++i) {
     if (active_[i].id == id) {
       active_u_ = std::max(0.0, active_u_ - active_[i].u);
@@ -201,7 +197,6 @@ void AdmissionController::OnJobFinished(JobId id) {
 
 bool AdmissionController::UpdateBackpressure([[maybe_unused]] double now,
                                              double avg_headroom) {
-  MutexLock lock(mu_);
   last_headroom_ = avg_headroom;
   const double ratio = pending_ratio();
   int level = static_cast<int>(BackpressureLevel::kNone);
@@ -229,7 +224,6 @@ bool AdmissionController::UpdateBackpressure([[maybe_unused]] double now,
 }
 
 double AdmissionController::throttle_factor() const {
-  MutexLock lock(mu_);
   if (level_ == BackpressureLevel::kNone) {
     return 1.0;
   }

@@ -20,18 +20,12 @@
 //                throttle_factor() (client backoff);
 //   kDegrade  -> additionally, speculation is suspended and low-tier
 //                admissions are deferred (with a starvation-age override).
-//
-// Thread safety: internally synchronized. AdmissionController::mu_ sits
-// directly below UrsaScheduler::state_mu_ in the lock hierarchy
-// (src/common/mutex.h); no method calls foreign code while holding it.
-// AdmissionCounters is the plain copyable snapshot readers get.
 #ifndef SRC_SCHEDULER_ADMISSION_H_
 #define SRC_SCHEDULER_ADMISSION_H_
 
 #include <string>
 #include <vector>
 
-#include "src/common/mutex.h"
 #include "src/dag/types.h"
 
 namespace ursa {
@@ -82,7 +76,7 @@ struct AdmissionConfig {
   double latency_fraction = 0.5;
 };
 
-// Copyable snapshot of the controller's counters. Identity maintained:
+// The controller's counters. Identity maintained:
 //   submitted == admitted + shed + pending_now.
 struct AdmissionCounters {
   int64_t submitted = 0;       // Jobs offered to the controller.
@@ -126,37 +120,31 @@ class AdmissionController {
   // Submission gate: hopeless-SLO rejection and the bounded-queue shed
   // policies. On eviction the caller must also shed `evicted` on its side
   // (record, waiting list, trace).
-  Decision OnSubmit(const JobInfo& info, double now) EXCLUDES(mu_);
+  Decision OnSubmit(const JobInfo& info, double now);
 
   // Activation gate for one pending job. `has_competing_work`: a
   // higher-priority (numerically smaller tier) job is also waiting, so
   // deferring this one frees its slot for that job; without it the tier
   // deferral is suppressed so deferral never idles or deadlocks the cluster.
   enum class Gate : int { kAdmit = 0, kDeferTier = 1, kBlockedUtilization = 2 };
-  Gate GateActivation(JobId id, double now, bool has_competing_work) EXCLUDES(mu_);
+  Gate GateActivation(JobId id, double now, bool has_competing_work);
 
   // The scheduler committed the pending job to the active set.
-  void OnActivated(JobId id, double now) EXCLUDES(mu_);
+  void OnActivated(JobId id, double now);
 
   // An active job finished; its utilization share is released.
-  void OnJobFinished(JobId id) EXCLUDES(mu_);
+  void OnJobFinished(JobId id);
 
   // Tick-time refresh of the backpressure level from the queue fill ratio,
   // the cluster-wide mean D_r headroom and the admission-latency EWMA.
   // Returns true when the level changed.
-  bool UpdateBackpressure(double now, double avg_headroom) EXCLUDES(mu_);
+  bool UpdateBackpressure(double now, double avg_headroom);
 
-  BackpressureLevel level() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return level_;
-  }
+  BackpressureLevel level() const { return level_; }
   // >= 1; the open-loop driver multiplies inter-arrival gaps by this.
-  double throttle_factor() const EXCLUDES(mu_);
+  double throttle_factor() const;
 
-  AdmissionCounters counters() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return c_;
-  }
+  const AdmissionCounters& counters() const { return c_; }
 
   const AdmissionConfig& config() const { return config_; }
 
@@ -175,28 +163,26 @@ class AdmissionController {
   };
 
   // Index into pending_, or -1.
-  int FindPending(JobId id) const REQUIRES(mu_);
+  int FindPending(JobId id) const;
   // Victim among pending + incoming for the configured policy; returns -1
   // to shed the incoming job.
-  int PickVictim(const PendingEntry& incoming) const REQUIRES(mu_);
-  double pending_ratio() const REQUIRES(mu_) {
+  int PickVictim(const PendingEntry& incoming) const;
+  double pending_ratio() const {
     return config_.max_pending > 0
                ? static_cast<double>(pending_.size()) / config_.max_pending
                : 0.0;
   }
 
   const AdmissionConfig config_;
-
-  mutable Mutex mu_;
   // Arrival order; bounded by config_.max_pending.
-  std::vector<PendingEntry> pending_ GUARDED_BY(mu_);
+  std::vector<PendingEntry> pending_;
   // Active jobs' utilization shares (vector: active sets are small and
   // ordered iteration keeps the controller deterministic).
-  std::vector<ActiveEntry> active_ GUARDED_BY(mu_);
-  double active_u_ GUARDED_BY(mu_) = 0.0;
-  BackpressureLevel level_ GUARDED_BY(mu_) = BackpressureLevel::kNone;
-  double last_headroom_ GUARDED_BY(mu_) = 1.0;
-  AdmissionCounters c_ GUARDED_BY(mu_);
+  std::vector<ActiveEntry> active_;
+  double active_u_ = 0.0;
+  BackpressureLevel level_ = BackpressureLevel::kNone;
+  double last_headroom_ = 1.0;
+  AdmissionCounters c_;
 };
 
 }  // namespace ursa

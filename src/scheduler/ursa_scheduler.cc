@@ -135,10 +135,7 @@ void UrsaScheduler::SubmitJob(std::unique_ptr<Job> job) {
   entry->job = std::move(job);
   const JobId id = entry->job->id;
   jobs_.push_back(std::move(entry));
-  {
-    MutexLock lock(state_mu_);
-    ++total_jobs_;
-  }
+  ++total_jobs_;
   if (admission_ != nullptr) {
     const Job& submitted = *jobs_[static_cast<size_t>(id)]->job;
     AdmissionController::JobInfo info;
@@ -155,10 +152,7 @@ void UrsaScheduler::SubmitJob(std::unique_ptr<Job> job) {
       return;
     }
   }
-  {
-    MutexLock lock(state_mu_);
-    waiting_admission_.push_back(id);
-  }
+  waiting_admission_.push_back(id);
   TryAdmitJobs();
   EnsureTickScheduled();
 }
@@ -172,13 +166,10 @@ void UrsaScheduler::ShedJob(JobId id) {
   JobRecord& record = records_[static_cast<size_t>(id)];
   record.shed = true;
   record.shed_time = now;
-  {
-    MutexLock lock(state_mu_);
-    waiting_admission_.erase(
-        std::remove(waiting_admission_.begin(), waiting_admission_.end(), id),
-        waiting_admission_.end());
-    ++shed_jobs_;
-  }
+  waiting_admission_.erase(
+      std::remove(waiting_admission_.begin(), waiting_admission_.end(), id),
+      waiting_admission_.end());
+  ++shed_jobs_;
   if (tracer_ != nullptr) {
     const double slo = entry.job->spec.slo_seconds > 0.0
                            ? entry.job->spec.slo_seconds
@@ -301,7 +292,7 @@ int UrsaScheduler::ReconcileWorkerFailure(WorkerId worker_id) {
       }
       if (r.tasks_reset > 0) {
         fault_stats_.RecordTasksReset(now, r.tasks_reset);
-        fault_stats_.RecordFullRestartEquivalentTasks(r.tasks_started_before);
+        fault_stats_.full_restart_equivalent_tasks += r.tasks_started_before;
         ++affected;
       }
     } else if (entry->jm->DependsOnWorker(worker_id)) {
@@ -314,15 +305,12 @@ int UrsaScheduler::ReconcileWorkerFailure(WorkerId worker_id) {
 }
 
 void UrsaScheduler::OnWorkerRejoined(WorkerId worker_id) {
-  fault_stats_.RecordRejoin(sim_->Now());
+  ++fault_stats_.rejoins;
   if (tracer_ != nullptr) {
     tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kRejoin, worker_id);
   }
-  {
-    // The worker re-registered empty; the next tick may place tasks on it.
-    MutexLock lock(state_mu_);
-    placement_dirty_ = true;
-  }
+  // The worker re-registered empty; the next tick may place tasks on it.
+  placement_dirty_ = true;
   EnsureTickScheduled();
 }
 
@@ -385,11 +373,8 @@ void UrsaScheduler::FullRestart(JobEntry& entry) {
   aborted_jms_.push_back(std::move(entry.jm));
   ++entry.incarnation;
   StartJobManager(entry);
-  {
-    MutexLock lock(state_mu_);
-    ++total_restarts_;
-  }
-  fault_stats_.RecordFullRestart();
+  ++total_restarts_;
+  ++fault_stats_.full_restarts;
 }
 
 void UrsaScheduler::DeliverCompletion(const ControlPlane::CompletionMsg& msg) {
@@ -398,7 +383,7 @@ void UrsaScheduler::DeliverCompletion(const ControlPlane::CompletionMsg& msg) {
   if (jm == nullptr || entry.finished || jm->incarnation() != msg.incarnation) {
     // The execution this report describes belongs to a dead incarnation
     // (full restart or journal-less crash recovery) or a finished job.
-    fault_stats_.RecordMsgFenced();
+    ++fault_stats_.msgs_fenced;
     if (tracer_ != nullptr) {
       tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kMsgFenced, msg.worker);
     }
@@ -422,7 +407,7 @@ void UrsaScheduler::InjectSchedulerCrash(double downtime) {
   const double now = sim_->Now();
   down_ = true;
   crash_time_ = now;
-  fault_stats_.RecordSchedulerCrash();
+  ++fault_stats_.scheduler_crashes;
   if (tracer_ != nullptr) {
     tracer_->WorkerEvent(now, TraceEventKind::kSchedCrash, kInvalidId);
   }
@@ -460,7 +445,7 @@ void UrsaScheduler::InjectSchedulerCrash(double downtime) {
     // last checkpoint; the checkpoint image covers the prefix.
     delay += config_.ctrl.replay_cost_per_record *
              static_cast<double>(journal_->suffix_length());
-    fault_stats_.RecordJournalSize(static_cast<int64_t>(journal_->appended()));
+    fault_stats_.journal_records = static_cast<int64_t>(journal_->appended());
   }
   sim_->Schedule(delay, [this] { RecoverScheduler(); });
 }
@@ -497,11 +482,8 @@ void UrsaScheduler::RecoverScheduler() {
       }
       ++entry->incarnation;
       StartJobManager(*entry);
-      {
-        MutexLock lock(state_mu_);
-        ++total_restarts_;
-      }
-      fault_stats_.RecordFullRestart();
+      ++total_restarts_;
+      ++fault_stats_.full_restarts;
     }
   }
   // The detector's liveness state is scheduler-side: re-seed it so silence
@@ -536,12 +518,13 @@ void UrsaScheduler::RecoverScheduler() {
       redispatched += entry->jm->ResyncDispatches();
     }
   }
-  fault_stats_.RecordRedispatched(redispatched);
+  fault_stats_.redispatched_monotasks += redispatched;
   if (tracer_ != nullptr) {
     tracer_->WorkerEvent(now, TraceEventKind::kResync, kInvalidId,
                          static_cast<double>(redispatched));
   }
-  fault_stats_.RecordSchedulerRecovery(now - crash_time_);
+  ++fault_stats_.scheduler_recoveries;
+  fault_stats_.scheduler_recovery_latencies.push_back(now - crash_time_);
   // Submissions that arrived while down replay in arrival order, before any
   // post-recovery arrival can interleave, so job ids stay dense. They keep
   // the submit_time stamped when they parked, so downtime queueing counts
@@ -553,10 +536,7 @@ void UrsaScheduler::RecoverScheduler() {
     SubmitJob(std::move(job));
   }
   replaying_parked_ = false;
-  {
-    MutexLock lock(state_mu_);
-    placement_dirty_ = true;
-  }
+  placement_dirty_ = true;
   TryAdmitJobs();
   EnsureTickScheduled();
 }
@@ -565,21 +545,15 @@ void UrsaScheduler::EnsureCheckpointScheduled() {
   if (journal_ == nullptr) {
     return;
   }
-  {
-    MutexLock lock(state_mu_);
-    if (checkpoint_scheduled_) {
-      return;
-    }
-    checkpoint_scheduled_ = true;
+  if (checkpoint_scheduled_) {
+    return;
   }
+  checkpoint_scheduled_ = true;
   sim_->Schedule(config_.ctrl.checkpoint_interval, [this] { CheckpointTick(); });
 }
 
 void UrsaScheduler::CheckpointTick() {
-  {
-    MutexLock lock(state_mu_);
-    checkpoint_scheduled_ = false;
-  }
+  checkpoint_scheduled_ = false;
   if (down_) {
     return;  // Recovery re-arms the chain through EnsureTickScheduled.
   }
@@ -588,26 +562,19 @@ void UrsaScheduler::CheckpointTick() {
   journal_->Checkpoint(sim_->Now(), [this](JobId job) -> const ExecutionPlan& {
     return jobs_[static_cast<size_t>(job)]->job->plan;
   });
-  fault_stats_.RecordCheckpoint(static_cast<int64_t>(journal_->appended()));
+  ++fault_stats_.checkpoints;
+  fault_stats_.journal_records = static_cast<int64_t>(journal_->appended());
   if (tracer_ != nullptr) {
     tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kCheckpoint, kInvalidId,
                          static_cast<double>(journal_->appended()));
   }
-  bool more = false;
-  {
-    MutexLock lock(state_mu_);
-    more = active_jobs_ > 0 || !waiting_admission_.empty();
-  }
-  if (more) {
+  if (active_jobs_ > 0 || !waiting_admission_.empty()) {
     EnsureCheckpointScheduled();
   }
 }
 
 void UrsaScheduler::OnTaskReady([[maybe_unused]] JobId job, [[maybe_unused]] TaskId task) {
-  {
-    MutexLock lock(state_mu_);
-    placement_dirty_ = true;
-  }
+  placement_dirty_ = true;
   EnsureTickScheduled();
 }
 
@@ -634,13 +601,10 @@ void UrsaScheduler::OnJobFinished(JobId job_id) {
   if (admission_ != nullptr) {
     admission_->OnJobFinished(job_id);
   }
-  {
-    MutexLock lock(state_mu_);
-    reserved_memory_ -= entry.job->spec.declared_memory_bytes;
-    reserved_memory_ = std::max(reserved_memory_, 0.0);
-    --active_jobs_;
-    ++finished_jobs_;
-  }
+  reserved_memory_ -= entry.job->spec.declared_memory_bytes;
+  reserved_memory_ = std::max(reserved_memory_, 0.0);
+  --active_jobs_;
+  ++finished_jobs_;
   JobRecord& record = records_[static_cast<size_t>(job_id)];
   record.finish_time = sim_->Now();
   record.cpu_seconds = entry.jm->cpu_seconds_used();
@@ -656,30 +620,21 @@ void UrsaScheduler::OnJobFinished(JobId job_id) {
 }
 
 void UrsaScheduler::EnsureTickScheduled() {
-  {
-    MutexLock lock(state_mu_);
-    if (tick_scheduled_) {
-      return;
-    }
-    tick_scheduled_ = true;
+  if (tick_scheduled_) {
+    return;
   }
+  tick_scheduled_ = true;
   sim_->Schedule(config_.scheduling_interval, [this] { Tick(); });
   EnsureCheckpointScheduled();
   if (detector_ != nullptr) {
     // (Re)start heartbeats and sweeps; both stop when the cluster goes idle
     // so the event queue can drain.
-    detector_->Activate([this] {
-      MutexLock lock(state_mu_);
-      return active_jobs_ > 0 || !waiting_admission_.empty();
-    });
+    detector_->Activate([this] { return active_jobs_ > 0 || !waiting_admission_.empty(); });
   }
 }
 
 void UrsaScheduler::Tick() {
-  {
-    MutexLock lock(state_mu_);
-    tick_scheduled_ = false;
-  }
+  tick_scheduled_ = false;
   if (down_) {
     return;  // Crashed: recovery re-arms the tick chain.
   }
@@ -707,12 +662,7 @@ void UrsaScheduler::Tick() {
     tracer_->SchedulerTick(sim_->Now(), stats.candidates, stats.placed,
                            wall.ElapsedMicros());
   }
-  bool more = false;
-  {
-    MutexLock lock(state_mu_);
-    more = active_jobs_ > 0 || !waiting_admission_.empty();
-  }
-  if (more) {
+  if (active_jobs_ > 0 || !waiting_admission_.empty()) {
     EnsureTickScheduled();
   }
 }
@@ -721,129 +671,103 @@ void UrsaScheduler::TryAdmitJobs() {
   if (down_) {
     return;
   }
-  {
-    MutexLock lock(state_mu_);
-    if (waiting_admission_.empty()) {
-      return;
-    }
-    // Admission order follows the job-ordering policy when JO is enabled,
-    // otherwise plain submission order. Graphene defers to its base job
-    // policy here — its DAG-awareness acts at stage-placement granularity.
-    if (config_.enable_job_ordering &&
-        EffectiveJobPolicy(config_.policy, config_.graphene) == OrderingPolicy::kSrjf) {
-      // Rank by expected remaining work against the total load of admitted +
-      // waiting jobs.
-      std::array<double, kNumMonotaskResources> total_load = {0.0, 0.0, 0.0};
-      for (const auto& entry : jobs_) {
-        if (entry->finished || entry->shed) {
-          continue;  // Shed jobs never run; they must not contribute load.
-        }
-        const auto work = entry->admitted ? entry->jm->remaining_work()
-                                          : entry->job->plan.ExpectedWorkByResource();
-        for (size_t r = 0; r < work.size(); ++r) {
-          total_load[r] += work[r];
-        }
+  if (waiting_admission_.empty()) {
+    return;
+  }
+  // Admission order follows the job-ordering policy when JO is enabled,
+  // otherwise plain submission order. Graphene defers to its base job
+  // policy here — its DAG-awareness acts at stage-placement granularity.
+  if (config_.enable_job_ordering &&
+      EffectiveJobPolicy(config_.policy, config_.graphene) == OrderingPolicy::kSrjf) {
+    // Rank by expected remaining work against the total load of admitted +
+    // waiting jobs.
+    std::array<double, kNumMonotaskResources> total_load = {0.0, 0.0, 0.0};
+    for (const auto& entry : jobs_) {
+      if (entry->finished || entry->shed) {
+        continue;  // Shed jobs never run; they must not contribute load.
       }
-      std::stable_sort(waiting_admission_.begin(), waiting_admission_.end(),
-                       [&](JobId a, JobId b) {
-                         const auto ra = jobs_[static_cast<size_t>(a)]
-                                             ->job->plan.ExpectedWorkByResource();
-                         const auto rb = jobs_[static_cast<size_t>(b)]
-                                             ->job->plan.ExpectedWorkByResource();
-                         return SrjfRank(ra, total_load) < SrjfRank(rb, total_load);
-                       });
-    } else {
-      std::stable_sort(waiting_admission_.begin(), waiting_admission_.end(),
-                       [&](JobId a, JobId b) {
-                         return jobs_[static_cast<size_t>(a)]->job->submit_time <
-                                jobs_[static_cast<size_t>(b)]->job->submit_time;
-                       });
+      const auto work = entry->admitted ? entry->jm->remaining_work()
+                                        : entry->job->plan.ExpectedWorkByResource();
+      for (size_t r = 0; r < work.size(); ++r) {
+        total_load[r] += work[r];
+      }
     }
+    std::stable_sort(waiting_admission_.begin(), waiting_admission_.end(),
+                     [&](JobId a, JobId b) {
+                       const auto ra = jobs_[static_cast<size_t>(a)]
+                                           ->job->plan.ExpectedWorkByResource();
+                       const auto rb = jobs_[static_cast<size_t>(b)]
+                                           ->job->plan.ExpectedWorkByResource();
+                       return SrjfRank(ra, total_load) < SrjfRank(rb, total_load);
+                     });
+  } else {
+    std::stable_sort(waiting_admission_.begin(), waiting_admission_.end(),
+                     [&](JobId a, JobId b) {
+                       return jobs_[static_cast<size_t>(a)]->job->submit_time <
+                              jobs_[static_cast<size_t>(b)]->job->submit_time;
+                     });
   }
   const double memory_budget =
       cluster_->total_memory() * config_.admission_memory_fraction;
   // Strict head-of-line admission prevents starvation of large jobs; the
   // utilization gate (admission control) is a second head-of-line condition,
   // while tier deferral under kDegrade backpressure skips an entry so
-  // higher-priority waiters behind it can still be considered. Each
-  // admission commits under the lock, but StartJobManager runs with it
-  // released: starting a job re-enters the scheduler (ready-task callbacks),
-  // which must be able to take state_mu_ itself.
+  // higher-priority waiters behind it can still be considered. Starting a
+  // job re-enters the scheduler (ready-task callbacks, possibly a nested
+  // TryAdmitJobs), so each round re-reads the queue at `cursor`.
   size_t cursor = 0;
-  while (true) {
-    JobEntry* admitted = nullptr;
-    JobId admitted_id = kInvalidId;
-    bool deferred = false;
-    JobId deferred_id = kInvalidId;
-    int deferred_tier = 0;
-    double deferred_age = 0.0;
+  while (cursor < waiting_admission_.size()) {
     const double now = sim_->Now();
-    {
-      MutexLock lock(state_mu_);
-      if (cursor >= waiting_admission_.size()) {
-        break;
+    const JobId id = waiting_admission_[cursor];
+    JobEntry& entry = *jobs_[static_cast<size_t>(id)];
+    if (admission_ != nullptr) {
+      // Deferring this job only helps if a higher-priority (numerically
+      // smaller tier) job is actually waiting to take its place; otherwise
+      // deferral would idle the cluster (or, on a queue of only low-tier
+      // jobs, deadlock it), so it is suppressed.
+      bool has_competing_work = false;
+      for (size_t i = 0; !has_competing_work && i < waiting_admission_.size(); ++i) {
+        has_competing_work =
+            i != cursor &&
+            jobs_[static_cast<size_t>(waiting_admission_[i])]->job->spec.priority_tier <
+                entry.job->spec.priority_tier;
       }
-      const JobId id = waiting_admission_[cursor];
-      JobEntry& entry = *jobs_[static_cast<size_t>(id)];
-      if (admission_ != nullptr) {
-        // Deferring this job only helps if a higher-priority (numerically
-        // smaller tier) job is actually waiting to take its place; otherwise
-        // deferral would idle the cluster (or, on a queue of only low-tier
-        // jobs, deadlock it), so it is suppressed.
-        bool has_competing_work = false;
-        for (size_t i = 0; !has_competing_work && i < waiting_admission_.size(); ++i) {
-          has_competing_work =
-              i != cursor &&
-              jobs_[static_cast<size_t>(waiting_admission_[i])]->job->spec.priority_tier <
-                  entry.job->spec.priority_tier;
+      const AdmissionController::Gate gate =
+          admission_->GateActivation(id, now, has_competing_work);
+      if (gate == AdmissionController::Gate::kDeferTier) {
+        ++cursor;
+        if (tracer_ != nullptr) {
+          tracer_->AdmissionEvent(now, TraceEventKind::kDefer, id,
+                                  entry.job->spec.priority_tier,
+                                  now - entry.job->submit_time, 0.0);
         }
-        const AdmissionController::Gate gate =
-            admission_->GateActivation(id, now, has_competing_work);
-        if (gate == AdmissionController::Gate::kDeferTier) {
-          deferred = true;
-          deferred_id = id;
-          deferred_tier = entry.job->spec.priority_tier;
-          deferred_age = now - entry.job->submit_time;
-          ++cursor;
-        } else if (gate == AdmissionController::Gate::kBlockedUtilization) {
-          break;  // Head-of-line: the utilization bound must free up first.
-        }
+        continue;
       }
-      if (!deferred) {
-        if (reserved_memory_ + entry.job->spec.declared_memory_bytes > memory_budget) {
-          break;
-        }
-        waiting_admission_.erase(waiting_admission_.begin() +
-                                 static_cast<ptrdiff_t>(cursor));
-        reserved_memory_ += entry.job->spec.declared_memory_bytes;
-        entry.admitted = true;
-        ++active_jobs_;
-        records_[static_cast<size_t>(id)].admit_time = now;
-        if (admission_ != nullptr) {
-          admission_->OnActivated(id, now);
-        }
-        admitted = &entry;
-        admitted_id = id;
+      if (gate == AdmissionController::Gate::kBlockedUtilization) {
+        break;  // Head-of-line: the utilization bound must free up first.
       }
     }
-    if (deferred) {
+    if (reserved_memory_ + entry.job->spec.declared_memory_bytes > memory_budget) {
+      break;
+    }
+    waiting_admission_.erase(waiting_admission_.begin() + static_cast<ptrdiff_t>(cursor));
+    reserved_memory_ += entry.job->spec.declared_memory_bytes;
+    entry.admitted = true;
+    ++active_jobs_;
+    records_[static_cast<size_t>(id)].admit_time = now;
+    if (admission_ != nullptr) {
+      admission_->OnActivated(id, now);
       if (tracer_ != nullptr) {
-        tracer_->AdmissionEvent(now, TraceEventKind::kDefer, deferred_id, deferred_tier,
-                                deferred_age, 0.0);
+        tracer_->AdmissionEvent(now, TraceEventKind::kAdmit, id, entry.job->spec.priority_tier,
+                                now - entry.job->submit_time,
+                                static_cast<double>(admission_->counters().pending_now));
       }
-      continue;
-    }
-    if (tracer_ != nullptr && admission_ != nullptr) {
-      tracer_->AdmissionEvent(now, TraceEventKind::kAdmit, admitted_id,
-                              admitted->job->spec.priority_tier,
-                              now - admitted->job->submit_time,
-                              static_cast<double>(admission_->counters().pending_now));
     }
     if (journal_ != nullptr) {
-      journal_->Append({JournalKind::kAdmit, admitted_id, kInvalidId, kInvalidId, 0,
-                        admitted->job->spec.declared_memory_bytes, 0.0, now});
+      journal_->Append({JournalKind::kAdmit, id, kInvalidId, kInvalidId, 0,
+                        entry.job->spec.declared_memory_bytes, 0.0, now});
     }
-    StartJobManager(*admitted);
+    StartJobManager(entry);
   }
 }
 
@@ -1515,7 +1439,9 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
     for (TaskId t : entry->jm->ready_tasks()) {
       by_stage[entry->job->plan.task(t).stage].push_back(t);
     }
-    for (auto& [stage, tasks] : by_stage) {
+    auto it = by_stage.begin();
+    for (; it != by_stage.end() && scored_pairs <= config_.max_scored_pairs_per_tick; ++it) {
+      auto& [stage, tasks] = *it;
       if (config_.stage_aware) {
         scored_pairs += tasks.size() * master.size();
         candidates.push_back(Candidate{entry.get(), stage, std::move(tasks)});
@@ -1526,14 +1452,19 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
           candidates.push_back(Candidate{entry.get(), stage, {t}});
         }
       }
-      if (scored_pairs > config_.max_scored_pairs_per_tick) {
-        break;
-      }
     }
     if (scored_pairs > config_.max_scored_pairs_per_tick) {
       truncated = true;
       next_start = (j + 1) % num_jobs;
-      const size_t skipped = num_jobs - 1 - i;
+      // Deferred jobs: this one if the budget cut off some of its ready
+      // stages, plus every later admitted job that has ready tasks.
+      size_t skipped = it != by_stage.end() ? 1 : 0;
+      for (size_t k = i + 1; k < num_jobs; ++k) {
+        const JobEntry& rest = *jobs_[(start + k) % num_jobs];
+        if (rest.admitted && !rest.finished && !rest.jm->ready_tasks().empty()) {
+          ++skipped;
+        }
+      }
       LOG(Warning) << "placement candidate budget exhausted (" << scored_pairs
                    << " pairs); deferring " << skipped << " job(s) to next tick";
       ++counters_.scoring_truncated;

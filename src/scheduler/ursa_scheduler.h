@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/baselines/packing_schedulers.h"
-#include "src/common/mutex.h"
 #include "src/ctrl/control_plane.h"
 #include "src/ctrl/journal.h"
 #include "src/dag/critical_path.h"
@@ -134,10 +133,7 @@ class UrsaScheduler : public JobManagerListener {
   // Returns the number of jobs affected; idempotent — a second call on an
   // already-failed worker returns 0 and changes nothing.
   int FailWorker(WorkerId worker);
-  int total_restarts() const EXCLUDES(state_mu_) {
-    MutexLock lock(state_mu_);
-    return total_restarts_;
-  }
+  int total_restarts() const { return total_restarts_; }
 
   // --- Scheduler crash injection (DESIGN.md section 14). ---
   // Crashes the scheduler control plane for `downtime` seconds: live
@@ -154,11 +150,10 @@ class UrsaScheduler : public JobManagerListener {
   // Null when journaling is disabled.
   const Journal* journal() const { return journal_.get(); }
 
-  // Snapshot of the recovery/retry/detection counters for this run (also
-  // written to by the failure detector, the job managers and the
-  // FaultInjector).
-  FaultCounters fault_stats() const { return fault_stats_.Snapshot(); }
-  FaultStats* mutable_fault_stats() { return &fault_stats_; }
+  // Recovery/retry/detection counters for this run (also written to by the
+  // failure detector, the job managers and the FaultInjector).
+  const FaultCounters& fault_stats() const { return fault_stats_; }
+  FaultCounters* mutable_fault_stats() { return &fault_stats_; }
   // Null when heartbeat detection is disabled.
   const FailureDetector* failure_detector() const { return detector_.get(); }
   // Null when speculation is disabled.
@@ -182,22 +177,10 @@ class UrsaScheduler : public JobManagerListener {
 
   // Every submitted job is resolved: it either completed or was shed by
   // admission control.
-  bool AllJobsFinished() const EXCLUDES(state_mu_) {
-    MutexLock lock(state_mu_);
-    return finished_jobs_ + shed_jobs_ == total_jobs_;
-  }
-  int finished_jobs() const EXCLUDES(state_mu_) {
-    MutexLock lock(state_mu_);
-    return finished_jobs_;
-  }
-  int shed_jobs() const EXCLUDES(state_mu_) {
-    MutexLock lock(state_mu_);
-    return shed_jobs_;
-  }
-  int total_jobs() const EXCLUDES(state_mu_) {
-    MutexLock lock(state_mu_);
-    return total_jobs_;
-  }
+  bool AllJobsFinished() const { return finished_jobs_ + shed_jobs_ == total_jobs_; }
+  int finished_jobs() const { return finished_jobs_; }
+  int shed_jobs() const { return shed_jobs_; }
+  int total_jobs() const { return total_jobs_; }
 
   const std::vector<JobRecord>& job_records() const { return records_; }
   const JobManager* job_manager(JobId id) const;
@@ -281,7 +264,7 @@ class UrsaScheduler : public JobManagerListener {
   double AvgHeadroom();
   // Sheds an unadmitted job: removes it from the waiting list, stamps its
   // record and trace event, and counts it resolved.
-  void ShedJob(JobId id) EXCLUDES(state_mu_);
+  void ShedJob(JobId id);
 
   // Recovery entry point shared by FailWorker() and the heartbeat detector.
   // Handles each worker-failure epoch exactly once; returns affected jobs.
@@ -442,10 +425,9 @@ class UrsaScheduler : public JobManagerListener {
   // Non-null when speculative execution is enabled; shared by all job
   // managers for budget enforcement and waste accounting.
   std::unique_ptr<SpeculationManager> spec_manager_;
-  // Non-null when admission control is enabled. Internally synchronized;
-  // its mutex sits directly below state_mu_ in the lock hierarchy.
+  // Non-null when admission control is enabled.
   std::unique_ptr<AdmissionController> admission_;
-  FaultStats fault_stats_;
+  FaultCounters fault_stats_;
   // Last Worker::failure_epoch() handled per worker, so an explicit
   // FailWorker() call and a later detector declaration of the same crash
   // trigger recovery exactly once. Preserved across a scheduler crash as a
@@ -507,22 +489,17 @@ class UrsaScheduler : public JobManagerListener {
   mutable std::unordered_map<uint64_t, std::vector<int32_t>> overlay_index_;
   mutable std::vector<WorkerId> overlay_touched_;
 
-  // Guards the admission queue and tick/progress counters — the scheduler
-  // state concurrent completion callbacks will race on once the simulator
-  // core goes parallel. Top of the lock hierarchy (src/common/mutex.h):
-  // never held while calling into job managers, workers, the detector or
-  // the simulator.
-  mutable Mutex state_mu_;
-  std::vector<JobId> waiting_admission_ GUARDED_BY(state_mu_);  // Policy-ordered on use.
-  double reserved_memory_ GUARDED_BY(state_mu_) = 0.0;
-  int total_jobs_ GUARDED_BY(state_mu_) = 0;
-  int total_restarts_ GUARDED_BY(state_mu_) = 0;
-  int finished_jobs_ GUARDED_BY(state_mu_) = 0;
-  int shed_jobs_ GUARDED_BY(state_mu_) = 0;
-  int active_jobs_ GUARDED_BY(state_mu_) = 0;
-  bool tick_scheduled_ GUARDED_BY(state_mu_) = false;
-  bool checkpoint_scheduled_ GUARDED_BY(state_mu_) = false;
-  bool placement_dirty_ GUARDED_BY(state_mu_) = false;
+  // Admission queue and tick/progress counters.
+  std::vector<JobId> waiting_admission_;  // Policy-ordered on use.
+  double reserved_memory_ = 0.0;
+  int total_jobs_ = 0;
+  int total_restarts_ = 0;
+  int finished_jobs_ = 0;
+  int shed_jobs_ = 0;
+  int active_jobs_ = 0;
+  bool tick_scheduled_ = false;
+  bool checkpoint_scheduled_ = false;
+  bool placement_dirty_ = false;
 };
 
 }  // namespace ursa

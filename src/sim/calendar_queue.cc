@@ -26,7 +26,6 @@ bool NodeAfter(double a_when, EventId a_id, double b_when, EventId b_id) {
 }  // namespace
 
 EventId CalendarEventQueue::Push(double when, Callback cb) {
-  MutexLock lock(mu_);
   const EventId id = next_id_++;
   if (buckets_.empty()) {
     // First event seeds the year; width stays coarse until the first
@@ -71,7 +70,6 @@ void CalendarEventQueue::Place(Node* node) {
 }
 
 bool CalendarEventQueue::Cancel(EventId id) {
-  MutexLock lock(mu_);
   auto it = index_.find(id);
   if (it == index_.end()) {
     return false;
@@ -114,12 +112,10 @@ void CalendarEventQueue::CompactAll() {
 }
 
 bool CalendarEventQueue::Empty() const {
-  MutexLock lock(mu_);
   return live_ == 0;
 }
 
 double CalendarEventQueue::NextTime() const {
-  MutexLock lock(mu_);
   if (live_ == 0) {
     return std::numeric_limits<double>::infinity();
   }
@@ -207,7 +203,6 @@ void CalendarEventQueue::Rebuild() const {
 }
 
 EventQueue::Fired CalendarEventQueue::Pop() {
-  MutexLock lock(mu_);
   CHECK_GT(live_, 0u);
   Settle();
   std::vector<Node*>& bucket = buckets_[cur_];
@@ -221,13 +216,11 @@ EventQueue::Fired CalendarEventQueue::Pop() {
 }
 
 size_t CalendarEventQueue::PendingCount() const {
-  MutexLock lock(mu_);
   CHECK_EQ(live_, index_.size());
   return live_;
 }
 
 size_t CalendarEventQueue::StoredCount() const {
-  MutexLock lock(mu_);
   return live_ + cancelled_count_;
 }
 

@@ -26,20 +26,19 @@
 #include <vector>
 
 #include "src/common/arena.h"
-#include "src/common/mutex.h"
 #include "src/sim/event_queue.h"
 
 namespace ursa {
 
 class CalendarEventQueue final : public EventQueue {
  public:
-  EventId Push(double when, Callback cb) override EXCLUDES(mu_);
-  bool Cancel(EventId id) override EXCLUDES(mu_);
-  bool Empty() const override EXCLUDES(mu_);
-  double NextTime() const override EXCLUDES(mu_);
-  Fired Pop() override EXCLUDES(mu_);
-  size_t PendingCount() const override EXCLUDES(mu_);
-  size_t StoredCount() const override EXCLUDES(mu_);
+  EventId Push(double when, Callback cb) override;
+  bool Cancel(EventId id) override;
+  bool Empty() const override;
+  double NextTime() const override;
+  Fired Pop() override;
+  size_t PendingCount() const override;
+  size_t StoredCount() const override;
 
  private:
   struct Node {
@@ -52,32 +51,31 @@ class CalendarEventQueue final : public EventQueue {
   // Files `node` into its day bucket (or overflow). Clamps to the bucket
   // being drained when `when` precedes it — safe because all earlier buckets
   // are empty and the drained bucket is totally ordered by (when, id).
-  void Place(Node* node) REQUIRES(mu_);
+  void Place(Node* node);
   // Advances to the next non-empty bucket, sorting it on first touch and
   // discarding tombstones surfacing at its tail. Re-seeds the year from the
   // overflow list when the current year drains. Requires live_ > 0.
-  void Settle() const REQUIRES(mu_);
+  void Settle() const;
   // Collects every stored node and rebuilds buckets/width around the current
   // event population (also drops all tombstones).
-  void Rebuild() const REQUIRES(mu_);
+  void Rebuild() const;
   // Stable-erases tombstones from every bucket and the overflow list.
-  void CompactAll() REQUIRES(mu_);
+  void CompactAll();
 
-  mutable Mutex mu_;
   // All mutable: Empty/NextTime lazily sort, advance, and re-seed, mirroring
   // HeapEventQueue's mutable lazy-purge members.
-  mutable ObjectPool<Node> pool_ GUARDED_BY(mu_);
-  mutable std::vector<std::vector<Node*>> buckets_ GUARDED_BY(mu_);
-  mutable std::vector<Node*> overflow_ GUARDED_BY(mu_);
-  mutable size_t cur_ GUARDED_BY(mu_) = 0;          // Bucket being drained.
-  mutable bool cur_sorted_ GUARDED_BY(mu_) = false;  // buckets_[cur_] sorted?
-  mutable double year_start_ GUARDED_BY(mu_) = 0.0;
-  mutable double width_ GUARDED_BY(mu_) = 1.0;
-  mutable size_t cancelled_count_ GUARDED_BY(mu_) = 0;
+  mutable ObjectPool<Node> pool_;
+  mutable std::vector<std::vector<Node*>> buckets_;
+  mutable std::vector<Node*> overflow_;
+  mutable size_t cur_ = 0;          // Bucket being drained.
+  mutable bool cur_sorted_ = false;  // buckets_[cur_] sorted?
+  mutable double year_start_ = 0.0;
+  mutable double width_ = 1.0;
+  mutable size_t cancelled_count_ = 0;
   // Lookup-only (Cancel by id); never iterated, so determinism-neutral.
-  std::unordered_map<EventId, Node*> index_ GUARDED_BY(mu_);
-  size_t live_ GUARDED_BY(mu_) = 0;
-  EventId next_id_ GUARDED_BY(mu_) = 1;
+  std::unordered_map<EventId, Node*> index_;
+  size_t live_ = 0;
+  EventId next_id_ = 1;
 };
 
 }  // namespace ursa

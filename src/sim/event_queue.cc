@@ -31,7 +31,6 @@ const char* EventQueueKindName(EventQueueKind kind) {
 }
 
 EventId HeapEventQueue::Push(double when, Callback cb) {
-  MutexLock lock(mu_);
   const EventId id = next_id_++;
   heap_.push_back(Entry{when, id});
   std::push_heap(heap_.begin(), heap_.end(), Later());
@@ -40,7 +39,6 @@ EventId HeapEventQueue::Push(double when, Callback cb) {
 }
 
 bool HeapEventQueue::Cancel(EventId id) {
-  MutexLock lock(mu_);
   auto it = callbacks_.find(id);
   if (it == callbacks_.end()) {
     return false;
@@ -90,13 +88,11 @@ void HeapEventQueue::DropCancelledHead() const {
 }
 
 bool HeapEventQueue::Empty() const {
-  MutexLock lock(mu_);
   DropCancelledHead();
   return heap_.empty();
 }
 
 double HeapEventQueue::NextTime() const {
-  MutexLock lock(mu_);
   DropCancelledHead();
   if (heap_.empty()) {
     return std::numeric_limits<double>::infinity();
@@ -105,7 +101,6 @@ double HeapEventQueue::NextTime() const {
 }
 
 EventQueue::Fired HeapEventQueue::Pop() {
-  MutexLock lock(mu_);
   DropCancelledHead();
   CHECK(!heap_.empty());
   const Entry top = heap_.front();
@@ -119,13 +114,11 @@ EventQueue::Fired HeapEventQueue::Pop() {
 }
 
 size_t HeapEventQueue::PendingCount() const {
-  MutexLock lock(mu_);
   CheckInvariant();
   return callbacks_.size();
 }
 
 size_t HeapEventQueue::StoredCount() const {
-  MutexLock lock(mu_);
   return heap_.size();
 }
 

@@ -10,12 +10,6 @@
 //     amortized O(1) operations for the 10k-worker regime.
 // MakeEventQueue() selects one by EventQueueKind; DESIGN.md section 12
 // documents the data structures and the determinism argument.
-//
-// Implementations are internally synchronized (DESIGN.md section 10): every
-// public method acquires the implementation's own mutex, and the lock is
-// never held while an event callback runs (Pop() hands the callback to the
-// caller). The event queue is the innermost lock of the repo-wide hierarchy,
-// so any component may call into it while holding its own lock.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -26,7 +20,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/common/mutex.h"
 
 namespace ursa {
 
@@ -83,13 +76,13 @@ const char* EventQueueKindName(EventQueueKind kind);
 // workloads (speculation + chaos) keep StoredCount() < 2 * PendingCount() + 1.
 class HeapEventQueue final : public EventQueue {
  public:
-  EventId Push(double when, Callback cb) override EXCLUDES(mu_);
-  bool Cancel(EventId id) override EXCLUDES(mu_);
-  bool Empty() const override EXCLUDES(mu_);
-  double NextTime() const override EXCLUDES(mu_);
-  Fired Pop() override EXCLUDES(mu_);
-  size_t PendingCount() const override EXCLUDES(mu_);
-  size_t StoredCount() const override EXCLUDES(mu_);
+  EventId Push(double when, Callback cb) override;
+  bool Cancel(EventId id) override;
+  bool Empty() const override;
+  double NextTime() const override;
+  Fired Pop() override;
+  size_t PendingCount() const override;
+  size_t StoredCount() const override;
 
  private:
   struct Entry {
@@ -107,19 +100,18 @@ class HeapEventQueue final : public EventQueue {
 
   // Lazily drops cancelled entries from the heap head; `mutable` members let
   // the const observers (Empty, NextTime) share it without const_cast.
-  void DropCancelledHead() const REQUIRES(mu_);
+  void DropCancelledHead() const;
   // Rewrites the heap without tombstones once they outnumber live entries.
-  void CompactIfWorthwhile() REQUIRES(mu_);
+  void CompactIfWorthwhile();
   // heap_.size() == callbacks_.size() + cancelled_.size() always; CHECKed so
   // PendingCount can never underflow.
-  void CheckInvariant() const REQUIRES(mu_);
+  void CheckInvariant() const;
 
-  mutable Mutex mu_;
-  mutable std::vector<Entry> heap_ GUARDED_BY(mu_);  // std::*_heap under Later.
-  mutable std::unordered_set<EventId> cancelled_ GUARDED_BY(mu_);
+  mutable std::vector<Entry> heap_;  // std::*_heap under Later.
+  mutable std::unordered_set<EventId> cancelled_;
   // Callbacks stored out-of-heap so Entry stays trivially copyable.
-  std::unordered_map<EventId, Callback> callbacks_ GUARDED_BY(mu_);
-  EventId next_id_ GUARDED_BY(mu_) = 1;
+  std::unordered_map<EventId, Callback> callbacks_;
+  EventId next_id_ = 1;
 };
 
 }  // namespace ursa

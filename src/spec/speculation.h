@@ -9,11 +9,10 @@
 // both sides: the configuration knobs, the candidate record the job manager
 // hands to the scheduler, and the SpeculationManager that enforces the
 // global wasted-work budget and funnels all speculation accounting into
-// FaultStats.
+// FaultCounters.
 #ifndef SRC_SPEC_SPECULATION_H_
 #define SRC_SPEC_SPECULATION_H_
 
-#include "src/common/mutex.h"
 #include "src/dag/types.h"
 #include "src/fault/fault_stats.h"
 #include "src/spec/robust_stats.h"
@@ -55,60 +54,44 @@ struct StragglerCandidate {
 };
 
 // Tracks live speculative copies against the global budget and records all
-// speculation outcomes and wasted work into FaultStats. One instance per
+// speculation outcomes and wasted work into FaultCounters. One instance per
 // scheduler, shared by every job manager.
 class SpeculationManager {
  public:
-  SpeculationManager(const SpeculationConfig& config, FaultStats* stats)
+  SpeculationManager(const SpeculationConfig& config, FaultCounters* stats)
       : config_(config), stats_(stats) {}
 
   SpeculationManager(const SpeculationManager&) = delete;
   SpeculationManager& operator=(const SpeculationManager&) = delete;
 
   const SpeculationConfig& config() const { return config_; }
-  int active() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return active_;
-  }
+  int active() const { return active_; }
 
   // True when the budget admits one more live copy given `running_tasks`
   // currently placed primaries.
-  bool CanLaunch(int running_tasks) const EXCLUDES(mu_) {
+  bool CanLaunch(int running_tasks) const {
     if (!config_.enabled || config_.budget_fraction <= 0.0 || running_tasks <= 0) {
       return false;
     }
     const int cap = static_cast<int>(config_.budget_fraction * running_tasks);
-    MutexLock lock(mu_);
     return active_ < (cap > 0 ? cap : 1);
   }
 
-  void OnLaunched() EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      ++active_;
-    }
-    stats_->RecordSpeculationLaunched();
+  void OnLaunched() {
+    ++active_;
+    ++stats_->speculations_launched;
   }
-  void OnWon() EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      --active_;
-    }
-    stats_->RecordSpeculationWon();
+  void OnWon() {
+    --active_;
+    ++stats_->speculations_won;
   }
-  void OnLost() EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      --active_;
-    }
-    stats_->RecordSpeculationLost();
+  void OnLost() {
+    --active_;
+    ++stats_->speculations_lost;
   }
-  void OnCancelled() EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      --active_;
-    }
-    stats_->RecordSpeculationCancelled();
+  void OnCancelled() {
+    --active_;
+    ++stats_->speculations_cancelled;
   }
 
   // Duplicate work discarded by a cancellation: `bytes` processed by the
@@ -119,9 +102,8 @@ class SpeculationManager {
 
  private:
   SpeculationConfig config_;
-  FaultStats* stats_;
-  mutable Mutex mu_;
-  int active_ GUARDED_BY(mu_) = 0;  // Live speculative copies across all jobs.
+  FaultCounters* stats_;
+  int active_ = 0;  // Live speculative copies across all jobs.
 };
 
 // Detection predicate: is a task that has been running for `elapsed` seconds

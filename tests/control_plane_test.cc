@@ -50,7 +50,7 @@ class ControlPlaneTest : public ::testing::Test {
   Simulator sim_;
   ClusterConfig config_;
   std::unique_ptr<Cluster> cluster_;
-  FaultStats stats_;
+  FaultCounters stats_;
 };
 
 TEST_F(ControlPlaneTest, DisabledIsSynchronousPassThrough) {
@@ -67,7 +67,7 @@ TEST_F(ControlPlaneTest, DisabledIsSynchronousPassThrough) {
   EXPECT_EQ(beats, 1);
   sim_.Run();
   EXPECT_EQ(completions, 1);
-  EXPECT_EQ(stats_.Snapshot().msgs_sent, 0);
+  EXPECT_EQ(stats_.msgs_sent, 0);
 }
 
 TEST_F(ControlPlaneTest, DispatchSurvivesHeavyLossExactlyOnce) {
@@ -80,7 +80,7 @@ TEST_F(ControlPlaneTest, DispatchSurvivesHeavyLossExactlyOnce) {
   sim_.Run();
   // Retransmission pushes the dispatch through; dedup keeps it single.
   EXPECT_EQ(completions, 1);
-  const FaultCounters c = stats_.Snapshot();
+  const FaultCounters& c = stats_;
   EXPECT_GT(c.msgs_sent, 0);
   EXPECT_TRUE(plane->Delivered(0, Key(0)));
   EXPECT_FALSE(plane->Delivered(1, Key(0)));
@@ -96,7 +96,7 @@ TEST_F(ControlPlaneTest, DuplicatedDispatchRunsOnce) {
   plane->Dispatch(0, Key(0), CountingMonotask(&completions));
   sim_.Run();
   EXPECT_EQ(completions, 1);
-  const FaultCounters c = stats_.Snapshot();
+  const FaultCounters& c = stats_;
   EXPECT_GT(c.msgs_duplicated, 0);
   EXPECT_GT(c.dup_suppressed, 0);
 }
@@ -111,7 +111,7 @@ TEST_F(ControlPlaneTest, EpochFencingDiscardsStaleDispatch) {
   sim_.Run();
   EXPECT_EQ(completions, 0);
   EXPECT_FALSE(plane->Delivered(0, Key(0)));
-  EXPECT_GT(stats_.Snapshot().msgs_fenced, 0);
+  EXPECT_GT(stats_.msgs_fenced, 0);
 }
 
 TEST_F(ControlPlaneTest, CompletionRetriesAcrossSchedulerDowntime) {
@@ -132,7 +132,7 @@ TEST_F(ControlPlaneTest, CompletionRetriesAcrossSchedulerDowntime) {
   sim_.Run();
   // The report was refused while down and retried until accepted.
   EXPECT_EQ(delivered, 1);
-  EXPECT_GT(stats_.Snapshot().retransmits, 0);
+  EXPECT_GT(stats_.retransmits, 0);
   EXPECT_GT(sim_.Now(), 1.0);
 }
 
@@ -149,7 +149,7 @@ TEST_F(ControlPlaneTest, HeartbeatsAreBestEffort) {
   // Lost heartbeats stay lost: no retransmission on the unreliable channel.
   EXPECT_GT(beats, 0);
   EXPECT_LT(beats, 200);
-  EXPECT_EQ(stats_.Snapshot().retransmits, 0);
+  EXPECT_EQ(stats_.retransmits, 0);
 }
 
 TEST_F(ControlPlaneTest, ForgetJobDropsDedupState) {
@@ -185,7 +185,7 @@ TEST(ControlPlaneConfigTest, RejectsMalformedProbabilities) {
   ClusterConfig cluster_config;
   cluster_config.num_workers = 1;
   Cluster cluster(&sim, cluster_config);
-  FaultStats stats;
+  FaultCounters stats;
   ControlPlaneConfig cc;
   cc.enabled = true;
   cc.loss_prob = 1.0;  // A message that is always lost never delivers.

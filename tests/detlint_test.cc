@@ -93,6 +93,25 @@ TEST(Detlint, FlagsPointerKeyedOrderedContainers) {
       Hit("src/exec/worker.cc", "std::map<JobId, int> m;\n", "pointer-key-ordered"));
 }
 
+TEST(Detlint, FlagsThreadPrimitivesOutsideRuntime) {
+  EXPECT_TRUE(Hit("src/exec/worker.h", "std::mutex mu_;\n", "lock-outside-runtime"));
+  EXPECT_TRUE(
+      Hit("src/sim/simulator.h", "std::atomic<int> n{0};\n", "lock-outside-runtime"));
+  EXPECT_TRUE(Hit("src/scheduler/ursa_scheduler.cc", "std::thread t(Body);\n",
+                  "lock-outside-runtime"));
+  EXPECT_TRUE(Hit("src/exec/worker.h", "#include <mutex>\n", "lock-outside-runtime"));
+  EXPECT_TRUE(Hit("src/common/logging.cc", "#include <atomic>\n", "lock-outside-runtime"));
+  EXPECT_TRUE(Hit("src/fault/fault_stats.h", "#include <thread>\n", "lock-outside-runtime"));
+  // LocalRuntime really runs threads; code outside src/ is out of scope.
+  EXPECT_FALSE(Hit("src/runtime/local_runtime.h", "std::mutex mu_;\n#include <thread>\n",
+                   "lock-outside-runtime"));
+  EXPECT_FALSE(Hit("tests/tsan_race_canary.cc", "std::mutex mu;\n", "lock-outside-runtime"));
+  // Word boundaries and comments: similar names and prose are not findings.
+  EXPECT_FALSE(Hit("src/exec/worker.h", "std::mutex_like x;\n", "lock-outside-runtime"));
+  EXPECT_FALSE(Hit("src/exec/worker.h", "int threads = 0;  // no std::thread here\n",
+                   "lock-outside-runtime"));
+}
+
 TEST(Detlint, FlagsStyleViolations) {
   EXPECT_TRUE(Hit("src/exec/worker.cc", "\tint x = 0;\n", "style-tabs"));
   EXPECT_TRUE(Hit("src/exec/worker.cc", "int x = 0;  \n", "style-trailing-ws"));
@@ -133,8 +152,9 @@ TEST(Detlint, GoldenReportFormat) {
 
 TEST(Detlint, RuleNamesAreStable) {
   const std::vector<std::string> expected = {
-      "wallclock",           "raw-random", "no-unordered-in-core",
-      "pointer-key-ordered", "style-tabs", "style-trailing-ws"};
+      "wallclock",           "raw-random",           "no-unordered-in-core",
+      "pointer-key-ordered", "lock-outside-runtime", "style-tabs",
+      "style-trailing-ws"};
   EXPECT_EQ(RuleNames(), expected);
 }
 

@@ -185,7 +185,7 @@ TEST_F(FaultToleranceTest, LineageRecoveryReExecutesFewerTasksThanFullRestart) {
   EXPECT_TRUE(scheduler.AllJobsFinished());
   // Stage-level recovery: no job restarted from scratch...
   EXPECT_EQ(scheduler.total_restarts(), 0);
-  const FaultCounters stats = scheduler.fault_stats();
+  const FaultCounters& stats = scheduler.fault_stats();
   // ...some tasks re-executed, but strictly fewer than a full restart of the
   // affected jobs would redo.
   EXPECT_GT(stats.tasks_reset, 0);
@@ -216,7 +216,7 @@ TEST_F(FaultToleranceTest, TransientFailuresAreRetriedWithBackoff) {
   sim_.Schedule(5.0, [&] { cluster_->worker(2).InjectTransientFailures(5); });
   sim_.Run();
   EXPECT_TRUE(scheduler.AllJobsFinished());
-  const FaultCounters stats = scheduler.fault_stats();
+  const FaultCounters& stats = scheduler.fault_stats();
   EXPECT_GE(stats.transient_failures, 5);
   EXPECT_GE(stats.retries, 5);
   EXPECT_EQ(scheduler.total_restarts(), 0);
@@ -240,7 +240,7 @@ TEST_F(FaultToleranceTest, ExhaustedRetriesEscalateToReplacement) {
   sim_.Schedule(5.0, [&] { cluster_->worker(2).InjectTransientFailures(3); });
   sim_.Run();
   EXPECT_TRUE(scheduler.AllJobsFinished());
-  const FaultCounters stats = scheduler.fault_stats();
+  const FaultCounters& stats = scheduler.fault_stats();
   EXPECT_GE(stats.escalations, 3);
   EXPECT_EQ(stats.retries, 0);
 }
@@ -268,7 +268,7 @@ TEST_F(FaultToleranceTest, RecoveredWorkerRejoinsAndReceivesPlacements) {
   });
   sim_.Run();
   EXPECT_TRUE(scheduler.AllJobsFinished());
-  const FaultCounters stats = scheduler.fault_stats();
+  const FaultCounters& stats = scheduler.fault_stats();
   EXPECT_EQ(stats.detections, 1);
   EXPECT_EQ(stats.rejoins, 1);
   ASSERT_NE(scheduler.failure_detector(), nullptr);

@@ -382,7 +382,7 @@ TEST_P(CtrlChaosInvariants, ExactlyOnceObservablesHoldUnderMessageChaos) {
   sim.Run();
 
   EXPECT_TRUE(scheduler.AllJobsFinished()) << "seed " << seed;
-  const FaultCounters c = scheduler.fault_stats();
+  const FaultCounters& c = scheduler.fault_stats();
   EXPECT_EQ(c.scheduler_crashes, 1);
   EXPECT_EQ(c.scheduler_recoveries, 1);
   EXPECT_GT(c.msgs_lost, 0);

@@ -59,7 +59,7 @@ TEST_F(SchedCrashTest, JournaledCrashRecoversWithoutRestartingJobs) {
   EXPECT_TRUE(scheduler.AllJobsFinished());
   // Journaled recovery restores progress; no job restarted from scratch.
   EXPECT_EQ(scheduler.total_restarts(), 0);
-  const FaultCounters c = scheduler.fault_stats();
+  const FaultCounters& c = scheduler.fault_stats();
   EXPECT_EQ(c.scheduler_crashes, 1);
   EXPECT_EQ(c.scheduler_recoveries, 1);
   EXPECT_GE(c.avg_scheduler_recovery_latency(), 3.0);
@@ -84,7 +84,7 @@ TEST_F(SchedCrashTest, JournallessCrashFallsBackToFullRestarts) {
   EXPECT_TRUE(scheduler.AllJobsFinished());
   // Progress was unrecoverable: every live job restarted from its input.
   EXPECT_GT(scheduler.total_restarts(), 0);
-  const FaultCounters c = scheduler.fault_stats();
+  const FaultCounters& c = scheduler.fault_stats();
   EXPECT_EQ(c.scheduler_crashes, 1);
   EXPECT_EQ(c.scheduler_recoveries, 1);
   EXPECT_EQ(c.checkpoints, 0);
@@ -204,7 +204,7 @@ TEST_F(SchedCrashTest, RepeatedCrashesConverge) {
   sim_.Schedule(14.0, [&] { scheduler.InjectSchedulerCrash(1.0); });
   sim_.Run();
   EXPECT_TRUE(scheduler.AllJobsFinished());
-  const FaultCounters c = scheduler.fault_stats();
+  const FaultCounters& c = scheduler.fault_stats();
   EXPECT_EQ(c.scheduler_crashes, 2);
   EXPECT_EQ(c.scheduler_recoveries, 2);
 }

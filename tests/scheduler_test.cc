@@ -3,6 +3,7 @@
 // bonus), job ordering policies, and the packing-placement variants.
 #include <gtest/gtest.h>
 
+#include "src/obs/trace.h"
 #include "src/scheduler/ursa_scheduler.h"
 #include "src/workloads/synthetic.h"
 #include "src/workloads/tpch.h"
@@ -106,6 +107,35 @@ TEST_F(SchedulerTest, PackingReservationsReleaseOnTaskCompletion) {
     EXPECT_DOUBLE_EQ(cluster_->worker(w).free_memory(),
                      cluster_->worker(w).memory_capacity());
   }
+}
+
+TEST_F(SchedulerTest, TruncationCountsJobWithUngatheredStages) {
+  UrsaSchedulerConfig sc;
+  // Smaller than the first stage's 4 tasks x 4 workers, so the gather stops
+  // after one stage and the job's second ready stage waits for the next tick.
+  sc.max_scored_pairs_per_tick = 8;
+  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  Tracer tracer;
+  scheduler.set_tracer(&tracer);
+  JobSpec spec;
+  spec.name = "two-stages";
+  spec.declared_memory_bytes = 1e9;
+  OpGraph& graph = spec.graph;
+  for (const char* name : {"a", "b"}) {
+    const DataId input = graph.CreateExternalData(std::vector<double>(4, 1000.0), name);
+    graph.CreateOp(ResourceType::kCpu, name).Read(input).Create(graph.CreateData(4, name));
+  }
+  scheduler.SubmitJob(Job::Create(0, std::move(spec)));
+  sim_.Run(sc.scheduling_interval);
+  std::vector<double> deferred;
+  for (const TraceEvent& event : tracer.Snapshot()) {
+    if (event.kind == TraceEventKind::kScoringTruncated) {
+      deferred.push_back(event.b);
+    }
+  }
+  ASSERT_EQ(deferred.size(), 1u);
+  EXPECT_EQ(deferred[0], 1.0);
+  EXPECT_EQ(scheduler.scheduler_counters().scoring_truncated, 1);
 }
 
 TEST(SrjfRank, SmallerRemainingRanksFirst) {

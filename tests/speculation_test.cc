@@ -95,7 +95,7 @@ TEST(Budget, CapsLiveCopiesAtFractionOfRunningTasks) {
   SpeculationConfig config;
   config.enabled = true;
   config.budget_fraction = 0.1;
-  FaultStats stats;
+  FaultCounters stats;
   SpeculationManager manager(config, &stats);
   // 25 running primaries -> cap floor(2.5) = 2 live copies.
   EXPECT_TRUE(manager.CanLaunch(25));
@@ -108,16 +108,16 @@ TEST(Budget, CapsLiveCopiesAtFractionOfRunningTasks) {
   EXPECT_TRUE(manager.CanLaunch(25));
   manager.OnLost();
   EXPECT_EQ(manager.active(), 0);
-  EXPECT_EQ(stats.Snapshot().speculations_launched, 2);
-  EXPECT_EQ(stats.Snapshot().speculations_won, 1);
-  EXPECT_EQ(stats.Snapshot().speculations_lost, 1);
+  EXPECT_EQ(stats.speculations_launched, 2);
+  EXPECT_EQ(stats.speculations_won, 1);
+  EXPECT_EQ(stats.speculations_lost, 1);
 }
 
 TEST(Budget, AlwaysAdmitsOneCopyWhenAnythingRuns) {
   SpeculationConfig config;
   config.enabled = true;
   config.budget_fraction = 0.1;
-  FaultStats stats;
+  FaultCounters stats;
   SpeculationManager manager(config, &stats);
   // floor(0.1 * 3) = 0, but the budget never starves mitigation entirely.
   EXPECT_TRUE(manager.CanLaunch(3));
@@ -336,7 +336,7 @@ class SpeculationRaceTest : public ::testing::Test {
   Simulator sim_;
   std::unique_ptr<Cluster> cluster_;
   SpeculationConfig spec_config_;
-  FaultStats stats_;
+  FaultCounters stats_;
   std::unique_ptr<SpeculationManager> manager_;
 };
 
@@ -363,12 +363,12 @@ TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsInFlight) {
   Drive(jm, {0, 1, 2});
   sim_.Run();
   EXPECT_TRUE(listener.finished);
-  EXPECT_EQ(stats_.Snapshot().speculations_launched, 1);
-  EXPECT_EQ(stats_.Snapshot().speculations_lost, 1);
-  EXPECT_EQ(stats_.Snapshot().speculations_won, 0);
+  EXPECT_EQ(stats_.speculations_launched, 1);
+  EXPECT_EQ(stats_.speculations_lost, 1);
+  EXPECT_EQ(stats_.speculations_won, 0);
   EXPECT_EQ(manager_->active(), 0);
   // The losing copy burned real (wall-clock) time on worker 3's core.
-  EXPECT_GT(stats_.Snapshot().total_wasted_seconds(), 0.0);
+  EXPECT_GT(stats_.total_wasted_seconds(), 0.0);
   // Every monotask completion was delivered exactly once despite the race.
   EXPECT_EQ(listener.monotasks, 8);
   ExpectMemoryDrained();
@@ -393,10 +393,10 @@ TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsStillQueued) {
   sim_.ScheduleAt(0.1, [&] { ASSERT_TRUE(jm.PlaceSpeculative(target, 3)); });
   Drive(jm, {0, 1, 2});
   EXPECT_TRUE(listener.finished);
-  EXPECT_EQ(stats_.Snapshot().speculations_lost, 1);
+  EXPECT_EQ(stats_.speculations_lost, 1);
   // The copy never left the queue: its cancellation charged nothing.
-  EXPECT_DOUBLE_EQ(stats_.Snapshot().total_wasted_seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(stats_.Snapshot().total_wasted_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(stats_.total_wasted_seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(stats_.total_wasted_bytes(), 0.0);
   EXPECT_EQ(listener.monotasks, 8);
 }
 
@@ -422,12 +422,12 @@ TEST_F(SpeculationRaceTest, CopyWinsWhenPrimaryStraggles) {
   Drive(jm, {1, 2, 3});
   sim_.Run();
   EXPECT_TRUE(listener.finished);
-  EXPECT_EQ(stats_.Snapshot().speculations_launched, 1);
-  EXPECT_EQ(stats_.Snapshot().speculations_won, 1);
-  EXPECT_EQ(stats_.Snapshot().speculations_lost, 0);
+  EXPECT_EQ(stats_.speculations_launched, 1);
+  EXPECT_EQ(stats_.speculations_won, 1);
+  EXPECT_EQ(stats_.speculations_lost, 0);
   EXPECT_EQ(manager_->active(), 0);
   // The cancelled primary's partial work is the wasted side this time.
-  EXPECT_GT(stats_.Snapshot().total_wasted_seconds(), 0.0);
+  EXPECT_GT(stats_.total_wasted_seconds(), 0.0);
   EXPECT_EQ(listener.monotasks, 8);
   ExpectMemoryDrained();
 }
@@ -448,7 +448,7 @@ TEST_F(SpeculationRaceTest, PlaceSpeculativeRejectsInvalidTargets) {
   EXPECT_FALSE(jm.PlaceSpeculative(target, 2));  // Failed worker.
   ASSERT_TRUE(jm.PlaceSpeculative(target, 1));
   EXPECT_FALSE(jm.PlaceSpeculative(target, 3));  // Already has a copy.
-  EXPECT_EQ(stats_.Snapshot().speculations_launched, 1);
+  EXPECT_EQ(stats_.speculations_launched, 1);
 }
 
 TEST_F(SpeculationRaceTest, AbortCancelsTheLiveCopy) {
@@ -463,7 +463,7 @@ TEST_F(SpeculationRaceTest, AbortCancelsTheLiveCopy) {
   sim_.ScheduleAt(0.5, [&] { jm.Abort(); });
   sim_.Run();
   EXPECT_TRUE(jm.aborted());
-  EXPECT_EQ(stats_.Snapshot().speculations_cancelled, 1);
+  EXPECT_EQ(stats_.speculations_cancelled, 1);
   EXPECT_EQ(manager_->active(), 0);
   ExpectMemoryDrained();
 }
@@ -487,7 +487,7 @@ TEST_F(SpeculationRaceTest, PrimaryWorkerFailureHandsTaskToCopy) {
   Drive(jm, {1, 2, 3});
   sim_.Run();
   EXPECT_TRUE(listener.finished);
-  EXPECT_EQ(stats_.Snapshot().speculations_won, 1);
+  EXPECT_EQ(stats_.speculations_won, 1);
   EXPECT_EQ(jm.task_worker(target), 3);
   EXPECT_FALSE(jm.primary_lost(target));
   EXPECT_EQ(manager_->active(), 0);
@@ -523,8 +523,8 @@ TEST_F(SpeculationRaceTest, BothWorkersFailingRerunsTheTaskExactlyOnce) {
   Drive(jm, {1, 2});
   sim_.Run();
   EXPECT_TRUE(listener.finished);
-  EXPECT_EQ(stats_.Snapshot().speculations_cancelled, 1);
-  EXPECT_EQ(stats_.Snapshot().speculations_won, 0);
+  EXPECT_EQ(stats_.speculations_cancelled, 1);
+  EXPECT_EQ(stats_.speculations_won, 0);
   EXPECT_EQ(manager_->active(), 0);
   // The dropped primary never delivered its completion; the re-run did,
   // exactly once - so the total is still the plan's 8 monotasks.
@@ -547,7 +547,7 @@ TEST_F(SpeculationRaceTest, CopyWinsThenItsWorkerFails) {
   // kill the copy's worker. Its committed outputs die with it, so lineage
   // recovery must re-run the task even though it "completed".
   sim_.Run(2.0);
-  ASSERT_EQ(stats_.Snapshot().speculations_won, 1);
+  ASSERT_EQ(stats_.speculations_won, 1);
   ASSERT_EQ(jm.task_worker(target), 3);
   cluster_->worker(0).set_speed_factor(1.0);
   cluster_->worker(3).Fail();
@@ -605,7 +605,7 @@ TEST_F(SpeculationSchedulerTest, SpeculatesAgainstDegradedWorkerAndFinishes) {
   sim_.Schedule(1.0, [&] { cluster_->worker(0).set_speed_factor(0.05); });
   sim_.Run();
   EXPECT_TRUE(scheduler.AllJobsFinished());
-  const FaultCounters f = scheduler.fault_stats();
+  const FaultCounters& f = scheduler.fault_stats();
   EXPECT_GT(f.speculations_launched, 0);
   // Every launched copy was resolved: won, lost or cancelled.
   EXPECT_EQ(f.speculations_launched,
@@ -646,7 +646,7 @@ TEST_F(SpeculationSchedulerTest, SpeculationSurvivesWorkerFailureMidRace) {
   sim_.Schedule(8.0, [&] { scheduler.FailWorker(2); });
   sim_.Run();
   EXPECT_TRUE(scheduler.AllJobsFinished());
-  const FaultCounters f = scheduler.fault_stats();
+  const FaultCounters& f = scheduler.fault_stats();
   EXPECT_EQ(f.speculations_launched,
             f.speculations_won + f.speculations_lost + f.speculations_cancelled);
   EXPECT_EQ(scheduler.speculation_manager()->active(), 0);

@@ -1,7 +1,7 @@
 // ThreadSanitizer canary (DESIGN.md section 10).
 //
-// Default mode (no env var): two threads increment a counter through the
-// repo's Mutex. This must be clean under TSan — it runs in the regular test
+// Default mode (no env var): two threads increment a counter under a
+// std::mutex. This must be clean under TSan — it runs in the regular test
 // suite and proves the canary binary itself carries no false positives.
 //
 // Negative mode (URSA_TSAN_NEGATIVE=1): the same increments race on a plain
@@ -11,20 +11,19 @@
 // vacuously forever.
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
-
-#include "src/common/mutex.h"
 
 namespace {
 
 constexpr int kIters = 100000;
 
 int RunGuarded() {
-  ursa::Mutex mu;
+  std::mutex mu;
   int counter = 0;
   auto body = [&mu, &counter] {
     for (int i = 0; i < kIters; ++i) {
-      ursa::MutexLock lock(mu);
+      std::lock_guard<std::mutex> lock(mu);
       ++counter;
     }
   };

@@ -22,6 +22,8 @@ struct Rule {
   // Empty = applies everywhere; otherwise the relative path must start with
   // one of these prefixes.
   std::vector<std::string> dir_prefixes;
+  // Paths starting with one of these prefixes are exempt.
+  std::vector<std::string> excluded_prefixes;
   // True = match the raw line (style rules); false = match with the
   // line-comment tail stripped, so prose about a banned pattern is not a
   // finding.
@@ -36,12 +38,14 @@ const std::vector<Rule>& Rules() {
        "host clock read; simulated time comes from Simulator::Now(), wall time "
        "only via src/common/wallclock.h",
        {},
+       {},
        false},
       {"raw-random",
        std::regex(R"(\brand\s*\(\s*\)|\bsrand\s*\(|\brandom_device\b|)"
                   R"(\bmt19937(_64)?\b|\bdefault_random_engine\b|\bminstd_rand0?\b)"),
        "unseeded/global randomness; all simulation randomness must flow from "
        "the seeded Rng in src/common/rng.h",
+       {},
        {},
        false},
       {"no-unordered-in-core",
@@ -50,15 +54,25 @@ const std::vector<Rule>& Rules() {
        "deterministic across platforms — use std::map/std::set, or allowlist "
        "a pure lookup table",
        {"src/scheduler/", "src/exec/", "src/net/", "src/sim/"},
+       {},
        false},
       {"pointer-key-ordered",
        std::regex(R"(\b(?:std\s*::\s*)?(?:map|set|multimap|multiset)\s*<\s*(?:const\s+)?[A-Za-z_][A-Za-z0-9_:]*\s*\*\s*[,>])"),
        "ordered container keyed by raw pointer; address order differs between "
        "runs — key by a stable id instead",
        {},
+       {},
        false},
-      {"style-tabs", std::regex("\t"), "tab character; indent with spaces", {}, true},
-      {"style-trailing-ws", std::regex(R"([ \t]+$)"), "trailing whitespace", {}, true},
+      {"lock-outside-runtime",
+       std::regex(R"(\bstd\s*::\s*(mutex|atomic|thread)\b|)"
+                  R"(#\s*include\s*<(mutex|atomic|thread)>)"),
+       "thread primitive in simulator code; simulator state has a single owner, "
+       "and only src/runtime/ starts threads",
+       {"src/"},
+       {"src/runtime/"},
+       false},
+      {"style-tabs", std::regex("\t"), "tab character; indent with spaces", {}, {}, true},
+      {"style-trailing-ws", std::regex(R"([ \t]+$)"), "trailing whitespace", {}, {}, true},
   };
   return *rules;
 }
@@ -156,6 +170,13 @@ void LintLines(const std::string& relative_path, const std::string& content,
         if (!in_scope) {
           continue;
         }
+      }
+      bool excluded = false;
+      for (const std::string& prefix : rule.excluded_prefixes) {
+        excluded = excluded || StartsWith(relative_path, prefix);
+      }
+      if (excluded) {
+        continue;
       }
       const std::string& haystack = rule.raw ? line : code;
       if (!std::regex_search(haystack, rule.pattern)) {

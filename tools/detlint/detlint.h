@@ -22,6 +22,9 @@
 //                      lookups (allowlist those), fatal when iterated.
 //   pointer-key-ordered  std::map/std::set keyed by a raw pointer: ordered
 //                      by address, i.e. by the allocator's mood.
+//   lock-outside-runtime  std::mutex/std::atomic/std::thread or their headers
+//                      under src/ outside src/runtime/. Simulator state has a
+//                      single owner; LocalRuntime is the only threaded code.
 //   style-tabs         tab characters (the codebase is space-indented).
 //   style-trailing-ws  trailing whitespace.
 //
