@@ -28,6 +28,7 @@ class ExecutorModelScheduler::ExecutorJob {
   }
 
   void Start() {
+    cluster_->metadata().AddJob(job_->id, plan());
     sim_->Schedule(config_.job_startup_delay, [this] { Bootstrap(); });
   }
 

@@ -1,6 +1,7 @@
 #include "src/exec/estimator.h"
 
-#include <map>
+#include <algorithm>
+#include <span>
 
 #include "src/common/logging.h"
 
@@ -18,6 +19,72 @@ double LookupLocal(const std::vector<OutputRecord>* local, DataId data, int part
     }
   }
   return -1.0;
+}
+
+// Partition `p` of a dataset's slots (MetadataStore::Dataset); it must have
+// been recorded.
+const PartitionInfo& Committed(std::span<const PartitionInfo> slots, JobId job, DataId data,
+                               int p) {
+  const size_t i = static_cast<size_t>(p);
+  CHECK(i < slots.size() && slots[i].worker != kInvalidId)
+      << "missing partition metadata: job " << job << " data " << data << " partition " << p;
+  return slots[i];
+}
+
+// Per-source byte sums of one ResolvePulls call, indexed by WorkerId. The
+// buffer is reused across calls; `touched` lists the workers the current
+// call added to, so only those are read out and reset.
+struct SourceSums {
+  std::vector<double> bytes;
+  std::vector<char> seen;
+  std::vector<WorkerId> touched;
+
+  void Add(WorkerId worker, double value) {
+    const size_t w = static_cast<size_t>(worker);
+    if (w >= bytes.size()) {
+      bytes.resize(w + 1, 0.0);
+      seen.resize(w + 1, 0);
+    }
+    if (seen[w] == 0) {
+      seen[w] = 1;
+      bytes[w] = 0.0;
+      touched.push_back(worker);
+    }
+    bytes[w] += value;
+  }
+
+  // Emits one pull per touched worker in WorkerId order and resets the
+  // buffer. Few sources spread over a wide id range are sorted; otherwise
+  // the id range is swept.
+  std::vector<RunnableMonotask::Pull> Drain() {
+    std::vector<RunnableMonotask::Pull> pulls;
+    pulls.reserve(touched.size());
+    const auto [lo, hi] = std::minmax_element(touched.begin(), touched.end());
+    if (lo != touched.end()) {
+      const size_t range = static_cast<size_t>(*hi - *lo) + 1;
+      if (touched.size() * 8 < range) {
+        std::sort(touched.begin(), touched.end());
+        for (WorkerId worker : touched) {
+          pulls.push_back(RunnableMonotask::Pull{worker, bytes[static_cast<size_t>(worker)]});
+          seen[static_cast<size_t>(worker)] = 0;
+        }
+      } else {
+        for (size_t w = static_cast<size_t>(*lo); w <= static_cast<size_t>(*hi); ++w) {
+          if (seen[w] != 0) {
+            pulls.push_back(RunnableMonotask::Pull{static_cast<WorkerId>(w), bytes[w]});
+            seen[w] = 0;
+          }
+        }
+      }
+    }
+    touched.clear();
+    return pulls;
+  }
+};
+
+SourceSums& ReusedSourceSums() {
+  thread_local SourceSums sums;
+  return sums;
 }
 
 }  // namespace
@@ -45,11 +112,12 @@ double UsageEstimator::MonotaskInputBytes(const Job& job, MonotaskId mt_id,
         break;
       }
       case ReadMode::kGatherSlices: {
+        const std::span<const PartitionInfo> slots = meta.Dataset(job.id, d);
         const int partitions = plan.dataset_partitions(d);
         const double weight =
             cop.slice_weights[static_cast<size_t>(mt.index)] / cop.parallelism;
         for (int p = 0; p < partitions; ++p) {
-          total += meta.Get(job.id, d, p).bytes * weight;
+          total += Committed(slots, job.id, d, p).bytes * weight;
         }
         break;
       }
@@ -95,44 +163,41 @@ std::vector<RunnableMonotask::Pull> UsageEstimator::ResolvePulls(
   const MonotaskSpec& mt = plan.monotask(mt_id);
   const CollapsedOp& cop = plan.cop(mt.cop);
   CHECK(cop.type == ResourceType::kNetwork);
-  // Ordered by WorkerId so the emitted pull list is deterministic without a
-  // post-sort (detlint rule `no-unordered-iteration`).
-  std::map<WorkerId, double> per_source;
-  auto add_partition = [&](DataId d, int partition, double weight) {
+  // Each source's sum is built in read-then-partition order, and the pulls
+  // come out in WorkerId order, so the pull list is deterministic.
+  SourceSums& per_source = ReusedSourceSums();
+  auto add_partition = [&](std::span<const PartitionInfo> slots, DataId d, int partition,
+                           double weight) {
     const double local_bytes = LookupLocal(local, d, partition);
     if (local_bytes >= 0.0) {
-      per_source[local_worker] += local_bytes * weight;
+      per_source.Add(local_worker, local_bytes * weight);
       return;
     }
-    const PartitionInfo& info = meta.Get(job.id, d, partition);
-    per_source[info.worker] += info.bytes * weight;
+    const PartitionInfo& info = Committed(slots, job.id, d, partition);
+    per_source.Add(info.worker, info.bytes * weight);
   };
   for (size_t r = 0; r < cop.reads.size(); ++r) {
     const DataId d = cop.reads[r];
+    const std::span<const PartitionInfo> slots = meta.Dataset(job.id, d);
     switch (cop.read_modes[r]) {
       case ReadMode::kExternal:
         LOG(Fatal) << "network op " << cop.name << " reads external data";
         break;
       case ReadMode::kOnePartition:
-        add_partition(d, mt.index, 1.0);
+        add_partition(slots, d, mt.index, 1.0);
         break;
       case ReadMode::kGatherSlices: {
         const int partitions = plan.dataset_partitions(d);
         const double weight =
             cop.slice_weights[static_cast<size_t>(mt.index)] / cop.parallelism;
         for (int p = 0; p < partitions; ++p) {
-          add_partition(d, p, weight);
+          add_partition(slots, d, p, weight);
         }
         break;
       }
     }
   }
-  std::vector<RunnableMonotask::Pull> pulls;
-  pulls.reserve(per_source.size());
-  for (const auto& [worker, bytes] : per_source) {
-    pulls.push_back(RunnableMonotask::Pull{worker, bytes});
-  }
-  return pulls;
+  return per_source.Drain();
 }
 
 TaskUsage UsageEstimator::EstimateTask(const Job& job, TaskId task_id,

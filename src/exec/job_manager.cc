@@ -35,6 +35,7 @@ JobManager::JobManager(Simulator* sim, Cluster* cluster, Job* job, JobManagerLis
 }
 
 void JobManager::Start() {
+  cluster_->metadata().AddJob(job_->id, plan());
   for (const StageSpec& stage : plan().stages()) {
     stages_[static_cast<size_t>(stage.id)].remaining_tasks = stage.num_tasks;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "src/common/logging.h"
@@ -20,11 +21,18 @@ FlowSimulator::FlowSimulator(Simulator* sim, int num_nodes, double uplink_bytes_
   CHECK_GT(num_nodes, 0);
   CHECK_GT(uplink_bytes_per_sec, 0.0);
   CHECK_GT(downlink_bytes_per_sec, 0.0);
-  nodes_.resize(static_cast<size_t>(num_nodes));
+  const size_t n = static_cast<size_t>(num_nodes);
+  nodes_.resize(n);
   for (auto& node : nodes_) {
     node.up = uplink_bytes_per_sec;
     node.down = downlink_bytes_per_sec;
   }
+  up_cap_.resize(n);
+  down_cap_.resize(n);
+  up_count_.resize(n, 0);
+  down_count_.resize(n, 0);
+  rx_.resize(n, 0.0);
+  rx_listed_.resize(n, 0);
 }
 
 void FlowSimulator::SetNodeBandwidth(int node, double uplink_bytes_per_sec,
@@ -45,17 +53,24 @@ FlowId FlowSimulator::StartFlow(int src, int dst, double bytes,
   CHECK_GE(bytes, 0.0);
   const FlowId id = next_id_++;
   Flow flow;
+  flow.id = id;
   flow.src = src;
   flow.dst = dst;
   flow.remaining = std::max(bytes, 1.0);  // Zero-byte flows take one "byte".
   flow.on_complete = std::move(on_complete);
-  flows_.emplace(id, std::move(flow));
+  flows_.push_back(std::move(flow));
   Reschedule();
   return id;
 }
 
+std::vector<FlowSimulator::Flow>::const_iterator FlowSimulator::FindFlow(FlowId id) const {
+  auto it = std::lower_bound(flows_.begin(), flows_.end(), id,
+                             [](const Flow& flow, FlowId key) { return flow.id < key; });
+  return it != flows_.end() && it->id == id ? it : flows_.end();
+}
+
 void FlowSimulator::CancelFlow(FlowId id) {
-  auto it = flows_.find(id);
+  auto it = FindFlow(id);
   if (it == flows_.end()) {
     return;
   }
@@ -64,27 +79,17 @@ void FlowSimulator::CancelFlow(FlowId id) {
   Reschedule();
 }
 
-double FlowSimulator::NodeRxRate(int node) const {
-  double rate = 0.0;
-  for (const auto& [id, flow] : flows_) {
-    if (flow.dst == node && flow.src != flow.dst) {
-      rate += flow.rate;
-    }
-  }
-  return rate;
-}
-
 double FlowSimulator::FlowRateForTest(FlowId id) const {
-  auto it = flows_.find(id);
+  auto it = FindFlow(id);
   CHECK(it != flows_.end());
-  return it->second.rate;
+  return it->rate;
 }
 
 void FlowSimulator::AdvanceProgress() {
   const double now = sim_->Now();
   const double dt = now - last_progress_time_;
   if (dt > 0.0) {
-    for (auto& [id, flow] : flows_) {
+    for (Flow& flow : flows_) {
       const double moved = std::min(flow.remaining, flow.rate * dt);
       flow.remaining -= moved;
       total_delivered_ += moved;
@@ -95,68 +100,71 @@ void FlowSimulator::AdvanceProgress() {
 
 void FlowSimulator::ComputeRates() {
   // Progressive filling: repeatedly find the most-contended link, freeze its
-  // flows at the fair share, remove the capacity, iterate.
-  const size_t n = nodes_.size();
-  std::vector<double> up_cap(n);
-  std::vector<double> down_cap(n);
-  std::vector<int> up_count(n, 0);
-  std::vector<int> down_count(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    up_cap[i] = nodes_[i].up;
-    down_cap[i] = nodes_[i].down;
-  }
-  std::vector<std::pair<FlowId, Flow*>> remote;
-  for (auto& [id, flow] : flows_) {
+  // flows at the fair share, remove the capacity, iterate. Each round scans
+  // only the links that still carry an unfrozen flow and only the unfrozen
+  // flows, in FlowId order, so flows freeze and capacities drop in the same
+  // order as a scan over every node and flow would give.
+  unfrozen_.clear();
+  up_links_.clear();
+  down_links_.clear();
+  for (Flow& flow : flows_) {
     if (flow.src == flow.dst) {
       flow.rate = local_copy_rate_;
       continue;
     }
     flow.rate = 0.0;
-    remote.emplace_back(id, &flow);
-    ++up_count[static_cast<size_t>(flow.src)];
-    ++down_count[static_cast<size_t>(flow.dst)];
+    unfrozen_.push_back(&flow);
+    const size_t s = static_cast<size_t>(flow.src);
+    const size_t d = static_cast<size_t>(flow.dst);
+    if (up_count_[s]++ == 0) {
+      up_cap_[s] = nodes_[s].up;
+      up_links_.push_back(flow.src);
+    }
+    if (down_count_[d]++ == 0) {
+      down_cap_[d] = nodes_[d].down;
+      down_links_.push_back(flow.dst);
+    }
   }
 
-  std::vector<bool> frozen(remote.size(), false);
-  size_t active = remote.size();
-  while (active > 0) {
+  while (!unfrozen_.empty()) {
     // Find the bottleneck link: the link with minimal capacity per unfrozen
-    // flow crossing it.
+    // flow crossing it. A minimum does not depend on scan order.
     double min_share = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      if (enforce_uplinks_ && up_count[i] > 0) {
-        min_share = std::min(min_share, up_cap[i] / up_count[i]);
+    if (enforce_uplinks_) {
+      for (int s : up_links_) {
+        min_share = std::min(min_share, up_cap_[static_cast<size_t>(s)] /
+                                            up_count_[static_cast<size_t>(s)]);
       }
-      if (down_count[i] > 0) {
-        min_share = std::min(min_share, down_cap[i] / down_count[i]);
-      }
+    }
+    for (int d : down_links_) {
+      min_share = std::min(min_share, down_cap_[static_cast<size_t>(d)] /
+                                          down_count_[static_cast<size_t>(d)]);
     }
     CHECK(std::isfinite(min_share));
     // Freeze every unfrozen flow crossing a bottleneck link at min_share.
-    bool froze_any = false;
-    for (size_t f = 0; f < remote.size(); ++f) {
-      if (frozen[f]) {
-        continue;
-      }
-      Flow* flow = remote[f].second;
+    size_t kept = 0;
+    for (Flow* flow : unfrozen_) {
       const size_t s = static_cast<size_t>(flow->src);
       const size_t d = static_cast<size_t>(flow->dst);
       const double up_share = enforce_uplinks_
-                                  ? up_cap[s] / up_count[s]
+                                  ? up_cap_[s] / up_count_[s]
                                   : std::numeric_limits<double>::infinity();
-      const double down_share = down_cap[d] / down_count[d];
+      const double down_share = down_cap_[d] / down_count_[d];
       if (std::min(up_share, down_share) <= min_share * (1.0 + 1e-12)) {
         flow->rate = min_share;
-        frozen[f] = true;
-        froze_any = true;
-        up_cap[s] -= min_share;
-        down_cap[d] -= min_share;
-        --up_count[s];
-        --down_count[d];
-        --active;
+        up_cap_[s] -= min_share;
+        down_cap_[d] -= min_share;
+        --up_count_[s];
+        --down_count_[d];
+      } else {
+        unfrozen_[kept++] = flow;
       }
     }
-    CHECK(froze_any) << "progressive filling failed to converge";
+    CHECK(kept < unfrozen_.size()) << "progressive filling failed to converge";
+    unfrozen_.resize(kept);
+    std::erase_if(up_links_, [this](int s) { return up_count_[static_cast<size_t>(s)] == 0; });
+    std::erase_if(down_links_,
+                  [this](int d) { return down_count_[static_cast<size_t>(d)] == 0; });
   }
 }
 
@@ -173,7 +181,7 @@ void FlowSimulator::Reschedule() {
   ComputeRates();
   UpdateRxTrackers();
   double next_dt = std::numeric_limits<double>::infinity();
-  for (const auto& [id, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     if (flow.rate > 0.0) {
       next_dt = std::min(next_dt, flow.remaining / flow.rate);
     }
@@ -187,18 +195,21 @@ void FlowSimulator::OnNextCompletion() {
   AdvanceProgress();
   // Collect every flow that has (numerically) finished.
   std::vector<std::function<void()>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    Flow& flow = it->second;
+  size_t kept = 0;
+  for (Flow& flow : flows_) {
     const double eta = flow.rate > 0.0 ? flow.remaining / flow.rate
                                        : std::numeric_limits<double>::infinity();
     if (flow.remaining <= 1e-6 || eta <= kTimeEpsilon) {
       total_delivered_ += flow.remaining;
       done.push_back(std::move(flow.on_complete));
-      it = flows_.erase(it);
     } else {
-      ++it;
+      if (&flows_[kept] != &flow) {
+        flows_[kept] = std::move(flow);
+      }
+      ++kept;
     }
   }
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept), flows_.end());
   Reschedule();
   // Callbacks run after rates are consistent; they may start new flows.
   for (auto& cb : done) {
@@ -209,16 +220,36 @@ void FlowSimulator::OnNextCompletion() {
 }
 
 void FlowSimulator::UpdateRxTrackers() {
+  // Only a node that receives a remote flow now, or whose tracker reads
+  // non-zero, can change value; a Set at the tracker's current value would
+  // record nothing, so it is skipped.
   const double now = sim_->Now();
-  std::vector<double> rx(nodes_.size(), 0.0);
-  for (const auto& [id, flow] : flows_) {
-    if (flow.src != flow.dst) {
-      rx[static_cast<size_t>(flow.dst)] += flow.rate;
+  for (const Flow& flow : flows_) {
+    if (flow.src == flow.dst) {
+      continue;
     }
+    const size_t d = static_cast<size_t>(flow.dst);
+    if (rx_listed_[d] == 0) {
+      rx_listed_[d] = 1;
+      rx_nodes_.push_back(flow.dst);
+    }
+    rx_[d] += flow.rate;
   }
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].rx_tracker.Set(now, rx[i]);
+  size_t kept = 0;
+  for (int node : rx_nodes_) {
+    const size_t i = static_cast<size_t>(node);
+    StepTracker& tracker = nodes_[i].rx_tracker;
+    if (rx_[i] != tracker.current()) {
+      tracker.Set(now, rx_[i]);
+    }
+    if (rx_[i] != 0.0) {
+      rx_nodes_[kept++] = node;
+    } else {
+      rx_listed_[i] = 0;
+    }
+    rx_[i] = 0.0;
   }
+  rx_nodes_.resize(kept);
 }
 
 }  // namespace ursa

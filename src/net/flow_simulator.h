@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "src/common/time_series.h"
@@ -62,7 +61,7 @@ class FlowSimulator {
   size_t active_flows() const { return flows_.size(); }
 
   // Current aggregate receive rate into `node` (bytes/s).
-  double NodeRxRate(int node) const;
+  double NodeRxRate(int node) const { return nodes_[node].rx_tracker.current(); }
 
   // Historical receive-rate series per node, for utilization figures.
   const StepTracker& rx_tracker(int node) const { return nodes_[node].rx_tracker; }
@@ -78,6 +77,7 @@ class FlowSimulator {
 
  private:
   struct Flow {
+    FlowId id = kInvalidFlowId;
     int src = 0;
     int dst = 0;
     double remaining = 0.0;
@@ -98,19 +98,38 @@ class FlowSimulator {
   void Reschedule();
   void OnNextCompletion();
   void UpdateRxTrackers();
+  // The flow with id `id`, or flows_.end().
+  std::vector<Flow>::const_iterator FindFlow(FlowId id) const;
 
   Simulator* sim_;
   std::vector<Node> nodes_;
-  // Ordered by FlowId: progressive filling and completion callbacks iterate
-  // this map, so its order decides float accumulation and callback firing
-  // order (detlint rule `no-unordered-iteration`).
-  std::map<FlowId, Flow> flows_;
+  // Ordered by FlowId (ids only grow, so StartFlow appends): progressive
+  // filling and completion callbacks iterate this vector, so its order
+  // decides float accumulation and callback firing order.
+  std::vector<Flow> flows_;
   FlowId next_id_ = 1;
   double last_progress_time_ = 0.0;
   EventId completion_event_ = kInvalidEventId;
   double local_copy_rate_ = 8e9;
   bool enforce_uplinks_ = true;
   double total_delivered_ = 0.0;
+
+  // Progressive-filling scratch, reused across ComputeRates calls. Per-node
+  // entries are indexed by node; counts are all zero between calls, and a
+  // capacity is only meaningful while its count is positive.
+  std::vector<double> up_cap_;
+  std::vector<double> down_cap_;
+  std::vector<int> up_count_;
+  std::vector<int> down_count_;
+  std::vector<int> up_links_;    // Nodes whose uplink carries an unfrozen flow.
+  std::vector<int> down_links_;  // Nodes whose downlink carries an unfrozen flow.
+  std::vector<Flow*> unfrozen_;  // In FlowId order.
+
+  // UpdateRxTrackers scratch: per-node receive sums (all zero between calls)
+  // and the nodes whose rx tracker currently reads non-zero.
+  std::vector<double> rx_;
+  std::vector<char> rx_listed_;
+  std::vector<int> rx_nodes_;
 };
 
 }  // namespace ursa
