@@ -16,27 +16,20 @@
 namespace ursa {
 namespace {
 
-void EventQueuePushPop(benchmark::State& state, EventQueueKind kind) {
+void BM_EventQueuePushPop(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto queue = MakeEventQueue(kind);
+    EventQueue queue;
     for (int i = 0; i < n; ++i) {
-      queue->Push(static_cast<double>((i * 7919) % n), [] {});
+      queue.Push(static_cast<double>((i * 7919) % n), [] {});
     }
-    while (!queue->Empty()) {
-      benchmark::DoNotOptimize(queue->Pop().when);
+    while (!queue.Empty()) {
+      benchmark::DoNotOptimize(queue.Pop().when);
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-void BM_EventQueuePushPop(benchmark::State& state) {
-  EventQueuePushPop(state, EventQueueKind::kBinaryHeap);
-}
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
-void BM_CalendarQueuePushPop(benchmark::State& state) {
-  EventQueuePushPop(state, EventQueueKind::kCalendar);
-}
-BENCHMARK(BM_CalendarQueuePushPop)->Arg(1024)->Arg(16384);
 
 void BM_FlowRateRecompute(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));

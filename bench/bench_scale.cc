@@ -1,32 +1,25 @@
 // Scheduler-core scaling benchmark (DESIGN.md section 12): a worker-count
 // sweep measuring simulator throughput (events/sec), placement throughput
-// (placements/sec), and p99/max per-tick wall latency under the two hot-path
-// configurations:
+// (placements/sec), and p99/max per-tick wall latency of the default hot
+// path (incremental load maintenance + bucketed placement scan).
 //
-//   fast — incremental load maintenance + bucketed placement scan + calendar
-//          event queue (the defaults);
-//   seed — per-tick full load rebuild + linear BestWorker scan + binary-heap
-//          queue (the original implementation, kept as the reference).
+// The workload is placement-stress by design (MakePlacementStressWorkload):
+// many single-stage CPU-only jobs with wide fan-out, so the scheduler's
+// per-task worker scan dominates rather than the shuffle/flow machinery.
+// Every row must place all of its monotasks.
 //
-// The workload is placement-stress by design: many single-stage CPU-only
-// jobs with wide fan-out, so the scheduler's per-task worker scan — O(W) per
-// task in the seed — dominates, rather than the shuffle/flow machinery the
-// two configurations share. Both modes run the same seeded workload and must
-// produce identical schedules (asserted on the shared 300-worker point).
-//
-// Default (CI smoke): fast@{100,300} + seed@300. --full extends the sweep to
-// fast@{1000,3000,10000} + seed@1000 — the 10k-worker point runs >= 1M
-// monotasks. A machine-readable summary is written to --json-out (default
-// BENCH_scale.json) including `speedup_smoke` (fast/seed events-per-sec at
-// 300 workers — the regression-gated figure, machine-independent because
-// both sides run on the same host) and, with --full, `speedup_1k` and
-// `speedup_10k_vs_seed_1k` (the acceptance figure: the 10k fast run's
-// events/sec over the 1k seed run's).
+// Default (CI smoke): {100, 300} workers. --full extends the sweep to
+// {1000, 3000, 10000} — the 10k-worker point runs >= 1M monotasks. A
+// machine-readable summary is written to --json-out (default
+// BENCH_scale.json) including `scanned_per_call_300`: BestWorker scan
+// entries examined per call at 300 workers. It is a deterministic count
+// (a linear scan would examine all 300), so it transfers across machines
+// exactly.
 //
 //   bench_scale [--seed=N] [--full] [--json-out=FILE] [--baseline=FILE]
 //
-// With --baseline, the run fails (exit 1) when its speedup_smoke drops more
-// than 20% below the baseline file's value.
+// With --baseline, the run fails (exit 1) when its scanned_per_call_300
+// rises more than 20% above the baseline file's value.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +49,6 @@ int Usage(const char* argv0) {
 }
 
 struct Row {
-  std::string mode;  // "fast" | "seed"
   int workers = 0;
   int jobs = 0;
   int64_t monotasks = 0;
@@ -68,7 +60,6 @@ struct Row {
   double p99_tick_ms = 0.0;
   double max_tick_ms = 0.0;
   int64_t ticks = 0;
-  int64_t full_rebuilds = 0;
   int64_t load_refreshes = 0;
   int64_t bestworker_calls = 0;
   int64_t workers_scanned = 0;
@@ -77,35 +68,11 @@ struct Row {
   double avg_jct = 0.0;
 };
 
-// Placement-stress workload: `workers`/4 single-stage CPU jobs of 512 tasks
-// each, closely staggered. Task count scales linearly with the cluster so
-// per-worker load stays constant across sweep points.
-Workload MakeScaleWorkload(int workers, uint64_t seed, int* out_jobs) {
-  const int jobs = std::max(4, workers / 4);
-  *out_jobs = jobs;
-  Workload workload;
-  workload.name = "scale-" + std::to_string(workers);
-  for (int i = 0; i < jobs; ++i) {
-    SyntheticJobParams params;
-    params.type = i % 2 == 0 ? 1 : 2;
-    params.stages = 1;  // CPU-only: no shuffle, placement dominates.
-    params.parallelism = 512;
-    params.type1_task_bytes = 24.0 * 1024 * 1024;
-    params.complexity = 4.0;
-    WorkloadJob wj;
-    wj.spec = BuildSyntheticJob(params, seed + static_cast<uint64_t>(i) * 7919);
-    wj.spec.name += "-" + std::to_string(i);
-    wj.submit_time = 0.25 * i;
-    workload.jobs.push_back(std::move(wj));
-  }
-  return workload;
-}
-
-Row RunRow(const Options& opt, const std::string& mode, int workers) {
+Row RunRow(const Options& opt, int workers) {
   Row row;
-  row.mode = mode;
   row.workers = workers;
-  const Workload workload = MakeScaleWorkload(workers, opt.seed, &row.jobs);
+  const Workload workload = MakePlacementStressWorkload(workers, opt.seed);
+  row.jobs = static_cast<int>(workload.jobs.size());
   // Every synthetic job here has the same structure, so one compiled plan
   // gives the per-job monotask count.
   row.monotasks = static_cast<int64_t>(
@@ -114,13 +81,9 @@ Row RunRow(const Options& opt, const std::string& mode, int workers) {
 
   ExperimentConfig config = UrsaEjfConfig();
   config.cluster.num_workers = workers;
-  const bool fast = mode == "fast";
-  config.ursa.incremental_loads = fast;
-  config.ursa.prune_placement = fast;
-  config.queue_kind = fast ? EventQueueKind::kCalendar : EventQueueKind::kBinaryHeap;
   // The candidate budget is a liveness safety valve, not part of the
-  // algorithm; lift it so both modes score every candidate and the sweep
-  // measures the scan itself.
+  // algorithm; lift it so every candidate is scored and the sweep measures
+  // the scan itself.
   config.ursa.max_scored_pairs_per_tick = size_t{1} << 40;
   config.time_limit = 5e6;
   // Tracing captures per-tick wall latency; monotask events are sampled out
@@ -129,7 +92,7 @@ Row RunRow(const Options& opt, const std::string& mode, int workers) {
   config.trace_sample = 1 << 20;
   config.trace_capacity = size_t{1} << 22;
 
-  const ExperimentResult result = RunExperiment(workload, config, mode);
+  const ExperimentResult result = RunExperiment(workload, config, "ursa-ejf");
   row.events = result.events_fired;
   row.wall_seconds = result.wall_seconds;
   row.events_per_sec =
@@ -138,7 +101,6 @@ Row RunRow(const Options& opt, const std::string& mode, int workers) {
   row.avg_jct = result.avg_jct();
   const UrsaScheduler::SchedulerCounters& sc = result.scheduler_counters;
   row.ticks = sc.ticks;
-  row.full_rebuilds = sc.full_rebuilds;
   row.load_refreshes = sc.load_refreshes;
   row.bestworker_calls = sc.bestworker_calls;
   row.workers_scanned = sc.workers_scanned;
@@ -167,19 +129,18 @@ Row RunRow(const Options& opt, const std::string& mode, int workers) {
 void AppendRowJson(std::string* out, const Row& r) {
   char buf[640];
   std::snprintf(buf, sizeof(buf),
-                "    {\"mode\": \"%s\", \"workers\": %d, \"jobs\": %d, "
+                "    {\"workers\": %d, \"jobs\": %d, "
                 "\"monotasks\": %lld, \"events\": %llu, \"wall_seconds\": %.3f, "
                 "\"events_per_sec\": %.1f, \"placed\": %lld, "
                 "\"placements_per_sec\": %.1f, \"p99_tick_ms\": %.3f, "
-                "\"max_tick_ms\": %.3f, \"ticks\": %lld, \"full_rebuilds\": %lld, "
-                "\"load_refreshes\": %lld, \"bestworker_calls\": %lld, "
-                "\"workers_scanned\": %lld, \"scoring_truncated\": %lld, "
+                "\"max_tick_ms\": %.3f, \"ticks\": %lld, \"load_refreshes\": %lld, "
+                "\"bestworker_calls\": %lld, \"workers_scanned\": %lld, "
+                "\"scoring_truncated\": %lld, "
                 "\"makespan\": %.3f, \"avg_jct\": %.3f}",
-                r.mode.c_str(), r.workers, r.jobs, static_cast<long long>(r.monotasks),
+                r.workers, r.jobs, static_cast<long long>(r.monotasks),
                 static_cast<unsigned long long>(r.events), r.wall_seconds,
                 r.events_per_sec, static_cast<long long>(r.placed), r.placements_per_sec,
                 r.p99_tick_ms, r.max_tick_ms, static_cast<long long>(r.ticks),
-                static_cast<long long>(r.full_rebuilds),
                 static_cast<long long>(r.load_refreshes),
                 static_cast<long long>(r.bestworker_calls),
                 static_cast<long long>(r.workers_scanned),
@@ -187,9 +148,9 @@ void AppendRowJson(std::string* out, const Row& r) {
   *out += buf;
 }
 
-const Row* FindRow(const std::vector<Row>& rows, const char* mode, int workers) {
+const Row* FindRow(const std::vector<Row>& rows, int workers) {
   for (const Row& r : rows) {
-    if (r.mode == mode && r.workers == workers) {
+    if (r.workers == workers) {
       return &r;
     }
   }
@@ -216,28 +177,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  struct Point {
-    const char* mode;
-    int workers;
-  };
-  std::vector<Point> sweep = {{"fast", 100}, {"fast", 300}, {"seed", 300}};
+  std::vector<int> sweep = {100, 300};
   if (opt.full) {
-    sweep.push_back({"fast", 1000});
-    sweep.push_back({"fast", 3000});
-    sweep.push_back({"fast", 10000});
-    sweep.push_back({"seed", 1000});
+    sweep.insert(sweep.end(), {1000, 3000, 10000});
   }
 
   std::vector<Row> rows;
-  Table table({"mode", "workers", "monotasks", "events", "wall s", "events/s",
-               "placements/s", "p99 tick ms", "scanned"});
-  for (const Point& point : sweep) {
-    std::printf("running %s @ %d workers...\n", point.mode, point.workers);
+  Table table({"workers", "monotasks", "events", "wall s", "events/s", "placements/s",
+               "p99 tick ms", "scanned"});
+  bool ok = true;
+  for (const int workers : sweep) {
+    std::printf("running @ %d workers...\n", workers);
     std::fflush(stdout);
-    rows.push_back(RunRow(opt, point.mode, point.workers));
+    rows.push_back(RunRow(opt, workers));
     const Row& r = rows.back();
     table.Row()
-        .Cell(r.mode)
         .Cell(static_cast<int64_t>(r.workers))
         .Cell(r.monotasks)
         .Cell(static_cast<int64_t>(r.events))
@@ -246,84 +200,46 @@ int main(int argc, char** argv) {
         .Cell(r.placements_per_sec, 0)
         .Cell(r.p99_tick_ms, 3)
         .Cell(r.workers_scanned);
-  }
-  table.Print("scheduler-core scaling sweep (seed " + std::to_string(opt.seed) + ")");
-
-  bool ok = true;
-  // Mode equivalence: fast and seed at 300 workers ran the same workload and
-  // must produce the same schedule — same placements, same simulated
-  // timeline — or one of the hot-path layers changed behavior.
-  const Row* fast300 = FindRow(rows, "fast", 300);
-  const Row* seed300 = FindRow(rows, "seed", 300);
-  if (fast300 != nullptr && seed300 != nullptr) {
-    if (fast300->placed != seed300->placed || fast300->events != seed300->events ||
-        fast300->makespan != seed300->makespan || fast300->avg_jct != seed300->avg_jct ||
-        fast300->bestworker_calls != seed300->bestworker_calls) {
-      std::fprintf(stderr,
-                   "FAIL: fast and seed diverged at 300 workers "
-                   "(placed %lld/%lld, events %llu/%llu, makespan %.6f/%.6f)\n",
-                   static_cast<long long>(fast300->placed),
-                   static_cast<long long>(seed300->placed),
-                   static_cast<unsigned long long>(fast300->events),
-                   static_cast<unsigned long long>(seed300->events), fast300->makespan,
-                   seed300->makespan);
+    if (r.placed != r.monotasks) {
+      std::fprintf(stderr, "FAIL: placed %lld of %lld monotasks at %d workers\n",
+                   static_cast<long long>(r.placed), static_cast<long long>(r.monotasks),
+                   r.workers);
       ok = false;
     }
   }
-  const double speedup_smoke =
-      (fast300 != nullptr && seed300 != nullptr && seed300->events_per_sec > 0.0)
-          ? fast300->events_per_sec / seed300->events_per_sec
-          : 0.0;
-  std::printf("speedup_smoke (fast/seed events-per-sec @300): %.2fx\n", speedup_smoke);
+  table.Print("scheduler-core scaling sweep (seed " + std::to_string(opt.seed) + ")");
 
-  double speedup_1k = 0.0;
-  double speedup_10k = 0.0;
+  const Row* smoke = FindRow(rows, 300);
+  const double scanned_per_call =
+      smoke != nullptr && smoke->bestworker_calls > 0
+          ? static_cast<double>(smoke->workers_scanned) /
+                static_cast<double>(smoke->bestworker_calls)
+          : 0.0;
+  std::printf("scanned_per_call_300 (scan entries per BestWorker call @300): %.3f\n",
+              scanned_per_call);
   if (opt.full) {
-    const Row* fast1k = FindRow(rows, "fast", 1000);
-    const Row* fast10k = FindRow(rows, "fast", 10000);
-    const Row* seed1k = FindRow(rows, "seed", 1000);
-    if (fast1k != nullptr && seed1k != nullptr && seed1k->events_per_sec > 0.0) {
-      speedup_1k = fast1k->events_per_sec / seed1k->events_per_sec;
-      std::printf("speedup_1k (fast/seed events-per-sec @1000): %.2fx\n", speedup_1k);
-    }
-    if (fast10k != nullptr && seed1k != nullptr && seed1k->events_per_sec > 0.0) {
-      speedup_10k = fast10k->events_per_sec / seed1k->events_per_sec;
-      std::printf("speedup_10k_vs_seed_1k: %.2fx (10k run: %lld monotasks)\n", speedup_10k,
-                  static_cast<long long>(fast10k->monotasks));
-      if (fast10k->monotasks < 1000000) {
-        std::fprintf(stderr, "FAIL: 10k-worker point ran %lld monotasks (< 1M)\n",
-                     static_cast<long long>(fast10k->monotasks));
-        ok = false;
-      }
-      if (speedup_10k < 10.0) {
-        std::fprintf(stderr,
-                     "FAIL: 10k fast events/sec is %.2fx the 1k seed run (< 10x)\n",
-                     speedup_10k);
-        ok = false;
-      }
+    const Row* r10k = FindRow(rows, 10000);
+    if (r10k != nullptr && r10k->monotasks < 1000000) {
+      std::fprintf(stderr, "FAIL: 10k-worker point ran %lld monotasks (< 1M)\n",
+                   static_cast<long long>(r10k->monotasks));
+      ok = false;
     }
   }
 
-  // Regression gate: the fast/seed ratio is within-host, so it transfers
-  // across machines in a way raw events/sec does not.
-  if (!opt.baseline.empty() &&
-      !PassesBaselineGate(opt.baseline, "speedup_smoke", speedup_smoke, true, 2)) {
+  // Regression gate: scan entries per call are a pure function of the seeded
+  // workload, so the committed baseline transfers across machines exactly.
+  if (!opt.baseline.empty() && !PassesBaselineGate(opt.baseline, "scanned_per_call_300",
+                                                   scanned_per_call, false, 2)) {
     ok = false;
   }
 
   std::string json = "{\n  \"bench\": \"scale\",\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "  \"seed\": %llu,\n  \"full\": %s,\n  \"speedup_smoke\": %.3f,\n",
+                "  \"seed\": %llu,\n  \"full\": %s,\n  \"scanned_per_call_300\": %.3f,\n",
                 static_cast<unsigned long long>(opt.seed), opt.full ? "true" : "false",
-                speedup_smoke);
+                scanned_per_call);
   json += buf;
-  if (opt.full) {
-    std::snprintf(buf, sizeof(buf),
-                  "  \"speedup_1k\": %.3f,\n  \"speedup_10k_vs_seed_1k\": %.3f,\n",
-                  speedup_1k, speedup_10k);
-    json += buf;
-  }
   std::snprintf(buf, sizeof(buf), "  \"pass\": %s,\n  \"rows\": [\n", ok ? "true" : "false");
   json += buf;
   for (size_t i = 0; i < rows.size(); ++i) {

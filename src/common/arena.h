@@ -1,82 +1,25 @@
-// Block-based object pools for hot-path allocations (DESIGN.md section 12).
+// Block-based node pool for hot-path allocations (DESIGN.md section 12).
 //
-// The simulator core allocates and frees small, identically sized objects at
-// very high rates: calendar-queue nodes, in-flight monotask records, map
-// nodes. General-purpose malloc handles this fine at paper scale but becomes
-// a visible fraction of the tick at 10k workers. These pools trade a little
-// slack memory for O(1) allocate/free with no global-heap traffic after
-// warm-up.
+// The simulator core allocates and frees in-flight monotask records at very
+// high rates. General-purpose malloc handles this fine at paper scale but
+// becomes a visible fraction of the tick at 10k workers. The pool trades a
+// little slack memory for O(1) allocate/free with no global-heap traffic
+// after warm-up.
 //
-// Determinism: pools never consult addresses for ordering, never shrink, and
-// recycle slots strictly LIFO, so allocation patterns are a pure function of
-// the simulation's own event order.
+// Determinism: the pool never consults addresses for ordering, never
+// shrinks, and recycles slots strictly LIFO, so allocation patterns are a
+// pure function of the simulation's own event order.
 //
-// Ownership: each pool is owned by exactly one component (a worker, an event
-// queue) on the simulator thread.
+// Ownership: each pool is owned by exactly one component (a worker) on the
+// simulator thread.
 #ifndef SRC_COMMON_ARENA_H_
 #define SRC_COMMON_ARENA_H_
 
 #include <cstddef>
-#include <memory>
 #include <new>
-#include <utility>
 #include <vector>
 
 namespace ursa {
-
-// Fixed-type object pool: placement-new into recycled slots backed by
-// geometrically growing blocks.
-template <typename T>
-class ObjectPool {
- public:
-  explicit ObjectPool(size_t first_block = 64) : next_block_(first_block) {}
-  ObjectPool(const ObjectPool&) = delete;
-  ObjectPool& operator=(const ObjectPool&) = delete;
-
-  template <typename... Args>
-  T* New(Args&&... args) {
-    if (free_.empty()) {
-      Grow();
-    }
-    void* slot = free_.back();
-    free_.pop_back();
-    return ::new (slot) T(std::forward<Args>(args)...);
-  }
-
-  void Delete(T* obj) {
-    obj->~T();
-    free_.push_back(obj);
-  }
-
-  // Slots currently live (allocated minus freed); for tests and footprint
-  // accounting.
-  size_t LiveCount() const { return capacity_ - free_.size(); }
-  size_t Capacity() const { return capacity_; }
-
- private:
-  struct alignas(alignof(T)) Slot {
-    std::byte bytes[sizeof(T)];
-  };
-
-  void Grow() {
-    const size_t n = next_block_;
-    next_block_ *= 2;
-    blocks_.push_back(std::make_unique<Slot[]>(n));
-    Slot* base = blocks_.back().get();
-    free_.reserve(free_.size() + n);
-    // Hand slots out from the front of the block: push in reverse so the
-    // LIFO free list yields ascending addresses on first use.
-    for (size_t i = n; i > 0; --i) {
-      free_.push_back(&base[i - 1]);
-    }
-    capacity_ += n;
-  }
-
-  std::vector<std::unique_ptr<Slot[]>> blocks_;
-  std::vector<void*> free_;
-  size_t capacity_ = 0;
-  size_t next_block_;
-};
 
 // Type-erased free-list resource for node-based standard containers. Single
 // allocations are pooled per (size, alignment) class; array allocations fall

@@ -39,7 +39,7 @@ std::vector<std::vector<std::vector<double>>> UrsaStageTimes(const UrsaScheduler
 
 ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig& config,
                                const std::string& scheme_name) {
-  Simulator sim(config.queue_kind);
+  Simulator sim;
   Cluster cluster(&sim, config.cluster);
   ExperimentResult result;
   result.scheme = scheme_name;

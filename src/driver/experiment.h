@@ -58,9 +58,8 @@ struct ExperimentConfig {
   int trace_sample = 1;
   // Event ring capacity; the oldest events are dropped past this.
   size_t trace_capacity = size_t{1} << 20;
-  // Backing event-queue implementation for the simulator. Both kinds obey
-  // the same (when, id) ordering contract, so this never changes a seeded
-  // run's results — only its wall-clock cost (DESIGN.md section 12).
+  // Unused: the binary heap is the only event queue. Kept only because
+  // perfbench's set-up timer reads it; goes with the next benchmark change.
   EventQueueKind queue_kind = EventQueueKind::kBinaryHeap;
   // --- Open-loop serving (DESIGN.md section 11). ---
   // When enabled, the `workload` argument of RunExperiment is ignored and

@@ -30,11 +30,9 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
   } else {
     score_policy_ = std::move(base_score);
   }
-  prune_effective_ = config_.prune_placement && score_policy_->bucketable();
-  if (config_.incremental_loads) {
-    for (int w = 0; w < cluster_->size(); ++w) {
-      cluster_->worker(w).set_load_listener([this](WorkerId id) { MarkLoadDirty(id); });
-    }
+  bucketed_ = score_policy_->bucketable();
+  for (int w = 0; w < cluster_->size(); ++w) {
+    cluster_->worker(w).set_load_listener([this](WorkerId id) { MarkLoadDirty(id); });
   }
   if (config_.placement != PlacementAlgorithm::kAlgorithm1) {
     packing_ = std::make_unique<PackingState>(cluster, config_.placement);
@@ -848,16 +846,11 @@ void UrsaScheduler::MarkLoadDirty(WorkerId w) {
 const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
   const double ept = config_.scheduling_interval * config_.ept_slack;
   bool changed = false;
-  if (!config_.incremental_loads || !load_cache_.primed) {
-    load_cache_.loads.assign(static_cast<size_t>(cluster_->size()), WorkerLoad{});
-    for (int w = 0; w < cluster_->size(); ++w) {
-      ComputeWorkerLoad(cluster_->worker(w), ept,
-                        &load_cache_.loads[static_cast<size_t>(w)]);
-    }
+  if (!load_cache_.primed) {
+    load_cache_.loads = SnapshotLoads();
     load_cache_.dirty.assign(load_cache_.loads.size(), 0);
     load_cache_.dirty_list.clear();
     load_cache_.primed = true;
-    ++counters_.full_rebuilds;
     changed = true;
   } else if (!load_cache_.dirty_list.empty()) {
     for (const WorkerId w : load_cache_.dirty_list) {
@@ -869,7 +862,7 @@ const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
     }
     load_cache_.dirty_list.clear();
     changed = true;
-    if (config_.verify_loads) {
+    if (config_.verify_hot_path) {
       // Debug cross-check: the incremental snapshot must be bit-identical to
       // a from-scratch rebuild; a divergence means a worker mutation path is
       // missing its MarkLoadChanged() notification.
@@ -894,7 +887,7 @@ const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
   if (changed) {
     scan_stale_ = true;
   }
-  if (scan_stale_ && prune_effective_) {
+  if (scan_stale_ && bucketed_) {
     RebuildScanOrder();
   }
   return load_cache_.loads;
@@ -1041,148 +1034,164 @@ bool UrsaScheduler::BestWorker(const TaskUsage& usage, const LoadView& view, dou
   ScoreContext ctx;
   ctx.stage_key = stage_key;
   ctx.residents = colocation_ != nullptr ? &residents_ : nullptr;
+  Pick pick;
+  if (bucketed_) {
+    pick = BucketedScan(usage, view, ept, ctx, avoid, &counters_.workers_scanned);
+    if (config_.verify_hot_path) {
+      // Self-check: the linear scan is the reference the bucketed scan's
+      // cutoffs must reproduce exactly. Its scan entries are not counted.
+      int64_t unused = 0;
+      const Pick ref = LinearScan(usage, view, ept, ctx, avoid, &unused);
+      CHECK(pick.worker == ref.worker &&
+            std::memcmp(&pick.score, &ref.score, sizeof(double)) == 0)
+          << "bucketed scan picked worker " << pick.worker << " (score " << pick.score
+          << "), linear scan worker " << ref.worker << " (score " << ref.score << ")";
+    }
+  } else {
+    pick = LinearScan(usage, view, ept, ctx, avoid, &counters_.workers_scanned);
+  }
+  if (pick.worker == kInvalidId) {
+    return false;
+  }
+  *out_worker = pick.worker;
+  *out_score = pick.score;
+  return true;
+}
+
+UrsaScheduler::Pick UrsaScheduler::LinearScan(const TaskUsage& usage, const LoadView& view,
+                                              double ept, const ScoreContext& ctx,
+                                              WorkerId avoid, int64_t* scanned) const {
   const PlacementScorePolicy& policy = *score_policy_;
-  double best_score = -1.0;
-  WorkerId best = kInvalidId;
-  // The avoided worker's own best score, tracked in the same pass; consulted
-  // only when no other worker qualifies.
-  double avoid_score = -1.0;
-  bool avoid_ok = false;
-  if (prune_effective_ && !scan_order_.empty()) {
-    // Pruned scan, pass 1: buckets in (upper bound desc, min worker asc)
-    // order. Fresh members of a bucket share one bit-identical load, so one
-    // ScoreWorker call scores them all and min-index-wins picks the smallest
-    // fresh id — exactly what the seed's ascending linear scan would do. A
-    // dimension the task needs with headroom somewhere now had headroom at
-    // scan-build time too (loads only worsen within a tick), so a zero mask
-    // bit proves the seed loop would skip every member as blocked; the same
-    // argument covers d_mem (failed workers prune here in O(1)).
-    uint32_t required = 1u << kNumMonotaskResources;  // d_mem > 0, always.
-    for (int r = 0; r < kNumMonotaskResources; ++r) {
-      if (!config_.consider_network &&
-          static_cast<ResourceType>(r) == ResourceType::kNetwork) {
+  Pick best;
+  // The avoided worker's own score, consulted only when no other worker
+  // qualifies.
+  Pick fallback;
+  const size_t n = view.base->size();
+  for (size_t w = 0; w < n; ++w) {
+    ++*scanned;
+    double score = 0.0;
+    if (!policy.Score(usage, view.at(w), static_cast<WorkerId>(w), ept, view.headroom,
+                      config_.consider_network, ctx, &score)) {
+      continue;
+    }
+    if (static_cast<WorkerId>(w) == avoid) {
+      fallback = Pick{avoid, score};
+      continue;
+    }
+    if (score > best.score) {
+      best = Pick{static_cast<WorkerId>(w), score};
+    }
+  }
+  // Preference only: if the avoided worker is the sole candidate (e.g. a
+  // one-worker cluster), place there rather than livelock.
+  return best.worker != kInvalidId ? best : fallback;
+}
+
+UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
+                                                const LoadView& view, double ept,
+                                                const ScoreContext& ctx, WorkerId avoid,
+                                                int64_t* scanned) const {
+  const PlacementScorePolicy& policy = *score_policy_;
+  Pick best;
+  Pick fallback;  // As in LinearScan.
+  // Pass 1: buckets in (upper bound desc, min worker asc) order. Fresh
+  // members of a bucket share one bit-identical load, so one Score call
+  // scores them all and min-index-wins picks the smallest fresh id — exactly
+  // what the ascending linear scan does. A dimension the task needs with
+  // headroom somewhere now had headroom at scan-build time too (loads only
+  // worsen within a tick), so a zero mask bit proves the linear scan would
+  // skip every member as blocked; the same argument covers d_mem (failed
+  // workers prune here in O(1)).
+  uint32_t required = 1u << kNumMonotaskResources;  // d_mem > 0, always.
+  for (int r = 0; r < kNumMonotaskResources; ++r) {
+    if (!config_.consider_network &&
+        static_cast<ResourceType>(r) == ResourceType::kNetwork) {
+      continue;
+    }
+    if (usage.bytes[r] > 0.0 && view.headroom[r] > 0) {
+      required |= 1u << r;
+    }
+  }
+  for (const ScanBucket& bucket : scan_order_) {
+    if (best.worker != kInvalidId && bucket.ub < best.score) {
+      break;  // No later bucket can beat or tie the current best.
+    }
+    ++*scanned;
+    if ((bucket.mask & required) != required) {
+      continue;
+    }
+    // Smallest member still on its tick-start load; overlay-modified
+    // members are scored individually in pass 2.
+    WorkerId fresh = kInvalidId;
+    bool avoid_fresh = false;
+    for (const WorkerId id : bucket.members) {
+      if (view.slot != nullptr && (*view.slot)[static_cast<size_t>(id)] >= 0) {
         continue;
       }
-      if (usage.bytes[r] > 0.0 && view.headroom[r] > 0) {
-        required |= 1u << r;
+      if (id == avoid) {
+        avoid_fresh = true;
+        continue;
       }
+      fresh = id;
+      break;
     }
-    for (const ScanBucket& bucket : scan_order_) {
-      if (best != kInvalidId && bucket.ub < best_score) {
-        break;  // No later bucket can beat or tie the current best.
+    if (fresh == kInvalidId && !avoid_fresh) {
+      continue;
+    }
+    const WorkerId probe = fresh != kInvalidId ? fresh : avoid;
+    double score = 0.0;
+    if (!policy.Score(usage, (*view.base)[static_cast<size_t>(probe)], probe, ept,
+                      view.headroom, config_.consider_network, ctx, &score)) {
+      continue;
+    }
+    if (avoid_fresh) {
+      fallback = Pick{avoid, score};
+    }
+    if (fresh != kInvalidId &&
+        (score > best.score || (score == best.score && fresh < best.worker))) {
+      best = Pick{fresh, score};
+    }
+  }
+  // Pass 2: overlay-modified workers, grouped by identical current load just
+  // like pass 1 — one Score call per distinct modified load, however many
+  // workers this tick's placements have already touched. Bucket ubs and
+  // masks are exact (workers change buckets on every placement), so the same
+  // skip arguments apply. The avoided worker only needs explicit tracking
+  // when it is the bucket minimum: any other member qualifies with the
+  // identical score, so the avoid fallback would never fire.
+  if (view.mods != nullptr) {
+    for (const OverlayBucket& bucket : *view.mods) {
+      if (bucket.members.empty()) {
+        continue;  // Tombstone: every member moved to another load.
       }
-      ++counters_.workers_scanned;
+      if (best.worker != kInvalidId && bucket.ub < best.score) {
+        continue;
+      }
+      ++*scanned;
       if ((bucket.mask & required) != required) {
         continue;
       }
-      // Smallest member still on its tick-start load; overlay-modified
-      // members are scored individually in pass 2.
-      WorkerId fresh = kInvalidId;
-      bool avoid_fresh = false;
-      for (const WorkerId id : bucket.members) {
-        if (view.slot != nullptr && (*view.slot)[static_cast<size_t>(id)] >= 0) {
-          continue;
-        }
-        if (id == avoid) {
-          avoid_fresh = true;
-          continue;
-        }
-        fresh = id;
-        break;
+      WorkerId cand = bucket.members.front();
+      bool avoid_here = false;
+      if (cand == avoid) {
+        avoid_here = true;
+        cand = bucket.members.size() > 1 ? bucket.members[1] : kInvalidId;
       }
-      if (fresh == kInvalidId && !avoid_fresh) {
-        continue;
-      }
-      const WorkerId probe = fresh != kInvalidId ? fresh : avoid;
       double score = 0.0;
-      if (!policy.Score(usage, (*view.base)[static_cast<size_t>(probe)], probe, ept,
+      if (!policy.Score(usage, bucket.load, cand != kInvalidId ? cand : avoid, ept,
                         view.headroom, config_.consider_network, ctx, &score)) {
         continue;
       }
-      if (avoid_fresh) {
-        avoid_ok = true;
-        avoid_score = score;
+      if (avoid_here) {
+        fallback = Pick{avoid, score};
       }
-      if (fresh != kInvalidId &&
-          (score > best_score || (score == best_score && fresh < best))) {
-        best_score = score;
-        best = fresh;
-      }
-    }
-    // Pass 2: overlay-modified workers, grouped by identical current load
-    // just like pass 1 — one ScoreWorker per distinct modified load, however
-    // many workers this tick's placements have already touched. Bucket ubs
-    // and masks are exact (workers change buckets on every placement), so
-    // the same skip arguments apply. The avoided worker only needs explicit
-    // tracking when it is the bucket minimum: any other member qualifies
-    // with the identical score, so the avoid fallback would never fire.
-    if (view.mods != nullptr) {
-      for (const OverlayBucket& bucket : *view.mods) {
-        if (bucket.members.empty()) {
-          continue;  // Tombstone: every member moved to another load.
-        }
-        if (best != kInvalidId && bucket.ub < best_score) {
-          continue;
-        }
-        ++counters_.workers_scanned;
-        if ((bucket.mask & required) != required) {
-          continue;
-        }
-        WorkerId cand = bucket.members.front();
-        bool avoid_here = false;
-        if (cand == avoid) {
-          avoid_here = true;
-          cand = bucket.members.size() > 1 ? bucket.members[1] : kInvalidId;
-        }
-        double score = 0.0;
-        if (!policy.Score(usage, bucket.load, cand != kInvalidId ? cand : avoid, ept,
-                          view.headroom, config_.consider_network, ctx, &score)) {
-          continue;
-        }
-        if (avoid_here) {
-          avoid_ok = true;
-          avoid_score = score;
-        }
-        if (cand != kInvalidId &&
-            (score > best_score || (score == best_score && cand < best))) {
-          best_score = score;
-          best = cand;
-        }
-      }
-    }
-  } else {
-    const size_t n = view.base->size();
-    for (size_t w = 0; w < n; ++w) {
-      ++counters_.workers_scanned;
-      double score = 0.0;
-      if (!policy.Score(usage, view.at(w), static_cast<WorkerId>(w), ept, view.headroom,
-                        config_.consider_network, ctx, &score)) {
-        continue;
-      }
-      if (static_cast<WorkerId>(w) == avoid) {
-        avoid_ok = true;
-        avoid_score = score;
-        continue;
-      }
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<WorkerId>(w);
+      if (cand != kInvalidId &&
+          (score > best.score || (score == best.score && cand < best.worker))) {
+        best = Pick{cand, score};
       }
     }
   }
-  if (best == kInvalidId) {
-    if (avoid_ok) {
-      // Preference only: if the avoided worker is the sole candidate (e.g. a
-      // one-worker cluster), place there rather than livelock.
-      *out_worker = avoid;
-      *out_score = avoid_score;
-      return true;
-    }
-    return false;
-  }
-  *out_worker = best;
-  *out_score = best_score;
-  return true;
+  return best.worker != kInvalidId ? best : fallback;
 }
 
 void UrsaScheduler::ApplyToLoad(const TaskUsage& usage, double ept, WorkerLoad* load,

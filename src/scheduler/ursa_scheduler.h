@@ -66,8 +66,9 @@ struct UrsaSchedulerConfig {
   PlacementAlgorithm placement = PlacementAlgorithm::kAlgorithm1;
   // Worker-score policy inside monotask placement (placement == kAlgorithm1
   // only; DESIGN.md section 13): Ursa's Algorithm-1 score, or the
-  // Tetris-style dot-product packing score. Both compose with the bucketed
-  // scan; adding colocation forces the linear scan.
+  // Tetris-style dot-product packing score. Both are bucketable and take
+  // the bucketed scan; adding colocation makes the score worker-dependent,
+  // so BestWorker takes the linear scan (DESIGN.md section 12).
   PlacementScoreKind score = PlacementScoreKind::kAlgorithm1;
   // Hugo-style co-location learning (DESIGN.md section 13): when enabled,
   // the score policy is decorated with a learned stage-pair
@@ -92,22 +93,16 @@ struct UrsaSchedulerConfig {
   // section 14). Disabled by default: every send stays a synchronous direct
   // call and seeded runs are byte-identical to the pre-message-layer paths.
   ControlPlaneConfig ctrl;
-  // --- Hot-path scaling (DESIGN.md section 12). ---
-  // Maintain the per-worker load snapshot incrementally from worker dirty
-  // notifications instead of rebuilding every worker at every refresh point.
-  // Placement results are bit-identical either way; only the cost changes.
-  bool incremental_loads = true;
-  // Scan BestWorker candidates in score-upper-bound order with an early
-  // cutoff and per-resource headroom masks instead of the full linear scan.
-  // Exact: the chosen worker and score match the linear scan bit for bit.
-  bool prune_placement = true;
-  // Cross-check every incremental refresh against a full rescan (CHECK on a
-  // mismatch). Costs one full snapshot per refresh; defaults on in debug
-  // builds only.
+  // --- Hot-path self-checks (DESIGN.md section 12). ---
+  // CHECK every incremental load refresh against a full rescan, and every
+  // bucketed BestWorker call against the linear scan (same worker, same
+  // score bits). Costs one full snapshot per refresh and one O(W) scan per
+  // call; never changes a decision or a counter. Defaults on in debug builds
+  // only.
 #ifndef NDEBUG
-  bool verify_loads = true;
+  bool verify_hot_path = true;
 #else
-  bool verify_loads = false;
+  bool verify_hot_path = false;
 #endif
   // Guard against pathological candidate explosions in a single tick: at
   // most this many (task, worker) pairs are scored per placement pass. Jobs
@@ -199,7 +194,6 @@ class UrsaScheduler : public JobManagerListener {
   struct SchedulerCounters {
     int64_t ticks = 0;
     int64_t load_refreshes = 0;     // Dirty workers recomputed incrementally.
-    int64_t full_rebuilds = 0;      // Whole-cluster load snapshot rebuilds.
     int64_t bestworker_calls = 0;
     int64_t workers_scanned = 0;    // Scan entries examined across all calls.
     int64_t scoring_truncated = 0;  // Ticks that hit max_scored_pairs_per_tick.
@@ -342,17 +336,16 @@ class UrsaScheduler : public JobManagerListener {
     }
   };
 
-  // Full-rescan load snapshot: the reference implementation, the
-  // incremental path's cross-check, and the incremental_loads=false
-  // fallback.
+  // Full-rescan load snapshot: primes the cold load cache and is the
+  // verify_hot_path reference for incremental refreshes.
   std::vector<WorkerLoad> SnapshotLoads() const;
   // The per-worker body of SnapshotLoads; `load` must be zero-initialized.
   void ComputeWorkerLoad(const Worker& worker, double ept, WorkerLoad* load) const;
   // Worker load-listener target: marks one cached worker load stale.
   void MarkLoadDirty(WorkerId w);
-  // Brings the cached loads up to date — drains the dirty set, or rebuilds
-  // everything when incremental maintenance is off or the cache is cold —
-  // and rebuilds the pruning scan order when anything changed.
+  // Brings the cached loads up to date — drains the dirty set, or primes a
+  // cold cache with a full rescan — and rebuilds the bucketed scan order
+  // when anything changed.
   const std::vector<WorkerLoad>& CurrentLoads();
   // Rebuilds scan_order_ (upper bound desc, min worker asc) from cached
   // loads, grouping bit-identical loads into one bucket each.
@@ -386,10 +379,22 @@ class UrsaScheduler : public JobManagerListener {
   // `avoid` (from retry-exhaustion escalation) is a preference, not a ban:
   // its best qualifying score is tracked in the same pass and used only when
   // no other worker qualifies, so a re-placed task lands elsewhere whenever
-  // possible without a second scan.
+  // possible without a second scan. Takes the bucketed scan for bucketable
+  // score policies and the linear scan otherwise.
   bool BestWorker(const TaskUsage& usage, const LoadView& view, double ept,
                   WorkerId* out_worker, double* out_score, int stage_key = -1,
                   WorkerId avoid = kInvalidId) const;
+  // One BestWorker answer; `worker` is kInvalidId when nothing qualifies.
+  struct Pick {
+    WorkerId worker = kInvalidId;
+    double score = -1.0;
+  };
+  // The two BestWorker scans. Both add the scan entries they examine to
+  // `*scanned` and return bit-identical picks for bucketable policies.
+  Pick LinearScan(const TaskUsage& usage, const LoadView& view, double ept,
+                  const ScoreContext& ctx, WorkerId avoid, int64_t* scanned) const;
+  Pick BucketedScan(const TaskUsage& usage, const LoadView& view, double ept,
+                    const ScoreContext& ctx, WorkerId avoid, int64_t* scanned) const;
   // Applies one placement to a worker's load and maintains the headroom
   // counters across d_r > 0 -> == 0 transitions.
   static void ApplyToLoad(const TaskUsage& usage, double ept, WorkerLoad* load,
@@ -417,9 +422,9 @@ class UrsaScheduler : public JobManagerListener {
   // Per-worker resident stage keys, rebuilt by ObserveColocation every tick
   // (empty when learning is off). Sim-thread only.
   std::vector<std::vector<int>> residents_;
-  // prune_placement is only sound for bucketable score policies; resolved
+  // The bucketed scan is only sound for bucketable score policies; resolved
   // once at construction.
-  bool prune_effective_ = false;
+  bool bucketed_ = false;
   // Non-null when heartbeat detection is enabled.
   std::unique_ptr<FailureDetector> detector_;
   // Non-null when speculative execution is enabled; shared by all job

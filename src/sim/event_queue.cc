@@ -5,32 +5,10 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/sim/calendar_queue.h"
 
 namespace ursa {
 
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kBinaryHeap:
-      return std::make_unique<HeapEventQueue>();
-    case EventQueueKind::kCalendar:
-      return std::make_unique<CalendarEventQueue>();
-  }
-  CHECK(false) << "unknown EventQueueKind";
-  return nullptr;
-}
-
-const char* EventQueueKindName(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kBinaryHeap:
-      return "heap";
-    case EventQueueKind::kCalendar:
-      return "calendar";
-  }
-  return "?";
-}
-
-EventId HeapEventQueue::Push(double when, Callback cb) {
+EventId EventQueue::Push(double when, Callback cb) {
   const EventId id = next_id_++;
   heap_.push_back(Entry{when, id});
   std::push_heap(heap_.begin(), heap_.end(), Later());
@@ -38,7 +16,7 @@ EventId HeapEventQueue::Push(double when, Callback cb) {
   return id;
 }
 
-bool HeapEventQueue::Cancel(EventId id) {
+bool EventQueue::Cancel(EventId id) {
   auto it = callbacks_.find(id);
   if (it == callbacks_.end()) {
     return false;
@@ -49,7 +27,7 @@ bool HeapEventQueue::Cancel(EventId id) {
   return true;
 }
 
-void HeapEventQueue::CompactIfWorthwhile() {
+void EventQueue::CompactIfWorthwhile() {
   // Eager compaction: once tombstones outnumber live entries (i.e. exceed
   // half the heap), one O(n) rebuild halves the footprint. Amortized O(1)
   // per cancel because a rebuild is always preceded by >= n/2 cancels.
@@ -69,13 +47,13 @@ void HeapEventQueue::CompactIfWorthwhile() {
   CheckInvariant();
 }
 
-void HeapEventQueue::CheckInvariant() const {
+void EventQueue::CheckInvariant() const {
   // PendingCount() == callbacks_.size() by construction; the CHECK pins the
   // heap bookkeeping so the count can never underflow.
   CHECK_EQ(heap_.size(), callbacks_.size() + cancelled_.size());
 }
 
-void HeapEventQueue::DropCancelledHead() const {
+void EventQueue::DropCancelledHead() const {
   while (!heap_.empty()) {
     auto it = cancelled_.find(heap_.front().id);
     if (it == cancelled_.end()) {
@@ -87,12 +65,12 @@ void HeapEventQueue::DropCancelledHead() const {
   }
 }
 
-bool HeapEventQueue::Empty() const {
+bool EventQueue::Empty() const {
   DropCancelledHead();
   return heap_.empty();
 }
 
-double HeapEventQueue::NextTime() const {
+double EventQueue::NextTime() const {
   DropCancelledHead();
   if (heap_.empty()) {
     return std::numeric_limits<double>::infinity();
@@ -100,7 +78,7 @@ double HeapEventQueue::NextTime() const {
   return heap_.front().when;
 }
 
-EventQueue::Fired HeapEventQueue::Pop() {
+EventQueue::Fired EventQueue::Pop() {
   DropCancelledHead();
   CHECK(!heap_.empty());
   const Entry top = heap_.front();
@@ -113,12 +91,12 @@ EventQueue::Fired HeapEventQueue::Pop() {
   return fired;
 }
 
-size_t HeapEventQueue::PendingCount() const {
+size_t EventQueue::PendingCount() const {
   CheckInvariant();
   return callbacks_.size();
 }
 
-size_t HeapEventQueue::StoredCount() const {
+size_t EventQueue::StoredCount() const {
   return heap_.size();
 }
 

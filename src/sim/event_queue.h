@@ -1,21 +1,12 @@
 // Priority queue of timestamped events with stable ordering and O(log n)
-// lazy cancellation. Ties at the same timestamp fire in scheduling order,
-// which makes simulations deterministic for a fixed seed.
-//
-// `EventQueue` is the abstract interface; two implementations share its
-// contract bit-for-bit (same Push/Cancel/Pop semantics, ties broken by
-// ascending EventId):
-//   * HeapEventQueue — binary heap, the paper-scale default.
-//   * CalendarEventQueue (calendar_queue.h) — bucketed calendar queue with
-//     amortized O(1) operations for the 10k-worker regime.
-// MakeEventQueue() selects one by EventQueueKind; DESIGN.md section 12
-// documents the data structures and the determinism argument.
+// lazy cancellation. Ties at the same timestamp fire in scheduling order
+// (ascending EventId), which makes simulations deterministic for a fixed
+// seed. DESIGN.md section 12 documents the tombstone-compaction bound.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -26,12 +17,18 @@ namespace ursa {
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-// Which concrete EventQueue a simulator drains (selected via config/CLI).
+// The binary heap below is the only queue. This single-value enum survives
+// only because perfbench's set-up timer still passes
+// `ExperimentConfig::queue_kind` to the Simulator constructor; it goes with
+// the next benchmark change, together with that field and parameter.
 enum class EventQueueKind {
   kBinaryHeap,
-  kCalendar,
 };
 
+// Binary-heap queue. Cancellation is lazy (tombstones dropped when they
+// surface at the heap top) but bounded: whenever tombstones outnumber live
+// events the whole heap is compacted in one pass, so cancel-heavy workloads
+// (speculation + chaos) keep StoredCount() < 2 * PendingCount() + 1.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -42,47 +39,27 @@ class EventQueue {
     Callback cb;
   };
 
-  virtual ~EventQueue() = default;
-
   // Enqueues `cb` to fire at absolute time `when`. Returns a handle usable
   // with Cancel(). Ids increase monotonically from 1 across the queue's
   // lifetime; equal-time events fire in ascending-id (FIFO) order.
-  virtual EventId Push(double when, Callback cb) = 0;
+  EventId Push(double when, Callback cb);
 
   // Cancels a pending event. Cancelling an already-fired or already-cancelled
   // event is a no-op; returns whether the event was actually pending.
-  virtual bool Cancel(EventId id) = 0;
+  bool Cancel(EventId id);
 
-  virtual bool Empty() const = 0;
-  virtual double NextTime() const = 0;
+  bool Empty() const;
+  double NextTime() const;
 
   // Removes and returns the earliest event. Must not be called when Empty().
-  virtual Fired Pop() = 0;
+  Fired Pop();
 
   // Live (non-cancelled) events still pending.
-  virtual size_t PendingCount() const = 0;
+  size_t PendingCount() const;
 
   // Entries physically stored, including cancelled tombstones not yet
   // compacted. Tests use this to pin down tombstone-growth bounds.
-  virtual size_t StoredCount() const = 0;
-};
-
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind);
-const char* EventQueueKindName(EventQueueKind kind);
-
-// Binary-heap implementation. Cancellation is lazy (tombstones dropped when
-// they surface at the heap top) but bounded: whenever tombstones outnumber
-// live events the whole heap is compacted in one pass, so cancel-heavy
-// workloads (speculation + chaos) keep StoredCount() < 2 * PendingCount() + 1.
-class HeapEventQueue final : public EventQueue {
- public:
-  EventId Push(double when, Callback cb) override;
-  bool Cancel(EventId id) override;
-  bool Empty() const override;
-  double NextTime() const override;
-  Fired Pop() override;
-  size_t PendingCount() const override;
-  size_t StoredCount() const override;
+  size_t StoredCount() const;
 
  private:
   struct Entry {

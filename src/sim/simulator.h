@@ -3,16 +3,12 @@
 // scheduling ticks, flow re-computations) is driven by events scheduled here.
 //
 // The simulator is strictly single-threaded; all simulated components may
-// freely share state without locks. The backing queue (binary heap or
-// calendar queue, see event_queue.h) is picked at construction; both obey
-// the same (when, id) ordering contract, so the choice never changes a
-// seeded run's behavior.
+// freely share state without locks.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <functional>
 #include <limits>
-#include <memory>
 
 #include "src/sim/event_queue.h"
 
@@ -22,8 +18,11 @@ class Simulator {
  public:
   using Callback = EventQueue::Callback;
 
-  explicit Simulator(EventQueueKind queue_kind = EventQueueKind::kBinaryHeap)
-      : queue_(MakeEventQueue(queue_kind)) {}
+  // The queue-kind parameter is unused (the binary heap is the only queue);
+  // it stays only for perfbench's set-up timer and goes with the next
+  // benchmark change, together with EventQueueKind.
+  explicit Simulator(
+      [[maybe_unused]] EventQueueKind queue_kind = EventQueueKind::kBinaryHeap) {}
 
   double Now() const { return now_; }
 
@@ -34,7 +33,7 @@ class Simulator {
   EventId ScheduleAt(double when, Callback cb);
 
   // Cancels a pending event; no-op if already fired/cancelled.
-  bool Cancel(EventId id) { return queue_->Cancel(id); }
+  bool Cancel(EventId id) { return queue_.Cancel(id); }
 
   // Runs until the queue drains or the clock passes `until`.
   // Returns the number of events fired.
@@ -43,11 +42,11 @@ class Simulator {
   // Fires exactly one event if any is pending; returns whether one fired.
   bool Step();
 
-  bool Idle() const { return queue_->Empty(); }
-  size_t PendingEvents() const { return queue_->PendingCount(); }
+  bool Idle() const { return queue_.Empty(); }
+  size_t PendingEvents() const { return queue_.PendingCount(); }
 
  private:
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;
   double now_ = 0.0;
 };
 

@@ -83,6 +83,26 @@ Workload MakeSyntheticMixedWorkload(int count_each, uint64_t seed) {
   return workload;
 }
 
+Workload MakePlacementStressWorkload(int workers, uint64_t seed) {
+  const int jobs = std::max(4, workers / 4);
+  Workload workload;
+  workload.name = "scale-" + std::to_string(workers);
+  for (int i = 0; i < jobs; ++i) {
+    SyntheticJobParams params;
+    params.type = i % 2 == 0 ? 1 : 2;
+    params.stages = 1;  // CPU-only: no shuffle, placement dominates.
+    params.parallelism = 512;
+    params.type1_task_bytes = 24.0 * 1024 * 1024;
+    params.complexity = 4.0;
+    WorkloadJob job;
+    job.spec = BuildSyntheticJob(params, seed + static_cast<uint64_t>(i) * 7919);
+    job.spec.name += "-" + std::to_string(i);
+    job.submit_time = 0.25 * i;
+    workload.jobs.push_back(std::move(job));
+  }
+  return workload;
+}
+
 std::vector<double> ExpectedJctsIdealAlternating(const std::vector<AlternatingJobModel>& jobs,
                                                  bool srjf) {
   struct State {

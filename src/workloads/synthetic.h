@@ -29,6 +29,12 @@ Workload MakeSyntheticType1Workload(int count, uint64_t seed);
 // Setting 2: Type 1 and Type 2 jobs alternating.
 Workload MakeSyntheticMixedWorkload(int count_each, uint64_t seed);
 
+// Placement-stress shape of bench_scale (DESIGN.md section 12): workers/4
+// (at least 4) single-stage CPU-only jobs of 512 tasks, alternating Type 1
+// and Type 2, submitted 0.25 s apart. Task count scales with the cluster so
+// per-worker load is the same at every size.
+Workload MakePlacementStressWorkload(int workers, uint64_t seed);
+
 // Closed-form expected JCTs under ideal fine-grained sharing with EJF (the
 // paper's derivation: jobs pair up, CPU of one overlapping network of the
 // other; stage times alternate). `jct1`/`stage1` are the single-job JCT and

@@ -107,65 +107,57 @@ TEST(Determinism, SyntheticMixedWorkloadIsSeedStable) {
   ExpectIdenticalRuns(workload, UrsaEjfConfig(), "ursa-ejf");
 }
 
-// --- Hot-path equivalence (DESIGN.md section 12). ---
-// The incremental load cache, the bucketed pruning scan and the calendar
-// queue are pure optimizations: every run below must make bit-identical
-// decisions with them on and off.
+// --- Hot-path self-checks (DESIGN.md section 12). ---
+// With verify_hot_path on, every incremental load refresh is CHECKed against
+// a full rescan and every bucketed BestWorker call against the linear scan,
+// so a divergence aborts the verified run. Each test below also compares it
+// with an unverified run: the self-checks must not change a decision or a
+// counter.
 
-// Returns `config` with every hot-path optimization forced to `fast` and the
-// debug cross-check enabled, so the incremental cache is also validated
-// against full rescans while the test runs.
-ExperimentConfig HotPath(ExperimentConfig config, bool fast) {
-  config.ursa.incremental_loads = fast;
-  config.ursa.prune_placement = fast;
-  config.ursa.verify_loads = fast;
-  config.queue_kind = fast ? EventQueueKind::kCalendar : EventQueueKind::kBinaryHeap;
-  return config;
-}
-
-void ExpectHotPathsEquivalent(const Workload& workload, ExperimentConfig config,
-                              const std::string& scheme) {
+void ExpectVerifiedHotPathMatches(const Workload& workload, ExperimentConfig config,
+                                  const std::string& scheme) {
   config.trace = true;
-  const ExperimentResult fast = RunExperiment(workload, HotPath(config, true), scheme);
-  const ExperimentResult seed = RunExperiment(workload, HotPath(config, false), scheme);
+  config.ursa.verify_hot_path = true;
+  const ExperimentResult verified = RunExperiment(workload, config, scheme);
+  config.ursa.verify_hot_path = false;
+  const ExperimentResult plain = RunExperiment(workload, config, scheme);
 
-  const std::vector<Placement> pf = PlacementsOf(fast);
-  const std::vector<Placement> ps = PlacementsOf(seed);
-  ASSERT_FALSE(pf.empty());
-  ASSERT_EQ(pf.size(), ps.size());
-  for (size_t i = 0; i < pf.size(); ++i) {
-    EXPECT_TRUE(pf[i] == ps[i])
-        << scheme << " placement #" << i << " diverged between hot paths: job "
-        << pf[i].job << " task " << pf[i].task << " -> worker " << pf[i].worker
-        << " vs job " << ps[i].job << " task " << ps[i].task << " -> worker "
-        << ps[i].worker;
+  const std::vector<Placement> pv = PlacementsOf(verified);
+  const std::vector<Placement> pp = PlacementsOf(plain);
+  ASSERT_FALSE(pv.empty());
+  ASSERT_EQ(pv.size(), pp.size());
+  for (size_t i = 0; i < pv.size(); ++i) {
+    EXPECT_TRUE(pv[i] == pp[i])
+        << scheme << " placement #" << i << " diverged under verify_hot_path: job "
+        << pv[i].job << " task " << pv[i].task << " -> worker " << pv[i].worker
+        << " vs job " << pp[i].job << " task " << pp[i].task << " -> worker "
+        << pp[i].worker;
   }
-  EXPECT_EQ(fast.makespan(), seed.makespan());
-  EXPECT_EQ(fast.avg_jct(), seed.avg_jct());
-  EXPECT_EQ(fast.efficiency.ue_cpu, seed.efficiency.ue_cpu);
-  EXPECT_EQ(fast.events_fired, seed.events_fired);
-  // Same decision sequence: the pruned scan answers exactly the same
-  // BestWorker queries. (Scan-entry counts are not compared — on small
-  // heterogeneous clusters the bucketed path can examine more entries than
-  // the flat scan; it wins when loads collapse, i.e. at scale.)
-  EXPECT_EQ(fast.scheduler_counters.bestworker_calls,
-            seed.scheduler_counters.bestworker_calls);
-  ASSERT_EQ(fast.records.size(), seed.records.size());
-  for (size_t i = 0; i < fast.records.size(); ++i) {
-    EXPECT_EQ(fast.records[i].finish_time, seed.records[i].finish_time);
+  EXPECT_EQ(verified.makespan(), plain.makespan());
+  EXPECT_EQ(verified.avg_jct(), plain.avg_jct());
+  EXPECT_EQ(verified.efficiency.ue_cpu, plain.efficiency.ue_cpu);
+  EXPECT_EQ(verified.events_fired, plain.events_fired);
+  const UrsaScheduler::SchedulerCounters& cv = verified.scheduler_counters;
+  const UrsaScheduler::SchedulerCounters& cp = plain.scheduler_counters;
+  EXPECT_EQ(cv.bestworker_calls, cp.bestworker_calls);
+  EXPECT_EQ(cv.workers_scanned, cp.workers_scanned);
+  EXPECT_EQ(cv.load_refreshes, cp.load_refreshes);
+  ASSERT_EQ(verified.records.size(), plain.records.size());
+  for (size_t i = 0; i < verified.records.size(); ++i) {
+    EXPECT_EQ(verified.records[i].finish_time, plain.records[i].finish_time);
   }
 }
 
-TEST(Determinism, FastAndSeedHotPathsMatchOnTpch) {
-  ExpectHotPathsEquivalent(SeededTpch(8, 11), UrsaEjfConfig(), "ursa-ejf");
+TEST(Determinism, VerifiedHotPathMatchesOnTpch) {
+  ExpectVerifiedHotPathMatches(SeededTpch(8, 11), UrsaEjfConfig(), "ursa-ejf");
 }
 
-TEST(Determinism, FastAndSeedHotPathsMatchOnSyntheticSrjf) {
-  ExpectHotPathsEquivalent(MakeSyntheticMixedWorkload(4, /*seed=*/9), UrsaSrjfConfig(),
+TEST(Determinism, VerifiedHotPathMatchesOnSyntheticSrjf) {
+  ExpectVerifiedHotPathMatches(MakeSyntheticMixedWorkload(4, /*seed=*/9), UrsaSrjfConfig(),
                            "ursa-srjf");
 }
 
-TEST(Determinism, FastAndSeedHotPathsMatchUnderChaos) {
+TEST(Determinism, VerifiedHotPathMatchesUnderChaos) {
   // Fault recovery rebuilds worker state behind the scheduler's back and
   // speculation places through the same overlay as primary placement — the
   // two paths most likely to miss a dirty mark or stale bucket.
@@ -180,10 +172,10 @@ TEST(Determinism, FastAndSeedHotPathsMatchUnderChaos) {
   pc.crash_recovers = 1;
   pc.transients = 3;
   config.fault_plan = MakeRandomFaultPlan(pc);
-  ExpectHotPathsEquivalent(SeededTpch(6, 31), config, "ursa-srjf");
+  ExpectVerifiedHotPathMatches(SeededTpch(6, 31), config, "ursa-srjf");
 }
 
-TEST(Determinism, FastAndSeedHotPathsMatchOnOpenLoop) {
+TEST(Determinism, VerifiedHotPathMatchesOnOpenLoop) {
   ExperimentConfig config = UrsaEjfConfig();
   config.open_loop.enabled = true;
   config.open_loop.seed = 13;
@@ -191,29 +183,34 @@ TEST(Determinism, FastAndSeedHotPathsMatchOnOpenLoop) {
   config.open_loop.max_jobs = 30;
   config.ursa.admission.enabled = true;
   config.ursa.admission.max_pending = 6;
-  ExpectHotPathsEquivalent(Workload{}, config, "ursa-ejf");
+  ExpectVerifiedHotPathMatches(Workload{}, config, "ursa-ejf");
 }
 
-TEST(Determinism, CalendarAndHeapQueuesMatch) {
-  // Queue kind alone, both schedulers on the fast path: pop order (and so
-  // the whole run) must not depend on the queue implementation.
-  ExperimentConfig heap = UrsaEjfConfig();
-  heap.queue_kind = EventQueueKind::kBinaryHeap;
-  ExperimentConfig calendar = heap;
-  calendar.queue_kind = EventQueueKind::kCalendar;
-  heap.trace = true;
-  calendar.trace = true;
-  const Workload workload = SeededTpch(8, 11);
-  const ExperimentResult a = RunExperiment(workload, heap, "ursa-ejf");
-  const ExperimentResult b = RunExperiment(workload, calendar, "ursa-ejf");
-  EXPECT_EQ(a.events_fired, b.events_fired);
-  EXPECT_EQ(a.makespan(), b.makespan());
-  const std::vector<Placement> pa = PlacementsOf(a);
-  const std::vector<Placement> pb = PlacementsOf(b);
-  ASSERT_EQ(pa.size(), pb.size());
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_TRUE(pa[i] == pb[i]) << "placement #" << i << " diverged between queues";
+TEST(Determinism, VerifiedHotPathOnPlacementStress) {
+  // bench_scale's 300-worker shape (75 jobs x 512 single-stage CPU tasks):
+  // uniform tasks on uniform workers collapse the loads into a few scan and
+  // overlay buckets with many members each — the regime the bucketed scan is
+  // built for, which the small clusters above never reach. Every call is
+  // cross-checked against the linear scan.
+  const Workload workload = MakePlacementStressWorkload(300, /*seed=*/42);
+  ExperimentConfig config = UrsaEjfConfig();
+  config.cluster.num_workers = 300;
+  config.ursa.verify_hot_path = true;
+  config.ursa.max_scored_pairs_per_tick = size_t{1} << 40;  // As bench_scale.
+  config.trace = true;
+  config.trace_sample = 1 << 20;  // Ticks and task events only.
+  const ExperimentResult result = RunExperiment(workload, config, "ursa-ejf");
+
+  int64_t monotasks = 0;
+  for (size_t i = 0; i < workload.jobs.size(); ++i) {
+    monotasks += static_cast<int64_t>(
+        Job::Create(static_cast<JobId>(i), workload.jobs[i].spec)->plan.monotasks().size());
   }
+  EXPECT_EQ(result.trace->tick_summary().placed, monotasks);
+  // The bucketed regime: a BestWorker call examines a handful of buckets,
+  // not the 300 workers a linear scan visits.
+  const UrsaScheduler::SchedulerCounters& sc = result.scheduler_counters;
+  EXPECT_LT(sc.workers_scanned, 30 * sc.bestworker_calls);
 }
 
 TEST(Determinism, TruncatedGatherRotatesAndFinishes) {
@@ -238,9 +235,8 @@ TEST(Determinism, TruncatedGatherRotatesAndFinishes) {
 
 // --- Scheduling policies (DESIGN.md section 13). ---
 // Every pluggable policy must satisfy the same determinism contract as the
-// defaults: same-seed bit-identical placement, and fast/seed hot-path
-// equivalence (which also flips the event-queue kind — the fast side runs
-// the calendar queue, the seed side the binary heap).
+// defaults: same-seed bit-identical placement, and a hot path that passes
+// its verify_hot_path self-checks.
 
 TEST(Determinism, GraphenePlacementIsSeedStable) {
   // Graphene layers the troublesome-stage bonus on its SRJF base; the
@@ -262,23 +258,22 @@ TEST(Determinism, ColocationLearningIsSeedStable) {
   ExpectIdenticalRuns(SeededTpch(8, 23), config, "hugo");
 }
 
-TEST(Determinism, FastAndSeedHotPathsMatchOnGraphene) {
-  ExpectHotPathsEquivalent(SeededTpch(8, 11), UrsaGrapheneConfig(), "ursa-graphene");
+TEST(Determinism, VerifiedHotPathMatchesOnGraphene) {
+  ExpectVerifiedHotPathMatches(SeededTpch(8, 11), UrsaGrapheneConfig(), "ursa-graphene");
 }
 
-TEST(Determinism, FastAndSeedHotPathsMatchOnTetrisScore) {
+TEST(Determinism, VerifiedHotPathMatchesOnTetrisScore) {
   // The Tetris score has its own UpperBound; this pins the bucketed scan's
   // cutoff to the linear scan's argmax under the alternative bound.
   ExperimentConfig config = UrsaSrjfConfig();
   config.ursa.score = PlacementScoreKind::kTetrisDot;
-  ExpectHotPathsEquivalent(SeededTpch(8, 11), config, "tetris-score");
+  ExpectVerifiedHotPathMatches(SeededTpch(8, 11), config, "tetris-score");
 }
 
-TEST(Determinism, FastAndSeedHotPathsMatchOnColocationUnderChaos) {
-  // Co-location is not bucketable (both modes take the linear scan), but the
-  // incremental load cache and queue kind still differ between the modes;
-  // chaos + speculation exercises the residency snapshot across worker
-  // crashes and spec copies.
+TEST(Determinism, VerifiedHotPathMatchesOnColocationUnderChaos) {
+  // Co-location is not bucketable (BestWorker takes the linear scan), so
+  // only the incremental-load cross-check runs; chaos + speculation
+  // exercises the residency snapshot across worker crashes and spec copies.
   ExperimentConfig config = UrsaSrjfConfig();
   config.ursa.colocation.enabled = true;
   config.ursa.spec.enabled = true;
@@ -291,7 +286,7 @@ TEST(Determinism, FastAndSeedHotPathsMatchOnColocationUnderChaos) {
   pc.crash_recovers = 1;
   pc.transients = 3;
   config.fault_plan = MakeRandomFaultPlan(pc);
-  ExpectHotPathsEquivalent(SeededTpch(6, 31), config, "hugo");
+  ExpectVerifiedHotPathMatches(SeededTpch(6, 31), config, "hugo");
 }
 
 TEST(Determinism, SpeculationAndFaultsAreSeedStable) {

@@ -1,32 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
 
 namespace ursa {
 namespace {
 
-// Every EventQueue implementation must satisfy the same contract; the suite
-// runs once per kind.
-class EventQueueTest : public ::testing::TestWithParam<EventQueueKind> {
- protected:
-  EventQueueTest() : queue_ptr_(MakeEventQueue(GetParam())), queue(*queue_ptr_) {}
-  std::unique_ptr<EventQueue> queue_ptr_;
-  EventQueue& queue;
-};
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, EventQueueTest,
-                         ::testing::Values(EventQueueKind::kBinaryHeap,
-                                           EventQueueKind::kCalendar),
-                         [](const ::testing::TestParamInfo<EventQueueKind>& info) {
-                           return EventQueueKindName(info.param);
-                         });
-
-TEST_P(EventQueueTest, FiresInTimeOrder) {
+TEST(EventQueueTest, FiresInTimeOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   queue.Push(3.0, [&] { fired.push_back(3); });
   queue.Push(1.0, [&] { fired.push_back(1); });
@@ -37,7 +22,8 @@ TEST_P(EventQueueTest, FiresInTimeOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueTest, SameTimeFifo) {
+TEST(EventQueueTest, SameTimeFifo) {
+  EventQueue queue;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
     queue.Push(1.0, [&fired, i] { fired.push_back(i); });
@@ -50,7 +36,8 @@ TEST_P(EventQueueTest, SameTimeFifo) {
   }
 }
 
-TEST_P(EventQueueTest, CancelPreventsFiring) {
+TEST(EventQueueTest, CancelPreventsFiring) {
+  EventQueue queue;
   bool fired = false;
   const EventId id = queue.Push(1.0, [&] { fired = true; });
   queue.Push(2.0, [] {});
@@ -62,7 +49,8 @@ TEST_P(EventQueueTest, CancelPreventsFiring) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EventQueueTest, CancelHeadUpdatesNextTime) {
+TEST(EventQueueTest, CancelHeadUpdatesNextTime) {
+  EventQueue queue;
   const EventId id = queue.Push(1.0, [] {});
   queue.Push(5.0, [] {});
   EXPECT_DOUBLE_EQ(queue.NextTime(), 1.0);
@@ -71,7 +59,8 @@ TEST_P(EventQueueTest, CancelHeadUpdatesNextTime) {
   EXPECT_EQ(queue.PendingCount(), 1u);
 }
 
-TEST_P(EventQueueTest, EagerCompactionBoundsTombstones) {
+TEST(EventQueueTest, EagerCompactionBoundsTombstones) {
+  EventQueue queue;
   // Cancel-heavy usage (speculation + chaos) must not grow storage without
   // bound: tombstones are compacted once they outnumber live events.
   std::vector<EventId> ids;
@@ -85,7 +74,8 @@ TEST_P(EventQueueTest, EagerCompactionBoundsTombstones) {
   EXPECT_EQ(queue.PendingCount(), ids.size() / 2);
 }
 
-TEST_P(EventQueueTest, InterleavedPushPopCancelMatchesShadowModel) {
+TEST(EventQueueTest, InterleavedPushPopCancelMatchesShadowModel) {
+  EventQueue queue;
   // Every Pop must return the minimum (when, id) among the events pending at
   // that instant; a shadow ordered set is the reference model.
   std::set<std::pair<double, EventId>> shadow;

@@ -31,11 +31,9 @@
 //              (--jobs bounds the arrival count)
 // Admission:   --admission --max-pending=N --shed-policy=newest|largest|tier
 //              --slo=SEC --u-bound=X (ursa schemes only)
-// Hot path:    --event-queue=heap|calendar (simulator event queue backend)
-//              --hotpath=fast|seed (fast = incremental loads + pruned
-//              placement scan; seed = the original full-rescan loops; both
-//              produce byte-identical results, see DESIGN.md section 12)
-//              --max-scored-pairs=N --sched-counters
+// Hot path:    --max-scored-pairs=N (per-tick candidate budget)
+//              --sched-counters (tick/load-refresh/scan counters; DESIGN.md
+//              section 12)
 //
 // Unknown flags and out-of-range values are errors: the offending flag is
 // named on stderr and the process exits 2 (the usage exit code), so typos
@@ -113,9 +111,7 @@ struct Flags {
   std::string shed_policy = "tier";
   double slo = 300.0;
   double u_bound = 4.0;
-  // Hot-path switches (DESIGN.md section 12).
-  std::string event_queue = "heap";
-  std::string hotpath = "fast";
+  // Hot path (DESIGN.md section 12).
   int max_scored_pairs = 0;  // 0 = library default.
   bool sched_counters = false;
   // Policy framework (DESIGN.md section 13).
@@ -192,7 +188,6 @@ int Usage() {
                "                [--tenants=name:weight:tier:slo,...]\n"
                "                [--admission] [--max-pending=N]\n"
                "                [--shed-policy=newest|largest|tier] [--slo=SEC] [--u-bound=X]\n"
-               "                [--event-queue=heap|calendar] [--hotpath=fast|seed]\n"
                "                [--max-scored-pairs=N] [--sched-counters]\n"
                "                [--score=alg1|tetris] [--colocate] [--colocate-weight=W]\n"
                "                [--graphene-threshold=X] [--graphene-weight=W]\n"
@@ -353,10 +348,6 @@ int main(int argc, char** argv) {
       if (!ToDouble(value, 1e-9, 1e9, &flags.slo)) return BadFlagValue("slo", value);
     } else if (ParseFlag(argv[i], "u-bound", &value)) {
       if (!ToDouble(value, 1e-9, 1e9, &flags.u_bound)) return BadFlagValue("u-bound", value);
-    } else if (ParseFlag(argv[i], "event-queue", &value)) {
-      flags.event_queue = value;
-    } else if (ParseFlag(argv[i], "hotpath", &value)) {
-      flags.hotpath = value;
     } else if (ParseFlag(argv[i], "max-scored-pairs", &value)) {
       if (!ToInt(value, 1, 2000000000, &flags.max_scored_pairs)) {
         return BadFlagValue("max-scored-pairs", value);
@@ -492,28 +483,7 @@ int main(int argc, char** argv) {
   config.ursa.admission.default_slo = flags.slo;
   config.ursa.admission.utilization_bound = flags.u_bound;
 
-  // Hot-path switches (DESIGN.md section 12). Neither changes results —
-  // only wall-clock cost — which the determinism tests pin down.
-  if (flags.event_queue == "heap") {
-    config.queue_kind = EventQueueKind::kBinaryHeap;
-  } else if (flags.event_queue == "calendar") {
-    config.queue_kind = EventQueueKind::kCalendar;
-  } else {
-    std::fprintf(stderr, "ursa_sim: --event-queue rejects '%s' (want heap|calendar)\n",
-                 flags.event_queue.c_str());
-    return 2;
-  }
-  if (flags.hotpath == "fast") {
-    config.ursa.incremental_loads = true;
-    config.ursa.prune_placement = true;
-  } else if (flags.hotpath == "seed") {
-    config.ursa.incremental_loads = false;
-    config.ursa.prune_placement = false;
-  } else {
-    std::fprintf(stderr, "ursa_sim: --hotpath rejects '%s' (want fast|seed)\n",
-                 flags.hotpath.c_str());
-    return 2;
-  }
+  // Per-tick candidate budget (DESIGN.md section 12).
   if (flags.max_scored_pairs > 0) {
     config.ursa.max_scored_pairs_per_tick = static_cast<size_t>(flags.max_scored_pairs);
   }
@@ -615,10 +585,10 @@ int main(int argc, char** argv) {
   if (flags.sched_counters) {
     const UrsaScheduler::SchedulerCounters& sc = result.scheduler_counters;
     std::printf(
-        "sched: ticks=%lld loadRefreshes=%lld fullRebuilds=%lld bestWorker=%lld "
+        "sched: ticks=%lld loadRefreshes=%lld bestWorker=%lld "
         "workersScanned=%lld truncated=%lld events=%llu wall=%.3fs\n",
         static_cast<long long>(sc.ticks), static_cast<long long>(sc.load_refreshes),
-        static_cast<long long>(sc.full_rebuilds), static_cast<long long>(sc.bestworker_calls),
+        static_cast<long long>(sc.bestworker_calls),
         static_cast<long long>(sc.workers_scanned),
         static_cast<long long>(sc.scoring_truncated),
         static_cast<unsigned long long>(result.events_fired), result.wall_seconds);
