@@ -109,9 +109,6 @@ class HugoScorePolicy : public PlacementScorePolicy {
   // The bonus depends on which worker is scored, so one bucket-wide score
   // is invalid: force the linear scan.
   bool bucketable() const override { return false; }
-  double UpperBound(const WorkerLoad& load) const override {
-    return base_->UpperBound(load) + weight_;  // Bonus is in [0, +w].
-  }
   bool Score(const TaskUsage& usage, const WorkerLoad& load, WorkerId worker, double ept,
              const int headroom[kNumMonotaskResources], bool consider_network,
              const ScoreContext& ctx, double* out_score) const override;

@@ -4,16 +4,32 @@
 
 namespace ursa {
 
-double Algorithm1ScorePolicy::UpperBound(const WorkerLoad& load) const {
-  // Each resource term is d_r * inc <= d_r^2, the memory term is
-  // d_mem * inc_mem <= d_mem^2, and the tie term is <= 1e-4.
-  double ub = 1e-4;
+double TieTerm(const TaskUsage& usage, const WorkerLoad& load) {
+  double backlog = 0.0;
   for (int r = 0; r < kNumMonotaskResources; ++r) {
-    ub += load.d[r] * load.d[r];
+    if (usage.bytes[r] > 0.0) {
+      backlog += load.apt[r];
+    }
   }
-  const double d_mem = load.d[static_cast<size_t>(ResourceDim::kMemory)];
-  ub += d_mem * d_mem;
-  return ub;
+  return 1e-4 / (1.0 + backlog);
+}
+
+void BoundKeys(const WorkerLoad& load, double key[kNumResourceDims]) {
+  for (int r = 0; r < kNumMonotaskResources; ++r) {
+    key[r] = load.d[r] / std::max(load.rate[r], 1.0);
+  }
+  const size_t mem = static_cast<size_t>(ResourceDim::kMemory);
+  key[mem] = load.d[mem] / load.memory_capacity;
+}
+
+void BoundCoefs(const TaskUsage& usage, double ept, bool consider_network,
+                double coef[kNumResourceDims]) {
+  for (int r = 0; r < kNumMonotaskResources; ++r) {
+    const bool skipped =
+        !consider_network && static_cast<ResourceType>(r) == ResourceType::kNetwork;
+    coef[r] = skipped || usage.bytes[r] <= 0.0 ? 0.0 : usage.bytes[r] / ept;
+  }
+  coef[static_cast<size_t>(ResourceDim::kMemory)] = usage.memory;
 }
 
 bool Algorithm1ScorePolicy::Score(const TaskUsage& usage, const WorkerLoad& load,
@@ -53,26 +69,9 @@ bool Algorithm1ScorePolicy::Score(const TaskUsage& usage, const WorkerLoad& load
   score += d_mem * inc_mem;
   // Saturation tie-breaker: among equally (un)attractive workers, prefer
   // the one whose queues for the task's resources are shortest.
-  double backlog = 0.0;
-  for (int r = 0; r < kNumMonotaskResources; ++r) {
-    if (usage.bytes[r] > 0.0) {
-      backlog += load.apt[r];
-    }
-  }
-  score += 1e-4 / (1.0 + backlog);
+  score += TieTerm(usage, load);
   *out_score = score;
   return true;
-}
-
-double TetrisDotScorePolicy::UpperBound(const WorkerLoad& load) const {
-  // Every demand factor is clamped to [0, 1], so each term is <= d_r and
-  // the tie term is <= 1e-4.
-  double ub = 1e-4;
-  for (int r = 0; r < kNumMonotaskResources; ++r) {
-    ub += load.d[r];
-  }
-  ub += load.d[static_cast<size_t>(ResourceDim::kMemory)];
-  return ub;
 }
 
 bool TetrisDotScorePolicy::Score(const TaskUsage& usage, const WorkerLoad& load,
@@ -108,13 +107,7 @@ bool TetrisDotScorePolicy::Score(const TaskUsage& usage, const WorkerLoad& load,
     return false;
   }
   score += d_mem * std::min(1.0, usage.memory / load.memory_capacity);
-  double backlog = 0.0;
-  for (int r = 0; r < kNumMonotaskResources; ++r) {
-    if (usage.bytes[r] > 0.0) {
-      backlog += load.apt[r];
-    }
-  }
-  score += 1e-4 / (1.0 + backlog);
+  score += TieTerm(usage, load);
   *out_score = score;
   return true;
 }

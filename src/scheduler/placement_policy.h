@@ -3,9 +3,9 @@
 //
 // UrsaScheduler's BestWorker loop is policy-agnostic: given a task's usage
 // estimate and a worker's load snapshot it asks the active
-// PlacementScorePolicy for a score (or a veto), and — when the policy is
-// bucketable — for an exact per-load score upper bound that drives the
-// PR-8 bucketed scan. Policies shipped here:
+// PlacementScorePolicy for a score (or a veto). Bucketable policies are
+// additionally bounded by the separable score bound below, which drives the
+// threshold-ordered bucketed scan. Policies shipped here:
 //
 //   Algorithm1   Ursa's load-matching score (section 4.2.2): the paper's
 //                D_r(w) * Inc_r(t, w) dot product with the memory dimension
@@ -26,10 +26,12 @@
 // Contract (enforced by the policy property/determinism tests):
 //   - Score() must be a pure function of its arguments — no clocks, no
 //     randomness, no mutable state — so same-seed runs stay bit-identical.
-//   - UpperBound(load) must bound every Score() the policy can return for
-//     that exact load, and must be monotone under ApplyToLoad (loads only
-//     worsen within a tick), or the bucketed scan's early cutoff would skip
-//     the true argmax. Non-bucketable policies fall back to the linear scan.
+//   - A bucketable policy's scores must stay within the separable bound
+//     BoundScore(BoundCoefs(task), BoundKeys(load), TieTerm(task, load)): a
+//     per-dimension sum of task coefficient times worker key, plus the
+//     saturation tie term. Both only fall as placements worsen a load within
+//     a tick, or the bucketed scan's threshold cutoff would skip the true
+//     argmax. Non-bucketable policies fall back to the linear scan.
 //   - A false return must imply the worker is infeasible for the task
 //     (memory, or a needed dimension exhausted while headroom exists
 //     elsewhere); the scan's headroom masks assume it.
@@ -81,9 +83,6 @@ class PlacementScorePolicy {
   // depends on worker identity (co-location) must return false and take the
   // linear scan.
   virtual bool bucketable() const { return true; }
-  // Exact upper bound on any score this policy can assign a worker with
-  // this load (see contract above). Only consulted for bucketable policies.
-  virtual double UpperBound(const WorkerLoad& load) const = 0;
   // Scores placing a task with `usage` on `worker` carrying `load`.
   // `headroom[r]` counts workers in the current view with d_r > 0 (the
   // cluster-wide liveness suspension of the D_r == 0 skip rule). Returns
@@ -99,7 +98,6 @@ class PlacementScorePolicy {
 class Algorithm1ScorePolicy : public PlacementScorePolicy {
  public:
   const char* name() const override { return "alg1"; }
-  double UpperBound(const WorkerLoad& load) const override;
   bool Score(const TaskUsage& usage, const WorkerLoad& load, WorkerId worker, double ept,
              const int headroom[kNumMonotaskResources], bool consider_network,
              const ScoreContext& ctx, double* out_score) const override;
@@ -113,11 +111,42 @@ class Algorithm1ScorePolicy : public PlacementScorePolicy {
 class TetrisDotScorePolicy : public PlacementScorePolicy {
  public:
   const char* name() const override { return "tetris"; }
-  double UpperBound(const WorkerLoad& load) const override;
   bool Score(const TaskUsage& usage, const WorkerLoad& load, WorkerId worker, double ept,
              const int headroom[kNumMonotaskResources], bool consider_network,
              const ScoreContext& ctx, double* out_score) const override;
 };
+
+// The saturation tie-breaker both shipped policies add to their score:
+// 1e-4 / (1 + the worker's APT backlog over the resources the task uses),
+// at most 1e-4.
+double TieTerm(const TaskUsage& usage, const WorkerLoad& load);
+
+// The separable score bound shared by every bucketable policy:
+//
+//   score(t, w) <= (sum_r coef_r(t) * key_r(w) + tie) * (1 + 1e-9)
+//
+// over the four dimensions, with worker keys key_r = d_r / max(rate_r, 1)
+// and key_mem = d_mem / memory_capacity, task coefficients
+// coef_r = bytes_r / ept (zero for the network when it is not considered)
+// and coef_mem = memory, and tie either TieTerm(t, w) or its maximum 1e-4.
+// Each resource term of both policies is d_r * min(inc_r, cap) <=
+// d_r * inc_r = coef_r * key_r, the memory term likewise; the relative
+// slack absorbs the rounding of both sides. Every key and the tie term only
+// fall as placements worsen a load within a tick. The key part is a sum of
+// per-dimension products, so the bucketed scan can walk per-dimension key
+// orders and stop once no unvisited worker can reach the best score
+// (Fagin-Lotem-Naor threshold algorithm; DESIGN.md section 12).
+void BoundKeys(const WorkerLoad& load, double key[kNumResourceDims]);
+void BoundCoefs(const TaskUsage& usage, double ept, bool consider_network,
+                double coef[kNumResourceDims]);
+inline double BoundScore(const double coef[kNumResourceDims],
+                         const double key[kNumResourceDims], double tie) {
+  double sum = tie;
+  for (int r = 0; r < kNumResourceDims; ++r) {
+    sum += coef[r] * key[r];
+  }
+  return sum * (1.0 + 1e-9);
+}
 
 inline const char* PlacementScoreKindName(PlacementScoreKind kind) {
   return kind == PlacementScoreKind::kAlgorithm1 ? "alg1" : "tetris";

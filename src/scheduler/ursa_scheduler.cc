@@ -929,6 +929,9 @@ void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
   } else {
     load = base[static_cast<size_t>(w)];
     overlay_touched_.push_back(w);
+    if (bucketed_) {
+      --scan_pass_[static_cast<size_t>(scan_bucket_of_[static_cast<size_t>(w)])].fresh;
+    }
   }
   ApplyToLoad(usage, ept, &load, headroom);
   // Find or create the bucket holding this exact load. Emptied buckets stay
@@ -946,7 +949,7 @@ void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
     target = static_cast<int32_t>(overlay_buckets_.size());
     OverlayBucket bucket;
     bucket.load = load;
-    bucket.ub = score_policy_->UpperBound(load);
+    BoundKeys(load, bucket.key);
     bucket.mask = LoadMask(load);
     overlay_buckets_.push_back(std::move(bucket));
     hits.push_back(target);
@@ -960,6 +963,11 @@ void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
 void UrsaScheduler::OverlayReset() const {
   for (const WorkerId w : overlay_touched_) {
     overlay_slot_[static_cast<size_t>(w)] = -1;
+    if (bucketed_) {
+      const size_t b = static_cast<size_t>(scan_bucket_of_[static_cast<size_t>(w)]);
+      scan_pass_[b].fresh = static_cast<uint32_t>(scan_buckets_[b].members.size());
+      scan_pass_[b].cursor = 0;
+    }
   }
   overlay_touched_.clear();
   overlay_buckets_.clear();
@@ -967,6 +975,9 @@ void UrsaScheduler::OverlayReset() const {
 }
 
 void UrsaScheduler::RebuildScanOrder() {
+  // The per-bucket pass state below is indexed by the buckets being
+  // replaced; loads are only refreshed between placement passes.
+  CHECK(overlay_touched_.empty()) << "scan order rebuilt during a placement pass";
   const std::vector<WorkerLoad>& loads = load_cache_.loads;
   // Group workers with bit-identical loads: sort by the raw load bytes
   // (WorkerLoad is all doubles, so memcmp is a total order with no padding
@@ -981,33 +992,43 @@ void UrsaScheduler::RebuildScanOrder() {
                               &loads[static_cast<size_t>(b)], sizeof(WorkerLoad));
     return c != 0 ? c < 0 : a < b;
   });
-  scan_order_.clear();
+  scan_buckets_.clear();
+  scan_bucket_of_.resize(loads.size());
   for (size_t i = 0; i < order.size();) {
     const WorkerLoad& load = loads[static_cast<size_t>(order[i])];
+    const int32_t index = static_cast<int32_t>(scan_buckets_.size());
     ScanBucket bucket;
-    // The bucket's upper bound is valid for the whole tick: every d only
-    // decreases as placements are applied (the policy contract requires UB
-    // monotone in the load), and modified workers leave the bucket's fresh
-    // set via the overlay.
-    bucket.ub = score_policy_->UpperBound(load);
+    // The keys bound every fresh member for the whole tick: every d only
+    // decreases as placements are applied, and modified workers leave the
+    // bucket's fresh set via the overlay.
+    BoundKeys(load, bucket.key);
     bucket.mask = LoadMask(load);
     size_t j = i;
     while (j < order.size() &&
            std::memcmp(&loads[static_cast<size_t>(order[j])], &load,
                        sizeof(WorkerLoad)) == 0) {
       bucket.members.push_back(order[j]);
+      scan_bucket_of_[static_cast<size_t>(order[j])] = index;
       ++j;
     }
-    scan_order_.push_back(std::move(bucket));
+    scan_buckets_.push_back(std::move(bucket));
     i = j;
   }
-  std::sort(scan_order_.begin(), scan_order_.end(),
-            [](const ScanBucket& a, const ScanBucket& b) {
-              if (a.ub != b.ub) {
-                return a.ub > b.ub;
-              }
-              return a.members.front() < b.members.front();
-            });
+  const size_t n = scan_buckets_.size();
+  scan_pass_.resize(n);
+  for (int r = 0; r < kNumResourceDims; ++r) {
+    std::vector<KeyEntry>& by_key = scan_by_key_[r];
+    by_key.resize(n);
+    for (size_t b = 0; b < n; ++b) {
+      by_key[b] = KeyEntry{scan_buckets_[b].key[r], static_cast<int32_t>(b)};
+    }
+    std::sort(by_key.begin(), by_key.end(), [](const KeyEntry& a, const KeyEntry& b) {
+      return a.key != b.key ? a.key > b.key : a.bucket < b.bucket;
+    });
+  }
+  for (size_t b = 0; b < n; ++b) {
+    scan_pass_[b] = BucketPass{0, static_cast<uint32_t>(scan_buckets_[b].members.size()), 0};
+  }
   scan_stale_ = false;
 }
 
@@ -1091,17 +1112,16 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
                                                 const LoadView& view, double ept,
                                                 const ScoreContext& ctx, WorkerId avoid,
                                                 int64_t* scanned) const {
+  // The base buckets' pass state tracks the placement overlay, which every
+  // view of a placement pass carries.
+  DCHECK(view.slot == &overlay_slot_);
   const PlacementScorePolicy& policy = *score_policy_;
-  Pick best;
+  Pick best;  // Score -1 until a worker qualifies: below every bound.
   Pick fallback;  // As in LinearScan.
-  // Pass 1: buckets in (upper bound desc, min worker asc) order. Fresh
-  // members of a bucket share one bit-identical load, so one Score call
-  // scores them all and min-index-wins picks the smallest fresh id — exactly
-  // what the ascending linear scan does. A dimension the task needs with
-  // headroom somewhere now had headroom at scan-build time too (loads only
-  // worsen within a tick), so a zero mask bit proves the linear scan would
-  // skip every member as blocked; the same argument covers d_mem (failed
-  // workers prune here in O(1)).
+  // A dimension the task needs with headroom somewhere now had headroom at
+  // scan-build time too (loads only worsen within a tick), so a zero mask
+  // bit proves the linear scan would skip every member as blocked; the same
+  // argument covers d_mem (failed workers prune here in O(1)).
   uint32_t required = 1u << kNumMonotaskResources;  // d_mem > 0, always.
   for (int r = 0; r < kNumMonotaskResources; ++r) {
     if (!config_.consider_network &&
@@ -1112,31 +1132,82 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
       required |= 1u << r;
     }
   }
-  for (const ScanBucket& bucket : scan_order_) {
-    if (best.worker != kInvalidId && bucket.ub < best.score) {
-      break;  // No later bucket can beat or tie the current best.
+  double coef[kNumResourceDims];
+  BoundCoefs(usage, ept, config_.consider_network, coef);
+
+  // Pass 1: the threshold walk (Fagin, Lotem & Naor) over the base buckets.
+  // It takes the next live bucket from the key list of each resource the
+  // task uses and of memory, in turn; a bucket is live until this call
+  // visits it or this pass moves all its members to the overlay (dead:
+  // pass 2 scores them). A live bucket sits at or below every list's
+  // frontier, so its score is at most tau, the bound at the frontier keys;
+  // once the best score exceeds tau nothing live can beat or tie it.
+  // Build-time keys and masks bound the fresh members for the whole tick, as
+  // loads only worsen. A task without bytes or memory has the constant tie
+  // term as its bound, which no score exceeds, so its walk is complete.
+  // Fresh members of a bucket share one bit-identical load, so one Score
+  // call scores them all and min-index-wins picks the smallest fresh id —
+  // exactly what the ascending linear scan does, in whatever order the
+  // buckets are visited.
+  int dims[kNumResourceDims];
+  int num_dims = 0;
+  for (int r = 0; r < kNumMonotaskResources; ++r) {
+    if (coef[r] > 0.0) {
+      dims[num_dims++] = r;
     }
+  }
+  dims[num_dims++] = static_cast<int>(ResourceDim::kMemory);
+  const uint64_t stamp = ++scan_stamp_;
+  size_t pos[kNumResourceDims] = {};
+  for (int turn = 0;; turn = turn + 1 == num_dims ? 0 : turn + 1) {
+    double frontier[kNumResourceDims] = {};
+    bool exhausted = false;
+    for (int i = 0; i < num_dims && !exhausted; ++i) {
+      const std::vector<KeyEntry>& list = scan_by_key_[dims[i]];
+      size_t& p = pos[dims[i]];
+      while (p < list.size()) {
+        const BucketPass& pass = scan_pass_[static_cast<size_t>(list[p].bucket)];
+        if (pass.visited != stamp && pass.fresh > 0) {
+          break;
+        }
+        ++p;
+      }
+      // Every list holds the same buckets, so one exhausted list means none
+      // is live.
+      exhausted = p == list.size();
+      if (!exhausted) {
+        frontier[dims[i]] = list[p].key;
+      }
+    }
+    if (exhausted || best.score > BoundScore(coef, frontier, 1e-4)) {
+      break;
+    }
+    const size_t b = static_cast<size_t>(scan_by_key_[dims[turn]][pos[dims[turn]]++].bucket);
+    scan_pass_[b].visited = stamp;
     ++*scanned;
+    const ScanBucket& bucket = scan_buckets_[b];
     if ((bucket.mask & required) != required) {
       continue;
     }
-    // Smallest member still on its tick-start load; overlay-modified
-    // members are scored individually in pass 2.
-    WorkerId fresh = kInvalidId;
-    bool avoid_fresh = false;
-    for (const WorkerId id : bucket.members) {
-      if (view.slot != nullptr && (*view.slot)[static_cast<size_t>(id)] >= 0) {
-        continue;
-      }
-      if (id == avoid) {
-        avoid_fresh = true;
-        continue;
-      }
-      fresh = id;
-      break;
+    // Smallest member still on its tick-start load: the cursor only moves
+    // past members this pass has sent to the overlay (a live bucket keeps
+    // at least one).
+    const std::vector<WorkerId>& members = bucket.members;
+    uint32_t& cursor = scan_pass_[b].cursor;
+    while ((*view.slot)[static_cast<size_t>(members[cursor])] >= 0) {
+      ++cursor;
     }
-    if (fresh == kInvalidId && !avoid_fresh) {
-      continue;
+    WorkerId fresh = members[cursor];
+    bool avoid_fresh = false;
+    if (fresh == avoid) {
+      avoid_fresh = true;
+      fresh = kInvalidId;
+      for (size_t i = cursor + 1; i < members.size(); ++i) {
+        if ((*view.slot)[static_cast<size_t>(members[i])] < 0) {
+          fresh = members[i];
+          break;
+        }
+      }
     }
     const WorkerId probe = fresh != kInvalidId ? fresh : avoid;
     double score = 0.0;
@@ -1154,17 +1225,19 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
   }
   // Pass 2: overlay-modified workers, grouped by identical current load just
   // like pass 1 — one Score call per distinct modified load, however many
-  // workers this tick's placements have already touched. Bucket ubs and
-  // masks are exact (workers change buckets on every placement), so the same
-  // skip arguments apply. The avoided worker only needs explicit tracking
-  // when it is the bucket minimum: any other member qualifies with the
-  // identical score, so the avoid fallback would never fire.
+  // workers this tick's placements have already touched. Bucket keys and
+  // masks are exact (workers change buckets on every placement), so the
+  // same bound and skip arguments apply; the bound takes the bucket's own
+  // tie term, which in a backlogged cluster is most of the score. The
+  // avoided worker only needs explicit tracking when it is the bucket
+  // minimum: any other member qualifies with the identical score, so the
+  // avoid fallback would never fire.
   if (view.mods != nullptr) {
     for (const OverlayBucket& bucket : *view.mods) {
       if (bucket.members.empty()) {
         continue;  // Tombstone: every member moved to another load.
       }
-      if (best.worker != kInvalidId && bucket.ub < best.score) {
+      if (best.score > BoundScore(coef, bucket.key, TieTerm(usage, bucket.load))) {
         continue;
       }
       ++*scanned;
@@ -1474,13 +1547,17 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
           ++skipped;
         }
       }
-      LOG(Warning) << "placement candidate budget exhausted (" << scored_pairs
-                   << " pairs); deferring " << skipped << " job(s) to next tick";
-      ++counters_.scoring_truncated;
-      if (tracer_ != nullptr) {
-        tracer_->AdmissionEvent(sim_->Now(), TraceEventKind::kScoringTruncated,
-                                kInvalidId, 0, static_cast<double>(scored_pairs),
-                                static_cast<double>(skipped));
+      // A budget crossed by the last ready stage defers nothing: the
+      // cursor still rotates, but there is no truncation to report.
+      if (skipped > 0) {
+        LOG(Warning) << "placement candidate budget exhausted (" << scored_pairs
+                     << " pairs); deferring " << skipped << " job(s) to next tick";
+        ++counters_.scoring_truncated;
+        if (tracer_ != nullptr) {
+          tracer_->AdmissionEvent(sim_->Now(), TraceEventKind::kScoringTruncated,
+                                  kInvalidId, 0, static_cast<double>(scored_pairs),
+                                  static_cast<double>(skipped));
+        }
       }
     }
   }

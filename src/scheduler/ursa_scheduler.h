@@ -106,9 +106,9 @@ struct UrsaSchedulerConfig {
 #endif
   // Guard against pathological candidate explosions in a single tick: at
   // most this many (task, worker) pairs are scored per placement pass. Jobs
-  // past the budget are deferred to the next tick, the tick is counted in
-  // scheduler_counters().scoring_truncated, and the gather start rotates so
-  // deferred jobs are not starved.
+  // past the budget are deferred to the next tick, a tick that defers any is
+  // counted in scheduler_counters().scoring_truncated, and the gather start
+  // rotates so deferred jobs are not starved.
   size_t max_scored_pairs_per_tick = 2'000'000;
 };
 
@@ -196,7 +196,7 @@ class UrsaScheduler : public JobManagerListener {
     int64_t load_refreshes = 0;     // Dirty workers recomputed incrementally.
     int64_t bestworker_calls = 0;
     int64_t workers_scanned = 0;    // Scan entries examined across all calls.
-    int64_t scoring_truncated = 0;  // Ticks that hit max_scored_pairs_per_tick.
+    int64_t scoring_truncated = 0;  // Ticks that deferred a job to the budget.
   };
   SchedulerCounters scheduler_counters() const { return counters_; }
 
@@ -305,11 +305,11 @@ class UrsaScheduler : public JobManagerListener {
   // placement pass, grouped by bit-identical current load exactly like the
   // base scan buckets: wide placement rounds touch most of the cluster, but
   // with uniform tasks the modified loads collapse into a handful of
-  // distinct values, each scored once per BestWorker call. `ub` and `mask`
+  // distinct values, each scored once per BestWorker call. `key` and `mask`
   // are exact for the bucket's current load (workers move buckets on every
   // placement).
   struct OverlayBucket {
-    double ub = 0.0;
+    double key[kNumResourceDims] = {};  // BoundKeys of `load`.
     uint32_t mask = 0;  // Same encoding as ScanBucket::mask, always current.
     WorkerLoad load;
     std::vector<WorkerId> members;  // Ascending ids; empty = tombstone.
@@ -347,8 +347,8 @@ class UrsaScheduler : public JobManagerListener {
   // cold cache with a full rescan — and rebuilds the bucketed scan order
   // when anything changed.
   const std::vector<WorkerLoad>& CurrentLoads();
-  // Rebuilds scan_order_ (upper bound desc, min worker asc) from cached
-  // loads, grouping bit-identical loads into one bucket each.
+  // Rebuilds scan_buckets_ from cached loads, grouping bit-identical loads
+  // into one bucket each, and the per-dimension key orders over them.
   void RebuildScanOrder();
   static void CountHeadroom(const std::vector<WorkerLoad>& loads,
                             int out[kNumMonotaskResources]);
@@ -359,11 +359,13 @@ class UrsaScheduler : public JobManagerListener {
   // FNV-1a over the load's raw bytes; keys the overlay bucket index.
   static uint64_t HashLoad(const WorkerLoad& load);
   // Moves `w` (fresh, or already in an overlay bucket) to the overlay
-  // bucket matching its load after applying one placement of `usage`.
+  // bucket matching its load after applying one placement of `usage`; a
+  // fresh `w` also leaves its base bucket's fresh members.
   void OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
                     const std::vector<WorkerLoad>& base,
                     int headroom[kNumMonotaskResources]) const;
-  // Clears the overlay (slots, buckets, index) after a placement pass.
+  // Clears the overlay (slots, buckets, index) and the base buckets' pass
+  // state after a placement pass.
   void OverlayReset() const;
   // Evaluates Algorithm 1's StageScore for the ready tasks of (job, stage)
   // against `base` (mutating only a private overlay); returns the plan.
@@ -467,18 +469,35 @@ class UrsaScheduler : public JobManagerListener {
     bool primed = false;
   };
   LoadCache load_cache_;
-  // BestWorker candidate order: workers with bit-identical cached loads are
-  // grouped into one bucket carrying the shared score upper bound (valid for
+  // BestWorker candidates: workers with bit-identical cached loads are
+  // grouped into one bucket carrying the shared score-bound keys (valid for
   // the whole tick — loads only worsen between refreshes) and a headroom
   // signature mask for O(1) skipping of saturated and failed workers. The
   // common homogeneous case collapses thousands of workers into a handful
   // of buckets, each scored once per call.
   struct ScanBucket {
-    double ub = 0.0;
+    double key[kNumResourceDims] = {};  // BoundKeys at build time.
     uint32_t mask = 0;  // Bits 0..2: d_r > 0 at build time; bit 3: d_mem > 0.
     std::vector<WorkerId> members;  // Ascending ids, identical loads.
   };
-  std::vector<ScanBucket> scan_order_;
+  std::vector<ScanBucket> scan_buckets_;
+  // Per dimension, the buckets by key desc, index asc: the sorted lists of
+  // the threshold walk. Keys are stored inline so the walk reads its
+  // frontiers sequentially.
+  struct KeyEntry {
+    double key = 0.0;
+    int32_t bucket = -1;
+  };
+  std::vector<KeyEntry> scan_by_key_[kNumResourceDims];
+  std::vector<int32_t> scan_bucket_of_;  // Worker -> scan_buckets_ index.
+  // Per base bucket state during a placement pass.
+  struct BucketPass {
+    uint64_t visited = 0;  // Stamp of the last BestWorker call to visit it.
+    uint32_t fresh = 0;    // Members not moved to the overlay; 0 = dead.
+    uint32_t cursor = 0;   // Index of the first member not known to be moved.
+  };
+  mutable std::vector<BucketPass> scan_pass_;
+  mutable uint64_t scan_stamp_ = 0;  // Bumped by every bucketed call.
   bool scan_stale_ = true;
   // First job index of the next candidate gather: rotated after a truncated
   // tick so deferred jobs are not starved, 0 (submission order) otherwise.

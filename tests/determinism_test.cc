@@ -114,8 +114,10 @@ TEST(Determinism, SyntheticMixedWorkloadIsSeedStable) {
 // with an unverified run: the self-checks must not change a decision or a
 // counter.
 
+// Hands the unverified run to `plain_out`, when set, for further checks.
 void ExpectVerifiedHotPathMatches(const Workload& workload, ExperimentConfig config,
-                                  const std::string& scheme) {
+                                  const std::string& scheme,
+                                  ExperimentResult* plain_out = nullptr) {
   config.trace = true;
   config.ursa.verify_hot_path = true;
   const ExperimentResult verified = RunExperiment(workload, config, scheme);
@@ -146,10 +148,91 @@ void ExpectVerifiedHotPathMatches(const Workload& workload, ExperimentConfig con
   for (size_t i = 0; i < verified.records.size(); ++i) {
     EXPECT_EQ(verified.records[i].finish_time, plain.records[i].finish_time);
   }
+  if (plain_out != nullptr) {
+    *plain_out = plain;
+  }
 }
 
 TEST(Determinism, VerifiedHotPathMatchesOnTpch) {
-  ExpectVerifiedHotPathMatches(SeededTpch(8, 11), UrsaEjfConfig(), "ursa-ejf");
+  const ExperimentConfig config = UrsaEjfConfig();
+  ExperimentResult result;
+  ExpectVerifiedHotPathMatches(SeededTpch(8, 11), config, "ursa-ejf", &result);
+  // The threshold walk visits a fraction of the buckets; a walk that falls
+  // back to visiting all of them (one per worker here) fails this count.
+  const UrsaScheduler::SchedulerCounters& sc = result.scheduler_counters;
+  EXPECT_LT(4 * sc.workers_scanned, config.cluster.num_workers * sc.bestworker_calls);
+}
+
+TEST(Determinism, VerifiedHotPathWithPerWorkerRates) {
+  // Workers learn their own processing rates, and degrade windows slow some
+  // of them further, so nearly every load is distinct and each scan bucket
+  // holds a single worker: the regime where the threshold walk, not the
+  // bucketing, keeps BestWorker below one pass over the cluster.
+  ExperimentConfig config = UrsaSrjfConfig();
+  config.cluster.num_workers = 48;
+  FaultPlanConfig pc;
+  pc.seed = 5;
+  pc.num_workers = config.cluster.num_workers;
+  pc.horizon_end = 60.0;
+  pc.degrades = 12;
+  pc.degrade_factor = 0.4;
+  pc.degrade_duration = 20.0;
+  config.fault_plan = MakeRandomFaultPlan(pc);
+  ExperimentResult result;
+  ExpectVerifiedHotPathMatches(SeededTpch(10, 19), config, "ursa-srjf", &result);
+  const UrsaScheduler::SchedulerCounters& sc = result.scheduler_counters;
+  EXPECT_LT(4 * sc.workers_scanned, config.cluster.num_workers * sc.bestworker_calls);
+}
+
+TEST(Determinism, VerifiedHotPathWithStagesWiderThanTheCluster) {
+  // 512-task stages on 6 workers: every candidate moves all workers into the
+  // overlay, so each base bucket dies mid-candidate and the walk must skip
+  // dead buckets and leave the rest of the call to the overlay pass.
+  const Workload workload = MakePlacementStressWorkload(6, /*seed=*/3);
+  ExperimentConfig config = UrsaEjfConfig();
+  config.cluster.num_workers = 6;
+  config.ursa.max_scored_pairs_per_tick = size_t{1} << 40;
+  ExpectVerifiedHotPathMatches(workload, config, "ursa-ejf");
+}
+
+TEST(Determinism, VerifiedHotPathWithByteFreeTasks) {
+  // Tasks reading empty partitions carry no bytes in any resource, so only
+  // the memory list is walked (the estimator gives every task memory; with
+  // none the same walk would visit every bucket).
+  Workload workload;
+  workload.name = "byte-free";
+  for (int i = 0; i < 4; ++i) {
+    WorkloadJob job;
+    job.spec.name = "empty-" + std::to_string(i);
+    job.spec.declared_memory_bytes = 1e9;
+    job.spec.seed = static_cast<uint64_t>(i) + 1;
+    OpGraph& graph = job.spec.graph;
+    const DataId input = graph.CreateExternalData(std::vector<double>(32, 0.0), "in");
+    graph.CreateOp(ResourceType::kCpu, "noop").Read(input).Create(graph.CreateData(32, "out"));
+    job.submit_time = 0.3 * i;
+    workload.jobs.push_back(std::move(job));
+  }
+  ExpectVerifiedHotPathMatches(workload, UrsaEjfConfig(), "ursa-ejf");
+}
+
+TEST(Determinism, VerifiedHotPathWithAvoidedTopWorker) {
+  // One attempt per monotask: every injected transient failure escalates,
+  // and the task is re-placed avoiding the worker it just left. That worker
+  // has just released the task, so on a 3-worker cluster with per-worker
+  // rates it is often the best-scoring single-member bucket, whose only
+  // fresh member is the avoided one.
+  ExperimentConfig config = UrsaEjfConfig();
+  config.cluster.num_workers = 3;
+  config.ursa.fault.max_monotask_attempts = 1;
+  FaultPlanConfig pc;
+  pc.seed = 11;
+  pc.num_workers = config.cluster.num_workers;
+  pc.horizon_end = 80.0;
+  pc.transients = 40;
+  config.fault_plan = MakeRandomFaultPlan(pc);
+  ExperimentResult result;
+  ExpectVerifiedHotPathMatches(SeededTpch(4, 29), config, "ursa-ejf", &result);
+  EXPECT_GT(result.faults.escalations, 10);
 }
 
 TEST(Determinism, VerifiedHotPathMatchesOnSyntheticSrjf) {
@@ -263,8 +346,9 @@ TEST(Determinism, VerifiedHotPathMatchesOnGraphene) {
 }
 
 TEST(Determinism, VerifiedHotPathMatchesOnTetrisScore) {
-  // The Tetris score has its own UpperBound; this pins the bucketed scan's
-  // cutoff to the linear scan's argmax under the alternative bound.
+  // The Tetris score clamps demand at 1 rather than at d_r, so the separable
+  // bound is loose in different places; this pins the threshold walk's
+  // cutoff to the linear scan's argmax under the other policy.
   ExperimentConfig config = UrsaSrjfConfig();
   config.ursa.score = PlacementScoreKind::kTetrisDot;
   ExpectVerifiedHotPathMatches(SeededTpch(8, 11), config, "tetris-score");

@@ -5,14 +5,15 @@
 //   - Troublesome-subset structure: nonempty, contains a full critical-path
 //     witness, and convex-closed (any stage between two members is a
 //     member) across generated DAG shapes and thresholds.
-//   - Score-policy contract: bucketable policies' UpperBound dominates every
-//     feasible Score for the same load; the Tetris score never accepts a
+//   - Score-policy contract: the separable score bound dominates every
+//     feasible Score of every bucketable policy; the Tetris score never accepts a
 //     worker without memory headroom; feasibility vetoes agree with
 //     Algorithm 1's (same masks drive the bucketed scan for both).
 //   - Co-location learner: contention EMAs stay finite and bounded in
 //     [0, 1], complementarity is symmetric and bonuses stay in [0, 1], even
 //     after a chaos + speculation run where residency churns through crashes
 //     and spec copies.
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -225,30 +226,85 @@ TaskUsage RandomUsage(Lcg* rng) {
   return usage;
 }
 
-TEST(ScorePolicyContract, UpperBoundDominatesEveryFeasibleScore) {
+TEST(ScorePolicyContract, SeparableBoundDominatesEveryFeasibleScore) {
+  // The bucketed scan cuts its walk with BoundScore, so a feasible score
+  // above it would let the scan miss the linear scan's argmax. Each trial
+  // draws a random load and task, bent toward one of the edge classes where
+  // a policy's score leaves the plain d_r * inc_r form; the counters prove
+  // the sweep reaches every class with an accepted score.
   const int headroom[kNumMonotaskResources] = {1, 1, 1};
   const int no_headroom[kNumMonotaskResources] = {0, 0, 0};
+  const int net = static_cast<int>(ResourceType::kNetwork);
   Lcg rng(77);
   const ScoreContext ctx;
   for (const ScorePolicyInfo& info : ScorePolicyRegistry()) {
     const auto policy = MakeScorePolicy(info.kind);
     ASSERT_TRUE(policy->bucketable()) << info.flag;
     int accepted = 0;
-    for (int trial = 0; trial < 4000; ++trial) {
-      const WorkerLoad load = RandomLoad(&rng);
-      const TaskUsage usage = RandomUsage(&rng);
+    int network_ignored = 0;    // consider_network off, network bytes > 0.
+    int idle_task = 0;          // A zero-byte dimension and zero memory.
+    int drained = 0;            // A needed d_r == 0 with no headroom anywhere.
+    int inc_above_d = 0;        // Algorithm 1's Inc clamp binds.
+    int inc_above_one = 0;      // Tetris's demand clamp binds.
+    for (int trial = 0; trial < 8000; ++trial) {
+      WorkerLoad load = RandomLoad(&rng);
+      TaskUsage usage = RandomUsage(&rng);
       const double ept = rng.Uniform(0.5, 10.0);
-      const bool net = rng.Next() % 2 == 0;
-      const int* masks = rng.Next() % 4 == 0 ? no_headroom : headroom;
-      double score = 0.0;
-      if (policy->Score(usage, load, /*worker=*/0, ept, masks, net, ctx, &score)) {
-        ++accepted;
-        EXPECT_TRUE(std::isfinite(score));
-        EXPECT_LE(score, policy->UpperBound(load) + 1e-12)
-            << info.flag << " returned a score above its own upper bound";
+      const bool consider_network = rng.Next() % 2 == 0;
+      const bool starved = rng.Next() % 4 == 0;
+      switch (rng.Next() % 5) {
+        case 0:
+          load.d[rng.Range(0, kNumMonotaskResources - 1)] = 0.0;
+          break;
+        case 1:
+          usage.memory = 0.0;
+          usage.bytes[rng.Range(0, kNumMonotaskResources - 1)] = 0.0;
+          break;
+        case 2:
+          usage = TaskUsage{};  // No bytes and no memory at all.
+          break;
+        case 3:
+          for (int r = 0; r < kNumMonotaskResources; ++r) {
+            load.rate[r] = rng.Uniform(1.0, 1e3);  // Demand far above 1.
+          }
+          break;
+        default:
+          break;
       }
+      double score = 0.0;
+      if (!policy->Score(usage, load, /*worker=*/0, ept, starved ? no_headroom : headroom,
+                         consider_network, ctx, &score)) {
+        continue;
+      }
+      ++accepted;
+      ASSERT_TRUE(std::isfinite(score));
+      double key[kNumResourceDims];
+      double coef[kNumResourceDims];
+      BoundKeys(load, key);
+      BoundCoefs(usage, ept, consider_network, coef);
+      EXPECT_LE(score, BoundScore(coef, key, TieTerm(usage, load)))
+          << info.flag << " scored above the separable bound (trial " << trial << ")";
+
+      network_ignored += !consider_network && usage.bytes[net] > 0.0 ? 1 : 0;
+      bool zero_dim = false;
+      for (int r = 0; r < kNumMonotaskResources; ++r) {
+        zero_dim = zero_dim || usage.bytes[r] <= 0.0;
+        if (usage.bytes[r] <= 0.0 || (!consider_network && r == net)) {
+          continue;
+        }
+        const double inc = usage.bytes[r] / std::max(load.rate[r], 1.0) / ept;
+        drained += starved && load.d[r] <= 0.0 ? 1 : 0;
+        inc_above_d += load.d[r] > 0.0 && inc > load.d[r] ? 1 : 0;
+        inc_above_one += inc > 1.0 ? 1 : 0;
+      }
+      idle_task += zero_dim && usage.memory <= 0.0 ? 1 : 0;
     }
     EXPECT_GT(accepted, 0) << info.flag << " vetoed every random input";
+    EXPECT_GT(network_ignored, 0) << info.flag;
+    EXPECT_GT(idle_task, 0) << info.flag;
+    EXPECT_GT(drained, 0) << info.flag;
+    EXPECT_GT(inc_above_d, 0) << info.flag;
+    EXPECT_GT(inc_above_one, 0) << info.flag;
   }
 }
 

@@ -138,6 +138,24 @@ TEST_F(SchedulerTest, TruncationCountsJobWithUngatheredStages) {
   EXPECT_EQ(scheduler.scheduler_counters().scoring_truncated, 1);
 }
 
+TEST_F(SchedulerTest, BudgetCrossedWithNothingDeferredIsNotATruncation) {
+  UrsaSchedulerConfig sc;
+  // The only ready stage (4 tasks x 4 workers = 16 pairs) crosses the budget
+  // but is still gathered, and nothing else is ready: nothing is deferred,
+  // so there is no truncation to count, log or trace.
+  sc.max_scored_pairs_per_tick = 8;
+  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  Tracer tracer;
+  scheduler.set_tracer(&tracer);
+  scheduler.SubmitJob(SimpleJob(0, 4, 1000.0, 1e9));
+  sim_.Run();
+  EXPECT_TRUE(scheduler.AllJobsFinished());
+  for (const TraceEvent& event : tracer.Snapshot()) {
+    EXPECT_NE(event.kind, TraceEventKind::kScoringTruncated);
+  }
+  EXPECT_EQ(scheduler.scheduler_counters().scoring_truncated, 0);
+}
+
 TEST(SrjfRank, SmallerRemainingRanksFirst) {
   std::array<double, kNumMonotaskResources> big = {100.0, 50.0, 0.0};
   std::array<double, kNumMonotaskResources> small = {10.0, 5.0, 0.0};
