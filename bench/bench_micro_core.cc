@@ -1,8 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the core infrastructure: event
-// queue throughput, max-min flow rate recomputation, plan compilation,
+// queue throughput, max-min flow churn (start + completion), plan compilation,
 // monotask queue operations, and scheduler placement throughput. These bound
 // the scheduling latency Ursa can sustain (Obj-4: low-latency scheduling).
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <functional>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
@@ -31,21 +34,41 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(16384);
 
-void BM_FlowRateRecompute(benchmark::State& state) {
-  const int flows = static_cast<int>(state.range(0));
+void BM_FlowChurn(benchmark::State& state) {
+  // TPC-H-like shuffle churn in the receiver-side model: ~400 live flows
+  // spread over ~235 receivers (~1.7 flows each), each completion starting a
+  // replacement. One item is one flow start plus one completion.
+  const int nodes = static_cast<int>(state.range(0));
+  constexpr int kLiveFlows = 400;
+  constexpr int kReceivers = 235;
   Simulator sim;
-  FlowSimulator net(&sim, 20, GbpsToBytesPerSec(10), GbpsToBytesPerSec(10));
+  FlowSimulator net(&sim, nodes, GbpsToBytesPerSec(10), GbpsToBytesPerSec(10));
+  net.set_enforce_uplinks(false);
   Rng rng(7);
-  for (int i = 0; i < flows; ++i) {
-    net.StartFlow(static_cast<int>(rng.UniformInt(20u)),
-                  static_cast<int>(rng.UniformInt(20u)), 1e12, nullptr);
+  int64_t completed = 0;
+  std::function<void()> start = [&] {
+    const int dst = static_cast<int>(rng.UniformInt(uint64_t{kReceivers}));
+    int src = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(nodes)));
+    if (src == dst) {
+      src = (src + 1) % nodes;
+    }
+    net.StartFlow(src, dst, rng.Uniform(1e7, 1e9), [&] {
+      ++completed;
+      start();
+    });
+  };
+  for (int i = 0; i < kLiveFlows; ++i) {
+    start();
   }
   for (auto _ : state) {
-    net.RecomputeForTest();
+    const int64_t before = completed;
+    while (completed == before) {
+      benchmark::DoNotOptimize(sim.Step());
+    }
   }
-  state.SetItemsProcessed(state.iterations() * flows);
+  state.SetItemsProcessed(completed);
 }
-BENCHMARK(BM_FlowRateRecompute)->Arg(64)->Arg(512);
+BENCHMARK(BM_FlowChurn)->Arg(400)->Arg(1000);
 
 void BM_PlanCompile(benchmark::State& state) {
   const JobSpec spec = MakeTpchQuery(8, 500.0 * kGiB, 3);

@@ -122,6 +122,7 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
   const WallTimer run_timer;
   result.events_fired = sim.Run(config.time_limit);
   result.wall_seconds = run_timer.ElapsedMicros() / 1e6;
+  result.flow_refills = cluster.net().refill_stats();
   const int finished = ursa_sched != nullptr ? ursa_sched->finished_jobs()
                                              : exec_sched->finished_jobs();
   const int shed = ursa_sched != nullptr ? ursa_sched->shed_jobs() : 0;

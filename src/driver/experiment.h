@@ -20,6 +20,7 @@
 #include "src/exec/cluster.h"
 #include "src/fault/fault_injector.h"
 #include "src/metrics/metrics.h"
+#include "src/net/flow_simulator.h"
 #include "src/scheduler/ursa_scheduler.h"
 #include "src/sim/event_queue.h"
 #include "src/workloads/openloop.h"
@@ -91,6 +92,8 @@ struct ExperimentResult {
   double wall_seconds = 0.0;
   // Hot-path counters from the Ursa scheduler (zero for the executor model).
   UrsaScheduler::SchedulerCounters scheduler_counters;
+  // Work done by the flow model's component-local refills.
+  FlowSimulator::RefillStats flow_refills;
   // Non-null when tracing was enabled (config.trace / config.trace_out).
   std::shared_ptr<Tracer> trace;
   double makespan() const { return efficiency.makespan; }

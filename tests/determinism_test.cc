@@ -240,10 +240,8 @@ TEST(Determinism, VerifiedHotPathMatchesOnSyntheticSrjf) {
                            "ursa-srjf");
 }
 
-TEST(Determinism, VerifiedHotPathMatchesUnderChaos) {
-  // Fault recovery rebuilds worker state behind the scheduler's back and
-  // speculation places through the same overlay as primary placement — the
-  // two paths most likely to miss a dirty mark or stale bucket.
+// SRJF with speculation, a worker crash and rejoin, and transient failures.
+ExperimentConfig SrjfChaosConfig() {
   ExperimentConfig config = UrsaSrjfConfig();
   config.ursa.spec.enabled = true;
   config.ursa.spec.budget_fraction = 0.2;
@@ -255,7 +253,14 @@ TEST(Determinism, VerifiedHotPathMatchesUnderChaos) {
   pc.crash_recovers = 1;
   pc.transients = 3;
   config.fault_plan = MakeRandomFaultPlan(pc);
-  ExpectVerifiedHotPathMatches(SeededTpch(6, 31), config, "ursa-srjf");
+  return config;
+}
+
+TEST(Determinism, VerifiedHotPathMatchesUnderChaos) {
+  // Fault recovery rebuilds worker state behind the scheduler's back and
+  // speculation places through the same overlay as primary placement — the
+  // two paths most likely to miss a dirty mark or stale bucket.
+  ExpectVerifiedHotPathMatches(SeededTpch(6, 31), SrjfChaosConfig(), "ursa-srjf");
 }
 
 TEST(Determinism, VerifiedHotPathMatchesOnOpenLoop) {
@@ -294,6 +299,37 @@ TEST(Determinism, VerifiedHotPathOnPlacementStress) {
   // not the 300 workers a linear scan visits.
   const UrsaScheduler::SchedulerCounters& sc = result.scheduler_counters;
   EXPECT_LT(sc.workers_scanned, 30 * sc.bestworker_calls);
+}
+
+// --- Flow-model refill (DESIGN.md section 12). ---
+// A flow start or finish refills only the component of links it touches.
+// Debug builds re-run the fill over every live flow after each refill: a rate
+// that differs by more than a cross-component near-tie CHECK-fails the run,
+// and a near-tie is counted.
+
+TEST(Determinism, FlowRefillHasNoNearTiesOnTpchAndChaos) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the flow refill self-check runs in Debug builds only";
+#else
+  const ExperimentResult tpch = RunExperiment(SeededTpch(8, 11), UrsaEjfConfig(), "ursa-ejf");
+  EXPECT_GT(tpch.flow_refills.refills, 0);
+  EXPECT_EQ(tpch.flow_refills.near_ties, 0);
+  const ExperimentResult chaos = RunExperiment(SeededTpch(6, 31), SrjfChaosConfig(), "ursa-srjf");
+  EXPECT_GT(chaos.flow_refills.refills, 0);
+  EXPECT_EQ(chaos.flow_refills.near_ties, 0);
+#endif
+}
+
+TEST(Determinism, FlowRefillVisitsOnlyTheTouchedComponent) {
+  // Both sums run over the same refills, so this is mean flows visited per
+  // refill < 0.25 x mean live flows per refill. A refill over every flow
+  // fails it.
+  const ExperimentResult result = RunExperiment(SeededTpch(8, 11), UrsaEjfConfig(), "ursa-ejf");
+  const FlowSimulator::RefillStats& stats = result.flow_refills;
+  ASSERT_GT(stats.refills, 0);
+  EXPECT_LT(4 * stats.flows_visited, stats.live_flows)
+      << stats.refills << " refills visited " << stats.flows_visited << " flows of "
+      << stats.live_flows << " live";
 }
 
 TEST(Determinism, TruncatedGatherRotatesAndFinishes) {
