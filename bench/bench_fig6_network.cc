@@ -41,7 +41,6 @@ int main() {
   std::vector<ExperimentResult> series_results;
   for (double gbps : {1.0, 4.0, 10.0}) {
     ExperimentConfig config = UrsaEjfConfig();
-    config.cluster.uplink_bytes_per_sec = GbpsToBytesPerSec(gbps);
     config.cluster.downlink_bytes_per_sec = GbpsToBytesPerSec(gbps);
     config.sample_step = 2.0;
     const ExperimentResult result = RunExperiment(

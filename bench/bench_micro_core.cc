@@ -43,7 +43,6 @@ void BM_FlowChurn(benchmark::State& state) {
   constexpr int kReceivers = 235;
   Simulator sim;
   FlowSimulator net(&sim, nodes, GbpsToBytesPerSec(10), GbpsToBytesPerSec(10));
-  net.set_enforce_uplinks(false);
   Rng rng(7);
   int64_t completed = 0;
   std::function<void()> start = [&] {

@@ -92,7 +92,7 @@ struct ExperimentResult {
   double wall_seconds = 0.0;
   // Hot-path counters from the Ursa scheduler (zero for the executor model).
   UrsaScheduler::SchedulerCounters scheduler_counters;
-  // Work done by the flow model's component-local refills.
+  // Work done by the flow model's per-receiver refills.
   FlowSimulator::RefillStats flow_refills;
   // Non-null when tracing was enabled (config.trace / config.trace_out).
   std::shared_ptr<Tracer> trace;

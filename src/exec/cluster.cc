@@ -10,7 +10,8 @@ Cluster::Cluster(Simulator* sim, const ClusterConfig& config)
       net_(sim, config.num_workers, config.uplink_bytes_per_sec,
            config.downlink_bytes_per_sec) {
   CHECK_GT(config.num_workers, 0);
-  net_.set_enforce_uplinks(config.enforce_uplinks);
+  CHECK(!config.enforce_uplinks) << "uplinks are not modelled: shuffles are limited only by "
+                                    "the receiver's downlink (section 4.2.3)";
   WorkerConfig wc = config.worker;
   wc.default_net_rate = config.downlink_bytes_per_sec;
   workers_.reserve(static_cast<size_t>(config.num_workers));

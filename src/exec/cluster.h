@@ -17,11 +17,13 @@ namespace ursa {
 struct ClusterConfig {
   int num_workers = 20;
   WorkerConfig worker;
-  double uplink_bytes_per_sec = 10e9 / 8.0;   // 10 Gbps.
+  // Only receiver downlinks constrain transfers, the contention model of
+  // section 4.2.3.
   double downlink_bytes_per_sec = 10e9 / 8.0; // 10 Gbps.
-  // When false (default), only receiver downlinks constrain transfers - the
-  // contention model of section 4.2.3. Set true to also enforce sender
-  // uplinks (full max-min fairness).
+  // Unused; perfbench's net replay reads it. Goes with the next benchmark change.
+  double uplink_bytes_per_sec = 10e9 / 8.0;
+  // Must stay false (Cluster CHECKs it); perfbench's net replay reads it.
+  // Goes with the next benchmark change.
   bool enforce_uplinks = false;
 };
 

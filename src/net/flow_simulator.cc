@@ -14,69 +14,49 @@ namespace {
 // avoid event storms from floating-point residue.
 constexpr double kTimeEpsilon = 1e-9;
 
-// Removes `id` from a FlowId-ordered list that holds it.
-void EraseId(std::vector<FlowId>& ids, FlowId id) {
-  auto it = std::lower_bound(ids.begin(), ids.end(), id);
-  CHECK(it != ids.end() && *it == id);
-  ids.erase(it);
+// The fair share of `count` flows on a downlink of `down` bytes/s.
+double Share(double down, int count) { return count > 0 ? down / count : 0.0; }
+
+// A receiver's rate: its `count` flows' shares summed one at a time, the
+// order in which a per-flow sum adds them.
+double RxSum(double share, int count) {
+  double rx = 0.0;
+  for (int i = 0; i < count; ++i) {
+    rx += share;
+  }
+  return rx;
 }
 }  // namespace
 
-FlowSimulator::FlowSimulator(Simulator* sim, int num_nodes, double uplink_bytes_per_sec,
+FlowSimulator::FlowSimulator(Simulator* sim, int num_nodes, double /*uplink_bytes_per_sec*/,
                              double downlink_bytes_per_sec)
     : sim_(sim) {
   CHECK_GT(num_nodes, 0);
-  CHECK_GT(uplink_bytes_per_sec, 0.0);
   CHECK_GT(downlink_bytes_per_sec, 0.0);
-  const size_t n = static_cast<size_t>(num_nodes);
-  nodes_.resize(n);
-  for (auto& node : nodes_) {
-    node.up = uplink_bytes_per_sec;
+  nodes_.resize(static_cast<size_t>(num_nodes));
+  for (Node& node : nodes_) {
     node.down = downlink_bytes_per_sec;
   }
-  in_comp_down_.resize(n, 0);
-  in_comp_up_.resize(n, 0);
-  up_cap_.resize(n);
-  down_cap_.resize(n);
-  up_count_.resize(n, 0);
-  down_count_.resize(n, 0);
-  rx_.resize(n, 0.0);
 }
 
-void FlowSimulator::SetNodeBandwidth(int node, double uplink_bytes_per_sec,
-                                     double downlink_bytes_per_sec) {
+void FlowSimulator::SetDownlink(int node, double bytes_per_sec) {
   CHECK_GE(node, 0);
   CHECK_LT(node, num_nodes());
-  nodes_[static_cast<size_t>(node)].up = uplink_bytes_per_sec;
-  nodes_[static_cast<size_t>(node)].down = downlink_bytes_per_sec;
-  MarkDown(node);
-  if (enforce_uplinks_) {
-    MarkUp(node);
-  }
+  CHECK_GE(bytes_per_sec, 0.0);
+  nodes_[static_cast<size_t>(node)].down = bytes_per_sec;
+  MarkDirty(node);
   Reschedule();
 }
 
 void FlowSimulator::set_local_copy_rate(double bytes_per_sec) {
   AdvanceProgress();
   local_copy_rate_ = bytes_per_sec;
-  for (Flow& flow : flows_) {
-    if (flow.src == flow.dst) {
-      flow.rate = local_copy_rate_;
-    }
-  }
   Reschedule();
 }
 
 void FlowSimulator::set_enforce_uplinks(bool enforce) {
-  enforce_uplinks_ = enforce;
-  // Every remote flow crosses one downlink, so this dirties every link that
-  // carries a flow.
-  for (int node = 0; node < num_nodes(); ++node) {
-    if (!nodes_[static_cast<size_t>(node)].in.empty()) {
-      MarkDown(node);
-    }
-  }
-  Reschedule();
+  CHECK(!enforce) << "uplinks are not modelled: shuffles are limited only by the "
+                     "receiver's downlink (section 4.2.3)";
 }
 
 FlowId FlowSimulator::StartFlow(int src, int dst, double bytes,
@@ -94,13 +74,7 @@ FlowId FlowSimulator::StartFlow(int src, int dst, double bytes,
   flow.src = src;
   flow.dst = dst;
   flow.remaining = std::max(bytes, 1.0);  // Zero-byte flows take one "byte".
-  if (src == dst) {
-    flow.rate = local_copy_rate_;
-  } else {
-    nodes_[static_cast<size_t>(dst)].in.push_back(id);
-    nodes_[static_cast<size_t>(src)].out.push_back(id);
-    MarkDirty(flow);
-  }
+  CountInFlow(flow, +1);
   flows_.push_back(flow);
   callbacks_.push_back(std::move(on_complete));
   Reschedule();
@@ -120,9 +94,7 @@ void FlowSimulator::CancelFlow(FlowId id) {
     return;
   }
   AdvanceProgress();
-  if (flows_[i].src != flows_[i].dst) {
-    Unlink(flows_[i]);
-  }
+  CountInFlow(flows_[i], -1);
   flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(i));
   callbacks_.erase(callbacks_.begin() + static_cast<std::ptrdiff_t>(i));
   Reschedule();
@@ -131,7 +103,7 @@ void FlowSimulator::CancelFlow(FlowId id) {
 double FlowSimulator::FlowRateForTest(FlowId id) const {
   const size_t i = FindFlow(id);
   CHECK_LT(i, flows_.size());
-  return flows_[i].rate;
+  return Rate(flows_[i]);
 }
 
 void FlowSimulator::AdvanceProgress() {
@@ -139,7 +111,7 @@ void FlowSimulator::AdvanceProgress() {
   const double dt = now - last_progress_time_;
   if (dt > 0.0) {
     for (Flow& flow : flows_) {
-      const double moved = std::min(flow.remaining, flow.rate * dt);
+      const double moved = std::min(flow.remaining, Rate(flow) * dt);
       flow.remaining -= moved;
       total_delivered_ += moved;
     }
@@ -147,194 +119,60 @@ void FlowSimulator::AdvanceProgress() {
   last_progress_time_ = now;
 }
 
-void FlowSimulator::MarkDirty(const Flow& flow) {
-  MarkDown(flow.dst);
-  if (enforce_uplinks_) {
-    MarkUp(flow.src);
+void FlowSimulator::CountInFlow(const Flow& flow, int delta) {
+  if (flow.src != flow.dst) {
+    nodes_[static_cast<size_t>(flow.dst)].in_flows += delta;
+    MarkDirty(flow.dst);
   }
 }
 
-void FlowSimulator::MarkDown(int node) {
-  if (in_comp_down_[static_cast<size_t>(node)] == 0) {
-    in_comp_down_[static_cast<size_t>(node)] = 1;
-    comp_down_.push_back(node);
+void FlowSimulator::MarkDirty(int node) {
+  Node& n = nodes_[static_cast<size_t>(node)];
+  if (!n.dirty) {
+    n.dirty = true;
+    dirty_.push_back(node);
   }
-}
-
-void FlowSimulator::MarkUp(int node) {
-  if (in_comp_up_[static_cast<size_t>(node)] == 0) {
-    in_comp_up_[static_cast<size_t>(node)] = 1;
-    comp_up_.push_back(node);
-  }
-}
-
-void FlowSimulator::Unlink(const Flow& flow) {
-  EraseId(nodes_[static_cast<size_t>(flow.dst)].in, flow.id);
-  EraseId(nodes_[static_cast<size_t>(flow.src)].out, flow.id);
-  MarkDirty(flow);
 }
 
 void FlowSimulator::ComputeRates() {
-  if (comp_down_.empty() && comp_up_.empty()) {
+  if (dirty_.empty()) {
     return;
   }
-  // Close the dirty links over shared flows: a downlink brings in its flows,
-  // a flow its uplink (when enforced), an uplink its flows' downlinks. Every
-  // remote flow crosses exactly one downlink, so each enters once. Without
-  // uplinks the component of a downlink is just its own flows.
-  comp_flows_.clear();
-  size_t next_down = 0;
-  size_t next_up = 0;
-  while (next_down < comp_down_.size() || next_up < comp_up_.size()) {
-    if (next_down < comp_down_.size()) {
-      const int d = comp_down_[next_down++];
-      for (FlowId id : nodes_[static_cast<size_t>(d)].in) {
-        Flow* flow = &flows_[FindFlow(id)];
-        comp_flows_.push_back(flow);
-        if (enforce_uplinks_) {
-          MarkUp(flow->src);
-        }
-      }
-    } else {
-      const int s = comp_up_[next_up++];
-      for (FlowId id : nodes_[static_cast<size_t>(s)].out) {
-        MarkDown(flows_[FindFlow(id)].dst);
-      }
-    }
-  }
-  // A downlink's in-list is in FlowId order; a union of several is sorted so
-  // the fill freezes flows in the order a fill over every flow would.
-  if (comp_down_.size() > 1) {
-    std::sort(comp_flows_.begin(), comp_flows_.end(),
-              [](const Flow* a, const Flow* b) { return a->id < b->id; });
-  }
   ++stats_.refills;
-  stats_.flows_visited += static_cast<int64_t>(comp_flows_.size());
   stats_.live_flows += static_cast<int64_t>(flows_.size());
-
-  Fill(comp_flows_, &comp_rates_);
-  for (size_t i = 0; i < comp_flows_.size(); ++i) {
-    comp_flows_[i]->rate = comp_rates_[i];
-  }
-
-  // Rx trackers of the component's receivers: each sum runs over the node's
-  // flows in FlowId order. Receivers outside the component keep their rates,
-  // and a Set at the tracker's current value would record nothing.
+  // Shares change only here, so every flow keeps its old rate until the
+  // refill. A Set at the tracker's current value would record nothing.
   const double now = sim_->Now();
-  for (const Flow* flow : comp_flows_) {
-    rx_[static_cast<size_t>(flow->dst)] += flow->rate;
-  }
-  for (int d : comp_down_) {
-    const size_t i = static_cast<size_t>(d);
-    StepTracker& tracker = nodes_[i].rx_tracker;
-    if (rx_[i] != tracker.current()) {
-      tracker.Set(now, rx_[i]);
+  for (int d : dirty_) {
+    Node& node = nodes_[static_cast<size_t>(d)];
+    stats_.flows_visited += node.in_flows;
+    node.share = Share(node.down, node.in_flows);
+    const double rx = RxSum(node.share, node.in_flows);
+    if (rx != node.rx_tracker.current()) {
+      node.rx_tracker.Set(now, rx);
     }
-    rx_[i] = 0.0;
-    in_comp_down_[i] = 0;
+    node.dirty = false;
   }
-  for (int s : comp_up_) {
-    in_comp_up_[static_cast<size_t>(s)] = 0;
-  }
-  comp_down_.clear();
-  comp_up_.clear();
+  dirty_.clear();
 #ifndef NDEBUG
-  VerifyRates();
+  VerifyShares();
 #endif
 }
 
-void FlowSimulator::Fill(const std::vector<Flow*>& flows, std::vector<double>* rates) {
-  // Progressive filling: repeatedly find the most-contended link, freeze its
-  // flows at the fair share, remove the capacity, iterate. Each round scans
-  // only the links that still carry an unfrozen flow and only the unfrozen
-  // flows, in FlowId order, so flows freeze and capacities drop in the same
-  // order as a scan over every node and flow would give.
-  rates->assign(flows.size(), 0.0);
-  unfrozen_.clear();
-  up_links_.clear();
-  down_links_.clear();
-  for (size_t i = 0; i < flows.size(); ++i) {
-    const Flow& flow = *flows[i];
-    unfrozen_.push_back(static_cast<uint32_t>(i));
-    const size_t s = static_cast<size_t>(flow.src);
-    const size_t d = static_cast<size_t>(flow.dst);
-    if (enforce_uplinks_ && up_count_[s]++ == 0) {
-      up_cap_[s] = nodes_[s].up;
-      up_links_.push_back(flow.src);
-    }
-    if (down_count_[d]++ == 0) {
-      down_cap_[d] = nodes_[d].down;
-      down_links_.push_back(flow.dst);
+void FlowSimulator::VerifyShares() const {
+  // A count, share or rx rate that is off means a change that did not mark
+  // its receiver dirty.
+  std::vector<int> count(nodes_.size(), 0);
+  for (const Flow& flow : flows_) {
+    if (flow.src != flow.dst) {
+      ++count[static_cast<size_t>(flow.dst)];
     }
   }
-
-  while (!unfrozen_.empty()) {
-    // Find the bottleneck link: the link with minimal capacity per unfrozen
-    // flow crossing it. A minimum does not depend on scan order.
-    double min_share = std::numeric_limits<double>::infinity();
-    for (int s : up_links_) {
-      min_share = std::min(min_share, up_cap_[static_cast<size_t>(s)] /
-                                          up_count_[static_cast<size_t>(s)]);
-    }
-    for (int d : down_links_) {
-      min_share = std::min(min_share, down_cap_[static_cast<size_t>(d)] /
-                                          down_count_[static_cast<size_t>(d)]);
-    }
-    CHECK(std::isfinite(min_share));
-    // Freeze every unfrozen flow crossing a bottleneck link at min_share.
-    size_t kept = 0;
-    for (uint32_t i : unfrozen_) {
-      const Flow& flow = *flows[i];
-      const size_t s = static_cast<size_t>(flow.src);
-      const size_t d = static_cast<size_t>(flow.dst);
-      const double up_share = enforce_uplinks_
-                                  ? up_cap_[s] / up_count_[s]
-                                  : std::numeric_limits<double>::infinity();
-      const double down_share = down_cap_[d] / down_count_[d];
-      if (std::min(up_share, down_share) <= min_share * (1.0 + 1e-12)) {
-        (*rates)[i] = min_share;
-        if (enforce_uplinks_) {
-          up_cap_[s] -= min_share;
-          --up_count_[s];
-        }
-        down_cap_[d] -= min_share;
-        --down_count_[d];
-      } else {
-        unfrozen_[kept++] = i;
-      }
-    }
-    CHECK(kept < unfrozen_.size()) << "progressive filling failed to converge";
-    unfrozen_.resize(kept);
-    std::erase_if(up_links_, [this](int s) { return up_count_[static_cast<size_t>(s)] == 0; });
-    std::erase_if(down_links_,
-                  [this](int d) { return down_count_[static_cast<size_t>(d)] == 0; });
-  }
-}
-
-void FlowSimulator::VerifyRates() {
-  // The same fill over every live flow. Components fill independently, so
-  // the only permitted difference is a cross-component near-tie: two
-  // bottleneck shares within the 1e-12 freeze tolerance but not equal, which
-  // the fill over every flow freezes at the smaller one.
-  comp_flows_.clear();
-  for (Flow& flow : flows_) {
-    if (flow.src == flow.dst) {
-      CHECK_EQ(flow.rate, local_copy_rate_);
-    } else {
-      comp_flows_.push_back(&flow);
-    }
-  }
-  Fill(comp_flows_, &comp_rates_);
-  for (size_t i = 0; i < comp_flows_.size(); ++i) {
-    const double kept = comp_flows_[i]->rate;
-    const double full = comp_rates_[i];
-    if (kept == full) {
-      continue;
-    }
-    CHECK_LE(std::abs(kept - full), 1e-12 * std::max(std::abs(kept), std::abs(full)))
-        << "flow " << comp_flows_[i]->id << " refilled at " << kept << " B/s, full fill gives "
-        << full << " B/s";
-    ++stats_.near_ties;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    CHECK_EQ(node.in_flows, count[i]) << "node " << i;
+    CHECK_EQ(node.share, Share(node.down, count[i])) << "node " << i;
+    CHECK_EQ(node.rx_tracker.current(), RxSum(node.share, count[i])) << "node " << i;
   }
 }
 
@@ -350,8 +188,9 @@ void FlowSimulator::Reschedule() {
   }
   double next_dt = std::numeric_limits<double>::infinity();
   for (const Flow& flow : flows_) {
-    if (flow.rate > 0.0) {
-      next_dt = std::min(next_dt, flow.remaining / flow.rate);
+    const double rate = Rate(flow);
+    if (rate > 0.0) {
+      next_dt = std::min(next_dt, flow.remaining / rate);
     }
   }
   CHECK(std::isfinite(next_dt)) << "active flows but no positive rate";
@@ -362,26 +201,26 @@ void FlowSimulator::OnNextCompletion() {
   completion_event_ = kInvalidEventId;
   // One pass advances every flow and collects the (numerically) finished
   // ones. Their residues join total_delivered_ after every advance, the
-  // order in which a separate advance pass would have summed them.
+  // order in which a separate advance pass would have summed them. Shares
+  // stay as they are until the refill, so every flow moves at its old rate.
   const double now = sim_->Now();
   const double dt = now - last_progress_time_;
   last_progress_time_ = now;
   size_t kept = 0;
   for (size_t i = 0; i < flows_.size(); ++i) {
     Flow& flow = flows_[i];
+    const double rate = Rate(flow);
     if (dt > 0.0) {
-      const double moved = std::min(flow.remaining, flow.rate * dt);
+      const double moved = std::min(flow.remaining, rate * dt);
       flow.remaining -= moved;
       total_delivered_ += moved;
     }
-    const double eta = flow.rate > 0.0 ? flow.remaining / flow.rate
-                                       : std::numeric_limits<double>::infinity();
+    const double eta = rate > 0.0 ? flow.remaining / rate
+                                  : std::numeric_limits<double>::infinity();
     if (flow.remaining <= 1e-6 || eta <= kTimeEpsilon) {
       residues_.push_back(flow.remaining);
       done_.push_back(std::move(callbacks_[i]));
-      if (flow.src != flow.dst) {
-        Unlink(flow);
-      }
+      CountInFlow(flow, -1);
     } else {
       if (kept != i) {
         flows_[kept] = flow;

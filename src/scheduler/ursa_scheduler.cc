@@ -38,6 +38,7 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
     packing_ = std::make_unique<PackingState>(cluster, config_.placement);
   }
   handled_epoch_.resize(static_cast<size_t>(cluster_->size()), 0);
+  overlay_slot_.assign(static_cast<size_t>(cluster_->size()), -1);
   // Message layer (DESIGN.md section 14): always constructed; pure
   // pass-through unless enabled, so the default costs no events or RNG.
   ctrl_ = std::make_unique<ControlPlane>(sim_, cluster_, config_.ctrl, &fault_stats_);
@@ -582,10 +583,6 @@ void UrsaScheduler::OnTaskCompleted(JobId job, TaskId task) {
   }
 }
 
-void UrsaScheduler::OnMonotaskCompleted([[maybe_unused]] JobId job,
-                                        [[maybe_unused]] ResourceType type,
-                                        [[maybe_unused]] double input_bytes) {}
-
 void UrsaScheduler::OnJobFinished(JobId job_id) {
   JobEntry& entry = *jobs_[static_cast<size_t>(job_id)];
   CHECK(entry.admitted && !entry.finished);
@@ -844,6 +841,8 @@ void UrsaScheduler::MarkLoadDirty(WorkerId w) {
 }
 
 const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
+  // A placement pass reads the cached loads by reference.
+  CHECK(overlay_touched_.empty()) << "loads refreshed during a placement pass";
   const double ept = config_.scheduling_interval * config_.ept_slack;
   bool changed = false;
   if (!load_cache_.primed) {
@@ -1091,7 +1090,7 @@ UrsaScheduler::Pick UrsaScheduler::LinearScan(const TaskUsage& usage, const Load
   for (size_t w = 0; w < n; ++w) {
     ++*scanned;
     double score = 0.0;
-    if (!policy.Score(usage, view.at(w), static_cast<WorkerId>(w), ept, view.headroom,
+    if (!policy.Score(usage, LoadAt(view, w), static_cast<WorkerId>(w), ept, view.headroom,
                       config_.consider_network, ctx, &score)) {
       continue;
     }
@@ -1112,9 +1111,6 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
                                                 const LoadView& view, double ept,
                                                 const ScoreContext& ctx, WorkerId avoid,
                                                 int64_t* scanned) const {
-  // The base buckets' pass state tracks the placement overlay, which every
-  // view of a placement pass carries.
-  DCHECK(view.slot == &overlay_slot_);
   const PlacementScorePolicy& policy = *score_policy_;
   Pick best;  // Score -1 until a worker qualifies: below every bound.
   Pick fallback;  // As in LinearScan.
@@ -1194,7 +1190,7 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
     // at least one).
     const std::vector<WorkerId>& members = bucket.members;
     uint32_t& cursor = scan_pass_[b].cursor;
-    while ((*view.slot)[static_cast<size_t>(members[cursor])] >= 0) {
+    while (overlay_slot_[static_cast<size_t>(members[cursor])] >= 0) {
       ++cursor;
     }
     WorkerId fresh = members[cursor];
@@ -1203,7 +1199,7 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
       avoid_fresh = true;
       fresh = kInvalidId;
       for (size_t i = cursor + 1; i < members.size(); ++i) {
-        if ((*view.slot)[static_cast<size_t>(members[i])] < 0) {
+        if (overlay_slot_[static_cast<size_t>(members[i])] < 0) {
           fresh = members[i];
           break;
         }
@@ -1232,36 +1228,34 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
   // avoided worker only needs explicit tracking when it is the bucket
   // minimum: any other member qualifies with the identical score, so the
   // avoid fallback would never fire.
-  if (view.mods != nullptr) {
-    for (const OverlayBucket& bucket : *view.mods) {
-      if (bucket.members.empty()) {
-        continue;  // Tombstone: every member moved to another load.
-      }
-      if (best.score > BoundScore(coef, bucket.key, TieTerm(usage, bucket.load))) {
-        continue;
-      }
-      ++*scanned;
-      if ((bucket.mask & required) != required) {
-        continue;
-      }
-      WorkerId cand = bucket.members.front();
-      bool avoid_here = false;
-      if (cand == avoid) {
-        avoid_here = true;
-        cand = bucket.members.size() > 1 ? bucket.members[1] : kInvalidId;
-      }
-      double score = 0.0;
-      if (!policy.Score(usage, bucket.load, cand != kInvalidId ? cand : avoid, ept,
-                        view.headroom, config_.consider_network, ctx, &score)) {
-        continue;
-      }
-      if (avoid_here) {
-        fallback = Pick{avoid, score};
-      }
-      if (cand != kInvalidId &&
-          (score > best.score || (score == best.score && cand < best.worker))) {
-        best = Pick{cand, score};
-      }
+  for (const OverlayBucket& bucket : overlay_buckets_) {
+    if (bucket.members.empty()) {
+      continue;  // Tombstone: every member moved to another load.
+    }
+    if (best.score > BoundScore(coef, bucket.key, TieTerm(usage, bucket.load))) {
+      continue;
+    }
+    ++*scanned;
+    if ((bucket.mask & required) != required) {
+      continue;
+    }
+    WorkerId cand = bucket.members.front();
+    bool avoid_here = false;
+    if (cand == avoid) {
+      avoid_here = true;
+      cand = bucket.members.size() > 1 ? bucket.members[1] : kInvalidId;
+    }
+    double score = 0.0;
+    if (!policy.Score(usage, bucket.load, cand != kInvalidId ? cand : avoid, ept,
+                      view.headroom, config_.consider_network, ctx, &score)) {
+      continue;
+    }
+    if (avoid_here) {
+      fallback = Pick{avoid, score};
+    }
+    if (cand != kInvalidId &&
+        (score > best.score || (score == best.score && cand < best.worker))) {
+      best = Pick{cand, score};
     }
   }
   return best.worker != kInvalidId ? best : fallback;
@@ -1293,17 +1287,12 @@ UrsaScheduler::StagePlan UrsaScheduler::ScoreStage(
   plan.complete = true;
   // Overlay view: candidate scoring mutates only the workers it touches
   // instead of copying all W loads per candidate.
-  if (overlay_slot_.size() < base.size()) {
-    overlay_slot_.assign(base.size(), -1);
-  }
   int headroom[kNumMonotaskResources];
   for (int r = 0; r < kNumMonotaskResources; ++r) {
     headroom[r] = base_headroom[r];
   }
   LoadView view;
   view.base = &base;
-  view.slot = &overlay_slot_;
-  view.mods = &overlay_buckets_;
   view.headroom = headroom;
   const int stage_key = StageKey(entry, stage);
   double score_sum = 0.0;
@@ -1446,18 +1435,13 @@ void UrsaScheduler::RunSpeculation() {
                      return a.estimated_time_to_finish > b.estimated_time_to_finish;
                    });
   const double ept = config_.scheduling_interval * config_.ept_slack;
-  const std::vector<WorkerLoad> loads = CurrentLoads();
+  const std::vector<WorkerLoad>& loads = CurrentLoads();
   int headroom[kNumMonotaskResources];
   CountHeadroom(loads, headroom);
   // Mutations go through the overlay so the bucket scan's fresh/modified
   // split stays exact against the refreshed base (see RunPlacement).
-  if (overlay_slot_.size() < loads.size()) {
-    overlay_slot_.assign(loads.size(), -1);
-  }
   LoadView view;
   view.base = &loads;
-  view.slot = &overlay_slot_;
-  view.mods = &overlay_buckets_;
   view.headroom = headroom;
   for (const StragglerCandidate& cand : candidates) {
     if (!spec_manager_->CanLaunch(running)) {
@@ -1490,7 +1474,7 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
   }
   PlacementStats stats;
   const double ept = config_.scheduling_interval * config_.ept_slack;
-  std::vector<WorkerLoad> master = CurrentLoads();
+  const std::vector<WorkerLoad>& master = CurrentLoads();
   int headroom[kNumMonotaskResources];
   CountHeadroom(master, headroom);
 
@@ -1585,13 +1569,8 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
   // Commit pass: re-resolve against the evolving loads. Mutations go
   // through the overlay (ScoreStage left it clean) so the bucket scan keeps
   // an exact fresh/modified split against the tick-start master.
-  if (overlay_slot_.size() < master.size()) {
-    overlay_slot_.assign(master.size(), -1);
-  }
   LoadView view;
   view.base = &master;
-  view.slot = &overlay_slot_;
-  view.mods = &overlay_buckets_;
   view.headroom = headroom;
   for (const auto& [score, idx] : order) {
     if (score == -std::numeric_limits<double>::infinity()) {

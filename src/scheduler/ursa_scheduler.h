@@ -167,7 +167,6 @@ class UrsaScheduler : public JobManagerListener {
   // JobManagerListener:
   void OnTaskReady(JobId job, TaskId task) override;
   void OnTaskCompleted(JobId job, TaskId task) override;
-  void OnMonotaskCompleted(JobId job, ResourceType type, double input_bytes) override;
   void OnJobFinished(JobId job) override;
 
   // Every submitted job is resolved: it either completed or was shed by
@@ -315,26 +314,21 @@ class UrsaScheduler : public JobManagerListener {
     std::vector<WorkerId> members;  // Ascending ids; empty = tombstone.
   };
 
-  // Read-only view over the per-tick load state (DESIGN.md section 12):
-  // either the master vector directly, or the master plus a small overlay of
-  // modified workers (candidate scoring and the commit pass avoid copying
-  // all W loads). `headroom` counts workers with d_r > 0 in the view — the
-  // incrementally maintained form of the any_headroom rule (section 4.2.2).
+  // Read-only view over the per-tick load state (DESIGN.md section 12): the
+  // master vector plus the placement overlay of modified workers
+  // (overlay_slot_, overlay_buckets_), so candidate scoring and the commit
+  // pass avoid copying all W loads. `headroom` counts workers with d_r > 0
+  // in the view — the incrementally maintained form of the any_headroom rule
+  // (section 4.2.2).
   struct LoadView {
     const std::vector<WorkerLoad>* base = nullptr;
-    const std::vector<int32_t>* slot = nullptr;  // Worker -> bucket index; -1.
-    const std::vector<OverlayBucket>* mods = nullptr;
     const int* headroom = nullptr;  // [kNumMonotaskResources]
-    const WorkerLoad& at(size_t w) const {
-      if (slot != nullptr) {
-        const int32_t s = (*slot)[w];
-        if (s >= 0) {
-          return (*mods)[static_cast<size_t>(s)].load;
-        }
-      }
-      return (*base)[w];
-    }
   };
+  // Worker `w`'s load in `view`: its overlay bucket's load, else the base.
+  const WorkerLoad& LoadAt(const LoadView& view, size_t w) const {
+    const int32_t s = overlay_slot_[w];
+    return s >= 0 ? overlay_buckets_[static_cast<size_t>(s)].load : (*view.base)[w];
+  }
 
   // Full-rescan load snapshot: primes the cold load cache and is the
   // verify_hot_path reference for incremental refreshes.
@@ -345,7 +339,8 @@ class UrsaScheduler : public JobManagerListener {
   void MarkLoadDirty(WorkerId w);
   // Brings the cached loads up to date — drains the dirty set, or primes a
   // cold cache with a full rescan — and rebuilds the bucketed scan order
-  // when anything changed.
+  // when anything changed. Never called during a placement pass, so a pass
+  // may hold the returned reference.
   const std::vector<WorkerLoad>& CurrentLoads();
   // Rebuilds scan_buckets_ from cached loads, grouping bit-identical loads
   // into one bucket each, and the per-dimension key orders over them.
@@ -504,10 +499,11 @@ class UrsaScheduler : public JobManagerListener {
   size_t placement_scan_start_ = 0;
   mutable SchedulerCounters counters_;
   // Placement overlay scratch: worker -> overlay_buckets_ index (-1 when the
-  // worker is unmodified), the load-grouped buckets, the load-hash -> bucket
-  // index map, and the touched-worker list for O(touched) reset. ScoreStage
-  // resets the overlay after every candidate; the commit and speculation
-  // passes reset it when they finish.
+  // worker is unmodified; sized once, one entry per worker), the
+  // load-grouped buckets, the load-hash -> bucket index map, and the
+  // touched-worker list for O(touched) reset. ScoreStage resets the overlay
+  // after every candidate; the commit and speculation passes reset it when
+  // they finish.
   mutable std::vector<int32_t> overlay_slot_;
   mutable std::vector<OverlayBucket> overlay_buckets_;
   mutable std::unordered_map<uint64_t, std::vector<int32_t>> overlay_index_;

@@ -302,25 +302,10 @@ TEST(Determinism, VerifiedHotPathOnPlacementStress) {
 }
 
 // --- Flow-model refill (DESIGN.md section 12). ---
-// A flow start or finish refills only the component of links it touches.
-// Debug builds re-run the fill over every live flow after each refill: a rate
-// that differs by more than a cross-component near-tie CHECK-fails the run,
-// and a near-tie is counted.
+// A flow start or finish recomputes only the share of the receiver it
+// touches. Debug builds recount every receiver's flows after each refill.
 
-TEST(Determinism, FlowRefillHasNoNearTiesOnTpchAndChaos) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "the flow refill self-check runs in Debug builds only";
-#else
-  const ExperimentResult tpch = RunExperiment(SeededTpch(8, 11), UrsaEjfConfig(), "ursa-ejf");
-  EXPECT_GT(tpch.flow_refills.refills, 0);
-  EXPECT_EQ(tpch.flow_refills.near_ties, 0);
-  const ExperimentResult chaos = RunExperiment(SeededTpch(6, 31), SrjfChaosConfig(), "ursa-srjf");
-  EXPECT_GT(chaos.flow_refills.refills, 0);
-  EXPECT_EQ(chaos.flow_refills.near_ties, 0);
-#endif
-}
-
-TEST(Determinism, FlowRefillVisitsOnlyTheTouchedComponent) {
+TEST(Determinism, FlowRefillVisitsOnlyTheTouchedReceivers) {
   // Both sums run over the same refills, so this is mean flows visited per
   // refill < 0.25 x mean live flows per refill. A refill over every flow
   // fails it.

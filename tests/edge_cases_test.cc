@@ -40,7 +40,7 @@ TEST(FlowEdge, BandwidthChangeMidFlow) {
   FlowSimulator net(&sim, 2, 1e9, 1e9);
   double done = -1.0;
   net.StartFlow(0, 1, 1e9, [&] { done = sim.Now(); });  // 1 s at 1 GB/s.
-  sim.Schedule(0.5, [&] { net.SetNodeBandwidth(1, 1e9, 0.5e9); });
+  sim.Schedule(0.5, [&] { net.SetDownlink(1, 0.5e9); });
   sim.Run();
   // Half transferred in 0.5 s, the rest at half rate: 0.5 + 1.0 = 1.5 s.
   EXPECT_NEAR(done, 1.5, 1e-6);
@@ -49,7 +49,6 @@ TEST(FlowEdge, BandwidthChangeMidFlow) {
 TEST(FlowEdge, ManyConcurrentFlowsConverge) {
   Simulator sim;
   FlowSimulator net(&sim, 8, 1e9, 1e9);
-  net.set_enforce_uplinks(true);
   int completed = 0;
   for (int i = 0; i < 200; ++i) {
     net.StartFlow(i % 8, (i + 3) % 8, 1e7 * (1 + i % 5), [&] { ++completed; });

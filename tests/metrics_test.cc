@@ -64,8 +64,7 @@ TEST_F(MetricsTest, SampleGuardsDegenerateCapacity) {
   // heterogeneous-cluster experiment that disables some links) must sample to
   // 0% utilization, not divide by zero into NaNs.
   for (int w = 0; w < cluster_->size(); ++w) {
-    cluster_->net().SetNodeBandwidth(w, /*uplink_bytes_per_sec=*/1e9,
-                                     /*downlink_bytes_per_sec=*/0.0);
+    cluster_->net().SetDownlink(w, 0.0);
   }
   cluster_->worker(0).AddCpuBusy(10.0);
   sim_.Schedule(4.0, [] {});

@@ -5,8 +5,10 @@
 // Workloads:   tpch | tpcds | tpch2 | mixed | synthetic | openloop
 // Schedulers:  ursa-ejf | ursa-srjf | ursa-graphene | y+s | y+t | y+u |
 //              tetris | tetris2 | capacity
-// Options:     --jobs=N --interval=SEC --seed=N --workers=N --gbps=G
-//              --subscription=R (executor schemes) --series=STEP
+// Options:     --jobs=N --interval=SEC --seed=N --workers=N
+//              --gbps=G (each worker's downlink; the receiver side is the
+//              only network limit) --subscription=R (executor schemes)
+//              --series=STEP
 // Policies:    --score=alg1|tetris (worker-score policy inside Algorithm-1
 //              placement) --colocate (Hugo-style co-location learning)
 //              --colocate-weight=W --graphene-threshold=X
@@ -170,7 +172,8 @@ int Usage() {
                "                [--scheduler=ursa-ejf|ursa-srjf|ursa-graphene|y+s|y+t|y+u|"
                "tetris|tetris2|capacity]\n"
                "                [--jobs=N] [--interval=SEC] [--seed=N] [--workers=N]\n"
-               "                [--gbps=G] [--subscription=R] [--series=STEP]\n"
+               "                [--gbps=G (worker downlink)] [--subscription=R]\n"
+               "                [--series=STEP]\n"
                "                [--trace] [--trace-out=FILE] [--trace-sample=N]\n"
                "                [--trace-capacity=EVENTS]\n"
                "                [--fault-crashes=N] [--fault-recovers=N]\n"
@@ -441,7 +444,6 @@ int main(int argc, char** argv) {
     return Usage();
   }
   config.cluster.num_workers = flags.workers;
-  config.cluster.uplink_bytes_per_sec = GbpsToBytesPerSec(flags.gbps);
   config.cluster.downlink_bytes_per_sec = GbpsToBytesPerSec(flags.gbps);
   config.cm.cpu_subscription_ratio = flags.subscription;
   config.sample_step = flags.series;
