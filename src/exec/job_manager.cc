@@ -57,10 +57,35 @@ void JobManager::Start() {
   }
 }
 
+void JobManager::SetTaskState(TaskId t, TaskState s) {
+  TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
+  if (rt.state == s) {
+    return;
+  }
+  if (rt.state == TaskState::kPlaced) {
+    const auto it = std::lower_bound(placed_.begin(), placed_.end(), t);
+    CHECK(it != placed_.end() && *it == t);
+    placed_.erase(it);
+  } else if (s == TaskState::kPlaced) {
+    placed_.insert(std::lower_bound(placed_.begin(), placed_.end(), t), t);
+  }
+  rt.state = s;
+}
+
+void JobManager::VerifyPlacedIndex() const {
+  std::vector<TaskId> placed;
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    if (tasks_[t].state == TaskState::kPlaced) {
+      placed.push_back(static_cast<TaskId>(t));
+    }
+  }
+  CHECK(placed == placed_) << "placed-task index out of step with task states";
+}
+
 void JobManager::MarkReady(TaskId t) {
   TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
   CHECK(rt.state == TaskState::kBlocked);
-  rt.state = TaskState::kReady;
+  SetTaskState(t, TaskState::kReady);
   rt.timing.ready_time = sim_->Now();
   // Per-resource bytes are exact now: all inputs from outside the task are
   // materialized (parents completed).
@@ -108,7 +133,7 @@ bool JobManager::PlaceTask(TaskId t, WorkerId worker_id) {
   if (!worker.TryAllocateMemory(usage.memory)) {
     return false;
   }
-  rt.state = TaskState::kPlaced;
+  SetTaskState(t, TaskState::kPlaced);
   rt.worker = worker_id;
   rt.avoid_worker = kInvalidId;
   rt.allocated_memory = usage.memory;
@@ -465,7 +490,7 @@ void JobManager::ResetTaskForReplacement(TaskId t) {
   worker.AddActualMemoryUse(-rt.actual_memory);
   ResetTaskRuntime(t);
   rt.avoid_worker = old_worker;
-  rt.state = TaskState::kBlocked;
+  SetTaskState(t, TaskState::kBlocked);
   MarkReady(t);
 }
 
@@ -587,7 +612,7 @@ JobManager::RecoveryResult JobManager::RecoverFromWorkerFailure(WorkerId failed)
       --completed_tasks_;
     }
     ResetTaskRuntime(static_cast<TaskId>(i));
-    rt.state = TaskState::kBlocked;
+    SetTaskState(static_cast<TaskId>(i), TaskState::kBlocked);
     if (!rt.recovering) {
       rt.recovering = true;
       if (recovering_outstanding_ == 0) {
@@ -619,7 +644,7 @@ JobManager::RecoveryResult JobManager::RecoverFromWorkerFailure(WorkerId failed)
     if (rt.state == TaskState::kCompleted || rt.state == TaskState::kPlaced) {
       continue;
     }
-    rt.state = TaskState::kBlocked;
+    SetTaskState(spec.id, TaskState::kBlocked);
     int async_parents = 0;
     for (TaskId parent : spec.async_parents) {
       if (tasks_[static_cast<size_t>(parent)].state != TaskState::kCompleted) {
@@ -699,7 +724,7 @@ void JobManager::RestoreFromImage(const JobImage& image) {
     const TaskImage& ti = image.tasks[static_cast<size_t>(task.id)];
     rt.generation = ti.generation;
     if (ti.done) {
-      rt.state = TaskState::kCompleted;
+      SetTaskState(task.id, TaskState::kCompleted);
       rt.worker = ti.worker;
       rt.timing.ready_time = ti.place_time;
       rt.timing.place_time = ti.place_time;
@@ -709,7 +734,7 @@ void JobManager::RestoreFromImage(const JobImage& image) {
       CHECK_GT(srt.remaining_tasks, 0);
       --srt.remaining_tasks;
     } else if (ti.worker != kInvalidId) {
-      rt.state = TaskState::kPlaced;
+      SetTaskState(task.id, TaskState::kPlaced);
       rt.worker = ti.worker;
       rt.allocated_memory = ti.allocated_memory;
       rt.actual_memory = ti.actual_memory;
@@ -741,7 +766,7 @@ void JobManager::RestoreFromImage(const JobImage& image) {
     if (rt.state == TaskState::kCompleted || rt.state == TaskState::kPlaced) {
       continue;
     }
-    rt.state = TaskState::kBlocked;
+    SetTaskState(spec.id, TaskState::kBlocked);
     int async_parents = 0;
     for (TaskId parent : spec.async_parents) {
       if (tasks_[static_cast<size_t>(parent)].state != TaskState::kCompleted) {
@@ -828,7 +853,7 @@ void JobManager::CompleteTask(TaskId t) {
     stage_durations_[static_cast<size_t>(plan().task(t).stage)].Add(
         sim_->Now() - rt.timing.place_time);
   }
-  rt.state = TaskState::kCompleted;
+  SetTaskState(t, TaskState::kCompleted);
   rt.timing.finish_time = sim_->Now();
   if (journal_ != nullptr) {
     journal_->Append({JournalKind::kTaskDone, job_->id, t, rt.worker, rt.generation,
@@ -885,6 +910,7 @@ void JobManager::CompleteTask(TaskId t) {
   }
   if (finished()) {
     finish_time_ = sim_->Now();
+    placed_.shrink_to_fit();  // Empty now; finished managers outlive the run.
     cluster_->metadata().DropJob(job_->id);
     listener_->OnJobFinished(job_->id);
   }
@@ -897,24 +923,13 @@ void JobManager::ConfigureSpeculation(SpeculationManager* manager) {
   stage_durations_.assign(plan().stages().size(), RobustSample());
 }
 
-int JobManager::CountPlacedTasks() const {
-  int placed = 0;
-  for (const TaskRuntime& rt : tasks_) {
-    placed += rt.state == TaskState::kPlaced ? 1 : 0;
-  }
-  return placed;
-}
-
 void JobManager::CollectPlacedStages(std::vector<std::pair<WorkerId, StageId>>* out) const {
   if (aborted_) {
     return;
   }
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    const TaskRuntime& rt = tasks_[t];
-    if (rt.state != TaskState::kPlaced) {
-      continue;
-    }
-    const StageId stage = plan().task(static_cast<TaskId>(t)).stage;
+  for (TaskId t : placed_) {
+    const TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
+    const StageId stage = plan().task(t).stage;
     if (rt.worker != kInvalidId && !rt.primary_lost) {
       out->emplace_back(rt.worker, stage);
     }
@@ -929,11 +944,14 @@ void JobManager::CollectStragglerCandidates(double now,
   if (spec_manager_ == nullptr || aborted_ || finished()) {
     return;
   }
+#ifndef NDEBUG
+  VerifyPlacedIndex();
+#endif
   const SpeculationConfig& cfg = spec_manager_->config();
-  for (const TaskSpec& task : plan().tasks()) {
-    const TaskRuntime& rt = tasks_[static_cast<size_t>(task.id)];
-    if (rt.state != TaskState::kPlaced || rt.spec != nullptr || rt.primary_lost ||
-        rt.restored) {
+  for (TaskId t : placed_) {
+    const TaskSpec& task = plan().task(t);
+    const TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
+    if (rt.spec != nullptr || rt.primary_lost || rt.restored) {
       // `restored`: the placement survived a scheduler crash, but its cancel
       // token did not — a copy could never cancel it, so don't race one.
       continue;

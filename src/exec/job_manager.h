@@ -165,7 +165,7 @@ class JobManager {
   void HandleWorkerFailureForSpeculation(WorkerId worker);
 
   // Placed-but-unfinished tasks (the speculation budget's denominator).
-  int CountPlacedTasks() const;
+  int CountPlacedTasks() const { return static_cast<int>(placed_.size()); }
 
   // Appends one (worker, stage) pair per live execution of a placed task —
   // the primary (unless its worker was lost) and any speculative copy. The
@@ -305,6 +305,10 @@ class JobManager {
   };
 
   const ExecutionPlan& plan() const { return job_->plan; }
+  // The only writer of TaskRuntime::state: keeps `placed_` in step with it.
+  void SetTaskState(TaskId t, TaskState s);
+  // Debug self-check: `placed_` equals a recount of kPlaced over tasks_.
+  void VerifyPlacedIndex() const;
   void MarkReady(TaskId t);
   void SubmitMonotask(MonotaskId m);
   // Builds the RunnableMonotask for a submitted monotask and hands it to the
@@ -357,6 +361,9 @@ class JobManager {
   std::vector<MonotaskRuntime> monotasks_;
   std::vector<StageRuntime> stages_;
   std::vector<TaskId> ready_unplaced_;
+  // Ascending ids of the tasks in kPlaced, so the per-tick speculation and
+  // co-location passes visit placed tasks only, in plan order.
+  std::vector<TaskId> placed_;
   double ready_input_total_ = 0.0;
   std::array<double, kNumMonotaskResources> remaining_work_ = {0.0, 0.0, 0.0};
   double priority_ = 0.0;

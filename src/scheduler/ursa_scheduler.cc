@@ -696,11 +696,15 @@ void UrsaScheduler::TryAdmitJobs() {
                        return SrjfRank(ra, total_load) < SrjfRank(rb, total_load);
                      });
   } else {
-    std::stable_sort(waiting_admission_.begin(), waiting_admission_.end(),
-                     [&](JobId a, JobId b) {
-                       return jobs_[static_cast<size_t>(a)]->job->submit_time <
-                              jobs_[static_cast<size_t>(b)]->job->submit_time;
-                     });
+    // Submission order needs no sort: SubmitJob is the only insert and
+    // stamps are non-decreasing in push order (fresh jobs get Now(); parked
+    // replays keep their parking stamps, later than anything queued before
+    // the crash).
+    DCHECK(std::is_sorted(waiting_admission_.begin(), waiting_admission_.end(),
+                          [&](JobId a, JobId b) {
+                            return jobs_[static_cast<size_t>(a)]->job->submit_time <
+                                   jobs_[static_cast<size_t>(b)]->job->submit_time;
+                          }));
   }
   const double memory_budget =
       cluster_->total_memory() * config_.admission_memory_fraction;

@@ -510,7 +510,7 @@ class UrsaScheduler : public JobManagerListener {
   mutable std::vector<WorkerId> overlay_touched_;
 
   // Admission queue and tick/progress counters.
-  std::vector<JobId> waiting_admission_;  // Policy-ordered on use.
+  std::vector<JobId> waiting_admission_;  // Submit order; SRJF re-sorts on use.
   double reserved_memory_ = 0.0;
   int total_jobs_ = 0;
   int total_restarts_ = 0;

@@ -19,6 +19,7 @@ class RobustSample {
   void Add(double value) {
     const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), value);
     sorted_.insert(it, value);
+    mad_valid_ = false;
   }
 
   size_t size() const { return sorted_.size(); }
@@ -27,7 +28,26 @@ class RobustSample {
   double Median() const { return MedianOf(sorted_); }
 
   // Median of |x - median(x)|. Zero until there are at least two samples.
+  // Computed on the first query after an Add and cached until the next one,
+  // so a stage queried every tick sorts once per completed task.
   double Mad() const {
+    if (!mad_valid_) {
+      mad_ = ComputeMad();
+      mad_valid_ = true;
+    }
+    return mad_;
+  }
+
+ private:
+  static double MedianOf(const std::vector<double>& sorted) {
+    if (sorted.empty()) {
+      return 0.0;
+    }
+    const size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+  }
+
+  double ComputeMad() const {
     if (sorted_.size() < 2) {
       return 0.0;
     }
@@ -41,16 +61,9 @@ class RobustSample {
     return MedianOf(deviations);
   }
 
- private:
-  static double MedianOf(const std::vector<double>& sorted) {
-    if (sorted.empty()) {
-      return 0.0;
-    }
-    const size_t n = sorted.size();
-    return n % 2 == 1 ? sorted[n / 2] : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-  }
-
   std::vector<double> sorted_;
+  mutable double mad_ = 0.0;
+  mutable bool mad_valid_ = false;
 };
 
 }  // namespace ursa

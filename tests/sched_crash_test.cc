@@ -40,6 +40,38 @@ class SchedCrashTest : public ::testing::Test {
     }
   }
 
+  // Steps the simulation through the next scheduler crash and its recovery,
+  // then checks every live job manager's placed-task index against a
+  // recount of its task states. Returns the number of placed tasks.
+  int StepThroughRecoveryAndCheckPlacedIndex(const UrsaScheduler& scheduler) {
+    while (!scheduler.scheduler_down()) {
+      if (!sim_.Step()) {
+        ADD_FAILURE() << "the simulation ended before the scheduler crashed";
+        return 0;
+      }
+    }
+    while (scheduler.scheduler_down()) {
+      if (!sim_.Step()) {
+        ADD_FAILURE() << "the simulation ended before the scheduler recovered";
+        return 0;
+      }
+    }
+    int total = 0;
+    for (JobId id = 0; id < scheduler.total_jobs(); ++id) {
+      const JobManager* jm = scheduler.job_manager(id);
+      if (jm == nullptr) {
+        continue;
+      }
+      int placed = 0;
+      for (TaskId t = 0; t < jm->total_tasks(); ++t) {
+        placed += jm->task_state(t) == TaskState::kPlaced ? 1 : 0;
+      }
+      EXPECT_EQ(jm->CountPlacedTasks(), placed) << "job " << id;
+      total += placed;
+    }
+    return total;
+  }
+
   Simulator sim_;
   ClusterConfig cluster_config_;
   std::unique_ptr<Cluster> cluster_;
@@ -54,6 +86,8 @@ TEST_F(SchedCrashTest, JournaledCrashRecoversWithoutRestartingJobs) {
   SubmitAll(&scheduler, workload);
   sim_.Schedule(10.0, [&] { scheduler.InjectSchedulerCrash(3.0); });
   sim_.Schedule(11.0, [&] { EXPECT_TRUE(scheduler.scheduler_down()); });
+  // The restore writes task states directly, bypassing PlaceTask.
+  EXPECT_GT(StepThroughRecoveryAndCheckPlacedIndex(scheduler), 0);
   sim_.Run();
   EXPECT_FALSE(scheduler.scheduler_down());
   EXPECT_TRUE(scheduler.AllJobsFinished());

@@ -6,6 +6,9 @@
 // re-runs the task exactly once).
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "src/exec/job_manager.h"
 #include "src/scheduler/ursa_scheduler.h"
 #include "src/spec/robust_stats.h"
@@ -42,6 +45,32 @@ TEST(RobustStats, MadIsZeroBelowTwoSamples) {
   s.Add(5.0);
   EXPECT_DOUBLE_EQ(s.Median(), 5.0);
   EXPECT_DOUBLE_EQ(s.Mad(), 0.0);
+}
+
+TEST(RobustStats, MadTracksEveryAdd) {
+  // The MAD is cached between Adds: every query must be bit-equal to the MAD
+  // of a freshly built sample over the same values. A small value grid makes
+  // duplicates common; sizes run through both parities.
+  std::mt19937_64 rng(20201);
+  std::uniform_int_distribution<int> grid(0, 12);
+  std::uniform_int_distribution<int> coin(0, 2);
+  for (int trial = 0; trial < 50; ++trial) {
+    RobustSample sample;
+    std::vector<double> values;
+    for (int step = 0; step < 40; ++step) {
+      const double v = coin(rng) == 0 ? 0.25 * grid(rng) : 0.1 * grid(rng) + 1e-3 * step;
+      sample.Add(v);
+      values.push_back(v);
+      for (int q = coin(rng); q > 0; --q) {  // Zero, one or two queries.
+        RobustSample fresh;
+        for (double x : values) {
+          fresh.Add(x);
+        }
+        ASSERT_EQ(sample.Mad(), fresh.Mad()) << "trial " << trial << " size " << values.size();
+        ASSERT_EQ(sample.Median(), fresh.Median());
+      }
+    }
+  }
 }
 
 TEST(Detection, RequiresMinimumStageSamples) {
@@ -234,6 +263,16 @@ TEST_F(CancellationWorkerTest, QueuedCancelledMonotasksAreNeverCharged) {
 }
 
 // --- First-finisher-wins races, driven deterministically through the JM. ---
+
+// The placed-task index agrees with a recount of the task states (checked in
+// every build type, on paths that change state without PlaceTask).
+void ExpectPlacedIndexMatches(const JobManager& jm) {
+  int placed = 0;
+  for (TaskId t = 0; t < jm.total_tasks(); ++t) {
+    placed += jm.task_state(t) == TaskState::kPlaced ? 1 : 0;
+  }
+  EXPECT_EQ(jm.CountPlacedTasks(), placed);
+}
 
 class SpecListener : public JobManagerListener {
  public:
@@ -483,6 +522,7 @@ TEST_F(SpeculationRaceTest, PrimaryWorkerFailureHandsTaskToCopy) {
     jm.HandleWorkerFailureForSpeculation(0);
     EXPECT_TRUE(jm.primary_lost(target));
     EXPECT_TRUE(jm.has_speculative_copy(target));
+    ExpectPlacedIndexMatches(jm);
   });
   Drive(jm, {1, 2, 3});
   sim_.Run();
@@ -519,6 +559,7 @@ TEST_F(SpeculationRaceTest, BothWorkersFailingRerunsTheTaskExactlyOnce) {
     const JobManager::RecoveryResult second = jm.RecoverFromWorkerFailure(3);
     EXPECT_EQ(second.tasks_reset, 1);
     EXPECT_EQ(jm.task_state(target), TaskState::kReady);
+    ExpectPlacedIndexMatches(jm);
   });
   Drive(jm, {1, 2});
   sim_.Run();
@@ -555,6 +596,7 @@ TEST_F(SpeculationRaceTest, CopyWinsThenItsWorkerFails) {
   const JobManager::RecoveryResult recovery = jm.RecoverFromWorkerFailure(3);
   EXPECT_GE(recovery.tasks_reset, 1);
   EXPECT_EQ(jm.task_state(target), TaskState::kReady);
+  ExpectPlacedIndexMatches(jm);
   Drive(jm, {0, 1, 2});
   sim_.Run();
   EXPECT_TRUE(listener.finished);
