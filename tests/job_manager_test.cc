@@ -35,6 +35,16 @@ class JobManagerTest : public ::testing::Test {
     config.worker.cpu_byte_rate = 1000.0;
     config.worker.memory_bytes = 1e12;
     cluster_ = std::make_unique<Cluster>(&sim_, config);
+    ctrl_ = std::make_unique<ControlPlane>(&sim_, cluster_.get(), ControlPlaneConfig(), nullptr);
+    ctrl_->set_completion_handler(
+        [this](const ControlPlane::CompletionMsg& msg) { jm_->OnReport(msg); });
+  }
+
+  // A job manager on the fixture's pass-through control plane, which routes
+  // its monotask reports straight back to it.
+  JobManager& MakeJm(Job* job) {
+    jm_ = std::make_unique<JobManager>(&sim_, cluster_.get(), job, &listener_, ctrl_.get());
+    return *jm_;
   }
 
   std::unique_ptr<Job> MakeJob(int in_parts = 4, int out_parts = 2) {
@@ -60,11 +70,13 @@ class JobManagerTest : public ::testing::Test {
   Simulator sim_;
   std::unique_ptr<Cluster> cluster_;
   RecordingListener listener_;
+  std::unique_ptr<ControlPlane> ctrl_;
+  std::unique_ptr<JobManager> jm_;
 };
 
 TEST_F(JobManagerTest, InitialReadyTasksAreSourceStage) {
   auto job = MakeJob();
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener_);
+  JobManager& jm = MakeJm(job.get());
   jm.Start();
   EXPECT_EQ(listener_.ready.size(), 4u);  // The 4 scan tasks.
   EXPECT_EQ(jm.ready_tasks().size(), 4u);
@@ -72,7 +84,7 @@ TEST_F(JobManagerTest, InitialReadyTasksAreSourceStage) {
 
 TEST_F(JobManagerTest, BarrierHoldsUntilWholeStageCompletes) {
   auto job = MakeJob();
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener_);
+  JobManager& jm = MakeJm(job.get());
   jm.Start();
   // Place 3 of 4 scans; the shuffle stage must stay blocked.
   const auto ready = jm.ready_tasks();
@@ -93,7 +105,7 @@ TEST_F(JobManagerTest, BarrierHoldsUntilWholeStageCompletes) {
 
 TEST_F(JobManagerTest, RunsToCompletionAndReportsFinish) {
   auto job = MakeJob();
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener_);
+  JobManager& jm = MakeJm(job.get());
   jm.Start();
   // Greedy driver: place every ready task round-robin whenever idle.
   int next_worker = 0;
@@ -120,7 +132,7 @@ TEST_F(JobManagerTest, RunsToCompletionAndReportsFinish) {
 
 TEST_F(JobManagerTest, RemainingWorkDecreasesMonotonically) {
   auto job = MakeJob();
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener_);
+  JobManager& jm = MakeJm(job.get());
   jm.Start();
   const auto initial = jm.remaining_work();
   EXPECT_DOUBLE_EQ(initial[static_cast<size_t>(ResourceType::kCpu)], 8000.0);
@@ -147,7 +159,8 @@ TEST_F(JobManagerTest, PlacementFailsWithoutMemory) {
   tiny.worker.memory_bytes = 1.0;  // Nothing fits.
   Cluster small(&sim_, tiny);
   auto job = MakeJob();
-  JobManager jm(&sim_, &small, job.get(), &listener_);
+  ControlPlane ctrl(&sim_, &small, ControlPlaneConfig(), nullptr);
+  JobManager jm(&sim_, &small, job.get(), &listener_, &ctrl);
   jm.Start();
   EXPECT_FALSE(jm.PlaceTask(jm.ready_tasks()[0], 0));
   // Task stays ready for a later attempt.
@@ -157,7 +170,7 @@ TEST_F(JobManagerTest, PlacementFailsWithoutMemory) {
 
 TEST_F(JobManagerTest, MonotasksOfTaskRunOnAssignedWorker) {
   auto job = MakeJob();
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener_);
+  JobManager& jm = MakeJm(job.get());
   jm.Start();
   for (TaskId t : std::vector<TaskId>(jm.ready_tasks())) {
     ASSERT_TRUE(jm.PlaceTask(t, 2));

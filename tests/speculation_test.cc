@@ -309,6 +309,16 @@ class SpeculationRaceTest : public ::testing::Test {
             manager_->RecordWaste(sim_.Now(), r, bytes, seconds);
           });
     }
+    ctrl_ = std::make_unique<ControlPlane>(&sim_, cluster_.get(), ControlPlaneConfig(), nullptr);
+    ctrl_->set_completion_handler(
+        [this](const ControlPlane::CompletionMsg& msg) { jm_->OnReport(msg); });
+  }
+
+  // A job manager on the fixture's pass-through control plane, which routes
+  // its monotask reports straight back to it.
+  JobManager& MakeJm(Job* job, JobManagerListener* listener) {
+    jm_ = std::make_unique<JobManager>(&sim_, cluster_.get(), job, listener, ctrl_.get());
+    return *jm_;
   }
 
   // Same shape as the job manager tests: 4 scan tasks (1 CPU monotask each,
@@ -377,12 +387,14 @@ class SpeculationRaceTest : public ::testing::Test {
   SpeculationConfig spec_config_;
   FaultCounters stats_;
   std::unique_ptr<SpeculationManager> manager_;
+  std::unique_ptr<ControlPlane> ctrl_;
+  std::unique_ptr<JobManager> jm_;
 };
 
 TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsInFlight) {
   auto job = MakeJob();
   SpecListener listener;
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener);
+  JobManager& jm = MakeJm(job.get(), &listener);
   jm.ConfigureSpeculation(manager_.get());
   jm.Start();
   const TaskId target = PlaceScans(jm);
@@ -416,7 +428,7 @@ TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsInFlight) {
 TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsStillQueued) {
   auto job = MakeJob();
   SpecListener listener;
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener);
+  JobManager& jm = MakeJm(job.get(), &listener);
   jm.ConfigureSpeculation(manager_.get());
   jm.Start();
   const TaskId target = PlaceScans(jm);
@@ -442,7 +454,7 @@ TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsStillQueued) {
 TEST_F(SpeculationRaceTest, CopyWinsWhenPrimaryStraggles) {
   auto job = MakeJob();
   SpecListener listener;
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener);
+  JobManager& jm = MakeJm(job.get(), &listener);
   jm.ConfigureSpeculation(manager_.get());
   jm.Start();
   const TaskId target = PlaceScans(jm);
@@ -474,7 +486,7 @@ TEST_F(SpeculationRaceTest, CopyWinsWhenPrimaryStraggles) {
 TEST_F(SpeculationRaceTest, PlaceSpeculativeRejectsInvalidTargets) {
   auto job = MakeJob();
   SpecListener listener;
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener);
+  JobManager& jm = MakeJm(job.get(), &listener);
   jm.ConfigureSpeculation(manager_.get());
   jm.Start();
   const std::vector<TaskId> ready = jm.ready_tasks();
@@ -493,7 +505,7 @@ TEST_F(SpeculationRaceTest, PlaceSpeculativeRejectsInvalidTargets) {
 TEST_F(SpeculationRaceTest, AbortCancelsTheLiveCopy) {
   auto job = MakeJob();
   SpecListener listener;
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener);
+  JobManager& jm = MakeJm(job.get(), &listener);
   jm.ConfigureSpeculation(manager_.get());
   jm.Start();
   const TaskId target = jm.ready_tasks()[0];
@@ -510,7 +522,7 @@ TEST_F(SpeculationRaceTest, AbortCancelsTheLiveCopy) {
 TEST_F(SpeculationRaceTest, PrimaryWorkerFailureHandsTaskToCopy) {
   auto job = MakeJob();
   SpecListener listener;
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener);
+  JobManager& jm = MakeJm(job.get(), &listener);
   jm.ConfigureSpeculation(manager_.get());
   jm.Start();
   const TaskId target = PlaceScans(jm);
@@ -537,7 +549,7 @@ TEST_F(SpeculationRaceTest, PrimaryWorkerFailureHandsTaskToCopy) {
 TEST_F(SpeculationRaceTest, BothWorkersFailingRerunsTheTaskExactlyOnce) {
   auto job = MakeJob();
   SpecListener listener;
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener);
+  JobManager& jm = MakeJm(job.get(), &listener);
   jm.ConfigureSpeculation(manager_.get());
   jm.Start();
   const TaskId target = PlaceScans(jm);
@@ -576,7 +588,7 @@ TEST_F(SpeculationRaceTest, BothWorkersFailingRerunsTheTaskExactlyOnce) {
 TEST_F(SpeculationRaceTest, CopyWinsThenItsWorkerFails) {
   auto job = MakeJob();
   SpecListener listener;
-  JobManager jm(&sim_, cluster_.get(), job.get(), &listener);
+  JobManager& jm = MakeJm(job.get(), &listener);
   jm.ConfigureSpeculation(manager_.get());
   jm.Start();
   const TaskId target = PlaceScans(jm);
