@@ -72,6 +72,22 @@ class SchedCrashTest : public ::testing::Test {
     return total;
   }
 
+  // Runs `workload` to completion under `sc` on a fresh simulator and cluster
+  // and returns the job records.
+  std::vector<JobRecord> RunClean(const UrsaSchedulerConfig& sc, const Workload& workload) {
+    Simulator sim;
+    Cluster cluster(&sim, cluster_config_);
+    UrsaScheduler scheduler(&sim, &cluster, sc);
+    for (size_t i = 0; i < workload.jobs.size(); ++i) {
+      sim.ScheduleAt(workload.jobs[i].submit_time, [&scheduler, &workload, i] {
+        scheduler.SubmitJob(Job::Create(static_cast<JobId>(i), workload.jobs[i].spec));
+      });
+    }
+    sim.Run();
+    EXPECT_TRUE(scheduler.AllJobsFinished());
+    return scheduler.job_records();
+  }
+
   Simulator sim_;
   ClusterConfig cluster_config_;
   std::unique_ptr<Cluster> cluster_;
@@ -104,6 +120,33 @@ TEST_F(SchedCrashTest, JournaledCrashRecoversWithoutRestartingJobs) {
   for (int w = 0; w < cluster_->size(); ++w) {
     EXPECT_NEAR(cluster_->worker(w).free_memory(),
                 cluster_->worker(w).memory_capacity(), 1.0);
+  }
+}
+
+// Planned work is executed: a journaled crash that orphans in-flight
+// monotasks must not change any job's executed CPU work. An orphan that
+// completes after the restore commits its outputs from the input bytes the
+// restore re-derived; losing them would shrink every downstream gather.
+TEST_F(SchedCrashTest, JournaledCrashExecutesThePlannedWork) {
+  UrsaSchedulerConfig sc;
+  sc.ctrl.enabled = true;
+  sc.ctrl.checkpoint_interval = 1.0;
+  const Workload workload = SmallTpch(6);
+  const std::vector<JobRecord> clean = RunClean(sc, workload);
+  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  SubmitAll(&scheduler, workload);
+  sim_.Schedule(10.0, [&] { scheduler.InjectSchedulerCrash(3.0); });
+  // Restored placements are the in-flight monotasks the crash orphaned.
+  EXPECT_GT(StepThroughRecoveryAndCheckPlacedIndex(scheduler), 0);
+  sim_.Run();
+  ASSERT_TRUE(scheduler.AllJobsFinished());
+  EXPECT_EQ(scheduler.total_restarts(), 0);
+  const std::vector<JobRecord>& crashed = scheduler.job_records();
+  ASSERT_EQ(crashed.size(), clean.size());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_GT(clean[i].cpu_seconds, 0.0);
+    EXPECT_NEAR(crashed[i].cpu_seconds, clean[i].cpu_seconds, 1e-9 * clean[i].cpu_seconds)
+        << clean[i].name;
   }
 }
 
