@@ -13,6 +13,19 @@
 
 namespace ursa {
 
+namespace {
+
+// Per-message latency jitter: each one-way latency adds Uniform[0, kJitter).
+constexpr double kJitter = 0.0005;
+// Retransmission timer for the reliable channels: the first ack timeout,
+// doubled per retransmission up to the cap.
+constexpr double kAckTimeout = 0.05;
+constexpr double kAckTimeoutCap = 1.0;
+static_assert(kAckTimeout > 0.0 && kAckTimeoutCap >= kAckTimeout,
+              "the ack timeout must be positive and below its cap");
+
+}  // namespace
+
 ControlPlane::ControlPlane(Simulator* sim, Cluster* cluster,
                            const ControlPlaneConfig& config, FaultCounters* stats)
     : sim_(sim), cluster_(cluster), config_(config), stats_(stats), rng_(config.seed) {
@@ -22,12 +35,7 @@ ControlPlane::ControlPlane(Simulator* sim, Cluster* cluster,
   CHECK(config_.dup_prob >= 0.0 && config_.dup_prob <= 1.0);
   CHECK(config_.delay_prob >= 0.0 && config_.delay_prob <= 1.0);
   CHECK_GE(config_.base_latency, 0.0);
-  CHECK_GE(config_.jitter, 0.0);
   CHECK_GE(config_.delay_extra, 0.0);
-  if (config_.enabled) {
-    CHECK_GT(config_.ack_timeout, 0.0);
-    CHECK_GE(config_.ack_timeout_cap, config_.ack_timeout);
-  }
   delivered_.resize(static_cast<size_t>(cluster_->size()));
 }
 
@@ -44,10 +52,7 @@ ControlPlane::Fate ControlPlane::DrawFate() {
     return fate;
   }
   auto latency = [this] {
-    double l = config_.base_latency;
-    if (config_.jitter > 0.0) {
-      l += rng_.Uniform(0.0, config_.jitter);
-    }
+    double l = config_.base_latency + rng_.Uniform(0.0, kJitter);
     if (config_.delay_prob > 0.0 && rng_.Bernoulli(config_.delay_prob)) {
       if (stats_ != nullptr) {
         ++stats_->msgs_delayed;
@@ -77,7 +82,7 @@ void ControlPlane::Dispatch(WorkerId worker, const MsgKey& key, RunnableMonotask
   p->key = key;
   p->epoch = epoch_;
   p->run = std::move(run);
-  SendDispatch(p, config_.ack_timeout);
+  SendDispatch(p, kAckTimeout);
 }
 
 void ControlPlane::SendDispatch(const std::shared_ptr<PendingDispatch>& p,
@@ -112,7 +117,7 @@ void ControlPlane::SendDispatch(const std::shared_ptr<PendingDispatch>& p,
     if (stats_ != nullptr) {
       ++stats_->retransmits;
     }
-    SendDispatch(p, std::min(config_.ack_timeout_cap, timeout * 2.0));
+    SendDispatch(p, std::min(kAckTimeoutCap, timeout * 2.0));
   });
 }
 
@@ -161,7 +166,7 @@ void ControlPlane::CompletionToScheduler(const CompletionMsg& msg) {
   auto p = std::make_shared<PendingNotify>();
   p->worker = msg.worker;
   p->deliver = [this, msg] { completion_handler_(msg); };
-  SendNotify(p, config_.ack_timeout);
+  SendNotify(p, kAckTimeout);
 }
 
 void ControlPlane::NotifyScheduler(WorkerId worker, std::function<void()> deliver) {
@@ -172,7 +177,7 @@ void ControlPlane::NotifyScheduler(WorkerId worker, std::function<void()> delive
   auto p = std::make_shared<PendingNotify>();
   p->worker = worker;
   p->deliver = std::move(deliver);
-  SendNotify(p, config_.ack_timeout);
+  SendNotify(p, kAckTimeout);
 }
 
 void ControlPlane::SendNotify(const std::shared_ptr<PendingNotify>& p, double timeout) {
@@ -199,7 +204,7 @@ void ControlPlane::SendNotify(const std::shared_ptr<PendingNotify>& p, double ti
     if (stats_ != nullptr) {
       ++stats_->retransmits;
     }
-    SendNotify(p, std::min(config_.ack_timeout_cap, timeout * 2.0));
+    SendNotify(p, std::min(kAckTimeoutCap, timeout * 2.0));
   });
 }
 

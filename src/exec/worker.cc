@@ -8,6 +8,13 @@
 
 namespace ursa {
 
+namespace {
+
+// Observation window of the per-resource processing-rate monitors (seconds).
+constexpr double kRateWindow = 5.0;
+
+}  // namespace
+
 Worker::Worker(Simulator* sim, FlowSimulator* net, WorkerId id, const WorkerConfig& config)
     : sim_(sim), net_(net), id_(id), config_(config) {
   CHECK_GT(config_.cores, 0);
@@ -536,7 +543,7 @@ void Worker::RecordRate(ResourceType r, double bytes, double elapsed) {
   mon.acc_bytes += bytes;
   mon.acc_time += elapsed;
   const double now = sim_->Now();
-  if (now - mon.window_start >= config_.rate_window) {
+  if (now - mon.window_start >= kRateWindow) {
     if (mon.acc_time > 1e-9 && mon.acc_bytes > 0.0) {
       mon.rate = mon.acc_bytes / mon.acc_time;
     }

@@ -43,8 +43,6 @@ struct WorkerConfig {
   int network_concurrency = 2;
   // Network monotasks smaller than this skip the queue (paper: 16KB).
   double small_transfer_bypass_bytes = 16.0 * 1024;
-  // Observation window for processing-rate monitoring.
-  double rate_window = 5.0;
   // Default network processing rate before any measurement (bytes/s); set
   // this to the downlink bandwidth.
   double default_net_rate = 1.25e9;
