@@ -439,6 +439,33 @@ TEST_F(FaultToleranceTest, AbortedJobManagersAreReclaimedAfterJobsFinish) {
   EXPECT_EQ(scheduler.aborted_jms_retained(), 0u);  // ...and it was reclaimed.
 }
 
+// With the message layer off, reports still take the control plane's
+// pass-through route and are fenced by incarnation: the reports of an
+// aborted execution that still finish on healthy workers are counted as
+// fenced, not dropped silently.
+TEST_F(FaultToleranceTest, PassThroughRouteFencesStaleReports) {
+  UrsaSchedulerConfig sc;
+  sc.fault.enable_lineage_recovery = false;  // Crashes force full restarts.
+  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  TpchWorkloadConfig wc;
+  wc.num_jobs = 4;
+  wc.submit_interval = 1.0;
+  wc.seed = 31;
+  const Workload workload = MakeTpchWorkload(wc);
+  for (size_t i = 0; i < workload.jobs.size(); ++i) {
+    sim_.ScheduleAt(workload.jobs[i].submit_time, [&, i] {
+      scheduler.SubmitJob(Job::Create(static_cast<JobId>(i), workload.jobs[i].spec));
+    });
+  }
+  sim_.Schedule(10.0, [&] { EXPECT_GT(scheduler.FailWorker(1), 0); });
+  sim_.Run();
+  EXPECT_TRUE(scheduler.AllJobsFinished());
+  EXPECT_GT(scheduler.total_restarts(), 0);
+  const FaultCounters& c = scheduler.fault_stats();
+  EXPECT_EQ(c.msgs_sent, 0);  // Pass-through: no message was ever sent.
+  EXPECT_GT(c.msgs_fenced, 0);
+}
+
 TEST_F(FaultToleranceTest, ChaosRunsAreDeterministicUnderFixedSeed) {
   FaultPlanConfig pc;
   pc.seed = 7;
