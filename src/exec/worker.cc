@@ -49,10 +49,7 @@ void Worker::Fail() {
   }
   // Drain the queues and zero occupancy. Each drained monotask reports its
   // loss (deferred, like the Submit-on-failed path) so job managers notice
-  // without depending on lineage recovery. In-flight network completion
-  // events are cancelled by the failure-epoch guard in Execute()'s lambdas;
-  // registered CPU/disk monotasks are dropped here (their completion events
-  // find no registry entry and no-op).
+  // without depending on lineage recovery.
   for (auto& q : queues_) {
     while (!q.Empty()) {
       RunnableMonotask mt = q.Pop();
@@ -64,16 +61,21 @@ void Worker::Fail() {
       }
     }
   }
-  // In-flight CPU/disk monotasks are discarded silently, exactly like the
-  // pre-registry epoch guard did: the owning task is re-placed by lineage
-  // recovery, not by per-monotask failure callbacks.
+  // In-flight monotasks are discarded without callbacks: the owning task is
+  // re-placed by lineage recovery, not by per-monotask failure callbacks. A
+  // network entry's flow still runs out, finds no entry and is a no-op.
   for (auto& [key, fl] : inflight_) {
     sim_->Cancel(fl.event);
-    TraceLost(fl.type, fl.input_bytes, now - fl.start, fl.counted, fl.job, fl.id,
-              fl.trace_id);
+    if (tracer_ != nullptr) {
+      tracer_->MonotaskFinished(now, fl.trace_id, TraceEventKind::kLost, fl.type, id_, fl.job,
+                                fl.id, fl.input_bytes, now - fl.start, fl.counted);
+    }
   }
   inflight_.clear();
-  ledger_.ResetForFailure();
+  for (size_t r = 0; r < kNumMonotaskResources; ++r) {
+    slots_[r] = 0;
+    running_bytes_[r] = 0.0;
+  }
   cpu_busy_.Set(now, 0.0);
   cpu_alloc_.Set(now, 0.0);
   disk_busy_.Set(now, 0.0);
@@ -152,11 +154,12 @@ void Worker::set_speed_factor(double factor) {
   // degraded-rate window could silently do nothing.
   const double now = sim_->Now();
   for (auto& [key, fl] : inflight_) {
+    if (fl.type == ResourceType::kNetwork) {
+      continue;  // The flow simulator owns its finish time.
+    }
     fl.done_work = DoneWork(fl, now);
     sim_->Cancel(fl.event);
-    fl.rate = (fl.type == ResourceType::kCpu ? config_.cpu_byte_rate
-                                             : config_.disk_bytes_per_sec) *
-              speed_factor_;
+    fl.rate = WorkRate(fl.type);
     fl.resumed = now;
     const double remaining = std::max(0.0, fl.work - fl.done_work);
     const uint64_t k = key;
@@ -211,11 +214,11 @@ bool Worker::TryAllocateMemory(double bytes) {
   if (failed_) {
     return false;
   }
-  double allocated = 0.0;
-  if (!ledger_.TryAllocateMemory(bytes, config_.memory_bytes, &allocated)) {
+  // +1 byte of float slack.
+  if (mem_alloc_.current() + bytes > config_.memory_bytes + 1.0) {
     return false;
   }
-  mem_alloc_.Set(sim_->Now(), allocated);
+  mem_alloc_.Add(sim_->Now(), bytes);
   MarkLoadChanged();
   return true;
 }
@@ -224,7 +227,9 @@ void Worker::ReleaseMemory(double bytes) {
   if (failed_) {
     return;
   }
-  mem_alloc_.Set(sim_->Now(), ledger_.ReleaseMemory(bytes));
+  const double allocated = mem_alloc_.current() - bytes;
+  CHECK_GE(allocated, -1.0) << "memory release underflow";
+  mem_alloc_.Set(sim_->Now(), std::max(allocated, 0.0));
   MarkLoadChanged();
 }
 
@@ -232,14 +237,14 @@ void Worker::AddActualMemoryUse(double delta) {
   if (failed_) {
     return;
   }
-  mem_used_.Set(sim_->Now(), ledger_.AddActualMemoryUse(delta));
+  mem_used_.Set(sim_->Now(), std::max(mem_used_.current() + delta, 0.0));
 }
 
 double Worker::ApproxProcessingTime(ResourceType r) const {
   if (r == ResourceType::kCpu && HasIdleCpu()) {
     return 0.0;
   }
-  const double pending = queue(r).queued_bytes() + ledger_.running_bytes(r);
+  const double pending = queue(r).queued_bytes() + running_bytes(r);
   const double rate = ProcessingRate(r);
   if (rate <= 0.0) {
     return pending > 0.0 ? 1e18 : 0.0;
@@ -260,21 +265,21 @@ void Worker::AddCpuBusy(double delta) {
   if (failed_) {
     return;
   }
-  cpu_busy_.Set(sim_->Now(), ledger_.AddOccupancy(OccupancyKind::kCpuBusy, delta));
+  cpu_busy_.Add(sim_->Now(), delta);
 }
 
 void Worker::AddCpuAllocated(double delta) {
   if (failed_) {
     return;
   }
-  cpu_alloc_.Set(sim_->Now(), ledger_.AddOccupancy(OccupancyKind::kCpuAlloc, delta));
+  cpu_alloc_.Add(sim_->Now(), delta);
 }
 
 void Worker::AddDiskBusy(double delta) {
   if (failed_) {
     return;
   }
-  disk_busy_.Set(sim_->Now(), ledger_.AddOccupancy(OccupancyKind::kDiskBusy, delta));
+  disk_busy_.Add(sim_->Now(), delta);
 }
 
 int Worker::SlotLimit(ResourceType r) const {
@@ -292,159 +297,116 @@ int Worker::SlotLimit(ResourceType r) const {
 
 void Worker::PumpQueue(ResourceType r) {
   const int limit = SlotLimit(r);
-  while (!queue(r).Empty()) {
-    if (!ledger_.TryAcquireSlot(r, limit)) {
-      return;
-    }
+  int& slots = slots_[static_cast<size_t>(r)];
+  while (!queue(r).Empty() && slots < limit) {
     RunnableMonotask mt = queue(r).Pop();
     if (mt.cancel != nullptr && mt.cancel->cancelled) {
-      // Cancelled while queued; its resources were never charged.
-      ledger_.ReleaseSlot(r);
-      continue;
+      continue;  // Cancelled while queued; its resources were never charged.
     }
+    ++slots;
     Execute(std::move(mt), /*counted=*/true);
+  }
+}
+
+double Worker::WorkRate(ResourceType r) const {
+  return (r == ResourceType::kCpu ? config_.cpu_byte_rate : config_.disk_bytes_per_sec) *
+         speed_factor_;
+}
+
+void Worker::AddRunningBytes(ResourceType r, double delta) {
+  double& bytes = running_bytes_[static_cast<size_t>(r)];
+  bytes = std::max(bytes + delta, 0.0);
+}
+
+void Worker::AddCountedOccupancy(const InFlight& fl, double delta) {
+  if (!fl.counted) {
+    return;
+  }
+  if (fl.type == ResourceType::kCpu) {
+    AddCpuBusy(delta);
+    AddCpuAllocated(delta);
+  } else if (fl.type == ResourceType::kDisk) {
+    AddDiskBusy(delta);
   }
 }
 
 void Worker::Execute(RunnableMonotask mt, bool counted) {
   const double now = sim_->Now();
   const ResourceType r = mt.type;
-  ledger_.AddRunningBytes(r, mt.input_bytes);
-  const double input_bytes = mt.input_bytes;
-  const JobId job = mt.job;
-  const MonotaskId mid = mt.id;
-  const uint64_t trace_id = mt.trace_id;
+  AddRunningBytes(r, mt.input_bytes);
   if (tracer_ != nullptr) {
-    tracer_->MonotaskDispatched(now, trace_id, r, id_, job, mid, input_bytes,
+    tracer_->MonotaskDispatched(now, mt.trace_id, r, id_, mt.job, mt.id, mt.input_bytes,
                                 now - mt.queued_time, counted);
   }
-  // Completion events scheduled below belong to this failure epoch. If the
-  // worker fails (and possibly recovers) before they fire, the events are
-  // stale: their occupancy was zeroed by Fail() and their result is lost, so
-  // they must be discarded instead of decrementing the rejoined worker's
-  // fresh accounting and delivering stale callbacks. CPU/disk monotasks are
-  // guarded by their registry entry (Fail() clears it); network lambdas keep
-  // the explicit epoch check.
-  const int epoch = failure_epoch_;
-  std::function<void()> on_complete = std::move(mt.on_complete);
-  std::function<void()> on_failure = std::move(mt.on_failure);
-  switch (r) {
-    case ResourceType::kCpu:
-    case ResourceType::kDisk: {
-      if (counted) {
-        if (r == ResourceType::kCpu) {
-          AddCpuBusy(1.0);
-          AddCpuAllocated(1.0);
-        } else {
-          AddDiskBusy(1.0);
-        }
+  // The entry is registered before its completion can be scheduled. Fail()
+  // clears the registry, so a completion that fires after a failure (and
+  // possibly a rejoin) finds nothing and never touches fresh accounting.
+  const uint64_t key = next_inflight_key_++;
+  InFlight& fl = inflight_[key];
+  fl.type = r;
+  fl.input_bytes = mt.input_bytes;
+  fl.start = now;
+  fl.resumed = now;
+  fl.counted = counted;
+  fl.job = mt.job;
+  fl.id = mt.id;
+  fl.trace_id = mt.trace_id;
+  fl.cancel = std::move(mt.cancel);
+  fl.on_complete = std::move(mt.on_complete);
+  fl.on_failure = std::move(mt.on_failure);
+  auto finish = [this, key] { FinishInFlight(key); };
+  if (r != ResourceType::kNetwork) {
+    AddCountedOccupancy(fl, 1.0);
+    fl.work = std::max(mt.work, 0.0);
+    fl.rate = WorkRate(r);
+    fl.event = sim_->Schedule(fl.work / fl.rate, std::move(finish));
+    return;
+  }
+  // Pull from every sender at once (section 4.2.3). The paper's contention
+  // model considers only the receiver's bandwidth, so the concurrent pulls
+  // are represented as one aggregate flow into this worker; purely local
+  // gathers move at the local copy rate.
+  double remote_bytes = 0.0;
+  double local_bytes = 0.0;
+  WorkerId biggest_src = id_;
+  double biggest = -1.0;
+  for (const RunnableMonotask::Pull& pull : mt.pulls) {
+    if (pull.src == id_) {
+      local_bytes += pull.bytes;
+    } else {
+      remote_bytes += pull.bytes;
+      if (pull.bytes > biggest) {
+        biggest = pull.bytes;
+        biggest_src = pull.src;
       }
-      InFlight fl;
-      fl.type = r;
-      fl.input_bytes = input_bytes;
-      fl.work = std::max(mt.work, 0.0);
-      fl.start = now;
-      fl.resumed = now;
-      fl.rate = (r == ResourceType::kCpu ? config_.cpu_byte_rate
-                                         : config_.disk_bytes_per_sec) *
-                speed_factor_;
-      fl.counted = counted;
-      fl.job = job;
-      fl.id = mid;
-      fl.trace_id = trace_id;
-      fl.cancel = std::move(mt.cancel);
-      fl.on_complete = std::move(on_complete);
-      fl.on_failure = std::move(on_failure);
-      const uint64_t key = next_inflight_key_++;
-      fl.event = sim_->Schedule(fl.work / fl.rate, [this, key] { FinishInFlight(key); });
-      inflight_.emplace(key, std::move(fl));
-      break;
-    }
-    case ResourceType::kNetwork: {
-      // Pull from every sender at once (section 4.2.3). The paper's
-      // contention model considers only the receiver's bandwidth, so the
-      // concurrent pulls are represented as one aggregate flow into this
-      // worker; purely local gathers move at the local copy rate.
-      const double start = now;
-      auto finish = [this, epoch, r, input_bytes, start, counted, job, mid, trace_id,
-                     cancel = std::move(mt.cancel), cb = std::move(on_complete),
-                     fb = std::move(on_failure)]() mutable {
-        const double elapsed = sim_->Now() - start;
-        if (failure_epoch_ != epoch || failed_) {
-          TraceLost(r, input_bytes, elapsed, counted, job, mid, trace_id);
-          return;
-        }
-        if (cancel != nullptr && cancel->cancelled) {
-          // A flow cannot be retracted mid-transfer, so a cancelled network
-          // monotask is disarmed here: the whole transfer is wasted work.
-          DiscardCancelled(r, input_bytes, elapsed, counted, job, mid, trace_id,
-                           input_bytes);
-          return;
-        }
-        OnMonotaskDone(r, input_bytes, elapsed, counted, job, mid, trace_id,
-                       std::move(cb), std::move(fb));
-      };
-      double remote_bytes = 0.0;
-      double local_bytes = 0.0;
-      WorkerId biggest_src = id_;
-      double biggest = -1.0;
-      for (const RunnableMonotask::Pull& pull : mt.pulls) {
-        if (pull.src == id_) {
-          local_bytes += pull.bytes;
-        } else {
-          remote_bytes += pull.bytes;
-          if (pull.bytes > biggest) {
-            biggest = pull.bytes;
-            biggest_src = pull.src;
-          }
-        }
-      }
-      if (remote_bytes > 0.0) {
-        net_->StartFlow(biggest_src, id_, remote_bytes + local_bytes, std::move(finish));
-      } else if (local_bytes > 0.0) {
-        net_->StartFlow(id_, id_, local_bytes, std::move(finish));
-      } else {
-        sim_->Schedule(0.0, std::move(finish));
-      }
-      break;
     }
   }
-}
-
-void Worker::TraceLost(ResourceType r, double input_bytes, double elapsed, bool counted,
-                       JobId job, MonotaskId monotask, uint64_t trace_id) {
-  if (tracer_ != nullptr) {
-    tracer_->MonotaskFinished(sim_->Now(), trace_id, TraceEventKind::kLost, r, id_, job,
-                              monotask, input_bytes, elapsed, counted);
+  if (remote_bytes > 0.0) {
+    net_->StartFlow(biggest_src, id_, remote_bytes + local_bytes, std::move(finish));
+  } else if (local_bytes > 0.0) {
+    net_->StartFlow(id_, id_, local_bytes, std::move(finish));
+  } else {
+    sim_->Schedule(0.0, std::move(finish));
   }
 }
 
 void Worker::FinishInFlight(uint64_t key) {
   const auto it = inflight_.find(key);
   if (it == inflight_.end()) {
-    return;  // Lost to a failure epoch or disarmed by SweepCancelled.
+    return;  // Lost to a failure or disarmed by SweepCancelled.
   }
   InFlight fl = std::move(it->second);
   inflight_.erase(it);
-  const double now = sim_->Now();
-  const double elapsed = now - fl.start;
-  if (fl.counted) {
-    if (fl.type == ResourceType::kCpu) {
-      AddCpuBusy(-1.0);
-      AddCpuAllocated(-1.0);
-    } else {
-      AddDiskBusy(-1.0);
-    }
-  }
+  const double elapsed = sim_->Now() - fl.start;
+  AddCountedOccupancy(fl, -1.0);
   if (fl.cancel != nullptr && fl.cancel->cancelled) {
-    // Cancelled after the last (re)schedule but never swept: the work ran to
-    // completion, all of it wasted.
-    DiscardCancelled(fl.type, fl.input_bytes, elapsed, fl.counted, fl.job, fl.id,
-                     fl.trace_id, fl.input_bytes);
+    // Cancelled but never swept (a CPU/disk copy cancelled after its last
+    // (re)schedule), or a network transfer, which cannot be retracted
+    // mid-flow: the work ran to completion, all of it wasted.
+    DiscardCancelled(fl, elapsed, fl.input_bytes);
     return;
   }
-  OnMonotaskDone(fl.type, fl.input_bytes, elapsed, fl.counted, fl.job, fl.id, fl.trace_id,
-                 std::move(fl.on_complete), std::move(fl.on_failure));
+  OnMonotaskDone(fl, elapsed);
 }
 
 void Worker::SweepCancelled() {
@@ -457,52 +419,41 @@ void Worker::SweepCancelled() {
   const double now = sim_->Now();
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     InFlight& fl = it->second;
-    if (fl.cancel == nullptr || !fl.cancel->cancelled) {
+    // Network entries are disarmed when their flow completes.
+    if (fl.type == ResourceType::kNetwork || fl.cancel == nullptr || !fl.cancel->cancelled) {
       ++it;
       continue;
     }
     sim_->Cancel(fl.event);
     InFlight dead = std::move(fl);
     it = inflight_.erase(it);
-    if (dead.counted) {
-      if (dead.type == ResourceType::kCpu) {
-        AddCpuBusy(-1.0);
-        AddCpuAllocated(-1.0);
-      } else {
-        AddDiskBusy(-1.0);
-      }
-    }
+    AddCountedOccupancy(dead, -1.0);
     const double done = DoneWork(dead, now);
     const double fraction = dead.work > 0.0 ? done / dead.work : 1.0;
-    DiscardCancelled(dead.type, dead.input_bytes, now - dead.start, dead.counted, dead.job,
-                     dead.id, dead.trace_id, fraction * dead.input_bytes);
+    DiscardCancelled(dead, now - dead.start, fraction * dead.input_bytes);
   }
   MarkLoadChanged();
 }
 
-void Worker::DiscardCancelled(ResourceType r, double input_bytes, double elapsed,
-                              bool counted, JobId job, MonotaskId monotask,
-                              uint64_t trace_id, double done_bytes) {
-  ledger_.AddRunningBytes(r, -input_bytes);
+void Worker::DiscardCancelled(const InFlight& fl, double elapsed, double done_bytes) {
+  AddRunningBytes(fl.type, -fl.input_bytes);
   if (tracer_ != nullptr) {
-    tracer_->MonotaskFinished(sim_->Now(), trace_id, TraceEventKind::kCancelled, r, id_,
-                              job, monotask, input_bytes, elapsed, counted);
+    tracer_->MonotaskFinished(sim_->Now(), fl.trace_id, TraceEventKind::kCancelled, fl.type,
+                              id_, fl.job, fl.id, fl.input_bytes, elapsed, fl.counted);
   }
   if (waste_sink_) {
-    waste_sink_(r, done_bytes, elapsed);
+    waste_sink_(fl.type, done_bytes, elapsed);
   }
-  if (counted) {
-    ledger_.ReleaseSlot(r);
-    PumpQueue(r);
+  if (fl.counted) {
+    --slots_[static_cast<size_t>(fl.type)];
+    PumpQueue(fl.type);
   }
   MarkLoadChanged();
 }
 
-void Worker::OnMonotaskDone(ResourceType r, double input_bytes, double elapsed, bool counted,
-                            JobId job, MonotaskId monotask, uint64_t trace_id,
-                            std::function<void()> on_complete,
-                            std::function<void()> on_failure) {
-  ledger_.AddRunningBytes(r, -input_bytes);
+void Worker::OnMonotaskDone(const InFlight& fl, double elapsed) {
+  const ResourceType r = fl.type;
+  AddRunningBytes(r, -fl.input_bytes);
   // Transient failure: the monotask consumed its resources but produced no
   // result. Injected (scheduled) failures take precedence over the
   // probabilistic profile.
@@ -514,25 +465,25 @@ void Worker::OnMonotaskDone(ResourceType r, double input_bytes, double elapsed, 
              transient_rng_.Bernoulli(transient_failure_prob_)) {
     transient_fail = true;
   }
-  RecordRate(r, input_bytes, elapsed);
+  RecordRate(r, fl.input_bytes, elapsed);
   if (tracer_ != nullptr) {
-    tracer_->MonotaskFinished(sim_->Now(), trace_id,
+    tracer_->MonotaskFinished(sim_->Now(), fl.trace_id,
                               transient_fail ? TraceEventKind::kFail
                                              : TraceEventKind::kComplete,
-                              r, id_, job, monotask, input_bytes, elapsed, counted);
+                              r, id_, fl.job, fl.id, fl.input_bytes, elapsed, fl.counted);
   }
   if (transient_fail) {
-    if (on_failure) {
-      on_failure();
+    if (fl.on_failure) {
+      fl.on_failure();
     }
   } else {
-    ledger_.IncrementCompleted(r);
-    if (on_complete) {
-      on_complete();
+    ++completed_[static_cast<size_t>(r)];
+    if (fl.on_complete) {
+      fl.on_complete();
     }
   }
-  if (counted) {
-    ledger_.ReleaseSlot(r);
+  if (fl.counted) {
+    --slots_[static_cast<size_t>(r)];
     PumpQueue(r);
   }
   MarkLoadChanged();

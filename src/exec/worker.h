@@ -20,11 +20,9 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/rng.h"
 #include "src/common/time_series.h"
 #include "src/exec/monotask_queue.h"
-#include "src/exec/occupancy.h"
 #include "src/net/flow_simulator.h"
 #include "src/sim/simulator.h"
 
@@ -128,7 +126,7 @@ class Worker {
   void ReleaseMemory(double bytes);
   // Actual consumption, for UE_mem (may be below the allocated estimate).
   void AddActualMemoryUse(double delta);
-  double free_memory() const { return config_.memory_bytes - ledger_.mem_allocated(); }
+  double free_memory() const { return config_.memory_bytes - mem_alloc_.current(); }
   double memory_capacity() const { return config_.memory_bytes; }
 
   // --- Load reporting for the scheduler. ---
@@ -139,12 +137,8 @@ class Worker {
   // Overall processing rate for resource r in bytes/s (CPU rate is per-core
   // rate times core count).
   double ProcessingRate(ResourceType r) const;
-  bool HasIdleCpu() const {
-    return ledger_.slots_in_use(ResourceType::kCpu) < config_.cores;
-  }
-  int idle_cores() const {
-    return config_.cores - ledger_.slots_in_use(ResourceType::kCpu);
-  }
+  bool HasIdleCpu() const { return busy_cores() < config_.cores; }
+  int idle_cores() const { return config_.cores - busy_cores(); }
   size_t QueueLength(ResourceType r) const { return queue(r).Size(); }
 
   // --- Raw occupancy hooks for baseline runtimes. ---
@@ -163,7 +157,7 @@ class Worker {
   double downlink() const { return net_->downlink(id_); }
 
   // Completed monotask counters (per resource), for tests.
-  int64_t completed(ResourceType r) const { return ledger_.completed(r); }
+  int64_t completed(ResourceType r) const { return completed_[static_cast<size_t>(r)]; }
 
   // --- Tracing (src/obs). ---
   // Attaches an event tracer (not owned; may be null). Every monotask
@@ -190,12 +184,12 @@ class Worker {
   }
 
   // Current occupancy, for invariant checks in tests.
-  int busy_cores() const { return ledger_.slots_in_use(ResourceType::kCpu); }
-  int busy_disks() const { return ledger_.slots_in_use(ResourceType::kDisk); }
-  int active_network() const { return ledger_.slots_in_use(ResourceType::kNetwork); }
-  double running_bytes(ResourceType r) const { return ledger_.running_bytes(r); }
-  double cpu_busy_now() const { return ledger_.occupancy(OccupancyKind::kCpuBusy); }
-  double disk_busy_now() const { return ledger_.occupancy(OccupancyKind::kDiskBusy); }
+  int busy_cores() const { return slots_[static_cast<size_t>(ResourceType::kCpu)]; }
+  int busy_disks() const { return slots_[static_cast<size_t>(ResourceType::kDisk)]; }
+  int active_network() const { return slots_[static_cast<size_t>(ResourceType::kNetwork)]; }
+  double running_bytes(ResourceType r) const { return running_bytes_[static_cast<size_t>(r)]; }
+  double cpu_busy_now() const { return cpu_busy_.current(); }
+  double disk_busy_now() const { return disk_busy_.current(); }
 
  private:
   struct RateMonitor {
@@ -205,17 +199,18 @@ class Worker {
     double acc_time = 0.0;
   };
 
-  // A dispatched CPU or disk monotask awaiting its completion event. Keeping
-  // the remaining work and effective rate here lets set_speed_factor
-  // reschedule mid-flight and lets SweepCancelled disarm a losing copy
-  // promptly. Network monotasks are not registered: their finish time is
-  // owned by the FlowSimulator. Keys are never reused, so a completion event
-  // that outlives its entry (failure epoch, cancellation) finds nothing and
-  // is a no-op.
+  // One dispatched monotask of any resource, from dispatch until it
+  // completes, is disarmed as cancelled or is lost to Fail(). A CPU or disk
+  // entry owns its completion event; keeping the remaining work and effective
+  // rate here lets set_speed_factor reschedule mid-flight and lets
+  // SweepCancelled disarm a losing copy promptly. A network entry's finish
+  // time is owned by the FlowSimulator, so its `event` stays invalid and its
+  // flow calls FinishInFlight. Keys are never reused, so a completion that
+  // outlives its entry (failure, cancellation) finds nothing and is a no-op.
   struct InFlight {
     ResourceType type = ResourceType::kCpu;
     double input_bytes = 0.0;
-    double work = 0.0;       // Total work bytes.
+    double work = 0.0;       // Total work bytes (CPU/disk).
     double done_work = 0.0;  // Work banked before the last (re)schedule.
     double start = 0.0;      // Dispatch time.
     double resumed = 0.0;    // Last (re)schedule time.
@@ -241,21 +236,21 @@ class Worker {
   void PumpQueue(ResourceType r);
   // Runs one monotask (resource already accounted by the caller).
   void Execute(RunnableMonotask mt, bool counted);
-  void OnMonotaskDone(ResourceType r, double input_bytes, double elapsed, bool counted,
-                      JobId job, MonotaskId monotask, uint64_t trace_id,
-                      std::function<void()> on_complete, std::function<void()> on_failure);
-  // Records the loss of an in-flight monotask whose completion event fired
-  // after this worker failed (and possibly recovered: epoch mismatch).
-  void TraceLost(ResourceType r, double input_bytes, double elapsed, bool counted,
-                 JobId job, MonotaskId monotask, uint64_t trace_id);
-  // Completion-event target for registered CPU/disk monotasks.
+  // Completion target of every in-flight monotask: CPU/disk completion
+  // events and network flows alike.
   void FinishInFlight(uint64_t key);
+  void OnMonotaskDone(const InFlight& fl, double elapsed);
   // Final accounting for a cancelled monotask: releases running bytes and
   // the concurrency slot, records the kCancelled trace span and reports
   // `done_bytes` / `elapsed` to the waste sink.
-  void DiscardCancelled(ResourceType r, double input_bytes, double elapsed, bool counted,
-                        JobId job, MonotaskId monotask, uint64_t trace_id,
-                        double done_bytes);
+  void DiscardCancelled(const InFlight& fl, double elapsed, double done_bytes);
+  // Charges (`delta` = +1) or returns (-1) the busy core or disk arm of a
+  // counted CPU/disk monotask; network transfers have no occupancy tracker.
+  void AddCountedOccupancy(const InFlight& fl, double delta);
+  // Effective CPU/disk processing rate of one lane under the speed factor.
+  double WorkRate(ResourceType r) const;
+  // Adds `delta` to the bytes being processed on `r`, clamping at zero.
+  void AddRunningBytes(ResourceType r, double delta);
   // Work completed so far by an in-flight entry at time `now`.
   static double DoneWork(const InFlight& fl, double now);
   void RecordRate(ResourceType r, double bytes, double elapsed);
@@ -275,17 +270,11 @@ class Worker {
   Tracer* tracer_ = nullptr;
 
   MonotaskQueue queues_[kNumMonotaskResources];
-  // Map nodes are recycled through the worker-owned pool: at steady state a
-  // worker churns through thousands of in-flight records per simulated
-  // second, all the same size. Declared before inflight_ so the nodes die
-  // before their arena.
-  PoolResource inflight_arena_;
-  // Ordered map: PumpQueue (via DiscardCancelled) may insert new entries
-  // while SweepCancelled iterates, which std::map iterators tolerate.
-  using InFlightMap = std::map<uint64_t, InFlight, std::less<uint64_t>,
-                               PoolAllocator<std::pair<const uint64_t, InFlight>>>;
-  InFlightMap inflight_{
-      PoolAllocator<std::pair<const uint64_t, InFlight>>(&inflight_arena_)};
+  // Ordered map: Fail, set_speed_factor and SweepCancelled walk it in
+  // dispatch order, which fixes the order of the events they cancel and
+  // schedule; PumpQueue (via DiscardCancelled) may insert new entries while
+  // SweepCancelled iterates, which std::map iterators tolerate.
+  std::map<uint64_t, InFlight> inflight_;
   uint64_t next_inflight_key_ = 1;
   WasteSink waste_sink_;
   bool failed_ = false;
@@ -304,12 +293,16 @@ class Worker {
   std::function<void(WorkerId)> load_listener_;
   std::function<void(WorkerId)> fail_listener_;
 
-  // Concurrency slots, running bytes, completion counters, memory accounting
-  // and the occupancy mirrors.
-  OccupancyLedger ledger_;
+  // Per resource: concurrency slots in use, bytes of input being processed,
+  // and completed monotasks (cumulative; survives failures).
+  int slots_[kNumMonotaskResources] = {};
+  double running_bytes_[kNumMonotaskResources] = {};
+  int64_t completed_[kNumMonotaskResources] = {};
 
   RateMonitor rates_[kNumMonotaskResources];
 
+  // Occupancy and memory accounting; each tracker's current() is the live
+  // value.
   StepTracker cpu_busy_;
   StepTracker cpu_alloc_;
   StepTracker mem_used_;
