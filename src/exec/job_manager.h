@@ -79,17 +79,11 @@ class JobManager {
   // --- Fault tolerance (section 4.3). ---
   // Retry policy for transient monotask failures; `stats` (may be null)
   // receives retry/recovery counters.
-  void ConfigureFaultPolicy(int max_attempts, double backoff_base, double backoff_cap,
-                            FaultCounters* stats);
+  void ConfigureFaultPolicy(int max_attempts, FaultCounters* stats);
 
   struct RecoveryResult {
     int tasks_reset = 0;           // Tasks returned to the blocked/ready pool.
     int tasks_started_before = 0;  // Placed+completed tasks a full restart would redo.
-    // True when the job cannot be repaired at stage granularity (its
-    // checkpointed inputs are gone) and must restart from the checkpoint.
-    // External job inputs are durable in this model, so this only trips if
-    // that ever changes.
-    bool inputs_lost = false;
   };
   // Stage-level lineage recovery: determines which task results died with
   // `failed` (in-flight placements and completed outputs that are still
@@ -403,8 +397,6 @@ class JobManager {
 
   // Fault-tolerance policy and bookkeeping.
   int max_monotask_attempts_ = 3;
-  double retry_backoff_base_ = 0.25;
-  double retry_backoff_cap_ = 4.0;
   FaultCounters* fault_stats_ = nullptr;
   int recovering_outstanding_ = 0;
   double recovery_start_ = -1.0;

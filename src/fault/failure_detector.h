@@ -30,9 +30,8 @@ struct FailureDetectorConfig {
 
 // Fault-tolerance policy knobs shared by the scheduler and job managers.
 struct FaultToleranceConfig {
-  // When true the scheduler detects worker deaths from missed heartbeats
-  // instead of relying on an external FailWorker() call.
-  bool enable_heartbeat_detection = true;
+  // The scheduler detects worker deaths from missed heartbeats; an external
+  // FailWorker() call only reports them sooner.
   FailureDetectorConfig detector;
   // When true, a worker failure triggers stage-level lineage recovery (only
   // the lost tasks and their invalidated dependents re-execute). When false,
@@ -41,9 +40,6 @@ struct FaultToleranceConfig {
   // Transient monotask failures: attempts on the same worker before the task
   // is re-placed on a different worker.
   int max_monotask_attempts = 3;
-  // Capped exponential backoff between attempts (seconds).
-  double retry_backoff_base = 0.25;
-  double retry_backoff_cap = 4.0;
 };
 
 class FailureDetector {

@@ -79,18 +79,16 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
            "message layer's crash-recovery model)";
     journal_ = std::make_unique<Journal>();
   }
-  if (config_.fault.enable_heartbeat_detection) {
-    detector_ = std::make_unique<FailureDetector>(sim_, cluster_, config_.fault.detector);
-    detector_->set_on_death(
-        [this](WorkerId w, [[maybe_unused]] double silence) { HandleWorkerFailure(w); });
-    detector_->set_on_rejoin([this](WorkerId w) { OnWorkerRejoined(w); });
-    if (config_.ctrl.enabled) {
-      // Heartbeats ride the lossy best-effort channel: lost or late beats
-      // are exactly the silence the detector consumes.
-      detector_->set_transport([this](WorkerId w, std::function<void()> deliver) {
-        ctrl_->Heartbeat(w, std::move(deliver));
-      });
-    }
+  detector_ = std::make_unique<FailureDetector>(sim_, cluster_, config_.fault.detector);
+  detector_->set_on_death(
+      [this](WorkerId w, [[maybe_unused]] double silence) { HandleWorkerFailure(w); });
+  detector_->set_on_rejoin([this](WorkerId w) { OnWorkerRejoined(w); });
+  if (config_.ctrl.enabled) {
+    // Heartbeats ride the lossy best-effort channel: lost or late beats are
+    // exactly the silence the detector consumes.
+    detector_->set_transport([this](WorkerId w, std::function<void()> deliver) {
+      ctrl_->Heartbeat(w, std::move(deliver));
+    });
   }
   if (config_.admission.enabled) {
     admission_ = std::make_unique<AdmissionController>(config_.admission);
@@ -303,11 +301,6 @@ int UrsaScheduler::ReconcileWorkerFailure(WorkerId worker_id) {
     entry->jm->HandleWorkerFailureForSpeculation(worker_id);
     if (config_.fault.enable_lineage_recovery) {
       JobManager::RecoveryResult r = entry->jm->RecoverFromWorkerFailure(worker_id);
-      if (r.inputs_lost) {
-        FullRestart(*entry);
-        ++affected;
-        continue;
-      }
       if (r.tasks_reset > 0) {
         fault_stats_.RecordTasksReset(now, r.tasks_reset);
         fault_stats_.full_restart_equivalent_tasks += r.tasks_started_before;
@@ -356,9 +349,7 @@ void UrsaScheduler::ConfigureJobManager(JobEntry& entry) {
       entry.stage_keys.push_back(colocation_->InternKey(entry.job->spec.klass, name));
     }
   }
-  entry.jm->ConfigureFaultPolicy(config_.fault.max_monotask_attempts,
-                                 config_.fault.retry_backoff_base,
-                                 config_.fault.retry_backoff_cap, &fault_stats_);
+  entry.jm->ConfigureFaultPolicy(config_.fault.max_monotask_attempts, &fault_stats_);
   if (spec_manager_ != nullptr) {
     entry.jm->ConfigureSpeculation(spec_manager_.get());
   }
@@ -505,9 +496,7 @@ void UrsaScheduler::RecoverScheduler() {
   // resets restored placements stranded on dead workers (including
   // pre-crash primary_lost tasks whose forfeited copy left them without a
   // runner).
-  if (detector_ != nullptr) {
-    detector_->Reset(now);
-  }
+  detector_->Reset(now);
   for (int w = 0; w < cluster_->size(); ++w) {
     const Worker& worker = cluster_->worker(w);
     if (worker.failed() ||
@@ -632,11 +621,9 @@ void UrsaScheduler::EnsureTickScheduled() {
   tick_scheduled_ = true;
   sim_->Schedule(config_.scheduling_interval, [this] { Tick(); });
   EnsureCheckpointScheduled();
-  if (detector_ != nullptr) {
-    // (Re)start heartbeats and sweeps; both stop when the cluster goes idle
-    // so the event queue can drain.
-    detector_->Activate([this] { return active_jobs_ > 0 || !waiting_admission_.empty(); });
-  }
+  // (Re)start heartbeats and sweeps; both stop when the cluster goes idle so
+  // the event queue can drain.
+  detector_->Activate([this] { return active_jobs_ > 0 || !waiting_admission_.empty(); });
 }
 
 void UrsaScheduler::Tick() {

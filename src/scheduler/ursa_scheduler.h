@@ -137,7 +137,6 @@ class UrsaScheduler : public JobManagerListener {
   // failure detector, the job managers and the FaultInjector).
   const FaultCounters& fault_stats() const { return fault_stats_; }
   FaultCounters* mutable_fault_stats() { return &fault_stats_; }
-  // Null when heartbeat detection is disabled.
   const FailureDetector* failure_detector() const { return detector_.get(); }
   // Null when speculation is disabled.
   const SpeculationManager* speculation_manager() const { return spec_manager_.get(); }
@@ -411,7 +410,6 @@ class UrsaScheduler : public JobManagerListener {
   // The bucketed scan is only sound for bucketable score policies; resolved
   // once at construction.
   bool bucketed_ = false;
-  // Non-null when heartbeat detection is enabled.
   std::unique_ptr<FailureDetector> detector_;
   // Non-null when speculative execution is enabled; shared by all job
   // managers for budget enforcement and waste accounting.
