@@ -16,7 +16,7 @@
 //     done-flag / attempt;
 //   * epoch fencing: a scheduler crash bumps the epoch, and any dispatch
 //     minted under an older epoch is discarded at delivery, so a stale
-//     message can never double-charge an OccupancyLedger slot or resurrect
+//     message can never double-charge a worker's concurrency slot or resurrect
 //     a cancelled copy.
 #ifndef SRC_CTRL_CONTROL_PLANE_H_
 #define SRC_CTRL_CONTROL_PLANE_H_

@@ -149,7 +149,7 @@ TEST(OverloadDeterminism, IdenticalSeedsProduceIdenticalRuns) {
 // Direct scheduler drive: an overloaded submission burst with a worker
 // failing and rejoining mid-flight, sampling the occupancy ledger the whole
 // time. The ledger must never over-commit a worker's memory (1-byte
-// float slack, matching OccupancyLedger::TryAllocateMemory).
+// float slack, matching Worker::TryAllocateMemory).
 TEST(OverloadLedger, NeverOvercommitsDuringOverloadAndRejoin) {
   Simulator sim;
   ClusterConfig cc;
