@@ -1,20 +1,20 @@
-// Policy-framework comparison bench (DESIGN.md section 13): sweeps every
-// registered job-ordering policy (EJF, SRJF, Graphene) plus the alternative
-// worker-score policy (Tetris dot-product) and the Hugo-style co-location
-// learner over the TPC-H, TPC-DS and mixed workloads, and writes a
-// machine-readable summary to --json-out (default BENCH_policy.json).
+// Ordering-policy comparison bench (DESIGN.md section 13): runs every
+// registered job-ordering policy (EJF, SRJF, Graphene) over the TPC-H,
+// TPC-DS and mixed workloads, and writes a machine-readable summary to
+// --json-out (default BENCH_policy.json).
 //
-// The ordering contenders come from OrderingPolicyRegistry(), so a policy
-// registered in src/scheduler/job_ordering.cc is swept here (and appears in
-// the committed BENCH_policy.json) without touching this file.
+// The contenders come from OrderingPolicyRegistry(), so a policy registered
+// in src/scheduler/job_ordering.cc is run here (and appears in the committed
+// BENCH_policy.json) without touching this file.
 //
 // Assertions (exit 1 on failure):
 //   - Graphene must beat both EJF and SRJF on mean JCT on the mixed
-//     workload (the DAG-aware ordering earns its keep where DAG shapes are
-//     heterogeneous).
-//   - Re-running Graphene, Tetris-score and Hugo on the mixed workload with
-//     the same seed must reproduce the identical schedule (events, makespan,
-//     avg JCT) — the policies stay inside the determinism envelope.
+//     workload. This is a fixed-seed regression tripwire, not evidence that
+//     Graphene wins on mixed: across seeds 1, 7, 42, 99 and 2024 its gain
+//     there is 1.003 / 0.997 / 1.007 / 1.004 / 0.990, so the bench exits 1
+//     at seeds 7 and 2024 (EXPERIMENTS.md).
+//   - Re-running Graphene on the mixed workload with the same seed must
+//     reproduce the identical schedule (events, makespan, avg JCT).
 //
 //   bench_policy_compare [--seed=N] [--jobs=N] [--json-out=FILE]
 //                        [--baseline=FILE]
@@ -56,20 +56,12 @@ struct Contender {
   ExperimentConfig config;
 };
 
-// The swept policy set: every registered ordering policy under the default
-// Algorithm-1 score, plus the score-policy and co-location contenders on top
-// of SRJF ordering (so their delta isolates the placement change).
+// The policy set: every registered ordering policy.
 std::vector<Contender> MakeContenders() {
   std::vector<Contender> out;
   for (const OrderingPolicyInfo& info : OrderingPolicyRegistry()) {
     out.push_back({info.name, UrsaOrderingConfig(info.policy)});
   }
-  Contender tetris{"TETRIS-SCORE", UrsaSrjfConfig()};
-  tetris.config.ursa.score = PlacementScoreKind::kTetrisDot;
-  out.push_back(std::move(tetris));
-  Contender hugo{"HUGO", UrsaSrjfConfig()};
-  hugo.config.ursa.colocation.enabled = true;
-  out.push_back(std::move(hugo));
   return out;
 }
 
@@ -177,8 +169,8 @@ int main(int argc, char** argv) {
 
   bool ok = true;
 
-  // The DAG-aware ordering must earn its keep: on the mixed workload (the
-  // heterogeneous-DAG case) Graphene beats both base policies on mean JCT.
+  // Fixed-seed tripwire: at the default seed Graphene beats both base
+  // policies on mean JCT on the mixed workload. Other seeds can lose.
   const Row* graphene = FindRow(rows, mixed_name, "GRAPHENE");
   const Row* ejf = FindRow(rows, mixed_name, "EJF");
   const Row* srjf = FindRow(rows, mixed_name, "SRJF");
@@ -219,7 +211,7 @@ int main(int argc, char** argv) {
   }
 
   // Regression gate against the committed baseline: Graphene's mixed-bench
-  // win must not silently erode.
+  // gain at this seed must not silently erode.
   if (!opt.baseline.empty() &&
       !PassesBaselineGate(opt.baseline, "graphene_gain_mixed", gain, true, 3)) {
     ok = false;

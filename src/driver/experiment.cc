@@ -190,13 +190,6 @@ ExperimentConfig UrsaSrjfConfig() {
   return config;
 }
 
-ExperimentConfig UrsaGrapheneConfig() {
-  ExperimentConfig config;
-  config.kind = SchedulerKind::kUrsa;
-  config.ursa.policy = OrderingPolicy::kGraphene;
-  return config;
-}
-
 ExperimentConfig UrsaOrderingConfig(OrderingPolicy policy) {
   ExperimentConfig config;
   config.kind = SchedulerKind::kUrsa;

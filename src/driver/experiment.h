@@ -106,7 +106,6 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
 // Preset scheme configurations used across benches.
 ExperimentConfig UrsaEjfConfig();
 ExperimentConfig UrsaSrjfConfig();
-ExperimentConfig UrsaGrapheneConfig();
 // Ursa under an arbitrary registered ordering policy (registry-driven
 // benches; DESIGN.md section 13).
 ExperimentConfig UrsaOrderingConfig(OrderingPolicy policy);

@@ -864,22 +864,6 @@ void JobManager::ConfigureSpeculation(SpeculationManager* manager) {
   stage_durations_.assign(plan().stages().size(), RobustSample());
 }
 
-void JobManager::CollectPlacedStages(std::vector<std::pair<WorkerId, StageId>>* out) const {
-  if (aborted_) {
-    return;
-  }
-  for (TaskId t : placed_) {
-    const TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
-    const StageId stage = plan().task(t).stage;
-    if (rt.worker != kInvalidId && !rt.primary_lost) {
-      out->emplace_back(rt.worker, stage);
-    }
-    if (rt.spec != nullptr && rt.spec->worker != kInvalidId) {
-      out->emplace_back(rt.spec->worker, stage);
-    }
-  }
-}
-
 void JobManager::CollectStragglerCandidates(double now,
                                             std::vector<StragglerCandidate>* out) const {
   if (spec_manager_ == nullptr || aborted_ || finished()) {

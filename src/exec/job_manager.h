@@ -162,12 +162,6 @@ class JobManager {
   // Placed-but-unfinished tasks (the speculation budget's denominator).
   int CountPlacedTasks() const { return static_cast<int>(placed_.size()); }
 
-  // Appends one (worker, stage) pair per live execution of a placed task —
-  // the primary (unless its worker was lost) and any speculative copy. The
-  // scheduler's co-location learner builds its per-tick residency snapshot
-  // from this (DESIGN.md section 13).
-  void CollectPlacedStages(std::vector<std::pair<WorkerId, StageId>>* out) const;
-
   // Test/inspection hooks.
   bool has_speculative_copy(TaskId t) const {
     return tasks_[static_cast<size_t>(t)].spec != nullptr;

@@ -19,23 +19,17 @@ double SrjfRank(const std::array<double, kNumMonotaskResources>& remaining,
 
 double PlacementPriorityBonus(OrderingPolicy policy, double weight, double elapsed,
                               double srjf_rank) {
-  if (policy == OrderingPolicy::kGraphene) {
-    // The stage-level troublesome term is added by the scheduler; the job
-    // term defers to the configured base policy (resolved by the caller via
-    // EffectiveJobPolicy, which never yields kGraphene).
-    policy = OrderingPolicy::kSrjf;
-  }
   if (policy == OrderingPolicy::kEjf) {
     return weight * elapsed;
   }
   return weight / (srjf_rank + 1e-3);
 }
 
-double GrapheneStageBonus(double stage_weight, bool troublesome, double bottom_share) {
+double GrapheneStageBonus(bool troublesome, double bottom_share) {
   if (!troublesome) {
     return 0.0;
   }
-  return stage_weight * (1.0 + std::clamp(bottom_share, 0.0, 1.0));
+  return kGrapheneStageWeight * (1.0 + std::clamp(bottom_share, 0.0, 1.0));
 }
 
 const std::vector<OrderingPolicyInfo>& OrderingPolicyRegistry() {

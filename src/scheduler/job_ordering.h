@@ -5,12 +5,12 @@
 // (SRJF). Both are enforced in three places: job admission order, a weighted
 // term added to the placement score of each stage, and the ordering of
 // monotasks in worker queues. Graphene-style troublesome-first ordering
-// (DAGPS, PAPERS.md) layers a DAG-aware stage term on top of a base job
-// policy: each job's long-pole stage subset (src/dag/critical_path.h) gets a
+// (DAGPS, PAPERS.md) layers a DAG-aware stage term on top of SRJF: each
+// job's long-pole stage subset (src/dag/critical_path.h) gets a
 // placement-score boost so the hard stuff schedules first, while admission
-// and queue order follow the base policy. This header provides the rank
-// computations and the policy registry; the scheduler wires them into the
-// enforcement mechanisms.
+// and queue order follow SRJF. This header provides the rank computations
+// and the policy registry; the scheduler wires them into the enforcement
+// mechanisms.
 #ifndef SRC_SCHEDULER_JOB_ORDERING_H_
 #define SRC_SCHEDULER_JOB_ORDERING_H_
 
@@ -25,7 +25,7 @@ namespace ursa {
 enum class OrderingPolicy : int {
   kEjf = 0,
   kSrjf = 1,
-  kGraphene = 2,  // Troublesome-subset-first on top of a base policy.
+  kGraphene = 2,  // Troublesome-subset-first on top of SRJF.
 };
 
 inline const char* OrderingPolicyName(OrderingPolicy p) {
@@ -40,33 +40,24 @@ inline const char* OrderingPolicyName(OrderingPolicy p) {
   return "?";
 }
 
-// Graphene-style ordering knobs (used when the policy is kGraphene).
-struct GrapheneConfig {
-  // Long-pole membership bar: a stage is troublesome when its heaviest
-  // through-path reaches this fraction of the job's critical path. The
-  // default keeps the subset tight (true long poles only); lowering it
-  // drags in near-critical stages, which dilutes the boost
-  // (bench_policy_compare sweeps this).
-  double threshold = 0.9;
-  // Weight of the troublesome-stage placement bonus. Sized against the
-  // scheduler's job-priority weight so it reorders stages *within* a job
-  // (where the job term is constant) and between closely ranked jobs,
-  // without overriding large base-policy gaps.
-  double stage_weight = 150.0;
-  // Job-level policy beneath the stage term (admission order, queue
-  // priorities, job placement term). Must be kEjf or kSrjf.
-  OrderingPolicy base = OrderingPolicy::kSrjf;
-};
+// Graphene ordering constants (used when the policy is kGraphene).
+//
+// Long-pole membership bar: a stage is troublesome when its heaviest
+// through-path reaches this fraction of the job's critical path. 0.9 keeps
+// the subset tight (true long poles only); lower bars drag in near-critical
+// stages. No sweep backs the value: it is the one every Graphene result in
+// EXPERIMENTS.md was measured with.
+constexpr double kGrapheneThreshold = 0.9;
+// Weight of the troublesome-stage placement bonus. Sized against the
+// scheduler's job-priority weight so it reorders stages *within* a job
+// (where the job term is constant) and between closely ranked jobs,
+// without overriding large gaps between SRJF job ranks.
+constexpr double kGrapheneStageWeight = 150.0;
 
 // The job-level policy actually enforced at admission / queue granularity:
-// the policy itself, or its configured base for kGraphene.
-inline OrderingPolicy EffectiveJobPolicy(OrderingPolicy policy,
-                                         const GrapheneConfig& graphene) {
-  if (policy != OrderingPolicy::kGraphene) {
-    return policy;
-  }
-  return graphene.base == OrderingPolicy::kGraphene ? OrderingPolicy::kSrjf
-                                                    : graphene.base;
+// the policy itself, or SRJF (Graphene's base) for kGraphene.
+inline OrderingPolicy EffectiveJobPolicy(OrderingPolicy policy) {
+  return policy == OrderingPolicy::kGraphene ? OrderingPolicy::kSrjf : policy;
 }
 
 // SRJF rank of a job: the dot product of (2L - R) and R with both sides
@@ -81,16 +72,16 @@ double SrjfRank(const std::array<double, kNumMonotaskResources>& remaining,
 
 // Priority *bonus* added to a stage's placement score for this job.
 // EJF: W * elapsed-since-submission. SRJF: W / (rank + epsilon).
-// kGraphene resolves to its base policy's job term here; the troublesome
-// stage term is added separately by the scheduler.
+// kGraphene resolves to SRJF's job term here; the troublesome stage term is
+// added separately by the scheduler.
 double PlacementPriorityBonus(OrderingPolicy policy, double weight, double elapsed,
                               double srjf_rank);
 
-// Graphene's DAG-aware stage term: stage_weight * (1 + bottom_share) for a
-// troublesome stage (bottom_share in [0, 1]: how much of the critical path
-// still hangs below it, so deeper long-pole stages outrank shallower ones),
-// 0 for the rest.
-double GrapheneStageBonus(double stage_weight, bool troublesome, double bottom_share);
+// Graphene's DAG-aware stage term: kGrapheneStageWeight * (1 + bottom_share)
+// for a troublesome stage (bottom_share in [0, 1]: how much of the critical
+// path still hangs below it, so deeper long-pole stages outrank shallower
+// ones), 0 for the rest.
+double GrapheneStageBonus(bool troublesome, double bottom_share);
 
 struct OrderingPolicyInfo {
   OrderingPolicy policy;

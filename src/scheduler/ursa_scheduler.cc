@@ -36,20 +36,6 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
     : sim_(sim), cluster_(cluster), config_(config) {
   CHECK_GT(config_.scheduling_interval, 0.0);
   CHECK_GT(config_.max_scored_pairs_per_tick, 0u);
-  CHECK(config_.graphene.base != OrderingPolicy::kGraphene)
-      << "graphene's base job policy must be EJF or SRJF";
-  // Assemble the worker-score policy stack (DESIGN.md section 13): the
-  // configured base score, optionally decorated with the Hugo co-location
-  // bonus. The bucketed scan is only sound for bucketable policies.
-  std::unique_ptr<PlacementScorePolicy> base_score = MakeScorePolicy(config_.score);
-  if (config_.colocation.enabled) {
-    colocation_ = std::make_unique<ColocationLearner>(config_.colocation);
-    score_policy_ = std::make_unique<HugoScorePolicy>(
-        std::move(base_score), colocation_.get(), config_.colocation.weight);
-  } else {
-    score_policy_ = std::move(base_score);
-  }
-  bucketed_ = score_policy_->bucketable();
   for (int w = 0; w < cluster_->size(); ++w) {
     cluster_->worker(w).set_load_listener([this](WorkerId id) { MarkLoadDirty(id); });
   }
@@ -337,17 +323,7 @@ void UrsaScheduler::ConfigureJobManager(JobEntry& entry) {
   // Graphene: the per-stage critical-path analysis is a pure function of the
   // plan, so one computation per job survives restarts.
   if (config_.policy == OrderingPolicy::kGraphene && entry.crit.work.empty()) {
-    entry.crit = AnalyzeStages(entry.job->plan, config_.graphene.threshold);
-  }
-  // Colocation: intern each stage's (job class, stage name) identity once so
-  // the per-tick residency snapshot is an integer-only pass.
-  if (colocation_ != nullptr && entry.stage_keys.empty()) {
-    entry.stage_keys.reserve(entry.job->plan.stages().size());
-    for (const StageSpec& stage : entry.job->plan.stages()) {
-      const std::string& name =
-          !stage.name.empty() ? stage.name : "stage" + std::to_string(stage.id);
-      entry.stage_keys.push_back(colocation_->InternKey(entry.job->spec.klass, name));
-    }
+    entry.crit = AnalyzeStages(entry.job->plan, kGrapheneThreshold);
   }
   entry.jm->ConfigureFaultPolicy(config_.fault.max_monotask_attempts, &fault_stats_);
   if (spec_manager_ != nullptr) {
@@ -643,7 +619,6 @@ void UrsaScheduler::Tick() {
   }
   TryAdmitJobs();
   RefreshPriorities();
-  ObserveColocation();
   const PlacementStats stats = RunPlacement();
   // Graceful degradation: under kDegrade backpressure the speculation pass is
   // suspended — duplicate copies are pure overhead when the cluster is
@@ -668,10 +643,10 @@ void UrsaScheduler::TryAdmitJobs() {
     return;
   }
   // Admission order follows the job-ordering policy when JO is enabled,
-  // otherwise plain submission order. Graphene defers to its base job
-  // policy here — its DAG-awareness acts at stage-placement granularity.
+  // otherwise plain submission order. Graphene defers to SRJF here —
+  // its DAG-awareness acts at stage-placement granularity.
   if (config_.enable_job_ordering &&
-      EffectiveJobPolicy(config_.policy, config_.graphene) == OrderingPolicy::kSrjf) {
+      EffectiveJobPolicy(config_.policy) == OrderingPolicy::kSrjf) {
     // Rank by expected remaining work against the total load of admitted +
     // waiting jobs.
     std::array<double, kNumMonotaskResources> total_load = {0.0, 0.0, 0.0};
@@ -768,7 +743,7 @@ void UrsaScheduler::TryAdmitJobs() {
 }
 
 void UrsaScheduler::RefreshPriorities() {
-  if (EffectiveJobPolicy(config_.policy, config_.graphene) != OrderingPolicy::kSrjf) {
+  if (EffectiveJobPolicy(config_.policy) != OrderingPolicy::kSrjf) {
     return;
   }
   std::array<double, kNumMonotaskResources> load = {0.0, 0.0, 0.0};
@@ -887,7 +862,7 @@ const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
   if (changed) {
     scan_stale_ = true;
   }
-  if (scan_stale_ && bucketed_) {
+  if (scan_stale_) {
     RebuildScanOrder();
   }
   return load_cache_.loads;
@@ -929,9 +904,7 @@ void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
   } else {
     load = base[static_cast<size_t>(w)];
     overlay_touched_.push_back(w);
-    if (bucketed_) {
-      --scan_pass_[static_cast<size_t>(scan_bucket_of_[static_cast<size_t>(w)])].fresh;
-    }
+    --scan_pass_[static_cast<size_t>(scan_bucket_of_[static_cast<size_t>(w)])].fresh;
   }
   ApplyToLoad(usage, ept, &load, headroom);
   // Find or create the bucket holding this exact load. Emptied buckets stay
@@ -963,11 +936,9 @@ void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
 void UrsaScheduler::OverlayReset() const {
   for (const WorkerId w : overlay_touched_) {
     overlay_slot_[static_cast<size_t>(w)] = -1;
-    if (bucketed_) {
-      const size_t b = static_cast<size_t>(scan_bucket_of_[static_cast<size_t>(w)]);
-      scan_pass_[b].fresh = static_cast<uint32_t>(scan_buckets_[b].members.size());
-      scan_pass_[b].cursor = 0;
-    }
+    const size_t b = static_cast<size_t>(scan_bucket_of_[static_cast<size_t>(w)]);
+    scan_pass_[b].fresh = static_cast<uint32_t>(scan_buckets_[b].members.size());
+    scan_pass_[b].cursor = 0;
   }
   overlay_touched_.clear();
   overlay_buckets_.clear();
@@ -1047,29 +1018,19 @@ void UrsaScheduler::CountHeadroom(const std::vector<WorkerLoad>& loads,
 }
 
 bool UrsaScheduler::BestWorker(const TaskUsage& usage, const LoadView& view, double ept,
-                               WorkerId* out_worker, double* out_score, int stage_key,
+                               WorkerId* out_worker, double* out_score,
                                WorkerId avoid) const {
   ++counters_.bestworker_calls;
-  // Scoring context for the active policy: the placed stage's co-location
-  // key and the per-worker residency snapshot (null when learning is off).
-  ScoreContext ctx;
-  ctx.stage_key = stage_key;
-  ctx.residents = colocation_ != nullptr ? &residents_ : nullptr;
-  Pick pick;
-  if (bucketed_) {
-    pick = BucketedScan(usage, view, ept, ctx, avoid, &counters_.workers_scanned);
-    if (config_.verify_hot_path) {
-      // Self-check: the linear scan is the reference the bucketed scan's
-      // cutoffs must reproduce exactly. Its scan entries are not counted.
-      int64_t unused = 0;
-      const Pick ref = LinearScan(usage, view, ept, ctx, avoid, &unused);
-      CHECK(pick.worker == ref.worker &&
-            std::memcmp(&pick.score, &ref.score, sizeof(double)) == 0)
-          << "bucketed scan picked worker " << pick.worker << " (score " << pick.score
-          << "), linear scan worker " << ref.worker << " (score " << ref.score << ")";
-    }
-  } else {
-    pick = LinearScan(usage, view, ept, ctx, avoid, &counters_.workers_scanned);
+  const Pick pick = BucketedScan(usage, view, ept, avoid, &counters_.workers_scanned);
+  if (config_.verify_hot_path) {
+    // Self-check: the linear scan is the reference the bucketed scan's
+    // cutoffs must reproduce exactly. Its scan entries are not counted.
+    int64_t unused = 0;
+    const Pick ref = LinearScan(usage, view, ept, avoid, &unused);
+    CHECK(pick.worker == ref.worker &&
+          std::memcmp(&pick.score, &ref.score, sizeof(double)) == 0)
+        << "bucketed scan picked worker " << pick.worker << " (score " << pick.score
+        << "), linear scan worker " << ref.worker << " (score " << ref.score << ")";
   }
   if (pick.worker == kInvalidId) {
     return false;
@@ -1080,9 +1041,8 @@ bool UrsaScheduler::BestWorker(const TaskUsage& usage, const LoadView& view, dou
 }
 
 UrsaScheduler::Pick UrsaScheduler::LinearScan(const TaskUsage& usage, const LoadView& view,
-                                              double ept, const ScoreContext& ctx,
-                                              WorkerId avoid, int64_t* scanned) const {
-  const PlacementScorePolicy& policy = *score_policy_;
+                                              double ept, WorkerId avoid,
+                                              int64_t* scanned) const {
   Pick best;
   // The avoided worker's own score, consulted only when no other worker
   // qualifies.
@@ -1091,8 +1051,8 @@ UrsaScheduler::Pick UrsaScheduler::LinearScan(const TaskUsage& usage, const Load
   for (size_t w = 0; w < n; ++w) {
     ++*scanned;
     double score = 0.0;
-    if (!policy.Score(usage, LoadAt(view, w), static_cast<WorkerId>(w), ept, view.headroom,
-                      config_.consider_network, ctx, &score)) {
+    if (!Algorithm1Score(usage, LoadAt(view, w), ept, view.headroom,
+                         config_.consider_network, &score)) {
       continue;
     }
     if (static_cast<WorkerId>(w) == avoid) {
@@ -1110,9 +1070,7 @@ UrsaScheduler::Pick UrsaScheduler::LinearScan(const TaskUsage& usage, const Load
 
 UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
                                                 const LoadView& view, double ept,
-                                                const ScoreContext& ctx, WorkerId avoid,
-                                                int64_t* scanned) const {
-  const PlacementScorePolicy& policy = *score_policy_;
+                                                WorkerId avoid, int64_t* scanned) const {
   Pick best;  // Score -1 until a worker qualifies: below every bound.
   Pick fallback;  // As in LinearScan.
   // A dimension the task needs with headroom somewhere now had headroom at
@@ -1208,8 +1166,8 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
     }
     const WorkerId probe = fresh != kInvalidId ? fresh : avoid;
     double score = 0.0;
-    if (!policy.Score(usage, (*view.base)[static_cast<size_t>(probe)], probe, ept,
-                      view.headroom, config_.consider_network, ctx, &score)) {
+    if (!Algorithm1Score(usage, (*view.base)[static_cast<size_t>(probe)], ept,
+                         view.headroom, config_.consider_network, &score)) {
       continue;
     }
     if (avoid_fresh) {
@@ -1247,8 +1205,8 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
       cand = bucket.members.size() > 1 ? bucket.members[1] : kInvalidId;
     }
     double score = 0.0;
-    if (!policy.Score(usage, bucket.load, cand != kInvalidId ? cand : avoid, ept,
-                      view.headroom, config_.consider_network, ctx, &score)) {
+    if (!Algorithm1Score(usage, bucket.load, ept, view.headroom, config_.consider_network,
+                         &score)) {
       continue;
     }
     if (avoid_here) {
@@ -1295,13 +1253,12 @@ UrsaScheduler::StagePlan UrsaScheduler::ScoreStage(
   LoadView view;
   view.base = &base;
   view.headroom = headroom;
-  const int stage_key = StageKey(entry, stage);
   double score_sum = 0.0;
   for (TaskId t : tasks) {
     const TaskUsage usage = entry.jm->GetUsage(t);
     WorkerId w = kInvalidId;
     double f = 0.0;
-    if (!BestWorker(usage, view, ept, &w, &f, stage_key, entry.jm->avoided_worker(t))) {
+    if (!BestWorker(usage, view, ept, &w, &f, entry.jm->avoided_worker(t))) {
       plan.complete = false;  // The stage bonus <- 0 in Algorithm 1.
       continue;
     }
@@ -1320,65 +1277,17 @@ UrsaScheduler::StagePlan UrsaScheduler::ScoreStage(
   }
   if (config_.enable_job_ordering) {
     plan.score += PlacementPriorityBonus(
-        EffectiveJobPolicy(config_.policy, config_.graphene), kPriorityWeight,
+        EffectiveJobPolicy(config_.policy), kPriorityWeight,
         sim_->Now() - entry.job->submit_time, entry.srjf_rank);
     if (config_.policy == OrderingPolicy::kGraphene) {
       // "Do the hard stuff first": troublesome stages outrank the rest of
       // their job (the job term above is constant within a job), deeper
       // long-pole stages first.
-      plan.score += GrapheneStageBonus(config_.graphene.stage_weight,
-                                       entry.crit.IsTroublesome(stage),
+      plan.score += GrapheneStageBonus(entry.crit.IsTroublesome(stage),
                                        entry.crit.BottomShare(stage));
     }
   }
   return plan;
-}
-
-int UrsaScheduler::StageKey(const JobEntry& entry, StageId stage) const {
-  if (colocation_ == nullptr || entry.stage_keys.empty() || stage < 0 ||
-      static_cast<size_t>(stage) >= entry.stage_keys.size()) {
-    return -1;
-  }
-  return entry.stage_keys[static_cast<size_t>(stage)];
-}
-
-void UrsaScheduler::ObserveColocation() {
-  if (colocation_ == nullptr) {
-    return;
-  }
-  // Residency snapshot, rebuilt from scratch every tick so failures,
-  // restarts and races never leave stale keys behind. Jobs are walked in id
-  // order and each worker's key list is sorted, so the learner sees a
-  // deterministic observation stream.
-  residents_.assign(static_cast<size_t>(cluster_->size()), {});
-  std::vector<std::pair<WorkerId, StageId>> placed;
-  for (const auto& entry : jobs_) {
-    if (!entry->admitted || entry->finished) {
-      continue;
-    }
-    placed.clear();
-    entry->jm->CollectPlacedStages(&placed);
-    for (const auto& [w, s] : placed) {
-      residents_[static_cast<size_t>(w)].push_back(StageKey(*entry, s));
-    }
-  }
-  for (std::vector<int>& keys : residents_) {
-    std::sort(keys.begin(), keys.end());
-  }
-  // Contention signal: the worker's APT backlog normalized by EPT, averaged
-  // over the monotask resources — 0 when idle, 1 when every queue is at
-  // least one scheduling interval deep.
-  const double ept = config_.scheduling_interval * kEptSlack;
-  const std::vector<WorkerLoad>& loads = CurrentLoads();
-  std::vector<double> contention(loads.size(), 0.0);
-  for (size_t w = 0; w < loads.size(); ++w) {
-    double backlog = 0.0;
-    for (int r = 0; r < kNumMonotaskResources; ++r) {
-      backlog += std::min(1.0, loads[w].apt[r] / ept);
-    }
-    contention[w] = backlog / static_cast<double>(kNumMonotaskResources);
-  }
-  colocation_->ObserveTick(residents_, contention);
 }
 
 UrsaScheduler::PlacementStats UrsaScheduler::RunPackingPlacement() {
@@ -1454,10 +1363,9 @@ void UrsaScheduler::RunSpeculation() {
     }
     usage.memory = cand.memory;
     JobEntry& entry = *jobs_[static_cast<size_t>(cand.job)];
-    const int stage_key = StageKey(entry, entry.job->plan.task(cand.task).stage);
     WorkerId w = kInvalidId;
     double f = 0.0;
-    if (!BestWorker(usage, view, ept, &w, &f, stage_key, cand.worker) ||
+    if (!BestWorker(usage, view, ept, &w, &f, cand.worker) ||
         w == cand.worker) {
       continue;  // No eligible worker besides the straggling one.
     }
@@ -1585,8 +1493,7 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
       const TaskUsage usage = c.entry->jm->GetUsage(t);
       WorkerId w = kInvalidId;
       double f = 0.0;
-      if (!BestWorker(usage, view, ept, &w, &f, StageKey(*c.entry, c.stage),
-                      c.entry->jm->avoided_worker(t))) {
+      if (!BestWorker(usage, view, ept, &w, &f, c.entry->jm->avoided_worker(t))) {
         continue;
       }
       if (c.entry->jm->PlaceTask(t, w)) {

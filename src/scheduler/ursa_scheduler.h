@@ -37,7 +37,6 @@
 #include "src/fault/fault_stats.h"
 #include "src/metrics/metrics.h"
 #include "src/scheduler/admission.h"
-#include "src/scheduler/colocation.h"
 #include "src/scheduler/job_ordering.h"
 #include "src/scheduler/placement_policy.h"
 #include "src/spec/speculation.h"
@@ -48,22 +47,9 @@ struct UrsaSchedulerConfig {
   // Task placement batching interval (seconds).
   double scheduling_interval = 0.25;
   OrderingPolicy policy = OrderingPolicy::kEjf;
-  // Graphene-style ordering knobs (policy == kGraphene only): long-pole
-  // threshold, stage-bonus weight and the base job-level policy.
-  GrapheneConfig graphene;
   // Placement algorithm: Algorithm 1, or one of the section 5.1.2
   // comparison algorithms (Tetris / Tetris2 / Capacity).
   PlacementAlgorithm placement = PlacementAlgorithm::kAlgorithm1;
-  // Worker-score policy inside monotask placement (placement == kAlgorithm1
-  // only; DESIGN.md section 13): Ursa's Algorithm-1 score, or the
-  // Tetris-style dot-product packing score. Both are bucketable and take
-  // the bucketed scan; adding colocation makes the score worker-dependent,
-  // so BestWorker takes the linear scan (DESIGN.md section 12).
-  PlacementScoreKind score = PlacementScoreKind::kAlgorithm1;
-  // Hugo-style co-location learning (DESIGN.md section 13): when enabled,
-  // the score policy is decorated with a learned stage-pair
-  // complementarity bonus fed by per-tick residency/contention snapshots.
-  ColocationConfig colocation;
   // --- Ablations (section 5.2 / Table 6). ---
   bool consider_network = true;
   bool stage_aware = true;
@@ -186,12 +172,9 @@ class UrsaScheduler : public JobManagerListener {
   };
   SchedulerCounters scheduler_counters() const { return counters_; }
 
-  // Policy-framework inspection (DESIGN.md section 13).
-  const PlacementScorePolicy* score_policy() const { return score_policy_.get(); }
-  // Null unless co-location learning is enabled.
-  const ColocationLearner* colocation_learner() const { return colocation_.get(); }
-  // Null unless the ordering policy is kGraphene (analysis is computed at
-  // job start) or the job was never started.
+  // Graphene's stage analysis of a job (DESIGN.md section 13). Null unless
+  // the ordering policy is kGraphene (analysis is computed at job start) or
+  // the job was never started.
   const StageCriticality* stage_criticality(JobId id) const {
     const JobEntry& entry = *jobs_[static_cast<size_t>(id)];
     return entry.crit.work.empty() ? nullptr : &entry.crit;
@@ -210,9 +193,6 @@ class UrsaScheduler : public JobManagerListener {
     double srjf_rank = 0.0;
     // Graphene: per-stage critical-path analysis (empty unless computed).
     StageCriticality crit;
-    // Colocation: interned (class, stage name) key per stage (empty unless
-    // learning is on).
-    std::vector<int> stage_keys;
   };
 
   void EnsureTickScheduled();
@@ -230,11 +210,6 @@ class UrsaScheduler : public JobManagerListener {
   // rank by estimated time to finish and, within the budget, place copies on
   // workers chosen by the same placement score as primary placement.
   void RunSpeculation();
-  // Co-location learning step of one tick (no-op when disabled): rebuilds
-  // the per-worker resident stage-key snapshot from the job managers and
-  // feeds it, with the workers' normalized APT contention, to the learner.
-  // The snapshot then serves the tick's placement scoring.
-  void ObserveColocation();
 
   // Busiest-resource service seconds of `job` against the aggregate rates of
   // the live cluster; the u_j numerator of the admission utilization gate.
@@ -286,7 +261,7 @@ class UrsaScheduler : public JobManagerListener {
     bool complete = false;  // All ready tasks of the stage placed.
   };
   // Per-worker load snapshot: ursa::WorkerLoad (src/scheduler/
-  // placement_policy.h), shared with the pluggable score policies.
+  // placement_policy.h), the input of Algorithm1Score.
 
   // Workers whose loads diverged from the tick-start base during the current
   // placement pass, grouped by bit-identical current load exactly like the
@@ -356,30 +331,27 @@ class UrsaScheduler : public JobManagerListener {
                        const std::vector<TaskId>& tasks,
                        const std::vector<WorkerLoad>& base,
                        const int base_headroom[kNumMonotaskResources], double ept) const;
-  // The co-location key for one stage of a job (-1 when learning is off).
-  int StageKey(const JobEntry& entry, StageId stage) const;
-  // Best worker for one task; returns false if no worker qualifies.
-  // Scoring is delegated to the active PlacementScorePolicy; `stage_key`
-  // identifies the placed stage for the co-location bonus (-1 = none).
-  // `avoid` (from retry-exhaustion escalation) is a preference, not a ban:
-  // its best qualifying score is tracked in the same pass and used only when
-  // no other worker qualifies, so a re-placed task lands elsewhere whenever
-  // possible without a second scan. Takes the bucketed scan for bucketable
-  // score policies and the linear scan otherwise.
+  // Best worker for one task by Algorithm1Score; returns false if no worker
+  // qualifies. `avoid` (from retry-exhaustion escalation) is a preference,
+  // not a ban: its best qualifying score is tracked in the same pass and
+  // used only when no other worker qualifies, so a re-placed task lands
+  // elsewhere whenever possible without a second scan. Takes the bucketed
+  // scan; verify_hot_path cross-checks it against the linear scan.
   bool BestWorker(const TaskUsage& usage, const LoadView& view, double ept,
-                  WorkerId* out_worker, double* out_score, int stage_key = -1,
+                  WorkerId* out_worker, double* out_score,
                   WorkerId avoid = kInvalidId) const;
   // One BestWorker answer; `worker` is kInvalidId when nothing qualifies.
   struct Pick {
     WorkerId worker = kInvalidId;
     double score = -1.0;
   };
-  // The two BestWorker scans. Both add the scan entries they examine to
-  // `*scanned` and return bit-identical picks for bucketable policies.
-  Pick LinearScan(const TaskUsage& usage, const LoadView& view, double ept,
-                  const ScoreContext& ctx, WorkerId avoid, int64_t* scanned) const;
+  // BestWorker's scan, and the linear reference scan that verify_hot_path
+  // checks it against. Both add the scan entries they examine to `*scanned`
+  // and return bit-identical picks.
   Pick BucketedScan(const TaskUsage& usage, const LoadView& view, double ept,
-                    const ScoreContext& ctx, WorkerId avoid, int64_t* scanned) const;
+                    WorkerId avoid, int64_t* scanned) const;
+  Pick LinearScan(const TaskUsage& usage, const LoadView& view, double ept,
+                  WorkerId avoid, int64_t* scanned) const;
   // Applies one placement to a worker's load and maintains the headroom
   // counters across d_r > 0 -> == 0 transitions.
   static void ApplyToLoad(const TaskUsage& usage, double ept, WorkerLoad* load,
@@ -398,18 +370,6 @@ class UrsaScheduler : public JobManagerListener {
   std::vector<JobRecord> records_;
 
   std::unique_ptr<PackingState> packing_;  // Non-null for packing placements.
-  // Active worker-score policy (never null): Algorithm 1, Tetris dot
-  // product, or either wrapped in the Hugo co-location decorator.
-  std::unique_ptr<PlacementScorePolicy> score_policy_;
-  // Non-null when co-location learning is enabled; owned here, referenced
-  // by the Hugo decorator.
-  std::unique_ptr<ColocationLearner> colocation_;
-  // Per-worker resident stage keys, rebuilt by ObserveColocation every tick
-  // (empty when learning is off). Sim-thread only.
-  std::vector<std::vector<int>> residents_;
-  // The bucketed scan is only sound for bucketable score policies; resolved
-  // once at construction.
-  bool bucketed_ = false;
   std::unique_ptr<FailureDetector> detector_;
   // Non-null when speculative execution is enabled; shared by all job
   // managers for budget enforcement and waste accounting.

@@ -338,60 +338,20 @@ TEST(Determinism, TruncatedGatherRotatesAndFinishes) {
 }
 
 // --- Scheduling policies (DESIGN.md section 13). ---
-// Every pluggable policy must satisfy the same determinism contract as the
-// defaults: same-seed bit-identical placement, and a hot path that passes
+// Graphene must satisfy the same determinism contract as the default
+// orderings: same-seed bit-identical placement, and a hot path that passes
 // its verify_hot_path self-checks.
 
 TEST(Determinism, GraphenePlacementIsSeedStable) {
   // Graphene layers the troublesome-stage bonus on its SRJF base; the
   // criticality analysis is recomputed per admission and must be pure.
-  ExpectIdenticalRuns(SeededTpch(8, 23), UrsaGrapheneConfig(), "ursa-graphene");
-}
-
-TEST(Determinism, TetrisScorePlacementIsSeedStable) {
-  ExperimentConfig config = UrsaSrjfConfig();
-  config.ursa.score = PlacementScoreKind::kTetrisDot;
-  ExpectIdenticalRuns(SeededTpch(8, 23), config, "tetris-score");
-}
-
-TEST(Determinism, ColocationLearningIsSeedStable) {
-  // The Hugo decorator folds the learned pair EMAs into every score, so a
-  // single out-of-order observation would diverge placements immediately.
-  ExperimentConfig config = UrsaSrjfConfig();
-  config.ursa.colocation.enabled = true;
-  ExpectIdenticalRuns(SeededTpch(8, 23), config, "hugo");
+  ExpectIdenticalRuns(SeededTpch(8, 23), UrsaOrderingConfig(OrderingPolicy::kGraphene),
+                      "ursa-graphene");
 }
 
 TEST(Determinism, VerifiedHotPathMatchesOnGraphene) {
-  ExpectVerifiedHotPathMatches(SeededTpch(8, 11), UrsaGrapheneConfig(), "ursa-graphene");
-}
-
-TEST(Determinism, VerifiedHotPathMatchesOnTetrisScore) {
-  // The Tetris score clamps demand at 1 rather than at d_r, so the separable
-  // bound is loose in different places; this pins the threshold walk's
-  // cutoff to the linear scan's argmax under the other policy.
-  ExperimentConfig config = UrsaSrjfConfig();
-  config.ursa.score = PlacementScoreKind::kTetrisDot;
-  ExpectVerifiedHotPathMatches(SeededTpch(8, 11), config, "tetris-score");
-}
-
-TEST(Determinism, VerifiedHotPathMatchesOnColocationUnderChaos) {
-  // Co-location is not bucketable (BestWorker takes the linear scan), so
-  // only the incremental-load cross-check runs; chaos + speculation
-  // exercises the residency snapshot across worker crashes and spec copies.
-  ExperimentConfig config = UrsaSrjfConfig();
-  config.ursa.colocation.enabled = true;
-  config.ursa.spec.enabled = true;
-  config.ursa.spec.budget_fraction = 0.2;
-  FaultPlanConfig pc;
-  pc.seed = 7;
-  pc.num_workers = config.cluster.num_workers;
-  pc.horizon_end = 80.0;
-  pc.crashes = 1;
-  pc.crash_recovers = 1;
-  pc.transients = 3;
-  config.fault_plan = MakeRandomFaultPlan(pc);
-  ExpectVerifiedHotPathMatches(SeededTpch(6, 31), config, "hugo");
+  ExpectVerifiedHotPathMatches(SeededTpch(8, 11), UrsaOrderingConfig(OrderingPolicy::kGraphene),
+                               "ursa-graphene");
 }
 
 TEST(Determinism, SpeculationAndFaultsAreSeedStable) {

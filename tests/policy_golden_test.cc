@@ -1,10 +1,10 @@
 // Golden policy-conformance suite (DESIGN.md section 13): ten small,
 // hand-analyzable job DAGs are run through (a) the stage-criticality
 // analysis behind Graphene ordering and (b) a full placement run under every
-// registered ordering policy plus the Tetris score and Hugo co-location
-// contenders, on a fixed 4-worker cluster. The exact analysis numbers and
-// the exact placement sequence (time, job, task, stage, worker — every
-// decision, in order) are compared against the committed golden file:
+// registered ordering policy, on a fixed 4-worker cluster. The exact
+// analysis numbers and the exact placement sequence (time, job, task, stage,
+// worker — every decision, in order) are compared against the committed
+// golden file:
 //
 //   tests/golden/policy_conformance.golden
 //
@@ -46,7 +46,7 @@ struct GoldenCase {
 JobSpec BaseSpec(const std::string& name) {
   JobSpec spec;
   spec.name = name;
-  spec.klass = name;  // One class per shape: co-location learns per shape.
+  spec.klass = name;  // One job class per shape in the run records.
   spec.declared_memory_bytes = 64.0 * 1024 * 1024;
   spec.seed = 7;
   return spec;
@@ -195,15 +195,15 @@ void AppendF(std::string* out, const char* fmt, ...) {
   *out += buf;
 }
 
-// Section 1: per-case criticality analysis at the default Graphene
-// threshold. %.4f on megabyte-scaled values keeps the text readable while
-// still exact for these hand-sized inputs.
+// Section 1: per-case criticality analysis at Graphene's threshold. %.4f
+// on megabyte-scaled values keeps the text readable while still exact for
+// these hand-sized inputs.
 std::string CriticalitySection(const std::vector<GoldenCase>& cases) {
-  const GrapheneConfig defaults;
-  std::string out = "== criticality (threshold " + std::to_string(defaults.threshold) + ") ==\n";
+  std::string out =
+      "== criticality (threshold " + std::to_string(kGrapheneThreshold) + ") ==\n";
   for (const GoldenCase& c : cases) {
     const ExecutionPlan plan = ExecutionPlan::Build(c.spec.graph, c.spec.seed);
-    const StageCriticality crit = AnalyzeStages(plan, defaults.threshold);
+    const StageCriticality crit = AnalyzeStages(plan, kGrapheneThreshold);
     AppendF(&out, "case %s: stages=%zu critical_path_mb=%.4f\n", c.name.c_str(),
             plan.stages().size(), crit.critical_path / (1024.0 * 1024.0));
     for (const StageSpec& stage : plan.stages()) {
@@ -221,26 +221,7 @@ std::string CriticalitySection(const std::vector<GoldenCase>& cases) {
 }
 
 // Section 2: the full placement sequence of the whole zoo, submitted two
-// seconds apart on a 4-worker cluster, per policy contender.
-struct Contender {
-  std::string name;
-  ExperimentConfig config;
-};
-
-std::vector<Contender> MakeContenders() {
-  std::vector<Contender> out;
-  for (const OrderingPolicyInfo& info : OrderingPolicyRegistry()) {
-    out.push_back({info.name, UrsaOrderingConfig(info.policy)});
-  }
-  Contender tetris{"TETRIS-SCORE", UrsaSrjfConfig()};
-  tetris.config.ursa.score = PlacementScoreKind::kTetrisDot;
-  out.push_back(std::move(tetris));
-  Contender hugo{"HUGO", UrsaSrjfConfig()};
-  hugo.config.ursa.colocation.enabled = true;
-  out.push_back(std::move(hugo));
-  return out;
-}
-
+// seconds apart on a 4-worker cluster, per registered ordering policy.
 std::string PlacementSection(const std::vector<GoldenCase>& cases) {
   Workload workload;
   workload.name = "golden-zoo";
@@ -252,12 +233,12 @@ std::string PlacementSection(const std::vector<GoldenCase>& cases) {
   }
 
   std::string out;
-  for (Contender& contender : MakeContenders()) {
-    contender.config.cluster.num_workers = 4;
-    contender.config.trace = true;
-    const ExperimentResult result =
-        RunExperiment(workload, contender.config, contender.name);
-    out += "== placements " + contender.name + " ==\n";
+  for (const OrderingPolicyInfo& info : OrderingPolicyRegistry()) {
+    ExperimentConfig config = UrsaOrderingConfig(info.policy);
+    config.cluster.num_workers = 4;
+    config.trace = true;
+    const ExperimentResult result = RunExperiment(workload, config, info.name);
+    out += std::string("== placements ") + info.name + " ==\n";
     for (const TraceEvent& event : result.trace->Snapshot()) {
       if (event.kind == TraceEventKind::kTaskPlaced) {
         AppendF(&out, "t=%.4f job=%d task=%d stage=%d worker=%d\n", event.t, event.job,

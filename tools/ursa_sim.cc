@@ -9,11 +9,6 @@
 //              --gbps=G (each worker's downlink; the receiver side is the
 //              only network limit) --subscription=R (executor schemes)
 //              --series=STEP
-// Policies:    --score=alg1|tetris (worker-score policy inside Algorithm-1
-//              placement) --colocate (Hugo-style co-location learning)
-//              --colocate-weight=W --graphene-threshold=X
-//              --graphene-weight=W --graphene-base=ejf|srjf
-//              (DESIGN.md section 13)
 // Tracing:     --trace (record + summary only) --trace-out=FILE (Chrome
 //              trace JSON) --trace-sample=N --trace-capacity=EVENTS
 // Chaos:       --fault-crashes=N --fault-recovers=N --fault-transients=N
@@ -116,13 +111,6 @@ struct Flags {
   // Hot path (DESIGN.md section 12).
   int max_scored_pairs = 0;  // 0 = library default.
   bool sched_counters = false;
-  // Policy framework (DESIGN.md section 13).
-  std::string score = "alg1";
-  bool colocate = false;
-  double colocate_weight = -1.0;      // < 0 = library default.
-  double graphene_threshold = -1.0;   // < 0 = library default.
-  double graphene_weight = -1.0;      // < 0 = library default.
-  std::string graphene_base = "srjf";
 };
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -191,10 +179,7 @@ int Usage() {
                "                [--tenants=name:weight:tier:slo,...]\n"
                "                [--admission] [--max-pending=N]\n"
                "                [--shed-policy=newest|largest|tier] [--slo=SEC] [--u-bound=X]\n"
-               "                [--max-scored-pairs=N] [--sched-counters]\n"
-               "                [--score=alg1|tetris] [--colocate] [--colocate-weight=W]\n"
-               "                [--graphene-threshold=X] [--graphene-weight=W]\n"
-               "                [--graphene-base=ejf|srjf]\n");
+               "                [--max-scored-pairs=N] [--sched-counters]\n");
   return 2;
 }
 
@@ -357,24 +342,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--sched-counters") == 0) {
       flags.sched_counters = true;
-    } else if (ParseFlag(argv[i], "score", &value)) {
-      flags.score = value;
-    } else if (std::strcmp(argv[i], "--colocate") == 0) {
-      flags.colocate = true;
-    } else if (ParseFlag(argv[i], "colocate-weight", &value)) {
-      if (!ToDouble(value, 0.0, 1e6, &flags.colocate_weight)) {
-        return BadFlagValue("colocate-weight", value);
-      }
-    } else if (ParseFlag(argv[i], "graphene-threshold", &value)) {
-      if (!ToDouble(value, 0.0, 1.0, &flags.graphene_threshold)) {
-        return BadFlagValue("graphene-threshold", value);
-      }
-    } else if (ParseFlag(argv[i], "graphene-weight", &value)) {
-      if (!ToDouble(value, 0.0, 1e9, &flags.graphene_weight)) {
-        return BadFlagValue("graphene-weight", value);
-      }
-    } else if (ParseFlag(argv[i], "graphene-base", &value)) {
-      flags.graphene_base = value;
     } else {
       std::fprintf(stderr, "ursa_sim: unknown flag '%s'\n", argv[i]);
       return Usage();
@@ -489,32 +456,6 @@ int main(int argc, char** argv) {
   if (flags.max_scored_pairs > 0) {
     config.ursa.max_scored_pairs_per_tick = static_cast<size_t>(flags.max_scored_pairs);
   }
-
-  // Policy framework (DESIGN.md section 13). The worker-score policy and the
-  // co-location learner compose with every ursa-* ordering variant.
-  if (!ParsePlacementScoreKind(flags.score, &config.ursa.score)) {
-    std::fprintf(stderr, "ursa_sim: --score rejects '%s' (want alg1|tetris)\n",
-                 flags.score.c_str());
-    return 2;
-  }
-  config.ursa.colocation.enabled = flags.colocate;
-  if (flags.colocate_weight >= 0.0) {
-    config.ursa.colocation.weight = flags.colocate_weight;
-  }
-  if (flags.graphene_threshold >= 0.0) {
-    config.ursa.graphene.threshold = flags.graphene_threshold;
-  }
-  if (flags.graphene_weight >= 0.0) {
-    config.ursa.graphene.stage_weight = flags.graphene_weight;
-  }
-  OrderingPolicy graphene_base = OrderingPolicy::kSrjf;
-  if (!ParseOrderingPolicy(flags.graphene_base, &graphene_base) ||
-      graphene_base == OrderingPolicy::kGraphene) {
-    std::fprintf(stderr, "ursa_sim: --graphene-base rejects '%s' (want ejf|srjf)\n",
-                 flags.graphene_base.c_str());
-    return 2;
-  }
-  config.ursa.graphene.base = graphene_base;
 
   // Fault-tolerance knobs and the chaos plan.
   config.ursa.fault.detector.heartbeat_interval = flags.heartbeat;
