@@ -323,29 +323,26 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::FILE* json = std::fopen(opt.json_out.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"overload\",\n  \"seed\": %llu,\n"
-               "  \"workers\": %d,\n  \"jobs_per_point\": %d,\n"
-               "  \"max_pending\": %d,\n  \"shed_policy\": \"%s\",\n"
-               "  \"chaos\": %s,\n  \"saturation_rate\": %.6g,\n  \"points\": [\n",
-               static_cast<unsigned long long>(opt.seed), opt.workers, opt.jobs,
-               opt.max_pending, opt.shed_policy.c_str(), opt.chaos ? "true" : "false",
-               sat_rate);
+  std::string json;
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\n  \"bench\": \"overload\",\n  \"seed\": %llu,\n"
+                "  \"workers\": %d,\n  \"jobs_per_point\": %d,\n"
+                "  \"max_pending\": %d,\n  \"shed_policy\": \"%s\",\n"
+                "  \"chaos\": %s,\n  \"saturation_rate\": %.6g,\n  \"points\": [\n",
+                static_cast<unsigned long long>(opt.seed), opt.workers, opt.jobs,
+                opt.max_pending, opt.shed_policy.c_str(), opt.chaos ? "true" : "false",
+                sat_rate);
+  json += buf;
   for (size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(json, "%s%s\n", points[i].json.c_str(),
-                 i + 1 < points.size() ? "," : "");
+    json += points[i].json;
+    json += i + 1 < points.size() ? ",\n" : "\n";
   }
-  std::fprintf(json,
-               "  ],\n  \"goodput_retention\": %.6g,\n  \"deterministic\": %s,\n"
-               "  \"pass\": %s\n}\n",
-               peak > 0.0 ? top.goodput / peak : 1.0,
-               replay.json == top.json ? "true" : "false", ok ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", opt.json_out.c_str());
-  return ok ? 0 : 1;
+  std::snprintf(buf, sizeof(buf),
+                "  ],\n  \"goodput_retention\": %.6g,\n  \"deterministic\": %s,\n"
+                "  \"pass\": %s\n}\n",
+                peak > 0.0 ? top.goodput / peak : 1.0,
+                replay.json == top.json ? "true" : "false", ok ? "true" : "false");
+  json += buf;
+  return WriteBenchJson(opt.json_out, json, ok);
 }
