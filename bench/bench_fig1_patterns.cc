@@ -23,6 +23,7 @@ namespace {
 void RunBsp(const std::string& label, const BspJobConfig& config) {
   Simulator sim;
   Cluster cluster(&sim, ClusterConfig{});
+  cluster.KeepTrackerHistories();
   BspRuntime bsp(&sim, &cluster, config, nullptr);
   bsp.Run();
   sim.Run();

@@ -524,6 +524,9 @@ void ExecutorModelScheduler::OnJobFinished(size_t index) {
     stage_task_times_.resize(index + 1);
   }
   stage_task_times_[index] = jobs_[index]->stage_times();
+  if (job_finished_listener_) {
+    job_finished_listener_();
+  }
 }
 
 }  // namespace ursa

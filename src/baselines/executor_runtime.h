@@ -24,7 +24,9 @@
 #ifndef SRC_BASELINES_EXECUTOR_RUNTIME_H_
 #define SRC_BASELINES_EXECUTOR_RUNTIME_H_
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/container_manager.h"
@@ -67,6 +69,11 @@ class ExecutorModelScheduler {
   int finished_jobs() const { return finished_jobs_; }
   const std::vector<JobRecord>& job_records() const { return records_; }
 
+  // Called at the end of every job finish, at the finish instant.
+  void set_job_finished_listener(std::function<void()> listener) {
+    job_finished_listener_ = std::move(listener);
+  }
+
   // Per-job, per-stage task completion timestamps (straggler analysis).
   const std::vector<std::vector<std::vector<double>>>& stage_task_times() const {
     return stage_task_times_;
@@ -87,6 +94,7 @@ class ExecutorModelScheduler {
   std::vector<std::vector<std::vector<double>>> stage_task_times_;
   int total_jobs_ = 0;
   int finished_jobs_ = 0;
+  std::function<void()> job_finished_listener_;
 };
 
 }  // namespace ursa

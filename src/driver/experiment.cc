@@ -41,6 +41,9 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
                                const std::string& scheme_name) {
   Simulator sim;
   Cluster cluster(&sim, config.cluster);
+  if (config.sample_step > 0.0) {
+    cluster.KeepTrackerHistories();
+  }
   ExperimentResult result;
   result.scheme = scheme_name;
 
@@ -51,6 +54,29 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
   } else {
     exec_sched = std::make_unique<ExecutorModelScheduler>(&sim, &cluster, config.executor,
                                                           config.cm);
+  }
+  const auto records = [&]() -> const std::vector<JobRecord>& {
+    return ursa_sched != nullptr ? ursa_sched->job_records() : exec_sched->job_records();
+  };
+
+  // A closed batch's SE/UE integrate over [0, last finish] and are read at
+  // that instant: the running integrals cannot look back, and a cancelled
+  // speculative copy's gather may still move a worker's net_rx afterwards
+  // (DESIGN.md section 12). A finish that leaves no submitted job unresolved
+  // is the last one unless more jobs arrive; their finishes read again.
+  if (!config.open_loop.enabled) {
+    auto on_job_finished = [&] {
+      const bool all_resolved = ursa_sched != nullptr ? ursa_sched->AllJobsFinished()
+                                                      : exec_sched->AllJobsFinished();
+      if (all_resolved) {
+        result.efficiency = MetricsCollector::Compute(cluster, records(), sim.Now());
+      }
+    };
+    if (ursa_sched != nullptr) {
+      ursa_sched->set_job_finished_listener(on_job_finished);
+    } else {
+      exec_sched->set_job_finished_listener(on_job_finished);
+    }
   }
 
   std::shared_ptr<Tracer> tracer;
@@ -132,8 +158,7 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
       << "scheme " << scheme_name << " did not finish workload " << workload.name
       << " within the time limit (likely a scheduling deadlock)";
 
-  result.records = ursa_sched != nullptr ? ursa_sched->job_records()
-                                         : exec_sched->job_records();
+  result.records = records();
   result.submitted = submitted;
   double last_finish = 0.0;
   for (const JobRecord& record : result.records) {
@@ -143,8 +168,12 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
     // The serving horizon includes trailing sheds/arrivals after the last
     // completion; guard against a run where every job was shed.
     last_finish = std::max({last_finish, sim.Now(), 1e-9});
+    result.efficiency = MetricsCollector::Compute(cluster, result.records, last_finish);
+  } else {
+    CHECK_GT(result.efficiency.makespan, 0.0)
+        << "no job of workload " << workload.name << " completed";
+    CHECK_EQ(result.efficiency.makespan, last_finish);
   }
-  result.efficiency = MetricsCollector::Compute(cluster, result.records, 0.0, last_finish);
   result.tenants = MetricsCollector::ComputeTenantReport(result.records, last_finish);
   if (ursa_sched != nullptr) {
     result.admission = ursa_sched->admission_counters();
@@ -153,6 +182,7 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
   if (config.sample_step > 0.0) {
     result.series = MetricsCollector::Sample(cluster, 0.0, last_finish, config.sample_step);
   }
+  result.tracker_history_points = cluster.TrackerHistoryPoints();
 
   // Straggler analysis.
   std::vector<double> jcts;

@@ -44,7 +44,8 @@ struct ExperimentConfig {
   // Safety cap on simulated time; the run aborts (CHECK) if jobs are still
   // unfinished at this point, which indicates a scheduling deadlock.
   double time_limit = 500000.0;
-  // When > 0, the result carries a cluster utilization series at this step.
+  // When > 0, the result carries a cluster utilization series at this step,
+  // and the cluster's utilization trackers keep their change histories.
   double sample_step = 0.0;
   // Chaos plan injected during the run (Ursa scheduler only; the executor
   // model has no recovery path and ignores it with a warning).
@@ -94,6 +95,9 @@ struct ExperimentResult {
   UrsaScheduler::SchedulerCounters scheduler_counters;
   // Work done by the flow model's per-receiver refills.
   FlowSimulator::RefillStats flow_refills;
+  // Change points the cluster's utilization trackers hold at the end: 0
+  // unless a series was requested (sample_step > 0).
+  size_t tracker_history_points = 0;
   // Non-null when tracing was enabled (config.trace / config.trace_out).
   std::shared_ptr<Tracer> trace;
   double makespan() const { return efficiency.makespan; }

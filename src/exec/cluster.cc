@@ -1,5 +1,7 @@
 #include "src/exec/cluster.h"
 
+#include <initializer_list>
+
 #include "src/common/logging.h"
 
 namespace ursa {
@@ -26,6 +28,25 @@ int Cluster::total_cores() const {
 
 double Cluster::total_memory() const {
   return static_cast<double>(size()) * config_.worker.memory_bytes;
+}
+
+void Cluster::KeepTrackerHistories() {
+  for (auto& w : workers_) {
+    w->KeepTrackerHistories();
+  }
+  net_.KeepRxHistories();
+}
+
+size_t Cluster::TrackerHistoryPoints() const {
+  size_t points = 0;
+  for (const auto& w : workers_) {
+    for (const StepTracker* t :
+         {&w->cpu_busy_tracker(), &w->cpu_alloc_tracker(), &w->mem_used_tracker(),
+          &w->mem_alloc_tracker(), &w->disk_busy_tracker(), &w->net_rx_tracker()}) {
+      points += t->num_changes();
+    }
+  }
+  return points;
 }
 
 }  // namespace ursa

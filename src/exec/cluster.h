@@ -4,6 +4,7 @@
 #ifndef SRC_EXEC_CLUSTER_H_
 #define SRC_EXEC_CLUSTER_H_
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -44,6 +45,13 @@ class Cluster {
 
   int total_cores() const;
   double total_memory() const;
+
+  // Makes every worker's utilization trackers and the flow model's
+  // per-node receive trackers keep their change histories, which
+  // utilization series read. Call before the run.
+  void KeepTrackerHistories();
+  // Change points those trackers hold; 0 unless histories are kept.
+  size_t TrackerHistoryPoints() const;
 
   // Attaches an event tracer (src/obs) to every worker. Not owned; null
   // detaches.

@@ -435,7 +435,7 @@ void JobManager::OnMonotaskFailed(MonotaskId m) {
     const double delay = std::min(
         kRetryBackoffCap, kRetryBackoffBase * std::pow(2.0, mrt.attempts - 1));
     if (fault_stats_ != nullptr) {
-      fault_stats_->RecordRetry(sim_->Now());
+      ++fault_stats_->retries;
     }
     sim_->Schedule(delay, [this, m, generation, alive = std::weak_ptr<const bool>(alive_)] {
       if (alive.expired()) {
@@ -1066,7 +1066,7 @@ void JobManager::OnSpecWin(TaskId t) {
   for (MonotaskId m : spec.monotasks) {
     const MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
     if (mrt.done) {
-      spec_manager_->RecordWaste(now, plan().monotask(m).type, mrt.input_bytes,
+      spec_manager_->RecordWaste(plan().monotask(m).type, mrt.input_bytes,
                                  EstimateWasteSeconds(m, mrt.input_bytes));
     }
   }
@@ -1124,7 +1124,7 @@ void JobManager::CancelSpeculativeCopy(TaskId t, SpecEnd reason) {
       continue;
     }
     const MonotaskId m = spec.monotasks[i];
-    spec_manager_->RecordWaste(now, plan().monotask(m).type, copy->input_bytes[i],
+    spec_manager_->RecordWaste(plan().monotask(m).type, copy->input_bytes[i],
                                EstimateWasteSeconds(m, copy->input_bytes[i]));
   }
   if (reason == SpecEnd::kLost) {

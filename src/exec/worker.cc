@@ -1,6 +1,7 @@
 #include "src/exec/worker.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 
 #include "src/common/logging.h"
@@ -84,6 +85,12 @@ void Worker::Fail() {
   MarkLoadChanged();
   if (fail_listener_) {
     fail_listener_(id_);
+  }
+}
+
+void Worker::KeepTrackerHistories() {
+  for (StepTracker* t : {&cpu_busy_, &cpu_alloc_, &mem_used_, &mem_alloc_, &disk_busy_}) {
+    t->KeepHistory();
   }
 }
 

@@ -148,6 +148,9 @@ class Worker {
   void AddDiskBusy(double delta);
 
   // --- Metrics access. ---
+  // Makes the five trackers below keep their change histories, for
+  // utilization series. Call before the worker's first change.
+  void KeepTrackerHistories();
   const StepTracker& cpu_busy_tracker() const { return cpu_busy_; }
   const StepTracker& cpu_alloc_tracker() const { return cpu_alloc_; }
   const StepTracker& mem_used_tracker() const { return mem_used_; }

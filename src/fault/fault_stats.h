@@ -1,4 +1,4 @@
-// Counters and time series describing fault-tolerance behavior of one run:
+// Counters describing fault-tolerance behavior of one run:
 // injected faults, heartbeat detections, monotask retries, lineage-recovery
 // resets and full restarts. The scheduler owns one FaultCounters; job
 // managers, the failure detector, the fault injector, the message layer and
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/time_series.h"
 #include "src/dag/types.h"
 
 namespace ursa {
@@ -70,30 +69,13 @@ struct FaultCounters {
   // Per crash episode: crash -> scheduler back up (downtime + replay).
   std::vector<double> scheduler_recovery_latencies;
 
-  // --- Cumulative time series for post-run plots. ---
-  StepTracker detections_series;
-  StepTracker retries_series;
-  StepTracker reexec_series;
-  StepTracker wasted_series;  // Cumulative wasted busy seconds.
-
-  // Updates that keep a counter and its time series in step.
-  void RecordDetection(double now, double latency) {
+  void RecordDetection(double latency) {
     ++detections;
     total_detection_latency += latency;
-    detections_series.Set(now, static_cast<double>(detections));
   }
-  void RecordRetry(double now) {
-    ++retries;
-    retries_series.Set(now, static_cast<double>(retries));
-  }
-  void RecordTasksReset(double now, int count) {
-    tasks_reset += count;
-    reexec_series.Set(now, static_cast<double>(tasks_reset));
-  }
-  void RecordWastedWork(double now, ResourceType r, double bytes, double seconds) {
+  void RecordWastedWork(ResourceType r, double bytes, double seconds) {
     wasted_bytes[static_cast<int>(r)] += bytes;
     wasted_seconds[static_cast<int>(r)] += seconds;
-    wasted_series.Set(now, total_wasted_seconds());
   }
 
   double avg_detection_latency() const {

@@ -10,12 +10,10 @@
 namespace ursa {
 
 EfficiencyReport MetricsCollector::Compute(const Cluster& cluster,
-                                           const std::vector<JobRecord>& jobs, double t0,
-                                           double t1) {
+                                           const std::vector<JobRecord>& jobs, double end) {
   EfficiencyReport report;
-  CHECK_GT(t1, t0);
-  const double window = t1 - t0;
-  report.makespan = window;
+  CHECK_GT(end, 0.0);
+  report.makespan = end;
 
   // Only completed jobs enter the JCT average; shed or unfinished records
   // (open-loop runs with admission control) carry finish_time == -1.
@@ -41,15 +39,15 @@ EfficiencyReport MetricsCollector::Compute(const Cluster& cluster,
   std::vector<double> worker_net_util;
   for (int w = 0; w < cluster.size(); ++w) {
     const Worker& worker = cluster.worker(w);
-    busy_cpu += worker.cpu_busy_tracker().Integral(t0, t1);
-    alloc_cpu += worker.cpu_alloc_tracker().Integral(t0, t1);
-    used_mem += worker.mem_used_tracker().Integral(t0, t1);
-    alloc_mem += worker.mem_alloc_tracker().Integral(t0, t1);
-    total_cpu += worker.config().cores * window;
-    total_mem += worker.memory_capacity() * window;
-    worker_cpu_util.push_back(100.0 * worker.cpu_busy_tracker().Average(t0, t1) /
-                              worker.config().cores);
-    worker_net_util.push_back(100.0 * worker.net_rx_tracker().Average(t0, t1) /
+    const double busy = worker.cpu_busy_tracker().IntegralTo(end);
+    busy_cpu += busy;
+    alloc_cpu += worker.cpu_alloc_tracker().IntegralTo(end);
+    used_mem += worker.mem_used_tracker().IntegralTo(end);
+    alloc_mem += worker.mem_alloc_tracker().IntegralTo(end);
+    total_cpu += worker.config().cores * end;
+    total_mem += worker.memory_capacity() * end;
+    worker_cpu_util.push_back(100.0 * (busy / end) / worker.config().cores);
+    worker_net_util.push_back(100.0 * (worker.net_rx_tracker().IntegralTo(end) / end) /
                               worker.downlink());
   }
   report.se_cpu = total_cpu > 0.0 ? 100.0 * alloc_cpu / total_cpu : 0.0;

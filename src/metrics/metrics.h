@@ -4,9 +4,10 @@
 // total core/memory time (capacity times makespan) and Z the actually
 // utilized time, scheduling efficiency SE = X / Y and utilization efficiency
 // UE = Z / X. The average cluster utilization equals SE * UE. We compute all
-// three from the workers' StepTrackers, plus makespan, average JCT, the
-// straggler measure of section 5.1.2 (Q3 + 1.5 IQR outlier threshold per
-// stage) and the cross-worker utilization imbalance.
+// three from the running integrals of the workers' StepTrackers, plus
+// makespan, average JCT, the straggler measure of section 5.1.2 (Q3 + 1.5
+// IQR outlier threshold per stage) and the cross-worker utilization
+// imbalance.
 #ifndef SRC_METRICS_METRICS_H_
 #define SRC_METRICS_METRICS_H_
 
@@ -54,12 +55,15 @@ struct JobRecord {
 
 class MetricsCollector {
  public:
-  // Computes cluster efficiency over [t0, t1] (typically 0 .. makespan).
+  // Computes cluster efficiency over [0, end] (typically end = makespan).
+  // `end` must not precede any tracker's last change, so a caller whose
+  // trackers move after the last job finishes computes at that instant.
   static EfficiencyReport Compute(const Cluster& cluster, const std::vector<JobRecord>& jobs,
-                                  double t0, double t1);
+                                  double end);
 
   // Cluster-aggregated utilization series in percent (cpu, mem, net),
-  // resampled at `step` over [t0, t1].
+  // resampled at `step` over [t0, t1]. Needs the trackers' histories
+  // (Cluster::KeepTrackerHistories before the run).
   struct UtilizationSeries {
     double t0 = 0.0;
     double step = 0.0;

@@ -48,6 +48,12 @@ void FlowSimulator::SetDownlink(int node, double bytes_per_sec) {
   Reschedule();
 }
 
+void FlowSimulator::KeepRxHistories() {
+  for (Node& node : nodes_) {
+    node.rx_tracker.KeepHistory();
+  }
+}
+
 void FlowSimulator::set_local_copy_rate(double bytes_per_sec) {
   AdvanceProgress();
   local_copy_rate_ = bytes_per_sec;

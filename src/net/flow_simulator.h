@@ -80,8 +80,10 @@ class FlowSimulator {
   // Current aggregate receive rate into `node` (bytes/s).
   double NodeRxRate(int node) const { return nodes_[node].rx_tracker.current(); }
 
-  // Historical receive-rate series per node, for utilization figures.
+  // Receive rate per node over time: a running integral, plus the change
+  // history once KeepRxHistories() was called before the first flow.
   const StepTracker& rx_tracker(int node) const { return nodes_[node].rx_tracker; }
+  void KeepRxHistories();
   double downlink(int node) const { return nodes_[node].down; }
 
   // Total bytes delivered since construction (all flows).

@@ -469,13 +469,8 @@ void Tracer::PrintSummary(const std::string& title) const {
   counts.Print(title + " - monotask counts");
   latencies.Print(title + " - monotask latencies");
   if (ticks_.ticks > 0) {
-    Table ticks({"ticks", "candidates", "placed", "avgWall(us)", "maxWall(us)"});
-    ticks.Row()
-        .Cell(ticks_.ticks)
-        .Cell(ticks_.candidates)
-        .Cell(ticks_.placed)
-        .Cell(ticks_.total_wall_us / static_cast<double>(ticks_.ticks), 1)
-        .Cell(ticks_.max_wall_us, 1);
+    Table ticks({"ticks", "candidates", "placed"});
+    ticks.Row().Cell(ticks_.ticks).Cell(ticks_.candidates).Cell(ticks_.placed);
     ticks.Print(title + " - scheduler ticks");
   }
   if (dropped_ > 0) {

@@ -189,7 +189,8 @@ class Tracer {
   // Aggregated over every tick of the run (not subject to ring eviction).
   const TickSummary& tick_summary() const { return ticks_; }
 
-  // Prints the per-resource histogram summaries and tick aggregates.
+  // Prints the per-resource histogram summaries and the seeded tick counts;
+  // host wall time is left out so the output is seed-deterministic.
   void PrintSummary(const std::string& title) const;
 
  private:

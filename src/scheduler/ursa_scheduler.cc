@@ -86,7 +86,7 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
     for (int w = 0; w < cluster_->size(); ++w) {
       cluster_->worker(w).set_waste_sink(
           [this](ResourceType r, double bytes, double seconds) {
-            spec_manager_->RecordWaste(sim_->Now(), r, bytes, seconds);
+            spec_manager_->RecordWaste(r, bytes, seconds);
           });
     }
   }
@@ -265,7 +265,7 @@ int UrsaScheduler::ReconcileWorkerFailure(WorkerId worker_id) {
   Worker& worker = cluster_->worker(worker_id);
   handled_epoch_[static_cast<size_t>(worker_id)] = worker.failure_epoch();
   const double now = sim_->Now();
-  fault_stats_.RecordDetection(now, std::max(0.0, now - worker.failed_since()));
+  fault_stats_.RecordDetection(std::max(0.0, now - worker.failed_since()));
   if (tracer_ != nullptr) {
     tracer_->WorkerEvent(now, TraceEventKind::kDetection, worker_id,
                          std::max(0.0, now - worker.failed_since()));
@@ -288,7 +288,7 @@ int UrsaScheduler::ReconcileWorkerFailure(WorkerId worker_id) {
     if (config_.fault.enable_lineage_recovery) {
       JobManager::RecoveryResult r = entry->jm->RecoverFromWorkerFailure(worker_id);
       if (r.tasks_reset > 0) {
-        fault_stats_.RecordTasksReset(now, r.tasks_reset);
+        fault_stats_.tasks_reset += r.tasks_reset;
         fault_stats_.full_restart_equivalent_tasks += r.tasks_started_before;
         ++affected;
       }
@@ -588,6 +588,9 @@ void UrsaScheduler::OnJobFinished(JobId job_id) {
                                     }),
                      aborted_jms_.end());
   TryAdmitJobs();
+  if (job_finished_listener_) {
+    job_finished_listener_();
+  }
 }
 
 void UrsaScheduler::EnsureTickScheduled() {

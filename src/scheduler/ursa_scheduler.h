@@ -21,6 +21,7 @@
 #define SRC_SCHEDULER_URSA_SCHEDULER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -151,6 +152,11 @@ class UrsaScheduler : public JobManagerListener {
 
   const std::vector<JobRecord>& job_records() const { return records_; }
   const JobManager* job_manager(JobId id) const;
+
+  // Called at the end of every job finish, at the finish instant.
+  void set_job_finished_listener(std::function<void()> listener) {
+    job_finished_listener_ = std::move(listener);
+  }
 
   // Attaches an event tracer (src/obs) recording tick spans and fault
   // events; propagated to every job manager started afterwards and to the
@@ -467,6 +473,7 @@ class UrsaScheduler : public JobManagerListener {
   bool tick_scheduled_ = false;
   bool checkpoint_scheduled_ = false;
   bool placement_dirty_ = false;
+  std::function<void()> job_finished_listener_;
 };
 
 }  // namespace ursa

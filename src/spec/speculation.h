@@ -96,8 +96,8 @@ class SpeculationManager {
 
   // Duplicate work discarded by a cancellation: `bytes` processed by the
   // losing side and the `seconds` it occupied the resource.
-  void RecordWaste(double now, ResourceType r, double bytes, double seconds) {
-    stats_->RecordWastedWork(now, r, bytes, seconds);
+  void RecordWaste(ResourceType r, double bytes, double seconds) {
+    stats_->RecordWastedWork(r, bytes, seconds);
   }
 
  private:

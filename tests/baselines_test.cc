@@ -168,8 +168,8 @@ TEST(ExecutorRuntime, TaskSlotModeHoldsCoresDuringFetch) {
   double busy = 0.0;
   double alloc = 0.0;
   for (int w = 0; w < cluster.size(); ++w) {
-    busy += cluster.worker(w).cpu_busy_tracker().Integral(0.0, sim.Now());
-    alloc += cluster.worker(w).cpu_alloc_tracker().Integral(0.0, sim.Now());
+    busy += cluster.worker(w).cpu_busy_tracker().IntegralTo(sim.Now());
+    alloc += cluster.worker(w).cpu_alloc_tracker().IntegralTo(sim.Now());
   }
   EXPECT_GT(alloc, busy * 1.2);
 }
@@ -189,8 +189,8 @@ TEST(BspRuntime, AlternatesComputeAndSync) {
   EXPECT_GT(bsp.finish_time(), 3.0);  // At least 3 compute phases.
   // During compute phases CPU is ~fully busy; during sync it is zero:
   // the average must sit strictly between.
-  const double avg =
-      cluster.worker(0).cpu_busy_tracker().Average(0.0, bsp.finish_time()) / 32.0;
+  const double avg = cluster.worker(0).cpu_busy_tracker().IntegralTo(bsp.finish_time()) /
+                     bsp.finish_time() / 32.0;
   EXPECT_GT(avg, 0.3);
   EXPECT_LT(avg, 0.95);
   // All resources returned at the end.

@@ -2,6 +2,9 @@
 // scheme, with sane metrics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "src/driver/experiment.h"
 #include "src/workloads/ml.h"
 #include "src/workloads/synthetic.h"
@@ -28,6 +31,46 @@ TEST(ExperimentSmoke, UrsaEjfRunsSmallTpch) {
   EXPECT_GT(result.makespan(), 0.0);
   EXPECT_GT(result.efficiency.ue_cpu, 50.0);
   EXPECT_LE(result.efficiency.ue_cpu, 100.0 + 1e-6);
+}
+
+bool BitEqual(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// SE/UE come from the trackers' running integrals, read at the last job's
+// finish, so asking for a utilization series (which turns the change
+// histories on) changes no bit of the report. With speculation, a
+// cancelled copy's network gather still moves a worker's net_rx after the
+// last finish; reading the integrals after the run would CHECK-fail.
+TEST(ExperimentSmoke, EfficiencyIdenticalWithAndWithoutSeries) {
+  TpchWorkloadConfig wc;
+  wc.num_jobs = 40;
+  wc.submit_interval = 5.0;
+  wc.seed = 42;
+  const Workload workload = MakeTpchWorkload(wc);
+  ExperimentConfig config = UrsaEjfConfig();
+  config.cluster.num_workers = 100;
+  config.ursa.spec.enabled = true;
+  const ExperimentResult plain = RunExperiment(workload, config, "ursa-ejf");
+  config.sample_step = 1.0;
+  const ExperimentResult sampled = RunExperiment(workload, config, "ursa-ejf");
+
+  ASSERT_GT(plain.faults.speculations_launched, 0);
+  const EfficiencyReport& a = plain.efficiency;
+  const EfficiencyReport& b = sampled.efficiency;
+  EXPECT_TRUE(BitEqual(a.makespan, b.makespan));
+  EXPECT_TRUE(BitEqual(a.avg_jct, b.avg_jct));
+  EXPECT_TRUE(BitEqual(a.ue_cpu, b.ue_cpu));
+  EXPECT_TRUE(BitEqual(a.se_cpu, b.se_cpu));
+  EXPECT_TRUE(BitEqual(a.ue_mem, b.ue_mem));
+  EXPECT_TRUE(BitEqual(a.se_mem, b.se_mem));
+  EXPECT_TRUE(BitEqual(a.cpu_imbalance, b.cpu_imbalance));
+  EXPECT_TRUE(BitEqual(a.net_imbalance, b.net_imbalance));
+  EXPECT_EQ(a.jobs, b.jobs);
+
+  // Without a series no worker or flow-node tracker holds a change point.
+  EXPECT_EQ(plain.tracker_history_points, 0u);
+  EXPECT_TRUE(plain.series.cpu.empty());
+  EXPECT_GT(sampled.tracker_history_points, 0u);
+  EXPECT_EQ(sampled.series.cpu.size(), static_cast<size_t>(std::ceil(a.makespan)));
 }
 
 TEST(ExperimentSmoke, UrsaSrjfRunsSmallTpch) {

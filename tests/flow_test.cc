@@ -148,7 +148,7 @@ TEST(FlowSimulator, RxTrackerRecordsReceiveRate) {
   FlowSimulator net(&sim, 2, 10 * kGbps, 10 * kGbps);
   net.StartFlow(0, 1, 10 * kGbps, nullptr);  // 1 s at full rate.
   sim.Run();
-  EXPECT_NEAR(net.rx_tracker(1).Integral(0.0, 2.0), 10 * kGbps, 1e3);
+  EXPECT_NEAR(net.rx_tracker(1).IntegralTo(2.0), 10 * kGbps, 1e3);
 }
 
 // Property: total delivered bytes equal the sum of all completed flow sizes,
@@ -159,6 +159,7 @@ TEST_P(FlowConservation, BytesConservedAndCapacitiesRespected) {
   Simulator sim;
   const int nodes = 6;
   FlowSimulator net(&sim, nodes, 10 * kGbps, 10 * kGbps);
+  net.KeepRxHistories();
   Rng rng(GetParam());
   double total = 0.0;
   int completed = 0;
@@ -227,6 +228,11 @@ class RefFlowModel {
   }
 
   double FlowRateForTest(FlowId id) const { return flows_.at(id).rate; }
+  void KeepRxHistories() {
+    for (Node& node : nodes_) {
+      node.rx_tracker.KeepHistory();
+    }
+  }
   const StepTracker& rx_tracker(int node) const {
     return nodes_[static_cast<size_t>(node)].rx_tracker;
   }
@@ -397,6 +403,7 @@ FlowRun DriveRandomFlows(uint64_t seed, FlowShape shape, bool uniform_links) {
                         ? static_cast<int>(rng.UniformInt(int64_t{200}, int64_t{400}))
                         : static_cast<int>(rng.UniformInt(int64_t{2}, int64_t{24}));
   Net net(&sim, nodes, 10 * kGbps, 10 * kGbps);
+  net.KeepRxHistories();
   for (int n = 0; n < nodes; ++n) {
     if (!uniform_links && (shape != FlowShape::kSmall || rng.UniformInt(uint64_t{2}) == 0)) {
       net.SetDownlink(n, rng.Uniform(1.0, 20.0) * kGbps);
@@ -470,7 +477,7 @@ FlowRun DriveRandomFlows(uint64_t seed, FlowShape shape, bool uniform_links) {
   }
   sim.Run();
   for (int node = 0; node < nodes; ++node) {
-    run.rx_integral.push_back(net.rx_tracker(node).Integral(0.0, sim.Now() + 1.0));
+    run.rx_integral.push_back(net.rx_tracker(node).IntegralTo(sim.Now() + 1.0));
     run.rx_max.push_back(net.rx_tracker(node).Max(0.0, sim.Now() + 1.0));
   }
   run.delivered = net.total_bytes_delivered();

@@ -39,7 +39,7 @@ TEST_F(MetricsTest, SeUeFromTrackerIntegrals) {
   jobs[0].finish_time = 4.0;
   jobs[1].submit_time = 2.0;
   jobs[1].finish_time = 10.0;
-  const EfficiencyReport report = MetricsCollector::Compute(*cluster_, jobs, 0.0, 10.0);
+  const EfficiencyReport report = MetricsCollector::Compute(*cluster_, jobs, 10.0);
   EXPECT_DOUBLE_EQ(report.makespan, 10.0);
   EXPECT_DOUBLE_EQ(report.avg_jct, (4.0 + 8.0) / 2.0);
   // SE = allocated / total = 15/20; UE = busy / allocated = 7/15.
@@ -50,6 +50,7 @@ TEST_F(MetricsTest, SeUeFromTrackerIntegrals) {
 }
 
 TEST_F(MetricsTest, SampleNormalizesByCapacity) {
+  cluster_->KeepTrackerHistories();
   cluster_->worker(0).AddCpuBusy(10.0);  // Full.
   sim_.Schedule(4.0, [] {});
   sim_.Run();
@@ -63,6 +64,7 @@ TEST_F(MetricsTest, SampleGuardsDegenerateCapacity) {
   // A cluster whose network capacity has been overridden to zero (e.g. a
   // heterogeneous-cluster experiment that disables some links) must sample to
   // 0% utilization, not divide by zero into NaNs.
+  cluster_->KeepTrackerHistories();
   for (int w = 0; w < cluster_->size(); ++w) {
     cluster_->net().SetDownlink(w, 0.0);
   }

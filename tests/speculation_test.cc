@@ -306,7 +306,7 @@ class SpeculationRaceTest : public ::testing::Test {
     for (int w = 0; w < cluster_->size(); ++w) {
       cluster_->worker(w).set_waste_sink(
           [this](ResourceType r, double bytes, double seconds) {
-            manager_->RecordWaste(sim_.Now(), r, bytes, seconds);
+            manager_->RecordWaste(r, bytes, seconds);
           });
     }
     ctrl_ = std::make_unique<ControlPlane>(&sim_, cluster_.get(), ControlPlaneConfig(), nullptr);

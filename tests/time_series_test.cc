@@ -2,19 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/common/rng.h"
 
 namespace ursa {
 namespace {
 
-TEST(StepTracker, EmptyIntegralIsZero) {
+// A tracker that keeps its change history, for the windowed queries.
+StepTracker WithHistory() {
   StepTracker t;
+  t.KeepHistory();
+  return t;
+}
+
+TEST(StepTracker, EmptyIntegralIsZero) {
+  StepTracker t = WithHistory();
+  EXPECT_DOUBLE_EQ(t.IntegralTo(100.0), 0.0);
   EXPECT_DOUBLE_EQ(t.Integral(0.0, 100.0), 0.0);
   EXPECT_DOUBLE_EQ(t.Average(0.0, 100.0), 0.0);
 }
 
 TEST(StepTracker, ConstantLevel) {
-  StepTracker t;
+  StepTracker t = WithHistory();
   t.Set(0.0, 4.0);
   EXPECT_DOUBLE_EQ(t.Integral(0.0, 10.0), 40.0);
   EXPECT_DOUBLE_EQ(t.Average(2.0, 4.0), 4.0);
@@ -22,7 +32,7 @@ TEST(StepTracker, ConstantLevel) {
 }
 
 TEST(StepTracker, StepChangeSplitsIntegral) {
-  StepTracker t;
+  StepTracker t = WithHistory();
   t.Set(0.0, 2.0);
   t.Set(5.0, 6.0);
   EXPECT_DOUBLE_EQ(t.Integral(0.0, 10.0), 2.0 * 5 + 6.0 * 5);
@@ -32,13 +42,13 @@ TEST(StepTracker, StepChangeSplitsIntegral) {
 }
 
 TEST(StepTracker, ValueBeforeFirstChangeIsZero) {
-  StepTracker t;
+  StepTracker t = WithHistory();
   t.Set(10.0, 5.0);
   EXPECT_DOUBLE_EQ(t.Integral(0.0, 20.0), 50.0);
 }
 
 TEST(StepTracker, AddAccumulates) {
-  StepTracker t;
+  StepTracker t = WithHistory();
   t.Add(0.0, 1.0);
   t.Add(1.0, 1.0);
   t.Add(2.0, -2.0);
@@ -47,14 +57,14 @@ TEST(StepTracker, AddAccumulates) {
 }
 
 TEST(StepTracker, SameTimeOverrides) {
-  StepTracker t;
+  StepTracker t = WithHistory();
   t.Set(1.0, 3.0);
   t.Set(1.0, 7.0);
   EXPECT_DOUBLE_EQ(t.Integral(1.0, 2.0), 7.0);
 }
 
 TEST(StepTracker, ResampleAveragesWithinBuckets) {
-  StepTracker t;
+  StepTracker t = WithHistory();
   t.Set(0.0, 0.0);
   t.Set(0.5, 10.0);  // Half the first bucket at 10.
   t.Set(1.0, 2.0);
@@ -70,7 +80,7 @@ class StepTrackerProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StepTrackerProperty, IntegralAdditivityAndResampleConsistency) {
   Rng rng(GetParam());
-  StepTracker t;
+  StepTracker t = WithHistory();
   double now = 0.0;
   for (int i = 0; i < 100; ++i) {
     now += rng.Uniform(0.0, 2.0);
@@ -92,6 +102,76 @@ TEST_P(StepTrackerProperty, IntegralAdditivityAndResampleConsistency) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StepTrackerProperty, ::testing::Range<uint64_t>(1, 12));
+
+bool BitEqual(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// Fuzz: the running integral IntegralTo(t) equals the history's
+// Integral(0, t) bit for bit, after every step of a random Set/Add sequence
+// full of same-instant overwrites, repeated values and changes that return
+// to an earlier value, for t at the last change and past it. A tracker
+// without history gives the same sums and holds no change points.
+class RunningIntegralFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RunningIntegralFuzz, MatchesHistoryBitForBit) {
+  Rng rng(GetParam());
+  StepTracker history = WithHistory();
+  StepTracker running;
+  const double pool[] = {0.0, 1.0, 3.0, 0.1, 7.25, 1e9 / 3.0};
+  double now = 0.0;
+  for (int i = 0; i < 2000; ++i) {
+    // A third of the steps stay at the same instant.
+    if (rng.UniformInt(uint64_t{3}) != 0) {
+      now += rng.UniformInt(uint64_t{4}) == 0 ? 0.1 : rng.Uniform(0.0, 2.0);
+    }
+    const uint64_t op = rng.UniformInt(uint64_t{4});
+    double value = 0.0;
+    if (op == 0) {
+      value = history.current();  // Equal value: no change.
+    } else if (op == 1) {
+      value = pool[rng.UniformInt(uint64_t{6})];
+    } else {
+      value = rng.Uniform(-1.0, 40.0);
+    }
+    if (op == 3) {
+      const double delta = value - history.current();
+      history.Add(now, delta);
+      running.Add(now, delta);
+    } else {
+      history.Set(now, value);
+      running.Set(now, value);
+    }
+    ASSERT_TRUE(BitEqual(history.current(), running.current()));
+    for (const double t : {now, now + rng.Uniform(0.0, 3.0)}) {
+      const double reference = history.Integral(0.0, t);
+      ASSERT_TRUE(BitEqual(history.IntegralTo(t), reference))
+          << "step " << i << " t=" << t << ": " << history.IntegralTo(t) << " vs "
+          << reference;
+      ASSERT_TRUE(BitEqual(running.IntegralTo(t), reference)) << "step " << i;
+    }
+  }
+  EXPECT_GT(history.num_changes(), 0u);
+  EXPECT_EQ(running.num_changes(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RunningIntegralFuzz, ::testing::Range<uint64_t>(1, 21));
+
+TEST(StepTrackerDeathTest, IntegralBeforeLastChangeFails) {
+  StepTracker t;
+  t.Set(1.0, 2.0);
+  t.Set(5.0, 3.0);
+  EXPECT_DOUBLE_EQ(t.IntegralTo(5.0), 8.0);
+  EXPECT_DEATH(t.IntegralTo(4.0), "before the tracker's last change");
+}
+
+TEST(StepTrackerDeathTest, WindowedQueryNeedsHistory) {
+  StepTracker t;
+  t.Set(1.0, 2.0);
+  EXPECT_DEATH(t.Integral(0.0, 2.0), "without history");
+  EXPECT_DEATH(t.Max(0.0, 2.0), "without history");
+  StepTracker late;
+  late.Set(1.0, 2.0);
+  EXPECT_DEATH(late.KeepHistory(), "after the first change");
+}
 
 }  // namespace
 }  // namespace ursa

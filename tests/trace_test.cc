@@ -112,8 +112,8 @@ TEST_F(TraceTest, BusyTimeMatchesStepTrackerIntegrals) {
   double cpu_integral = 0.0;
   double disk_integral = 0.0;
   for (int w = 0; w < cluster_->size(); ++w) {
-    cpu_integral += cluster_->worker(w).cpu_busy_tracker().Integral(0.0, end);
-    disk_integral += cluster_->worker(w).disk_busy_tracker().Integral(0.0, end);
+    cpu_integral += cluster_->worker(w).cpu_busy_tracker().IntegralTo(end);
+    disk_integral += cluster_->worker(w).disk_busy_tracker().IntegralTo(end);
   }
   ASSERT_GT(cpu_integral, 0.0);
 

@@ -95,7 +95,7 @@ TEST_F(WorkerTest, CpuConcurrencyBoundedByCores) {
   EXPECT_EQ(completed, 8);
   EXPECT_NEAR(sim_.Now(), 2.0, 1e-9);
   // Busy-core integral: 4 cores for 2 seconds.
-  EXPECT_NEAR(worker.cpu_busy_tracker().Integral(0.0, 2.0), 8.0, 1e-9);
+  EXPECT_NEAR(worker.cpu_busy_tracker().IntegralTo(2.0), 8.0, 1e-9);
 }
 
 TEST_F(WorkerTest, AptCpuZeroWithIdleCores) {
