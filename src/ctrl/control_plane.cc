@@ -1,7 +1,6 @@
 #include "src/ctrl/control_plane.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -36,7 +35,6 @@ ControlPlane::ControlPlane(Simulator* sim, Cluster* cluster,
   CHECK(config_.delay_prob >= 0.0 && config_.delay_prob <= 1.0);
   CHECK_GE(config_.base_latency, 0.0);
   CHECK_GE(config_.delay_extra, 0.0);
-  delivered_.resize(static_cast<size_t>(cluster_->size()));
 }
 
 ControlPlane::Fate ControlPlane::DrawFate() {
@@ -143,18 +141,22 @@ void ControlPlane::DeliverDispatch(const std::shared_ptr<PendingDispatch>& p) {
     }
     return;
   }
-  std::set<MsgKey>& seen = delivered_[static_cast<size_t>(p->worker)];
-  if (!seen.insert(p->key).second) {
-    // The same execution attempt was already delivered (e.g. the original
-    // send of a placement the recovery resync re-dispatched).
-    p->delivered = true;
-    if (stats_ != nullptr) {
-      ++stats_->dup_suppressed;
-    }
-    return;
-  }
   p->delivered = true;
-  cluster_->worker(p->worker).Submit(RunnableMonotask(p->run));
+  std::vector<Delivery>& seen = DeliveriesOf(p->key);
+  for (const Delivery& d : seen) {
+    if (Matches(d, p->worker, p->key)) {
+      // The same execution attempt was already delivered (e.g. the original
+      // send of a placement the recovery resync re-dispatched).
+      if (stats_ != nullptr) {
+        ++stats_->dup_suppressed;
+      }
+      return;
+    }
+  }
+  seen.push_back(Delivery{p->worker, p->key.incarnation, p->key.generation,
+                          p->key.attempt, p->key.channel});
+  // `delivered` is set, so no later copy of this message reads `run` again.
+  cluster_->worker(p->worker).Submit(std::move(p->run));
 }
 
 void ControlPlane::CompletionToScheduler(const CompletionMsg& msg) {
@@ -240,26 +242,45 @@ void ControlPlane::Heartbeat(WorkerId worker, std::function<void()> deliver) {
   // "I am alive" carries no additional information.
 }
 
+std::vector<ControlPlane::Delivery>& ControlPlane::DeliveriesOf(const MsgKey& key) {
+  CHECK_GE(key.job, 0);
+  CHECK_GE(key.monotask, 0);
+  const size_t job = static_cast<size_t>(key.job);
+  const size_t m = static_cast<size_t>(key.monotask);
+  if (job >= delivered_.size()) {
+    delivered_.resize(job + 1);
+  }
+  std::vector<std::vector<Delivery>>& table = delivered_[job];
+  if (m >= table.size()) {
+    table.resize(m + 1);
+  }
+  return table[m];
+}
+
 bool ControlPlane::Delivered(WorkerId worker, const MsgKey& key) const {
-  const std::set<MsgKey>& seen = delivered_[static_cast<size_t>(worker)];
-  return seen.find(key) != seen.end();
+  const size_t job = static_cast<size_t>(key.job);
+  const size_t m = static_cast<size_t>(key.monotask);
+  if (job >= delivered_.size() || m >= delivered_[job].size()) {
+    return false;
+  }
+  const std::vector<Delivery>& seen = delivered_[job][m];
+  return std::any_of(seen.begin(), seen.end(),
+                     [&](const Delivery& d) { return Matches(d, worker, key); });
 }
 
 void ControlPlane::ForgetWorker(WorkerId worker) {
-  delivered_[static_cast<size_t>(worker)].clear();
+  for (std::vector<std::vector<Delivery>>& table : delivered_) {
+    for (std::vector<Delivery>& seen : table) {
+      seen.erase(std::remove_if(seen.begin(), seen.end(),
+                                [worker](const Delivery& d) { return d.worker == worker; }),
+                 seen.end());
+    }
+  }
 }
 
 void ControlPlane::ForgetJob(JobId job) {
-  for (std::set<MsgKey>& seen : delivered_) {
-    MsgKey lo;
-    lo.job = job;
-    lo.monotask = std::numeric_limits<MonotaskId>::min();
-    lo.generation = std::numeric_limits<int>::min();
-    lo.attempt = std::numeric_limits<int>::min();
-    lo.channel = std::numeric_limits<int>::min();
-    MsgKey hi = lo;
-    hi.job = job + 1;
-    seen.erase(seen.lower_bound(lo), seen.lower_bound(hi));
+  if (static_cast<size_t>(job) < delivered_.size()) {
+    std::vector<std::vector<Delivery>>().swap(delivered_[static_cast<size_t>(job)]);
   }
 }
 

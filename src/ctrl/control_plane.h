@@ -23,8 +23,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -68,11 +66,6 @@ struct MsgKey {
   int generation = 0;
   int attempt = 0;
   int channel = 0;
-
-  bool operator<(const MsgKey& o) const {
-    return std::tie(job, incarnation, monotask, generation, attempt, channel) <
-           std::tie(o.job, o.incarnation, o.monotask, o.generation, o.attempt, o.channel);
-  }
 };
 
 class ControlPlane {
@@ -127,14 +120,14 @@ class ControlPlane {
   // post-recovery resync pass to decide which placements to re-send.
   bool Delivered(WorkerId worker, const MsgKey& key) const;
 
-  // Drops per-worker dedup state for a finished job.
+  // Drops a finished job's dedup table, on every worker at once.
   void ForgetJob(JobId job);
 
-  // Drops one worker's whole delivered-dispatch set. Called when the worker
-  // fails: the set is worker-side state, so a crash wipes it along with the
-  // queues, and resync after a scheduler recovery must be able to re-send
-  // (and the rejoined worker to re-accept) dispatches the dead process had
-  // acked.
+  // Drops one worker's delivered-dispatch records. Called when the worker
+  // fails: the records are worker-side state, so a crash wipes them along
+  // with the queues, and resync after a scheduler recovery must be able to
+  // re-send (and the rejoined worker to re-accept) dispatches the dead
+  // process had acked.
   void ForgetWorker(WorkerId worker);
 
  private:
@@ -146,6 +139,23 @@ class ControlPlane {
     bool delivered = false;
     bool fenced = false;
   };
+  // One delivered dispatch: the worker that acked it plus the rest of its
+  // MsgKey (the job and monotask are the table's indices).
+  struct Delivery {
+    WorkerId worker = kInvalidId;
+    int incarnation = 0;
+    int generation = 0;
+    int attempt = 0;
+    int channel = 0;
+  };
+  // The records of `key`'s monotask, growing the table to hold it.
+  std::vector<Delivery>& DeliveriesOf(const MsgKey& key);
+  static bool Matches(const Delivery& d, WorkerId worker, const MsgKey& key) {
+    return d.worker == worker && d.incarnation == key.incarnation &&
+           d.generation == key.generation && d.attempt == key.attempt &&
+           d.channel == key.channel;
+  }
+
   struct PendingNotify {
     WorkerId worker = kInvalidId;
     std::function<void()> deliver;
@@ -176,9 +186,11 @@ class ControlPlane {
   std::function<void(const CompletionMsg&)> completion_handler_;
   Rng rng_;
   int epoch_ = 0;
-  // Per-worker delivered-dispatch sets (worker-side state: they survive a
-  // scheduler crash, which is what makes resync able to skip live orphans).
-  std::vector<std::set<MsgKey>> delivered_;
+  // Delivered-dispatch records, indexed [job][monotask]: the dedup state of
+  // every worker, kept per job so a finished job frees its table in one
+  // step. Worker-side state: it survives a scheduler crash, which is what
+  // makes resync able to skip live orphans.
+  std::vector<std::vector<std::vector<Delivery>>> delivered_;
 };
 
 }  // namespace ursa

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/common/wallclock.h"
@@ -823,23 +824,19 @@ const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
   // A placement pass reads the cached loads by reference.
   CHECK(overlay_touched_.empty()) << "loads refreshed during a placement pass";
   const double ept = config_.scheduling_interval * kEptSlack;
-  bool changed = false;
   if (!load_cache_.primed) {
     load_cache_.loads = SnapshotLoads();
     load_cache_.dirty.assign(load_cache_.loads.size(), 0);
     load_cache_.dirty_list.clear();
     load_cache_.primed = true;
-    changed = true;
+    RebuildScanOrder(nullptr);
   } else if (!load_cache_.dirty_list.empty()) {
     for (const WorkerId w : load_cache_.dirty_list) {
       WorkerLoad load;
       ComputeWorkerLoad(cluster_->worker(w), ept, &load);
       load_cache_.loads[static_cast<size_t>(w)] = load;
-      load_cache_.dirty[static_cast<size_t>(w)] = 0;
       ++counters_.load_refreshes;
     }
-    load_cache_.dirty_list.clear();
-    changed = true;
     if (config_.verify_hot_path) {
       // Debug cross-check: the incremental snapshot must be bit-identical to
       // a from-scratch rebuild; a divergence means a worker mutation path is
@@ -861,12 +858,12 @@ const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
                     << " diverged from the full rescan (missing dirty mark?)";
       }
     }
-  }
-  if (changed) {
-    scan_stale_ = true;
-  }
-  if (scan_stale_) {
-    RebuildScanOrder();
+    // The dirty marks tell RebuildScanOrder which workers moved.
+    RebuildScanOrder(&load_cache_.dirty_list);
+    for (const WorkerId w : load_cache_.dirty_list) {
+      load_cache_.dirty[static_cast<size_t>(w)] = 0;
+    }
+    load_cache_.dirty_list.clear();
   }
   return load_cache_.loads;
 }
@@ -948,7 +945,7 @@ void UrsaScheduler::OverlayReset() const {
   overlay_index_.clear();
 }
 
-void UrsaScheduler::RebuildScanOrder() {
+void UrsaScheduler::RebuildScanOrder(std::vector<WorkerId>* refreshed) {
   // The per-bucket pass state below is indexed by the buckets being
   // replaced; loads are only refreshed between placement passes.
   CHECK(overlay_touched_.empty()) << "scan order rebuilt during a placement pass";
@@ -957,15 +954,38 @@ void UrsaScheduler::RebuildScanOrder() {
   // (WorkerLoad is all doubles, so memcmp is a total order with no padding
   // hazards), then cut runs of equal loads into buckets. The index
   // tie-break keeps each bucket's member list ascending.
-  std::vector<WorkerId> order(loads.size());
-  for (size_t w = 0; w < loads.size(); ++w) {
-    order[w] = static_cast<WorkerId>(w);
-  }
-  std::sort(order.begin(), order.end(), [&loads](WorkerId a, WorkerId b) {
+  const auto before = [&loads](WorkerId a, WorkerId b) {
     const int c = std::memcmp(&loads[static_cast<size_t>(a)],
                               &loads[static_cast<size_t>(b)], sizeof(WorkerLoad));
     return c != 0 ? c < 0 : a < b;
-  });
+  };
+  const auto sort_all = [&loads, &before] {
+    std::vector<WorkerId> all(loads.size());
+    std::iota(all.begin(), all.end(), 0);
+    std::sort(all.begin(), all.end(), before);
+    return all;
+  };
+  std::vector<WorkerId>& order = scan_order_;
+  if (refreshed == nullptr) {
+    order = sort_all();
+  } else {
+    // `before` is a strict total order, so the sorted order is unique: the
+    // workers whose loads did not move keep their relative order, and
+    // merging the re-sorted movers back in yields exactly the full sort.
+    order.erase(std::remove_if(order.begin(), order.end(),
+                               [this](WorkerId w) {
+                                 return load_cache_.dirty[static_cast<size_t>(w)] != 0;
+                               }),
+                order.end());
+    std::sort(refreshed->begin(), refreshed->end(), before);
+    std::vector<WorkerId> merged(order.size() + refreshed->size());
+    std::merge(order.begin(), order.end(), refreshed->begin(), refreshed->end(),
+               merged.begin(), before);
+    order.swap(merged);
+    if (config_.verify_hot_path) {
+      CHECK(sort_all() == order) << "merged scan order diverged from the full sort";
+    }
+  }
   scan_buckets_.clear();
   scan_bucket_of_.resize(loads.size());
   for (size_t i = 0; i < order.size();) {
@@ -1003,7 +1023,6 @@ void UrsaScheduler::RebuildScanOrder() {
   for (size_t b = 0; b < n; ++b) {
     scan_pass_[b] = BucketPass{0, static_cast<uint32_t>(scan_buckets_[b].members.size()), 0};
   }
-  scan_stale_ = false;
 }
 
 void UrsaScheduler::CountHeadroom(const std::vector<WorkerLoad>& loads,

@@ -312,8 +312,11 @@ class UrsaScheduler : public JobManagerListener {
   // may hold the returned reference.
   const std::vector<WorkerLoad>& CurrentLoads();
   // Rebuilds scan_buckets_ from cached loads, grouping bit-identical loads
-  // into one bucket each, and the per-dimension key orders over them.
-  void RebuildScanOrder();
+  // into one bucket each, and the per-dimension key orders over them. The
+  // sorted worker order is kept across calls: `refreshed` lists the workers
+  // whose loads changed since the last call (each carries its dirty mark),
+  // and only those are re-sorted and merged back in; nullptr sorts all W.
+  void RebuildScanOrder(std::vector<WorkerId>* refreshed);
   static void CountHeadroom(const std::vector<WorkerLoad>& loads,
                             int out[kNumMonotaskResources]);
   // Headroom signature: bits 0..2 set for d_r > 0, bit
@@ -438,6 +441,9 @@ class UrsaScheduler : public JobManagerListener {
   };
   std::vector<KeyEntry> scan_by_key_[kNumResourceDims];
   std::vector<int32_t> scan_bucket_of_;  // Worker -> scan_buckets_ index.
+  // All workers sorted by (raw load bytes, id): the concatenated bucket
+  // members, kept so a rebuild merges the refreshed workers back in.
+  std::vector<WorkerId> scan_order_;
   // Per base bucket state during a placement pass.
   struct BucketPass {
     uint64_t visited = 0;  // Stamp of the last BestWorker call to visit it.
@@ -446,7 +452,6 @@ class UrsaScheduler : public JobManagerListener {
   };
   mutable std::vector<BucketPass> scan_pass_;
   mutable uint64_t scan_stamp_ = 0;  // Bumped by every bucketed call.
-  bool scan_stale_ = true;
   // First job index of the next candidate gather: rotated after a truncated
   // tick so deferred jobs are not starved, 0 (submission order) otherwise.
   size_t placement_scan_start_ = 0;

@@ -9,20 +9,42 @@
 namespace ursa {
 
 EventId EventQueue::Push(double when, Callback cb) {
-  const EventId id = next_id_++;
+  CHECK_LT(next_seq_, EventId{1} << (64 - kSlotBits)) << "event sequence exhausted";
+  EventId slot;
+  if (free_slots_.empty()) {
+    slot = slots_.size();
+    CHECK_LE(slot, kSlotMask) << "more than 2^" << kSlotBits << " events pending";
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  Slot& s = slots_[slot];
+  s.id = id;
+  s.cb = std::move(cb);
   heap_.push_back(Entry{when, id});
   std::push_heap(heap_.begin(), heap_.end(), Later());
-  callbacks_.emplace(id, std::move(cb));
   return id;
 }
 
+void EventQueue::FreeSlot(EventId s) {
+  Slot& slot = slots_[s];
+  slot.id = kInvalidEventId;
+  slot.cb = nullptr;
+  free_slots_.push_back(static_cast<uint32_t>(s));
+}
+
 bool EventQueue::Cancel(EventId id) {
-  auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) {
+  const EventId s = id & kSlotMask;
+  if (id == kInvalidEventId || s >= slots_.size() || slots_[s].id != id) {
     return false;
   }
-  callbacks_.erase(it);
-  cancelled_.insert(id);
+  FreeSlot(s);
+  ++tombstones_;
+  if (heap_.front().id == id) {
+    DropCancelledHead();
+  }
   CompactIfWorthwhile();
   return true;
 }
@@ -31,47 +53,26 @@ void EventQueue::CompactIfWorthwhile() {
   // Eager compaction: once tombstones outnumber live entries (i.e. exceed
   // half the heap), one O(n) rebuild halves the footprint. Amortized O(1)
   // per cancel because a rebuild is always preceded by >= n/2 cancels.
-  if (cancelled_.size() <= callbacks_.size()) {
+  if (tombstones_ <= LiveCount()) {
     return;
   }
-  std::vector<Entry> live;
-  live.reserve(callbacks_.size());
-  for (const Entry& e : heap_) {
-    if (cancelled_.count(e.id) == 0) {
-      live.push_back(e);
-    }
-  }
-  heap_ = std::move(live);
-  cancelled_.clear();
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const Entry& e) { return !IsLive(e); }),
+              heap_.end());
+  tombstones_ = 0;
+  CHECK_EQ(heap_.size(), LiveCount());
   std::make_heap(heap_.begin(), heap_.end(), Later());
-  CheckInvariant();
 }
 
-void EventQueue::CheckInvariant() const {
-  // PendingCount() == callbacks_.size() by construction; the CHECK pins the
-  // heap bookkeeping so the count can never underflow.
-  CHECK_EQ(heap_.size(), callbacks_.size() + cancelled_.size());
-}
-
-void EventQueue::DropCancelledHead() const {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().id);
-    if (it == cancelled_.end()) {
-      return;
-    }
-    cancelled_.erase(it);
+void EventQueue::DropCancelledHead() {
+  while (!heap_.empty() && !IsLive(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later());
     heap_.pop_back();
+    --tombstones_;
   }
-}
-
-bool EventQueue::Empty() const {
-  DropCancelledHead();
-  return heap_.empty();
 }
 
 double EventQueue::NextTime() const {
-  DropCancelledHead();
   if (heap_.empty()) {
     return std::numeric_limits<double>::infinity();
   }
@@ -79,25 +80,22 @@ double EventQueue::NextTime() const {
 }
 
 EventQueue::Fired EventQueue::Pop() {
-  DropCancelledHead();
   CHECK(!heap_.empty());
   const Entry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later());
   heap_.pop_back();
-  auto it = callbacks_.find(top.id);
-  CHECK(it != callbacks_.end());
-  Fired fired{top.when, top.id, std::move(it->second)};
-  callbacks_.erase(it);
+  const EventId s = top.id & kSlotMask;
+  CHECK_EQ(slots_[s].id, top.id);
+  Fired fired{top.when, top.id, std::move(slots_[s].cb)};
+  FreeSlot(s);
+  DropCancelledHead();
   return fired;
 }
 
 size_t EventQueue::PendingCount() const {
-  CheckInvariant();
-  return callbacks_.size();
-}
-
-size_t EventQueue::StoredCount() const {
-  return heap_.size();
+  // The CHECK pins the heap bookkeeping so the count can never underflow.
+  CHECK_EQ(heap_.size(), LiveCount() + tombstones_);
+  return LiveCount();
 }
 
 }  // namespace ursa

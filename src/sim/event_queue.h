@@ -1,14 +1,13 @@
 // Priority queue of timestamped events with stable ordering and O(log n)
 // lazy cancellation. Ties at the same timestamp fire in scheduling order
 // (ascending EventId), which makes simulations deterministic for a fixed
-// seed. DESIGN.md section 12 documents the tombstone-compaction bound.
+// seed. DESIGN.md section 12 documents the slab, the id encoding and the
+// tombstone-compaction bound.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 
@@ -25,10 +24,15 @@ enum class EventQueueKind {
   kBinaryHeap,
 };
 
-// Binary-heap queue. Cancellation is lazy (tombstones dropped when they
-// surface at the heap top) but bounded: whenever tombstones outnumber live
+// Binary-heap queue over a slab of callback slots. An EventId is
+// `(push sequence << kSlotBits) | slot`: ids rise strictly with push order,
+// and the slot they name stores the id of its current occupant, so a stale
+// id (fired or cancelled, its slot since reused) never matches. Cancellation
+// frees the slot at once and leaves the heap entry as a tombstone that is
+// dropped when it reaches the head; whenever tombstones outnumber live
 // events the whole heap is compacted in one pass, so cancel-heavy workloads
-// (speculation + chaos) keep StoredCount() < 2 * PendingCount() + 1.
+// (speculation + chaos) keep StoredCount() < 2 * PendingCount() + 1. The
+// head of the heap is always live, so Empty() and NextTime() are O(1) reads.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -40,15 +44,16 @@ class EventQueue {
   };
 
   // Enqueues `cb` to fire at absolute time `when`. Returns a handle usable
-  // with Cancel(). Ids increase monotonically from 1 across the queue's
-  // lifetime; equal-time events fire in ascending-id (FIFO) order.
+  // with Cancel(). Ids increase strictly across the queue's lifetime;
+  // equal-time events fire in ascending-id (FIFO) order.
   EventId Push(double when, Callback cb);
 
   // Cancels a pending event. Cancelling an already-fired or already-cancelled
-  // event is a no-op; returns whether the event was actually pending.
+  // event, or kInvalidEventId, is a no-op; returns whether the event was
+  // actually pending.
   bool Cancel(EventId id);
 
-  bool Empty() const;
+  bool Empty() const { return heap_.empty(); }
   double NextTime() const;
 
   // Removes and returns the earliest event. Must not be called when Empty().
@@ -59,9 +64,13 @@ class EventQueue {
 
   // Entries physically stored, including cancelled tombstones not yet
   // compacted. Tests use this to pin down tombstone-growth bounds.
-  size_t StoredCount() const;
+  size_t StoredCount() const { return heap_.size(); }
 
  private:
+  static constexpr int kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+
+  // 16 bytes; the slot is the id's low kSlotBits.
   struct Entry {
     double when;
     EventId id;
@@ -74,21 +83,25 @@ class EventQueue {
       return a.id > b.id;  // FIFO among same-time events.
     }
   };
+  struct Slot {
+    EventId id = kInvalidEventId;  // The occupant's id; kInvalidEventId = free.
+    Callback cb;
+  };
 
-  // Lazily drops cancelled entries from the heap head; `mutable` members let
-  // the const observers (Empty, NextTime) share it without const_cast.
-  void DropCancelledHead() const;
+  bool IsLive(const Entry& e) const { return slots_[e.id & kSlotMask].id == e.id; }
+  size_t LiveCount() const { return slots_.size() - free_slots_.size(); }
+  // Empties slot `s` and returns it to the free list.
+  void FreeSlot(EventId s);
+  // Pops tombstones off the heap head, restoring the live-head invariant.
+  void DropCancelledHead();
   // Rewrites the heap without tombstones once they outnumber live entries.
   void CompactIfWorthwhile();
-  // heap_.size() == callbacks_.size() + cancelled_.size() always; CHECKed so
-  // PendingCount can never underflow.
-  void CheckInvariant() const;
 
-  mutable std::vector<Entry> heap_;  // std::*_heap under Later.
-  mutable std::unordered_set<EventId> cancelled_;
-  // Callbacks stored out-of-heap so Entry stays trivially copyable.
-  std::unordered_map<EventId, Callback> callbacks_;
-  EventId next_id_ = 1;
+  std::vector<Entry> heap_;  // std::*_heap under Later.
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;  // LIFO, so hot slots are reused first.
+  size_t tombstones_ = 0;  // heap_.size() == live + tombstones_ always.
+  EventId next_seq_ = 1;
 };
 
 }  // namespace ursa

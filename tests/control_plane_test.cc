@@ -3,9 +3,14 @@
 // across scheduler downtime, best-effort heartbeats and journal bookkeeping.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
+#include <tuple>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/ctrl/control_plane.h"
 #include "src/ctrl/journal.h"
 #include "src/dag/plan.h"
@@ -164,20 +169,124 @@ TEST_F(ControlPlaneTest, ForgetJobDropsDedupState) {
   EXPECT_FALSE(plane->Delivered(0, Key(0)));
 }
 
-TEST_F(ControlPlaneTest, MsgKeyOrdersByFullIdentity) {
-  MsgKey a = Key(0);
-  MsgKey b = Key(0);
-  EXPECT_FALSE(a < b);
-  EXPECT_FALSE(b < a);
-  b.incarnation = 1;  // A full restart mints distinct keys.
-  EXPECT_TRUE(a < b);
-  b = Key(0);
-  b.generation = 1;
-  EXPECT_TRUE(a < b);
-  b = Key(0, /*attempt=*/1);
-  EXPECT_TRUE(a < b);
-  b = Key(0, 0, /*channel=*/1);
-  EXPECT_TRUE(a < b);
+TEST_F(ControlPlaneTest, ForgetWorkerKeepsOtherWorkersRecords) {
+  ControlPlaneConfig cc;
+  cc.enabled = true;
+  auto plane = MakePlane(cc);
+  int completions = 0;
+  // The same monotask identity acked by both workers (e.g. a re-placement).
+  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(1, Key(0), CountingMonotask(&completions));
+  sim_.Run();
+  EXPECT_EQ(completions, 2);
+  plane->ForgetWorker(0);
+  EXPECT_FALSE(plane->Delivered(0, Key(0)));
+  EXPECT_TRUE(plane->Delivered(1, Key(0)));
+  // The rejoined worker re-accepts; the other still suppresses.
+  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(1, Key(0), CountingMonotask(&completions));
+  sim_.Run();
+  EXPECT_EQ(completions, 3);
+}
+
+TEST_F(ControlPlaneTest, ForgetJobKeepsOtherJobsRecords) {
+  ControlPlaneConfig cc;
+  cc.enabled = true;
+  auto plane = MakePlane(cc);
+  int completions = 0;
+  MsgKey other = Key(0);
+  other.job = 1;
+  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, other, CountingMonotask(&completions));
+  sim_.Run();
+  EXPECT_EQ(completions, 2);
+  plane->ForgetJob(0);
+  EXPECT_FALSE(plane->Delivered(0, Key(0)));
+  EXPECT_TRUE(plane->Delivered(0, other));
+  plane->ForgetJob(7);  // A job the plane never saw is a no-op.
+  EXPECT_TRUE(plane->Delivered(0, other));
+}
+
+TEST_F(ControlPlaneTest, KeyDifferingInOneFieldIsNotADuplicate) {
+  ControlPlaneConfig cc;
+  cc.enabled = true;
+  auto plane = MakePlane(cc);
+  int completions = 0;
+  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  sim_.Run();
+  ASSERT_EQ(completions, 1);
+  std::vector<MsgKey> variants(4, Key(0));
+  variants[0].incarnation = 1;  // A full restart mints distinct keys.
+  variants[1].generation = 1;
+  variants[2].attempt = 1;
+  variants[3].channel = 1;
+  for (const MsgKey& key : variants) {
+    EXPECT_FALSE(plane->Delivered(0, key));
+    plane->Dispatch(0, key, CountingMonotask(&completions));
+  }
+  sim_.Run();
+  EXPECT_EQ(completions, 5);
+  // The identical key is a duplicate and never runs again.
+  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  sim_.Run();
+  EXPECT_EQ(completions, 5);
+  EXPECT_EQ(stats_.dup_suppressed, 1);
+}
+
+TEST_F(ControlPlaneTest, DedupFuzzMatchesReferenceSet) {
+  // Random dispatches over a small key space, interleaved with worker and
+  // job forgets, against a reference set of (worker, full key). Loss and
+  // duplication exercise the retransmission path; each dispatch still
+  // reaches the dedup table exactly once.
+  using FullKey = std::tuple<WorkerId, JobId, int, MonotaskId, int, int, int>;
+  const auto full = [](WorkerId w, const MsgKey& k) {
+    return FullKey{w, k.job, k.incarnation, k.monotask, k.generation, k.attempt, k.channel};
+  };
+  ControlPlaneConfig cc;
+  cc.enabled = true;
+  cc.loss_prob = 0.3;
+  cc.dup_prob = 0.3;
+  auto plane = MakePlane(cc);
+  Rng rng(2024);
+  std::set<FullKey> reference;
+  const auto random_key = [&rng] {
+    MsgKey key;
+    key.job = static_cast<JobId>(rng.UniformInt(uint64_t{3}));
+    key.incarnation = static_cast<int>(rng.UniformInt(uint64_t{2}));
+    key.monotask = static_cast<MonotaskId>(rng.UniformInt(uint64_t{4}));
+    key.generation = static_cast<int>(rng.UniformInt(uint64_t{2}));
+    key.attempt = static_cast<int>(rng.UniformInt(uint64_t{2}));
+    key.channel = static_cast<int>(rng.UniformInt(uint64_t{2}));
+    return key;
+  };
+  int completions = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t op = rng.UniformInt(uint64_t{20});
+    const WorkerId w = static_cast<WorkerId>(rng.UniformInt(uint64_t{2}));
+    if (op == 0) {
+      plane->ForgetWorker(w);
+      for (auto it = reference.begin(); it != reference.end();) {
+        it = std::get<0>(*it) == w ? reference.erase(it) : std::next(it);
+      }
+    } else if (op == 1) {
+      const JobId job = static_cast<JobId>(rng.UniformInt(uint64_t{3}));
+      plane->ForgetJob(job);
+      for (auto it = reference.begin(); it != reference.end();) {
+        it = std::get<1>(*it) == job ? reference.erase(it) : std::next(it);
+      }
+    } else if (op < 10) {
+      const MsgKey key = random_key();
+      const bool fresh = reference.insert(full(w, key)).second;
+      const int before = completions;
+      plane->Dispatch(w, key, CountingMonotask(&completions));
+      sim_.Run();
+      ASSERT_EQ(completions - before, fresh ? 1 : 0) << "step " << step;
+    } else {
+      const MsgKey key = random_key();
+      ASSERT_EQ(plane->Delivered(w, key), reference.count(full(w, key)) == 1)
+          << "step " << step;
+    }
+  }
 }
 
 TEST(ControlPlaneConfigTest, RejectsMalformedProbabilities) {

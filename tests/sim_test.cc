@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
 
@@ -108,6 +110,96 @@ TEST(EventQueueTest, InterleavedPushPopCancelMatchesShadowModel) {
     shadow.erase(shadow.begin());
   }
   EXPECT_TRUE(shadow.empty());
+}
+
+TEST(EventQueueTest, StaleIdCannotCancelSlotReuser) {
+  EventQueue queue;
+  const EventId first = queue.Push(1.0, [] {});
+  EXPECT_EQ(queue.Pop().id, first);
+  // The next push takes the slot `first` freed; the stale id must not match.
+  bool fired = false;
+  const EventId second = queue.Push(2.0, [&] { fired = true; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(queue.Cancel(first));
+  EXPECT_EQ(queue.PendingCount(), 1u);
+  ASSERT_FALSE(queue.Empty());
+  queue.Pop().cb();
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueueTest, CancelInvalidIdIsNoOp) {
+  EventQueue queue;
+  EXPECT_FALSE(queue.Cancel(kInvalidEventId));
+  queue.Push(1.0, [] {});
+  EXPECT_FALSE(queue.Cancel(kInvalidEventId));
+  EXPECT_EQ(queue.PendingCount(), 1u);
+  EXPECT_EQ(queue.StoredCount(), 1u);
+}
+
+TEST(EventQueueTest, IdsRiseStrictlyWithPushOrder) {
+  EventQueue queue;
+  // Pops and cancels free slots that later pushes reuse; ids must still rise
+  // with push order, since they break same-time ties.
+  EventId last = kInvalidEventId;
+  std::vector<EventId> pending;
+  for (int i = 0; i < 2000; ++i) {
+    const EventId id = queue.Push(static_cast<double>(i % 7), [] {});
+    EXPECT_GT(id, last);
+    last = id;
+    pending.push_back(id);
+    if (i % 3 == 0) {
+      queue.Cancel(pending[pending.size() / 2]);
+    }
+    if (i % 2 == 0 && !queue.Empty()) {
+      queue.Pop();
+    }
+  }
+}
+
+TEST(EventQueueTest, SlotReuseFuzzMatchesShadowModel) {
+  // Few pending events and many pushes, pops and cancels (including cancels
+  // of long-dead ids), so every slot is reused many times. The shadow is an
+  // ordered set of (when, id) plus each live id's tag; each fired callback
+  // must carry the tag pushed with its id.
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    EventQueue queue;
+    std::set<std::pair<double, EventId>> shadow;
+    std::map<EventId, std::pair<double, int>> live;  // id -> (when, tag)
+    std::vector<EventId> issued;
+    int fired_tag = -1;
+    for (int step = 0; step < 20000; ++step) {
+      const uint64_t op = rng.UniformInt(uint64_t{10});
+      if (op < 4 || live.empty()) {
+        const double when = static_cast<double>(rng.UniformInt(uint64_t{16}));
+        const EventId id = queue.Push(when, [&fired_tag, step] { fired_tag = step; });
+        ASSERT_TRUE(issued.empty() || id > issued.back());
+        issued.push_back(id);
+        shadow.emplace(when, id);
+        live.emplace(id, std::make_pair(when, step));
+      } else if (op < 7) {
+        const EventId id = issued[rng.UniformInt(issued.size())];
+        auto it = live.find(id);
+        EXPECT_EQ(queue.Cancel(id), it != live.end());
+        if (it != live.end()) {
+          shadow.erase({it->second.first, id});
+          live.erase(it);
+        }
+        EXPECT_LE(queue.StoredCount(), 2 * queue.PendingCount() + 1);
+      } else {
+        ASSERT_FALSE(queue.Empty());
+        EXPECT_DOUBLE_EQ(queue.NextTime(), shadow.begin()->first);
+        EventQueue::Fired fired = queue.Pop();
+        ASSERT_EQ(std::make_pair(fired.when, fired.id), *shadow.begin());
+        fired.cb();
+        EXPECT_EQ(fired_tag, live.at(fired.id).second);
+        shadow.erase(shadow.begin());
+        live.erase(fired.id);
+      }
+      ASSERT_EQ(queue.PendingCount(), live.size());
+      ASSERT_EQ(queue.Empty(), live.empty());
+    }
+  }
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {
