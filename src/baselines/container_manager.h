@@ -40,9 +40,6 @@ class ContainerManager {
   // Returns a container's resources to the pool.
   void ReleaseContainer(JobId job, WorkerId worker, int cores, double memory_bytes);
 
-  double available_cores(WorkerId w) const {
-    return core_capacity_ - used_cores_[static_cast<size_t>(w)];
-  }
   int pending_requests() const;
 
  private:

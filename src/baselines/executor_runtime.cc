@@ -10,6 +10,13 @@
 
 namespace ursa {
 
+namespace {
+
+// Upper bound on concurrently-held executors per job.
+constexpr int kMaxExecutorsPerJob = 160;
+
+}  // namespace
+
 // Per-job driver: the Spark/Tez "application" or the Y+U job instance.
 class ExecutorModelScheduler::ExecutorJob {
  public:
@@ -121,7 +128,7 @@ class ExecutorModelScheduler::ExecutorJob {
       desired = static_cast<int>(std::ceil(static_cast<double>(MaxStageWidth()) /
                                            config_.executor_cores));
     }
-    desired = std::min(desired, config_.max_executors_per_job);
+    desired = std::min(desired, kMaxExecutorsPerJob);
     const int have = held_executors_ + pending_grants_;
     if (desired > have) {
       const int want = desired - have;

@@ -45,8 +45,6 @@ struct ExecutorModelConfig {
   ExecutorMode mode = ExecutorMode::kTaskSlots;
   int executor_cores = 4;
   double executor_memory_bytes = 8.0 * 1024 * 1024 * 1024;
-  // Upper bound on concurrently-held executors per job.
-  int max_executors_per_job = 160;
   bool dynamic_allocation = true;
   double idle_timeout = 2.0;
   // Fixed scheduling/deserialization delay before a task starts in a slot.

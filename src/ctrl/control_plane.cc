@@ -165,38 +165,26 @@ void ControlPlane::CompletionToScheduler(const CompletionMsg& msg) {
     completion_handler_(msg);
     return;
   }
-  auto p = std::make_shared<PendingNotify>();
-  p->worker = msg.worker;
-  p->deliver = [this, msg] { completion_handler_(msg); };
-  SendNotify(p, kAckTimeout);
+  auto p = std::make_shared<PendingReport>();
+  p->msg = msg;
+  SendReport(p, kAckTimeout);
 }
 
-void ControlPlane::NotifyScheduler(WorkerId worker, std::function<void()> deliver) {
-  if (!config_.enabled) {
-    deliver();
-    return;
-  }
-  auto p = std::make_shared<PendingNotify>();
-  p->worker = worker;
-  p->deliver = std::move(deliver);
-  SendNotify(p, kAckTimeout);
-}
-
-void ControlPlane::SendNotify(const std::shared_ptr<PendingNotify>& p, double timeout) {
+void ControlPlane::SendReport(const std::shared_ptr<PendingReport>& p, double timeout) {
   const Fate fate = DrawFate();
   if (fate.lost) {
     if (tracer_ != nullptr) {
-      tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kMsgDrop, p->worker);
+      tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kMsgDrop, p->msg.worker);
     }
   } else {
-    sim_->Schedule(fate.latency, [this, p] { DeliverNotify(p); });
+    sim_->Schedule(fate.latency, [this, p] { DeliverReport(p); });
     if (fate.dup) {
       if (tracer_ != nullptr) {
-        tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kMsgDup, p->worker);
+        tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kMsgDup, p->msg.worker);
       }
       // Duplicate deliveries reach the handler twice on purpose: endpoint
       // idempotence (done-flag / attempt dedup) is what absorbs them.
-      sim_->Schedule(fate.dup_latency, [this, p] { DeliverNotify(p); });
+      sim_->Schedule(fate.dup_latency, [this, p] { DeliverReport(p); });
     }
   }
   sim_->Schedule(timeout, [this, p, timeout] {
@@ -206,18 +194,18 @@ void ControlPlane::SendNotify(const std::shared_ptr<PendingNotify>& p, double ti
     if (stats_ != nullptr) {
       ++stats_->retransmits;
     }
-    SendNotify(p, std::min(kAckTimeoutCap, timeout * 2.0));
+    SendReport(p, std::min(kAckTimeoutCap, timeout * 2.0));
   });
 }
 
-void ControlPlane::DeliverNotify(const std::shared_ptr<PendingNotify>& p) {
+void ControlPlane::DeliverReport(const std::shared_ptr<PendingReport>& p) {
   if (down_check_ && down_check_()) {
     // The scheduler is down: no ack, the sender keeps retransmitting and the
     // report re-attaches to whatever incarnation recovers.
     return;
   }
   p->delivered = true;
-  p->deliver();
+  completion_handler_(p->msg);
 }
 
 void ControlPlane::Heartbeat(WorkerId worker, std::function<void()> deliver) {

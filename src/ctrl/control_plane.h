@@ -7,13 +7,19 @@
 // simulator events and no RNG draws. When enabled, dispatches,
 // completions/failures and heartbeats become simulator-delivered messages
 // with per-message latency, and the fault model can drop, duplicate or
-// delay each one. Correctness under faults rests on three mechanisms:
+// delay each one. Correctness under faults rests on four mechanisms:
 //   * acks + capped-backoff retransmission for dispatches and completions
 //     (heartbeats are intentionally best-effort);
 //   * idempotent delivery: workers dedup dispatches by
 //     (job, incarnation, monotask, generation, attempt, channel), and the
 //     scheduler-side handlers dedup completions/failures by monotask
 //     done-flag / attempt;
+//   * identity routing: a report carries its dispatch's MsgKey and nothing
+//     else, so no closure held by a worker or by this layer points into a
+//     job manager. The scheduler routes each report to the job manager
+//     incarnation that owns the job (or fences it), and the key's channel
+//     picks the execution there: 0 is the primary, any other channel a
+//     speculative copy;
 //   * epoch fencing: a scheduler crash bumps the epoch, and any dispatch
 //     minted under an older epoch is discarded at delivery, so a stale
 //     message can never double-charge a worker's concurrency slot or resurrect
@@ -54,7 +60,7 @@ struct ControlPlaneConfig {
 
 // Identity of one dispatch message. `generation` and `attempt` make keys
 // unique per execution attempt; `channel` separates the primary execution
-// (0) from speculative copies (1 + per-job copy sequence).
+// (0) from speculative copies (each its run-wide launch number, from 1).
 struct MsgKey {
   JobId job = kInvalidId;
   // Distinguishes executions of the same monotask across full job restarts:
@@ -70,15 +76,12 @@ struct MsgKey {
 
 class ControlPlane {
  public:
-  // A worker->scheduler completion/failure report, identity-addressed so it
-  // can be routed to whichever job-manager incarnation currently owns the
-  // job (or fenced if none does).
+  // A worker->scheduler completion/failure report of one dispatch, for a
+  // primary and a speculative copy alike. Identity-addressed so it can be
+  // routed to whichever job-manager incarnation currently owns the job (or
+  // fenced if none does).
   struct CompletionMsg {
-    JobId job = kInvalidId;
-    int incarnation = 0;
-    MonotaskId monotask = kInvalidId;
-    int generation = 0;
-    int attempt = 0;
+    MsgKey key;  // The reported dispatch; its channel picks the execution.
     bool failed = false;
     WorkerId worker = kInvalidId;
   };
@@ -106,11 +109,6 @@ class ControlPlane {
   // arrives while the scheduler is down is retried until a live scheduler
   // accepts it, so orphaned monotasks re-attach after recovery.
   void CompletionToScheduler(const CompletionMsg& msg);
-
-  // Worker -> scheduler closure delivery on the same reliable channel (used
-  // for speculative-copy callbacks, whose routing state is the copy's
-  // liveness token rather than a wire identity).
-  void NotifyScheduler(WorkerId worker, std::function<void()> deliver);
 
   // Worker -> scheduler heartbeat: best-effort, never retransmitted. Lost
   // or late heartbeats are exactly the signal the failure detector consumes.
@@ -156,9 +154,8 @@ class ControlPlane {
            d.channel == key.channel;
   }
 
-  struct PendingNotify {
-    WorkerId worker = kInvalidId;
-    std::function<void()> deliver;
+  struct PendingReport {
+    CompletionMsg msg;
     bool delivered = false;
   };
 
@@ -174,8 +171,8 @@ class ControlPlane {
 
   void SendDispatch(const std::shared_ptr<PendingDispatch>& p, double timeout);
   void DeliverDispatch(const std::shared_ptr<PendingDispatch>& p);
-  void SendNotify(const std::shared_ptr<PendingNotify>& p, double timeout);
-  void DeliverNotify(const std::shared_ptr<PendingNotify>& p);
+  void SendReport(const std::shared_ptr<PendingReport>& p, double timeout);
+  void DeliverReport(const std::shared_ptr<PendingReport>& p);
 
   Simulator* sim_;
   Cluster* cluster_;

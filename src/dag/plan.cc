@@ -393,7 +393,6 @@ ExecutionPlan ExecutionPlan::Build(const OpGraph& graph, uint64_t seed) {
     plan.dataset_partitions_.push_back(ds.partitions);
     plan.external_sizes_.push_back(ds.external_sizes);
   }
-  plan.total_input_bytes_ = graph.TotalExternalInputBytes();
   plan.cop_topo_order_ = std::move(topo);
   return plan;
 }

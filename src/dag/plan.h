@@ -120,9 +120,6 @@ class ExecutionPlan {
   }
   size_t num_datasets() const { return dataset_partitions_.size(); }
 
-  // Total external input bytes (the job input size I(j)).
-  double total_input_bytes() const { return total_input_bytes_; }
-
   // Collapsed-op indices in a global topological order (edges respected).
   const std::vector<int>& cop_topo_order() const { return cop_topo_order_; }
 
@@ -139,7 +136,6 @@ class ExecutionPlan {
   std::vector<int> dataset_partitions_;
   std::vector<std::vector<double>> external_sizes_;
   std::vector<int> cop_topo_order_;
-  double total_input_bytes_ = 0.0;
 };
 
 }  // namespace ursa

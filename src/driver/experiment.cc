@@ -114,7 +114,7 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
     // throttle factor (client backoff under backpressure).
     source = std::make_unique<OpenLoopSource>(config.open_loop);
     arrive = [&] {
-      if (source->Exhausted(sim.Now())) {
+      if (source->Exhausted()) {
         return;
       }
       auto job = Job::Create(static_cast<JobId>(submitted), source->NextJob());

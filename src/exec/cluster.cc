@@ -14,11 +14,10 @@ Cluster::Cluster(Simulator* sim, const ClusterConfig& config)
   CHECK_GT(config.num_workers, 0);
   CHECK(!config.enforce_uplinks) << "uplinks are not modelled: shuffles are limited only by "
                                     "the receiver's downlink (section 4.2.3)";
-  WorkerConfig wc = config.worker;
-  wc.default_net_rate = config.downlink_bytes_per_sec;
   workers_.reserve(static_cast<size_t>(config.num_workers));
   for (int i = 0; i < config.num_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(sim, &net_, static_cast<WorkerId>(i), wc));
+    workers_.push_back(
+        std::make_unique<Worker>(sim, &net_, static_cast<WorkerId>(i), config.worker));
   }
 }
 

@@ -193,17 +193,25 @@ bool JobManager::PlaceTask(TaskId t, WorkerId worker_id) {
   // Stream the task's root monotasks into the worker's queues.
   for (MonotaskId m : plan().task(t).monotasks) {
     if (monotasks_[static_cast<size_t>(m)].remaining_deps == 0) {
-      SubmitMonotask(m);
+      SubmitMonotask(m, nullptr);
     }
   }
   return true;
 }
 
-void JobManager::SubmitMonotask(MonotaskId m) {
-  MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
+JobManager::MonotaskRuntime& JobManager::RuntimeOf(MonotaskId m, SpecCopy* copy) {
+  if (copy == nullptr) {
+    return monotasks_[static_cast<size_t>(m)];
+  }
+  const int idx = IndexInTask(plan().task(plan().monotask(m).task), m);
+  return copy->monotasks[static_cast<size_t>(idx)];
+}
+
+void JobManager::SubmitMonotask(MonotaskId m, SpecCopy* copy) {
+  MonotaskRuntime& mrt = RuntimeOf(m, copy);
   CHECK(!mrt.submitted);
   mrt.submitted = true;
-  DispatchMonotask(m);
+  DispatchMonotask(m, copy);
 }
 
 double JobManager::CpuWork(const MonotaskSpec& mt, double input) const {
@@ -256,42 +264,50 @@ MsgKey JobManager::DispatchKey(MonotaskId m, int attempt, int channel) const {
                 attempt, channel};
 }
 
-void JobManager::DispatchMonotask(MonotaskId m) {
-  MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
+void JobManager::DispatchMonotask(MonotaskId m, SpecCopy* copy) {
+  MonotaskRuntime& mrt = RuntimeOf(m, copy);
   const TaskRuntime& trt = tasks_[static_cast<size_t>(plan().monotask(m).task)];
-  CHECK_NE(trt.worker, kInvalidId);
-  RunnableMonotask run = BuildRunnable(m, nullptr, trt.worker, trt.cancel);
+  const WorkerId worker = copy != nullptr ? copy->worker : trt.worker;
+  CHECK_NE(worker, kInvalidId);
+  RunnableMonotask run = BuildRunnable(m, copy != nullptr ? &copy->outputs : nullptr, worker,
+                                       copy != nullptr ? copy->cancel : trt.cancel);
   mrt.input_bytes = run.input_bytes;
   // Identity-routed reports: the callbacks capture no JM pointer, so an
   // orphaned monotask survives a scheduler crash or a full restart, and its
   // report is routed to (or fenced against) whichever incarnation owns the
   // job when it lands. The generation lets OnReport ignore reports of an
-  // execution that has since been invalidated (lineage reset, re-placement).
+  // execution that has since been invalidated (lineage reset, re-placement),
+  // the channel those of a copy whose race is over.
   ControlPlane::CompletionMsg msg;
-  msg.job = job_->id;
-  msg.incarnation = incarnation_;
-  msg.monotask = m;
-  msg.generation = trt.generation;
-  msg.attempt = mrt.attempts;
-  msg.worker = trt.worker;
+  msg.key = DispatchKey(m, mrt.attempts, copy != nullptr ? copy->channel : 0);
+  msg.worker = worker;
   run.on_complete = [ctrl = ctrl_, msg] { ctrl->CompletionToScheduler(msg); };
   run.on_failure = [ctrl = ctrl_, msg] {
     ControlPlane::CompletionMsg report = msg;
     report.failed = true;
     ctrl->CompletionToScheduler(report);
   };
-  ctrl_->Dispatch(trt.worker, DispatchKey(m, mrt.attempts, 0), std::move(run));
+  ctrl_->Dispatch(worker, msg.key, std::move(run));
 }
 
 void JobManager::OnReport(const ControlPlane::CompletionMsg& msg) {
   if (aborted_) {
     return;  // A late report from before the abort; the restart owns the job.
   }
-  const MonotaskId m = msg.monotask;
-  if (msg.generation != tasks_[static_cast<size_t>(plan().monotask(m).task)].generation) {
+  const MsgKey& key = msg.key;
+  const MonotaskId m = key.monotask;
+  TaskRuntime& rt = tasks_[static_cast<size_t>(plan().monotask(m).task)];
+  if (key.generation != rt.generation) {
     return;  // Report of an invalidated execution.
   }
-  const MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
+  SpecCopy* copy = nullptr;
+  if (key.channel != 0) {
+    copy = rt.spec.get();
+    if (copy == nullptr || copy->channel != key.channel) {
+      return;  // The copy's race was decided (or forfeited) since it sent this.
+    }
+  }
+  const MonotaskRuntime& mrt = RuntimeOf(m, copy);
   if (mrt.done) {
     // Duplicate delivery of this execution's completion, or a failure report
     // the completion raced ahead of.
@@ -300,9 +316,9 @@ void JobManager::OnReport(const ControlPlane::CompletionMsg& msg) {
   // Completion dedup is the done-flag alone; a failure of an older attempt
   // is a duplicate (its handler already bumped attempts).
   if (!msg.failed) {
-    OnMonotaskComplete(m);
-  } else if (msg.attempt == mrt.attempts) {
-    OnMonotaskFailed(m);
+    OnMonotaskComplete(m, copy);
+  } else if (key.attempt == mrt.attempts) {
+    OnMonotaskFailed(m, copy);
   }
 }
 
@@ -348,30 +364,46 @@ void JobManager::RecordMonotaskDone(MonotaskId m, double input_bytes) {
   }
 }
 
-void JobManager::OnMonotaskComplete(MonotaskId m) {
-  MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
+void JobManager::OnMonotaskComplete(MonotaskId m, SpecCopy* copy) {
+  MonotaskRuntime& mrt = RuntimeOf(m, copy);
   const MonotaskSpec& mt = plan().monotask(m);
   TaskRuntime& trt = tasks_[static_cast<size_t>(mt.task)];
-  RecordMonotaskDone(m, mrt.input_bytes);
-  if (journal_ != nullptr) {
-    journal_->Append({JournalKind::kMonoDone, job_->id, m, trt.worker, trt.generation,
-                      mrt.input_bytes, 0.0, sim_->Now()});
-  }
-  // Record outputs in the metadata store at this task's worker.
-  for (const OutputRecord& rec :
-       UsageEstimator::ComputeOutputs(*job_, m, mrt.input_bytes)) {
-    cluster_->metadata().Put(job_->id, rec.data, rec.partition, rec.bytes, trt.worker);
-  }
-  listener_->OnMonotaskCompleted(job_->id, mt.type, mrt.input_bytes);
-  // Release newly-runnable monotasks of the same task to the same worker.
-  for (MonotaskId dep : mt.intask_dependents) {
-    MonotaskRuntime& drt = monotasks_[static_cast<size_t>(dep)];
-    CHECK_GT(drt.remaining_deps, 0);
-    if (--drt.remaining_deps == 0) {
-      SubmitMonotask(dep);
+  if (copy == nullptr) {
+    RecordMonotaskDone(m, mrt.input_bytes);
+    if (journal_ != nullptr) {
+      journal_->Append({JournalKind::kMonoDone, job_->id, m, trt.worker, trt.generation,
+                        mrt.input_bytes, 0.0, sim_->Now()});
+    }
+    // Record outputs in the metadata store at this task's worker.
+    for (const OutputRecord& rec :
+         UsageEstimator::ComputeOutputs(*job_, m, mrt.input_bytes)) {
+      cluster_->metadata().Put(job_->id, rec.data, rec.partition, rec.bytes, trt.worker);
+    }
+    listener_->OnMonotaskCompleted(job_->id, mt.type, mrt.input_bytes);
+  } else {
+    // Buffer outputs locally; they reach the metadata store, and the work is
+    // charged, only if the copy wins.
+    mrt.done = true;
+    for (OutputRecord& rec : UsageEstimator::ComputeOutputs(*job_, m, mrt.input_bytes)) {
+      copy->outputs.push_back(rec);
     }
   }
-  if (--trt.remaining_monotasks == 0) {
+  // Release newly-runnable monotasks of the same execution to its worker.
+  for (MonotaskId dep : mt.intask_dependents) {
+    MonotaskRuntime& drt = RuntimeOf(dep, copy);
+    CHECK_GT(drt.remaining_deps, 0);
+    if (--drt.remaining_deps == 0) {
+      SubmitMonotask(dep, copy);
+    }
+  }
+  int& remaining = copy != nullptr ? copy->remaining_monotasks : trt.remaining_monotasks;
+  CHECK_GT(remaining, 0);
+  if (--remaining > 0) {
+    return;
+  }
+  if (copy != nullptr) {
+    OnSpecWin(mt.task);
+  } else {
     CompleteTask(mt.task);
   }
 }
@@ -392,9 +424,24 @@ void JobManager::ConfigureFaultPolicy(int max_attempts, FaultCounters* stats) {
   fault_stats_ = stats;
 }
 
-void JobManager::OnMonotaskFailed(MonotaskId m) {
+void JobManager::OnMonotaskFailed(MonotaskId m, SpecCopy* copy) {
   const MonotaskSpec& mt = plan().monotask(m);
   TaskRuntime& trt = tasks_[static_cast<size_t>(mt.task)];
+  if (copy != nullptr) {
+    // Copies get no retries: speculation is best-effort and the straggler
+    // detector can always launch a new copy later.
+    const bool solo = trt.primary_lost;
+    CancelSpeculativeCopy(mt.task, SpecEnd::kCancelled);
+    if (solo) {
+      // The copy was the only live execution (primary's worker died):
+      // escalate like a worker loss so the task is re-placed from scratch.
+      if (fault_stats_ != nullptr) {
+        ++fault_stats_->escalations;
+      }
+      ResetTaskForReplacement(mt.task);
+    }
+    return;
+  }
   const int generation = trt.generation;
   MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
   ++mrt.attempts;
@@ -460,7 +507,7 @@ void JobManager::ResubmitMonotask(MonotaskId m, int generation) {
     return;  // The task moved on (reset or re-placed) during the backoff.
   }
   monotasks_[static_cast<size_t>(m)].submitted = false;
-  SubmitMonotask(m);
+  SubmitMonotask(m, nullptr);
 }
 
 void JobManager::ResetTaskRuntime(TaskId t) {
@@ -759,7 +806,7 @@ int JobManager::ResyncDispatches() {
       }
       // Either the send died with the old scheduler (fenced / never
       // delivered) or a retry-backoff event was lost in the crash.
-      DispatchMonotask(m);
+      DispatchMonotask(m, nullptr);
       ++redispatched;
     }
   }
@@ -772,7 +819,7 @@ void JobManager::ForfeitSpeculation() {
   }
   for (const TaskSpec& task : plan().tasks()) {
     if (tasks_[static_cast<size_t>(task.id)].spec != nullptr) {
-      // The copy's cancel/liveness tokens die with this JM: tear it down
+      // The copy's cancel token and buffer die with this JM: tear it down
       // deterministically instead of leaking the race onto the worker. A
       // primary_lost task left without a runner is re-seeded by the
       // post-recovery failed-worker reconciliation pass.
@@ -927,116 +974,29 @@ bool JobManager::PlaceSpeculative(TaskId t, WorkerId worker_id) {
   const TaskSpec& spec = plan().task(t);
   auto copy = std::make_unique<SpecCopy>();
   copy->worker = worker_id;
-  copy->channel = 1 + spec_seq_++;
-  copy->start_time = sim_->Now();
+  copy->channel = spec_manager_->OnLaunched();
   copy->allocated_memory = rt.allocated_memory;
   copy->actual_memory = rt.actual_memory;
   worker.AddActualMemoryUse(copy->actual_memory);
-  const size_t n = spec.monotasks.size();
-  copy->remaining_monotasks = static_cast<int>(n);
-  copy->remaining_deps.resize(n);
-  copy->submitted.assign(n, 0);
-  copy->done.assign(n, 0);
-  copy->input_bytes.assign(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    copy->remaining_deps[i] =
+  copy->remaining_monotasks = static_cast<int>(spec.monotasks.size());
+  copy->monotasks.resize(spec.monotasks.size());
+  for (size_t i = 0; i < spec.monotasks.size(); ++i) {
+    copy->monotasks[i].remaining_deps =
         static_cast<int>(plan().monotask(spec.monotasks[i]).intask_deps.size());
   }
   rt.spec = std::move(copy);
-  spec_manager_->OnLaunched();
   if (tracer_ != nullptr) {
     tracer_->TaskEvent(sim_->Now(), TraceEventKind::kSpecLaunched, job_->id, t,
                        spec.stage, worker_id);
   }
   // Completion events are scheduled, never synchronous, so this loop cannot
   // re-enter the copy's state.
-  for (size_t i = 0; i < n; ++i) {
-    if (rt.spec->remaining_deps[i] == 0) {
-      SubmitSpecMonotask(t, static_cast<int>(i));
+  for (MonotaskId m : spec.monotasks) {
+    if (RuntimeOf(m, rt.spec.get()).remaining_deps == 0) {
+      SubmitMonotask(m, rt.spec.get());
     }
   }
   return true;
-}
-
-void JobManager::SubmitSpecMonotask(TaskId t, int idx) {
-  SpecCopy& copy = *tasks_[static_cast<size_t>(t)].spec;
-  CHECK(!copy.submitted[static_cast<size_t>(idx)]);
-  copy.submitted[static_cast<size_t>(idx)] = 1;
-  const MonotaskId m = plan().task(t).monotasks[static_cast<size_t>(idx)];
-  RunnableMonotask run = BuildRunnable(m, &copy.outputs, copy.worker, copy.cancel);
-  copy.input_bytes[static_cast<size_t>(idx)] = run.input_bytes;
-  // The copy's liveness token replaces generation bookkeeping: deciding the
-  // race (either way) destroys the copy and disarms every pending callback.
-  auto on_complete = [this, t, idx, alive = std::weak_ptr<const bool>(copy.alive)] {
-    if (alive.expired()) {
-      return;
-    }
-    OnSpecMonotaskComplete(t, idx);
-  };
-  auto on_failure = [this, t, idx, alive = std::weak_ptr<const bool>(copy.alive)] {
-    if (alive.expired()) {
-      return;
-    }
-    OnSpecMonotaskFailed(t, idx);
-  };
-  // Copy reports ride the reliable notify channel; their routing state is
-  // the liveness token (a scheduler crash forfeits every copy, expiring the
-  // token, so late deliveries are no-ops rather than misroutes).
-  const WorkerId cw = copy.worker;
-  run.on_complete = [ctrl = ctrl_, cw, cb = std::move(on_complete)] {
-    ctrl->NotifyScheduler(cw, cb);
-  };
-  run.on_failure = [ctrl = ctrl_, cw, cb = std::move(on_failure)] {
-    ctrl->NotifyScheduler(cw, cb);
-  };
-  ctrl_->Dispatch(cw, DispatchKey(m, 0, copy.channel), std::move(run));
-}
-
-void JobManager::OnSpecMonotaskComplete(TaskId t, int idx) {
-  TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
-  CHECK(rt.spec != nullptr);
-  SpecCopy& copy = *rt.spec;
-  if (copy.done[static_cast<size_t>(idx)]) {
-    return;  // Duplicate delivery; the dependent fan-out already ran.
-  }
-  copy.done[static_cast<size_t>(idx)] = 1;
-  const TaskSpec& spec = plan().task(t);
-  const MonotaskId m = spec.monotasks[static_cast<size_t>(idx)];
-  const MonotaskSpec& mt = plan().monotask(m);
-  // Buffer outputs locally; they reach the metadata store only on a win.
-  for (OutputRecord& rec : UsageEstimator::ComputeOutputs(
-           *job_, m, copy.input_bytes[static_cast<size_t>(idx)])) {
-    copy.outputs.push_back(rec);
-  }
-  for (MonotaskId dep : mt.intask_dependents) {
-    const int didx = IndexInTask(spec, dep);
-    CHECK_GT(copy.remaining_deps[static_cast<size_t>(didx)], 0);
-    if (--copy.remaining_deps[static_cast<size_t>(didx)] == 0) {
-      SubmitSpecMonotask(t, didx);
-    }
-  }
-  CHECK_GT(copy.remaining_monotasks, 0);
-  if (--copy.remaining_monotasks == 0) {
-    OnSpecWin(t);
-  }
-}
-
-void JobManager::OnSpecMonotaskFailed(TaskId t, int idx) {
-  (void)idx;
-  TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
-  CHECK(rt.spec != nullptr);
-  const bool solo = rt.primary_lost;
-  // Copies get no retries: speculation is best-effort and the straggler
-  // detector can always launch a new copy later.
-  CancelSpeculativeCopy(t, SpecEnd::kCancelled);
-  if (solo) {
-    // The copy was the only live execution (primary's worker died): escalate
-    // like a worker loss so the task is re-placed from scratch.
-    if (fault_stats_ != nullptr) {
-      ++fault_stats_->escalations;
-    }
-    ResetTaskForReplacement(t);
-  }
 }
 
 void JobManager::OnSpecWin(TaskId t) {
@@ -1051,25 +1011,8 @@ void JobManager::OnSpecWin(TaskId t) {
   // 1. Cancel the primary execution: queued monotasks are dequeued before
   // they charge anything; in-flight ones are disarmed and their elapsed busy
   // time flows into the waste counters through the worker's waste sink.
-  if (rt.cancel != nullptr) {
-    rt.cancel->cancelled = true;
-  }
-  const bool primary_alive =
-      !rt.primary_lost && rt.worker != kInvalidId && !cluster_->worker(rt.worker).failed();
-  if (primary_alive) {
-    Worker& pworker = cluster_->worker(rt.worker);
-    pworker.SweepCancelled();
-    pworker.ReleaseMemory(rt.allocated_memory);
-    pworker.AddActualMemoryUse(-rt.actual_memory);
-  }
   // 2. Monotasks the primary had already finished are duplicate work now.
-  for (MonotaskId m : spec.monotasks) {
-    const MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
-    if (mrt.done) {
-      spec_manager_->RecordWaste(plan().monotask(m).type, mrt.input_bytes,
-                                 EstimateWasteSeconds(m, mrt.input_bytes));
-    }
-  }
+  DiscardExecution(t, nullptr);
   // 3. Commit the copy's buffered outputs at its worker. This overwrites the
   // primary's partial Puts, so lineage tracks the surviving replica. No
   // consumer has read the primary's entries: downstream tasks only read
@@ -1084,7 +1027,7 @@ void JobManager::OnSpecWin(TaskId t) {
     if (monotasks_[static_cast<size_t>(m)].done) {
       continue;
     }
-    const double input = copy->input_bytes[i];
+    const double input = copy->monotasks[i].input_bytes;
     RecordMonotaskDone(m, input);
     if (journal_ != nullptr) {
       journal_->Append(
@@ -1107,36 +1050,48 @@ void JobManager::CancelSpeculativeCopy(TaskId t, SpecEnd reason) {
   TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
   CHECK(rt.spec != nullptr);
   const std::unique_ptr<SpecCopy> copy = std::move(rt.spec);
-  const TaskSpec& spec = plan().task(t);
-  const double now = sim_->Now();
-  copy->cancel->cancelled = true;
-  Worker& worker = cluster_->worker(copy->worker);
-  if (!worker.failed()) {
-    // Dequeue the copy's queued monotasks and disarm in-flight ones (their
-    // busy time reaches the waste counters via the worker's waste sink).
-    worker.SweepCancelled();
-    worker.ReleaseMemory(copy->allocated_memory);
-    worker.AddActualMemoryUse(-copy->actual_memory);
-  }
   // Monotasks the copy finished are pure duplicate work.
-  for (size_t i = 0; i < spec.monotasks.size(); ++i) {
-    if (!copy->done[i]) {
-      continue;
-    }
-    const MonotaskId m = spec.monotasks[i];
-    spec_manager_->RecordWaste(plan().monotask(m).type, copy->input_bytes[i],
-                               EstimateWasteSeconds(m, copy->input_bytes[i]));
-  }
+  DiscardExecution(t, copy.get());
   if (reason == SpecEnd::kLost) {
     spec_manager_->OnLost();
   } else {
     spec_manager_->OnCancelled();
   }
   if (tracer_ != nullptr) {
-    tracer_->TaskEvent(now,
+    tracer_->TaskEvent(sim_->Now(),
                        reason == SpecEnd::kLost ? TraceEventKind::kSpecLost
                                                 : TraceEventKind::kSpecCancelled,
-                       job_->id, t, spec.stage, copy->worker);
+                       job_->id, t, plan().task(t).stage, copy->worker);
+  }
+}
+
+void JobManager::DiscardExecution(TaskId t, SpecCopy* copy) {
+  TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
+  const std::shared_ptr<CancelToken>& cancel = copy != nullptr ? copy->cancel : rt.cancel;
+  if (cancel != nullptr) {
+    cancel->cancelled = true;
+  }
+  const WorkerId w = copy != nullptr ? copy->worker : rt.worker;
+  // A lost primary's worker died under it: its queues and memory ledger went
+  // with the failure.
+  if ((copy != nullptr || !rt.primary_lost) && w != kInvalidId &&
+      !cluster_->worker(w).failed()) {
+    // Dequeue the execution's queued monotasks and disarm in-flight ones
+    // (their busy time reaches the waste counters via the worker's sink).
+    Worker& worker = cluster_->worker(w);
+    worker.SweepCancelled();
+    worker.ReleaseMemory(copy != nullptr ? copy->allocated_memory : rt.allocated_memory);
+    worker.AddActualMemoryUse(-(copy != nullptr ? copy->actual_memory : rt.actual_memory));
+  }
+  const TaskSpec& spec = plan().task(t);
+  for (size_t i = 0; i < spec.monotasks.size(); ++i) {
+    const MonotaskId m = spec.monotasks[i];
+    const MonotaskRuntime& mrt =
+        copy != nullptr ? copy->monotasks[i] : monotasks_[static_cast<size_t>(m)];
+    if (mrt.done) {
+      spec_manager_->RecordWaste(plan().monotask(m).type, mrt.input_bytes,
+                                 EstimateWasteSeconds(m, mrt.input_bytes, w));
+    }
   }
 }
 
@@ -1163,7 +1118,8 @@ void JobManager::HandleWorkerFailureForSpeculation(WorkerId worker) {
   }
 }
 
-double JobManager::EstimateWasteSeconds(MonotaskId m, double input_bytes) const {
+double JobManager::EstimateWasteSeconds(MonotaskId m, double input_bytes,
+                                        WorkerId worker) const {
   const MonotaskSpec& mt = plan().monotask(m);
   const WorkerConfig& wc = cluster_->config().worker;
   switch (mt.type) {
@@ -1172,7 +1128,8 @@ double JobManager::EstimateWasteSeconds(MonotaskId m, double input_bytes) const 
     case ResourceType::kDisk:
       return input_bytes / wc.disk_bytes_per_sec;
     case ResourceType::kNetwork:
-      return wc.default_net_rate > 0.0 ? input_bytes / wc.default_net_rate : 0.0;
+      // Transfers are limited only by the receiver's downlink.
+      return input_bytes / cluster_->worker(worker).downlink();
   }
   return 0.0;
 }

@@ -53,8 +53,9 @@ enum class TaskState : int {
 class JobManager {
  public:
   // Every dispatch leaves through `ctrl` (not owned, never null), and every
-  // primary report comes back through OnReport; with the message layer
-  // disabled both hops are synchronous pass-throughs.
+  // report, a primary's or a speculative copy's, comes back through
+  // OnReport; with the message layer disabled both hops are synchronous
+  // pass-throughs.
   JobManager(Simulator* sim, Cluster* cluster, Job* job, JobManagerListener* listener,
              ControlPlane* ctrl);
 
@@ -108,11 +109,14 @@ class JobManager {
   void set_incarnation(int incarnation) { incarnation_ = incarnation; }
   int incarnation() const { return incarnation_; }
 
-  // The one entry point for a primary monotask's completion/failure report,
-  // delivered by job identity. It drops reports of an aborted manager or an
-  // invalidated execution (older generation) and duplicates (done-flag, or a
-  // failure whose attempt was already handled), so the endpoint stays
-  // idempotent under message duplication and retransmission.
+  // The one entry point for a monotask's completion/failure report,
+  // delivered by job identity. Channel 0 goes to the primary execution, any
+  // other channel to the live speculative copy on that channel. It drops
+  // reports of an aborted manager, of an invalidated execution (older
+  // generation), of a copy that is no longer live (no copy on that channel)
+  // and duplicates (done-flag, or a failure whose attempt was already
+  // handled), so the endpoint stays idempotent under message duplication
+  // and retransmission.
   void OnReport(const ControlPlane::CompletionMsg& msg);
 
   // --- Scheduler crash-recovery (DESIGN.md section 14). ---
@@ -131,8 +135,9 @@ class JobManager {
   int ResyncDispatches();
 
   // Cancels every live speculative copy (called when the scheduler crashes:
-  // the copies' cancel/liveness tokens would die with this JM, so they are
-  // torn down deterministically instead of leaking onto workers).
+  // the copies' cancel tokens and buffered outputs would die with this JM,
+  // so they are torn down deterministically instead of leaking onto
+  // workers).
   void ForfeitSpeculation();
 
   // --- Speculative execution (DESIGN.md section 9). ---
@@ -174,7 +179,6 @@ class JobManager {
 
   Job& job() { return *job_; }
   const Job& job() const { return *job_; }
-  JobId job_id() const { return job_->id; }
 
   // --- Scheduler-facing interface. ---
   // Ready-but-unplaced tasks (the scheduler's placement candidates).
@@ -222,32 +226,35 @@ class JobManager {
   }
 
  private:
-  // Runtime state of one live speculative copy. The copy re-runs the task's
-  // whole monotask DAG on another worker; per-monotask state is indexed by
-  // position in TaskSpec::monotasks. Outputs stay buffered in `outputs`
+  struct MonotaskRuntime {
+    int remaining_deps = 0;
+    bool submitted = false;
+    bool done = false;
+    int attempts = 0;  // Failed attempts on the current worker.
+    double input_bytes = 0.0;
+  };
+  // Runtime state of one live speculative copy: an execution of the same
+  // kind as the primary, re-running the task's whole monotask DAG on another
+  // worker. Its monotasks go out through DispatchMonotask on the copy's
+  // channel and report back through OnReport; per-monotask state is indexed
+  // by position in TaskSpec::monotasks. Outputs stay buffered in `outputs`
   // until the copy wins (then they are committed to the metadata store at
   // the copy's worker, making lineage point at the surviving replica); a
   // losing copy's buffer is simply dropped.
   struct SpecCopy {
     WorkerId worker = kInvalidId;
-    // Message channel for the copy's dispatches (1 + per-job launch seq),
-    // keeping its wire keys disjoint from the primary's (channel 0).
+    // Message channel of the copy's dispatches and reports: the run-wide
+    // launch number (from 1), so no two copies share a channel, not even
+    // across a job manager rebuilt from the journal, and none shares the
+    // primary's channel 0.
     int channel = 0;
-    double start_time = 0.0;
     double allocated_memory = 0.0;
     double actual_memory = 0.0;
     int remaining_monotasks = 0;
     // Flipped to cancel the copy's queued / in-flight monotasks.
     std::shared_ptr<CancelToken> cancel = std::make_shared<CancelToken>();
-    // Liveness token for the copy's callbacks: destroying the copy (race
-    // decided, worker failure, lineage reset) disarms them, so no generation
-    // bookkeeping is needed on this side.
-    std::shared_ptr<const bool> alive = std::make_shared<const bool>(true);
     std::vector<OutputRecord> outputs;
-    std::vector<int> remaining_deps;
-    std::vector<char> submitted;
-    std::vector<char> done;
-    std::vector<double> input_bytes;
+    std::vector<MonotaskRuntime> monotasks;
   };
 
   struct TaskRuntime {
@@ -261,7 +268,7 @@ class JobManager {
     double actual_memory = 0.0;
     TaskTiming timing;
     // Bumped whenever the task's execution is invalidated (lineage reset or
-    // re-placement); in-flight monotask callbacks from older generations are
+    // re-placement); in-flight monotask reports from older generations are
     // ignored.
     int generation = 0;
     // Set after retry exhaustion: prefer any other worker at re-placement.
@@ -282,13 +289,6 @@ class JobManager {
     // longer be cancelled cooperatively; speculation skips such tasks.
     bool restored = false;
   };
-  struct MonotaskRuntime {
-    int remaining_deps = 0;
-    bool submitted = false;
-    bool done = false;
-    int attempts = 0;  // Failed attempts on the current worker.
-    double input_bytes = 0.0;
-  };
   struct StageRuntime {
     int remaining_tasks = 0;
   };
@@ -308,7 +308,11 @@ class JobManager {
   // Debug self-check: `placed_` equals a recount of kPlaced over tasks_.
   void VerifyPlacedIndex() const;
   void MarkReady(TaskId t);
-  void SubmitMonotask(MonotaskId m);
+  // Every execution-generic step below takes the execution as `copy`: null
+  // for the primary, else the task's live speculative copy.
+  // State of monotask `m` in that execution.
+  MonotaskRuntime& RuntimeOf(MonotaskId m, SpecCopy* copy);
+  void SubmitMonotask(MonotaskId m, SpecCopy* copy);
   // Compute work (byte-equivalents) of CPU monotask `mt` with `input` bytes.
   double CpuWork(const MonotaskSpec& mt, double input) const;
   // The one RunnableMonotask builder, for primaries and speculative copies:
@@ -319,21 +323,25 @@ class JobManager {
   RunnableMonotask BuildRunnable(MonotaskId m, const std::vector<OutputRecord>* buffer,
                                  WorkerId worker, std::shared_ptr<CancelToken> cancel) const;
   // Wire identity of a dispatch of monotask `m` for the task's current
-  // generation; `channel` 0 is the primary, 1 + seq a speculative copy.
+  // generation; `channel` 0 is the primary, else a copy's SpecCopy::channel.
   MsgKey DispatchKey(MonotaskId m, int attempt, int channel) const;
   // Builds the RunnableMonotask for a submitted monotask and sends it to the
-  // task's worker over the control plane's reliable dispatch channel. Split
-  // from SubmitMonotask so the post-recovery resync can re-send a dispatch
-  // without re-running the submission bookkeeping.
-  void DispatchMonotask(MonotaskId m);
+  // execution's worker over the control plane's reliable dispatch channel,
+  // under DispatchKey(m, attempt, channel). Split from SubmitMonotask so the
+  // post-recovery resync can re-send a dispatch without re-running the
+  // submission bookkeeping.
+  void DispatchMonotask(MonotaskId m, SpecCopy* copy);
   // Marks monotask `m` done with `input_bytes` of input and charges its
   // work: the bytes leave remaining_work_ and CPU monotasks add their
   // seconds to cpu_seconds_used_. The one accounting step for a primary's
   // completion, a copy's win and a journal restore.
   void RecordMonotaskDone(MonotaskId m, double input_bytes);
-  // Handlers behind OnReport, for reports that passed its dedup.
-  void OnMonotaskComplete(MonotaskId m);
-  void OnMonotaskFailed(MonotaskId m);
+  // Handlers behind OnReport, for reports that passed its dedup. A primary
+  // commits outputs, journals and charges its work per completed monotask;
+  // a copy buffers its outputs and is charged only when it wins. A failed
+  // primary monotask is retried; a failed copy is cancelled.
+  void OnMonotaskComplete(MonotaskId m, SpecCopy* copy);
+  void OnMonotaskFailed(MonotaskId m, SpecCopy* copy);
   void ResubmitMonotask(MonotaskId m, int generation);
   // Resets a placed task's monotask progress and returns it to the ready
   // pool, avoiding its previous worker (retry-exhaustion escalation).
@@ -345,20 +353,21 @@ class JobManager {
   void RemoveFromReady(TaskId t);
 
   // Speculation internals (DESIGN.md section 9).
-  void SubmitSpecMonotask(TaskId t, int idx);
-  void OnSpecMonotaskComplete(TaskId t, int idx);
-  void OnSpecMonotaskFailed(TaskId t, int idx);
   // The copy finished every monotask first: cancel the primary execution,
   // commit the buffered outputs and complete the task from the copy's
   // worker.
   void OnSpecWin(TaskId t);
   enum class SpecEnd { kLost, kCancelled };
-  // Tears down the live copy: flips its cancel token, sweeps its worker,
-  // releases its memory and records its completed monotasks as wasted work.
+  // Tears down the live copy (DiscardExecution) and records how the race
+  // ended for it.
   void CancelSpeculativeCopy(TaskId t, SpecEnd reason);
-  // Approximate service time a monotask of `input_bytes` costs, for wasted-
-  // work accounting of duplicates that ran to completion.
-  double EstimateWasteSeconds(MonotaskId m, double input_bytes) const;
+  // The losing side of a race: flips the execution's cancel token, sweeps
+  // its worker and releases its memory there (unless the worker died under
+  // it), and records its completed monotasks as wasted work.
+  void DiscardExecution(TaskId t, SpecCopy* copy);
+  // Approximate service time a monotask of `input_bytes` cost on `worker`,
+  // for wasted-work accounting of duplicates that ran to completion.
+  double EstimateWasteSeconds(MonotaskId m, double input_bytes, WorkerId worker) const;
 
   Simulator* sim_;
   Cluster* cluster_;
@@ -366,11 +375,11 @@ class JobManager {
   JobManagerListener* listener_;
   Tracer* tracer_ = nullptr;
 
-  // Liveness token for callbacks that outlive this JM. Retry-backoff events
-  // capture a weak_ptr to it; once the JM is destroyed (e.g. an aborted JM
-  // reclaimed after its job restarted) the token expires and late callbacks
-  // become no-ops instead of use-after-free. Primary reports need no token:
-  // they are routed by job identity, not to this object.
+  // Liveness token of the retry-backoff timer, the one callback that points
+  // into this JM: the timer is scheduler-side state and dies with it. Once
+  // the JM is destroyed (a full restart or a scheduler crash frees it at
+  // once) the token expires and a pending retry becomes a no-op. Reports
+  // need no token: they are routed by job identity, not to this object.
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 
   std::vector<TaskRuntime> tasks_;
@@ -400,9 +409,6 @@ class JobManager {
   ControlPlane* ctrl_;
   Journal* journal_ = nullptr;
   int incarnation_ = 0;
-  // Per-job speculative-copy launch counter; 1 + seq is the copy's message
-  // channel, keeping its dispatch keys disjoint from the primary's.
-  int spec_seq_ = 0;
 
   // Speculation (null/empty when disabled).
   SpeculationManager* spec_manager_ = nullptr;

@@ -33,7 +33,7 @@ void Worker::ResetRateMonitors(double now) {
     mon.window_start = now;
   }
   rates_[static_cast<size_t>(ResourceType::kCpu)].rate = config_.cpu_byte_rate;
-  rates_[static_cast<size_t>(ResourceType::kNetwork)].rate = config_.default_net_rate;
+  rates_[static_cast<size_t>(ResourceType::kNetwork)].rate = net_->downlink(id_);
   rates_[static_cast<size_t>(ResourceType::kDisk)].rate = config_.disk_bytes_per_sec;
 }
 

@@ -41,9 +41,6 @@ struct WorkerConfig {
   int network_concurrency = 2;
   // Network monotasks smaller than this skip the queue (paper: 16KB).
   double small_transfer_bypass_bytes = 16.0 * 1024;
-  // Default network processing rate before any measurement (bytes/s); set
-  // this to the downlink bandwidth.
-  double default_net_rate = 1.25e9;
 };
 
 class Worker {
@@ -106,7 +103,6 @@ class Worker {
   // old rate and the remainder is rescheduled at the new one, so short
   // injection windows slow (or speed up) work that was already dispatched.
   void set_speed_factor(double factor);
-  double speed_factor() const { return speed_factor_; }
 
   // --- Cooperative cancellation (speculation, DESIGN.md section 9). ---
   // Dequeues queued monotasks whose cancel token fired (their resources were
@@ -139,7 +135,6 @@ class Worker {
   double ProcessingRate(ResourceType r) const;
   bool HasIdleCpu() const { return busy_cores() < config_.cores; }
   int idle_cores() const { return config_.cores - busy_cores(); }
-  size_t QueueLength(ResourceType r) const { return queue(r).Size(); }
 
   // --- Raw occupancy hooks for baseline runtimes. ---
   // `delta` cores busy (actual compute) / allocated (container reservation).
@@ -258,6 +253,8 @@ class Worker {
   static double DoneWork(const InFlight& fl, double now);
   void RecordRate(ResourceType r, double bytes, double elapsed);
   void ScheduleHeartbeat();
+  // Factory-default rates: the configured CPU and disk rates, and the
+  // worker's downlink for the network before any transfer is measured.
   void ResetRateMonitors(double now);
   // Notifies the scheduler's dirty set; safe to call redundantly.
   void MarkLoadChanged() {

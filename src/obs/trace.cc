@@ -386,53 +386,73 @@ bool Tracer::WriteChromeTraceFile(const std::string& path) const {
 
 std::array<Tracer::ResourceSummary, kNumMonotaskResources> Tracer::SummarizeMonotasks()
     const {
-  std::array<ResourceSummary, kNumMonotaskResources> out;
-  std::array<std::vector<double>, kNumMonotaskResources> waits;
-  std::array<std::vector<double>, kNumMonotaskResources> services;
+  std::array<MonotaskTally, kNumMonotaskResources> tallies;
   // Iterate the ring in place (counts and histograms are order-independent);
   // Snapshot() would copy every retained event.
   for (const TraceEvent& e : ring_) {
     if (e.resource < 0 || e.resource >= kNumMonotaskResources) {
       continue;
     }
-    ResourceSummary& rs = out[static_cast<size_t>(e.resource)];
+    MonotaskTally& tally = tallies[static_cast<size_t>(e.resource)];
     switch (e.kind) {
       case TraceEventKind::kQueued:
-        ++rs.queued;
+        tally.Queued();
         break;
       case TraceEventKind::kDispatch:
-        ++rs.dispatches;
-        waits[static_cast<size_t>(e.resource)].push_back(e.b);
+        tally.Dispatched(e.b);
         break;
       case TraceEventKind::kComplete:
       case TraceEventKind::kFail:
-        if (e.kind == TraceEventKind::kComplete) {
-          ++rs.completes;
-        } else {
-          ++rs.fails;
-        }
-        services[static_cast<size_t>(e.resource)].push_back(e.b);
-        if (e.counted) {
-          rs.busy_time += e.b;
-        }
-        break;
       case TraceEventKind::kLost:
-        ++rs.lost;
-        break;
       case TraceEventKind::kCancelled:
-        ++rs.cancelled;
-        if (e.counted) {
-          rs.wasted_time += e.b;
-        }
+        tally.Finished(e.kind, e.b, e.counted);
         break;
       default:
         break;
     }
   }
-  for (int r = 0; r < kNumMonotaskResources; ++r) {
-    out[static_cast<size_t>(r)].queue_wait = Summarize(waits[static_cast<size_t>(r)]);
-    out[static_cast<size_t>(r)].service = Summarize(services[static_cast<size_t>(r)]);
+  std::array<ResourceSummary, kNumMonotaskResources> out;
+  for (size_t r = 0; r < out.size(); ++r) {
+    out[r] = tallies[r].Result();
   }
+  return out;
+}
+
+void MonotaskTally::Dispatched(double queue_wait) {
+  ++totals_.dispatches;
+  waits_.push_back(queue_wait);
+}
+
+void MonotaskTally::Finished(TraceEventKind kind, double service, bool counted) {
+  switch (kind) {
+    case TraceEventKind::kComplete:
+      ++totals_.completes;
+      break;
+    case TraceEventKind::kFail:
+      ++totals_.fails;
+      break;
+    case TraceEventKind::kLost:
+      ++totals_.lost;
+      break;
+    case TraceEventKind::kCancelled:
+      ++totals_.cancelled;
+      break;
+    default:
+      LOG(Fatal) << "not a monotask finish: " << TraceEventKindName(kind);
+  }
+  services_.push_back(service);
+  if (counted) {
+    totals_.busy_time += service;
+    if (kind == TraceEventKind::kCancelled) {
+      totals_.wasted_time += service;
+    }
+  }
+}
+
+Tracer::ResourceSummary MonotaskTally::Result() const {
+  Tracer::ResourceSummary out = totals_;
+  out.queue_wait = Summarize(waits_);
+  out.service = Summarize(services_);
   return out;
 }
 

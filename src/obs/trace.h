@@ -14,7 +14,9 @@
 //    Perfetto-loadable JSON (async "b"/"e" pairs per monotask keyed by a
 //    unique sequence id, instant events for everything else);
 //  * SummarizeMonotasks / PrintSummary reduce the ring to per-resource
-//    queue-wait and service-time histogram summaries for the text report.
+//    queue-wait and service-time histogram summaries for the text report,
+//    through MonotaskTally, the rule tools/trace_summary applies to an
+//    exported trace as well.
 //
 // Sampling: with TracerConfig::sample = N > 1, every Nth monotask (decided
 // at queue time, sticky for the monotask's whole lifecycle so dispatch and
@@ -82,7 +84,8 @@ enum class TraceEventKind : int8_t {
   // scheduler-side events (crash, recover, checkpoint, resync).
   kMsgDrop = 23,      // A send was dropped by the fault model.
   kMsgDup = 24,       // A send was duplicated by the fault model.
-  kMsgFenced = 25,    // A delivery was discarded by epoch/incarnation fencing.
+  kMsgFenced = 25,    // A delivery was discarded by epoch/incarnation fencing
+                      // (a = a fenced report's channel; 0 for a primary's).
   kSchedCrash = 26,   // Scheduler crash injected; live state wiped.
   kSchedRecover = 27, // Scheduler back up (a = downtime + replay seconds).
   kCheckpoint = 28,   // Journal checkpoint taken (a = records folded).
@@ -152,7 +155,6 @@ class Tracer {
   // --- Introspection. ---
   size_t size() const { return ring_.size(); }
   uint64_t dropped() const { return dropped_; }
-  uint64_t monotasks_traced() const { return next_seq_; }
   int sample() const { return config_.sample; }
   // Ring contents, oldest first.
   std::vector<TraceEvent> Snapshot() const;
@@ -171,8 +173,8 @@ class Tracer {
     int64_t fails = 0;
     int64_t lost = 0;
     int64_t cancelled = 0;
-    double busy_time = 0.0;    // Sum of counted service durations (seconds).
-    double wasted_time = 0.0;  // Counted service seconds of cancelled copies.
+    double busy_time = 0.0;    // Counted service seconds of every span.
+    double wasted_time = 0.0;  // Counted service seconds of cancelled spans.
     Summary queue_wait;        // Seconds.
     Summary service;           // Seconds.
   };
@@ -203,6 +205,31 @@ class Tracer {
   uint64_t next_seq_ = 0;    // Monotask trace ids handed out.
   uint64_t sample_counter_ = 0;
   TickSummary ticks_;
+};
+
+// Per-resource monotask totals, reduced from lifecycle events by one rule
+// shared by the tracer's ring (SummarizeMonotasks) and an exported trace
+// (tools/trace_summary), so both print the same rows:
+//  * every closed span (complete, fail, lost or cancelled) adds its service
+//    time to the service percentiles;
+//  * every counted span adds its service time to busy_time. It held a core
+//    or a disk arm that long, so busy_time equals the CPU and disk
+//    StepTracker integrals (a lost span ends at its worker's failure, where
+//    the trackers drop to zero);
+//  * a counted cancelled span adds it to wasted_time as well.
+class MonotaskTally {
+ public:
+  void Queued() { ++totals_.queued; }
+  void Dispatched(double queue_wait);
+  // `kind` is kComplete, kFail, kLost or kCancelled.
+  void Finished(TraceEventKind kind, double service, bool counted);
+  // The totals plus queue-wait and service percentiles.
+  Tracer::ResourceSummary Result() const;
+
+ private:
+  Tracer::ResourceSummary totals_;
+  std::vector<double> waits_;
+  std::vector<double> services_;
 };
 
 }  // namespace ursa

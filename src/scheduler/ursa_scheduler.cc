@@ -350,10 +350,13 @@ void UrsaScheduler::RestoreJobManager(JobEntry& entry, const JobImage& image) {
 
 void UrsaScheduler::FullRestart(JobEntry& entry) {
   // Restart from the input checkpoint with a fresh job manager; the
-  // admission reservation carries over. The incarnation bump fences any
-  // still-in-flight wire report of the aborted execution.
+  // admission reservation carries over. The aborted manager is freed here:
+  // reports of its still-running monotasks are routed by job identity and
+  // fenced by the incarnation bump, and its retry timers by its liveness
+  // token. No frame of it is on the stack: restarts run from failure
+  // handling, which no job-manager callback reaches.
   entry.jm->Abort();
-  aborted_jms_.push_back(std::move(entry.jm));
+  entry.jm.reset();
   ++entry.incarnation;
   StartJobManager(entry);
   ++total_restarts_;
@@ -361,14 +364,15 @@ void UrsaScheduler::FullRestart(JobEntry& entry) {
 }
 
 void UrsaScheduler::DeliverCompletion(const ControlPlane::CompletionMsg& msg) {
-  JobEntry& entry = *jobs_[static_cast<size_t>(msg.job)];
+  JobEntry& entry = *jobs_[static_cast<size_t>(msg.key.job)];
   JobManager* jm = entry.jm.get();
-  if (jm == nullptr || entry.finished || jm->incarnation() != msg.incarnation) {
+  if (jm == nullptr || entry.finished || jm->incarnation() != msg.key.incarnation) {
     // The execution this report describes belongs to a dead incarnation
     // (full restart or journal-less crash recovery) or a finished job.
     ++fault_stats_.msgs_fenced;
     if (tracer_ != nullptr) {
-      tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kMsgFenced, msg.worker);
+      tracer_->WorkerEvent(sim_->Now(), TraceEventKind::kMsgFenced, msg.worker,
+                           static_cast<double>(msg.key.channel));
     }
     return;
   }
@@ -403,8 +407,8 @@ void UrsaScheduler::InjectSchedulerCrash(double downtime) {
     if (!entry->admitted || entry->finished || entry->jm == nullptr) {
       continue;
     }
-    // Speculative copies are forfeited either way: their cancel/liveness
-    // tokens are live scheduler state and die with the job manager.
+    // Speculative copies are forfeited either way: their cancel tokens and
+    // buffered outputs are live scheduler state and die with the job manager.
     entry->jm->ForfeitSpeculation();
     if (journaled) {
       // Wipe the live state; the journal owns the truth now. Orphaned
@@ -415,7 +419,7 @@ void UrsaScheduler::InjectSchedulerCrash(double downtime) {
       // No journal: the job's progress is unrecoverable. Degrade to a full
       // restart from the input checkpoint at recovery.
       entry->jm->Abort();
-      aborted_jms_.push_back(std::move(entry->jm));
+      entry->jm.reset();
     }
   }
   double delay = downtime + kRecoveryBaseCost;
@@ -580,14 +584,6 @@ void UrsaScheduler::OnJobFinished(JobId job_id) {
   JobRecord& record = records_[static_cast<size_t>(job_id)];
   record.finish_time = sim_->Now();
   record.cpu_seconds = entry.jm->cpu_seconds_used();
-  // Reclaim job managers aborted by earlier restarts of this job: the job is
-  // done, so nothing resubmits through them, and any still-deferred callbacks
-  // they handed out are disarmed by their liveness tokens.
-  aborted_jms_.erase(std::remove_if(aborted_jms_.begin(), aborted_jms_.end(),
-                                    [job_id](const std::unique_ptr<JobManager>& jm) {
-                                      return jm->job_id() == job_id;
-                                    }),
-                     aborted_jms_.end());
   TryAdmitJobs();
   if (job_finished_listener_) {
     job_finished_listener_();

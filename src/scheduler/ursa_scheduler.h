@@ -127,8 +127,6 @@ class UrsaScheduler : public JobManagerListener {
   const FailureDetector* failure_detector() const { return detector_.get(); }
   // Null when speculation is disabled.
   const SpeculationManager* speculation_manager() const { return spec_manager_.get(); }
-  // Null when admission control is disabled.
-  const AdmissionController* admission_controller() const { return admission_.get(); }
   AdmissionCounters admission_counters() const {
     return admission_ != nullptr ? admission_->counters() : AdmissionCounters{};
   }
@@ -163,10 +161,6 @@ class UrsaScheduler : public JobManagerListener {
   // message layer. Not owned. Call before submitting jobs.
   void set_tracer(Tracer* tracer);
 
-  // Aborted job managers still held for in-flight callbacks; they are
-  // reclaimed when their job finishes, so this is bounded by active jobs.
-  size_t aborted_jms_retained() const { return aborted_jms_.size(); }
-
   // Hot-path instrumentation (DESIGN.md section 12), cumulative over the
   // run. Sim-thread state: read after the run (or from sim callbacks).
   struct SchedulerCounters {
@@ -177,14 +171,6 @@ class UrsaScheduler : public JobManagerListener {
     int64_t scoring_truncated = 0;  // Ticks that deferred a job to the budget.
   };
   SchedulerCounters scheduler_counters() const { return counters_; }
-
-  // Graphene's stage analysis of a job (DESIGN.md section 13). Null unless
-  // the ordering policy is kGraphene (analysis is computed at job start) or
-  // the job was never started.
-  const StageCriticality* stage_criticality(JobId id) const {
-    const JobEntry& entry = *jobs_[static_cast<size_t>(id)];
-    return entry.crit.work.empty() ? nullptr : &entry.crit;
-  }
 
  private:
   struct JobEntry {
@@ -237,7 +223,8 @@ class UrsaScheduler : public JobManagerListener {
   // down. Returns affected jobs.
   int ReconcileWorkerFailure(WorkerId worker);
   void OnWorkerRejoined(WorkerId worker);
-  // Restarts one job from its input checkpoint with a fresh job manager.
+  // Restarts one job from its input checkpoint with a fresh job manager;
+  // the aborted one is freed at once.
   void FullRestart(JobEntry& entry);
   // Creates and configures (but does not start) a job manager for `entry`.
   void ConfigureJobManager(JobEntry& entry);
@@ -246,9 +233,10 @@ class UrsaScheduler : public JobManagerListener {
   // Creates a job manager and rebuilds its runtime state from a journal
   // image (scheduler crash-recovery) instead of starting fresh.
   void RestoreJobManager(JobEntry& entry, const JobImage& image);
-  // Routes every primary monotask's identity-addressed completion/failure
-  // report to the incarnation that owns the job, or fences it (a dead
-  // incarnation's report, with or without the message layer).
+  // Routes every identity-addressed completion/failure report, a primary's
+  // or a speculative copy's, to the incarnation that owns the job, or fences
+  // it (a finished job's or a dead incarnation's report, with or without the
+  // message layer).
   void DeliverCompletion(const ControlPlane::CompletionMsg& msg);
   // Brings the scheduler back up after InjectSchedulerCrash: restores or
   // restarts every live job, reconciles currently-failed workers, re-sends
@@ -372,10 +360,6 @@ class UrsaScheduler : public JobManagerListener {
   Tracer* tracer_ = nullptr;
 
   std::vector<std::unique_ptr<JobEntry>> jobs_;  // Indexed by JobId.
-  // Job managers aborted by full restarts: in-flight monotasks on healthy
-  // workers still hold callbacks into them (all no-ops thanks to their
-  // liveness tokens). Reclaimed when the owning job finishes.
-  std::vector<std::unique_ptr<JobManager>> aborted_jms_;
   std::vector<JobRecord> records_;
 
   std::unique_ptr<PackingState> packing_;  // Non-null for packing placements.

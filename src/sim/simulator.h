@@ -43,7 +43,6 @@ class Simulator {
   bool Step();
 
   bool Idle() const { return queue_.Empty(); }
-  size_t PendingEvents() const { return queue_.PendingCount(); }
 
  private:
   EventQueue queue_;

@@ -77,9 +77,12 @@ class SpeculationManager {
     return active_ < (cap > 0 ? cap : 1);
   }
 
-  void OnLaunched() {
+  // Counts a launched copy and returns its run-wide launch number (from 1),
+  // which serves as the copy's message channel.
+  int OnLaunched() {
     ++active_;
     ++stats_->speculations_launched;
+    return ++launched_;
   }
   void OnWon() {
     --active_;
@@ -104,6 +107,7 @@ class SpeculationManager {
   SpeculationConfig config_;
   FaultCounters* stats_;
   int active_ = 0;  // Live speculative copies across all jobs.
+  int launched_ = 0;  // Copies launched so far across all jobs.
 };
 
 // Detection predicate: is a task that has been running for `elapsed` seconds

@@ -139,12 +139,7 @@ OpenLoopSource::OpenLoopSource(const OpenLoopConfig& config)
   }
 }
 
-bool OpenLoopSource::Exhausted(double now) const {
-  if (generated_ >= config_.max_jobs) {
-    return true;
-  }
-  return config_.horizon > 0.0 && now >= config_.horizon;
-}
+bool OpenLoopSource::Exhausted() const { return generated_ >= config_.max_jobs; }
 
 double OpenLoopSource::NextGap() {
   if (!trace_gaps_.empty()) {

@@ -43,8 +43,6 @@ struct OpenLoopConfig {
   std::string trace_file;
   // Stop generating after this many arrivals.
   int max_jobs = 100;
-  // Stop generating once the simulated clock passes this (0 = no horizon).
-  double horizon = 0.0;
   // Empty -> a single "default" tenant with tier 0 and no SLO.
   std::vector<TenantSpec> tenants;
   // Shape of the generated synthetic jobs; `type` alternates 1/2 per arrival.
@@ -66,8 +64,8 @@ class OpenLoopSource {
  public:
   explicit OpenLoopSource(const OpenLoopConfig& config);
 
-  // True once max_jobs arrivals were generated or `now` passed the horizon.
-  bool Exhausted(double now) const;
+  // True once max_jobs arrivals were generated.
+  bool Exhausted() const;
   // Next raw inter-arrival gap in seconds (before any throttling).
   double NextGap();
   // Builds the next arriving job's spec (tenant, tier, SLO filled in).

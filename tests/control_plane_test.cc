@@ -63,12 +63,20 @@ TEST_F(ControlPlaneTest, DisabledIsSynchronousPassThrough) {
   auto plane = MakePlane(cc);
   int completions = 0;
   plane->Dispatch(0, Key(0), CountingMonotask(&completions));
-  int notified = 0;
-  plane->NotifyScheduler(0, [&] { ++notified; });
+  int reported = 0;
+  plane->set_completion_handler([&](const ControlPlane::CompletionMsg& msg) {
+    EXPECT_EQ(msg.key.channel, 1);
+    EXPECT_TRUE(msg.failed);
+    ++reported;
+  });
+  ControlPlane::CompletionMsg msg;
+  msg.key = Key(3, 0, 1);
+  msg.failed = true;
+  plane->CompletionToScheduler(msg);
   int beats = 0;
   plane->Heartbeat(0, [&] { ++beats; });
   // The pass-through path schedules no messages and draws no randomness.
-  EXPECT_EQ(notified, 1);
+  EXPECT_EQ(reported, 1);
   EXPECT_EQ(beats, 1);
   sim_.Run();
   EXPECT_EQ(completions, 1);
@@ -129,8 +137,7 @@ TEST_F(ControlPlaneTest, CompletionRetriesAcrossSchedulerDowntime) {
   plane->set_completion_handler(
       [&](const ControlPlane::CompletionMsg&) { ++delivered; });
   ControlPlane::CompletionMsg msg;
-  msg.job = 0;
-  msg.monotask = 3;
+  msg.key = Key(3);
   msg.worker = 1;
   plane->CompletionToScheduler(msg);
   sim_.Schedule(1.0, [&] { down = false; });

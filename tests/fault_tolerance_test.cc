@@ -437,12 +437,16 @@ TEST_F(FaultToleranceTest, DrainedMonotasksUnblockJobsWithoutLineageRecovery) {
   EXPECT_GT(scheduler.fault_stats().worker_loss_failures, 0);
 }
 
-// Full restarts park the aborted job manager until its in-flight callbacks
-// drain; once the owning job finishes the parked JM must be reclaimed, not
-// retained for the lifetime of the scheduler.
-TEST_F(FaultToleranceTest, AbortedJobManagersAreReclaimedAfterJobsFinish) {
+// A full restart frees the aborted job manager at once: no closure held by a
+// worker or by the control plane points into it. Its monotasks that keep
+// running on healthy workers report by job identity, and those late reports
+// are fenced against the new incarnation. Under ASan a report that reached
+// the freed manager would fail this test.
+TEST_F(FaultToleranceTest, RestartFreesTheOldJobManagerAndFencesItsLateReports) {
   UrsaSchedulerConfig sc;
   sc.fault.enable_lineage_recovery = false;  // Force the full-restart path.
+  sc.ctrl.enabled = true;                    // Reports travel with latency.
+  sc.ctrl.loss_prob = 0.2;                   // And some wait on retransmits.
   UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
   TpchWorkloadConfig wc;
   wc.num_jobs = 4;
@@ -454,18 +458,28 @@ TEST_F(FaultToleranceTest, AbortedJobManagersAreReclaimedAfterJobsFinish) {
       scheduler.SubmitJob(Job::Create(static_cast<JobId>(i), workload.jobs[i].spec));
     });
   }
-  bool saw_parked_jm = false;
+  std::vector<JobId> restarted;
+  int fenced_before = -1;
   sim_.Schedule(10.0, [&] {
     EXPECT_GT(scheduler.FailWorker(1), 0);
-    saw_parked_jm = scheduler.aborted_jms_retained() > 0;
+    for (size_t i = 0; i < workload.jobs.size(); ++i) {
+      const JobManager* jm = scheduler.job_manager(static_cast<JobId>(i));
+      if (jm != nullptr && jm->incarnation() > 0) {
+        restarted.push_back(static_cast<JobId>(i));
+      }
+    }
+    fenced_before = scheduler.fault_stats().msgs_fenced;
   });
-  sim_.Schedule(14.0, [&] { cluster_->worker(1).Recover(); });
-  sim_.Schedule(18.0, [&] { scheduler.FailWorker(2); });
   sim_.Run();
   EXPECT_TRUE(scheduler.AllJobsFinished());
-  EXPECT_GT(scheduler.total_restarts(), 0);
-  EXPECT_TRUE(saw_parked_jm);  // The restart really parked an aborted JM...
-  EXPECT_EQ(scheduler.aborted_jms_retained(), 0u);  // ...and it was reclaimed.
+  ASSERT_FALSE(restarted.empty());
+  for (JobId j : restarted) {
+    // The restart's manager ran the job to the end; the old one is gone.
+    EXPECT_EQ(scheduler.job_manager(j)->incarnation(), 1);
+    EXPECT_TRUE(scheduler.job_manager(j)->finished());
+  }
+  // Reports of the freed manager's executions landed after the restart.
+  EXPECT_GT(scheduler.fault_stats().msgs_fenced, fenced_before);
 }
 
 // With the message layer off, reports still take the control plane's

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/exec/job_manager.h"
+#include "src/obs/trace.h"
 #include "src/scheduler/ursa_scheduler.h"
 #include "src/spec/robust_stats.h"
 #include "src/spec/speculation.h"
@@ -293,14 +294,23 @@ class SpecListener : public JobManagerListener {
 class SpeculationRaceTest : public ::testing::Test {
  protected:
   SpeculationRaceTest() {
+    spec_config_.enabled = true;
+    manager_ = std::make_unique<SpeculationManager>(spec_config_, &stats_);
+    Build(RaceCluster(), ControlPlaneConfig());
+  }
+
+  static ClusterConfig RaceCluster() {
     ClusterConfig config;
     config.num_workers = 4;
     config.worker.cores = 8;
     config.worker.cpu_byte_rate = 1000.0;
     config.worker.memory_bytes = 1e12;
+    return config;
+  }
+
+  // (Re)builds the cluster and the control plane; call before MakeJm.
+  void Build(const ClusterConfig& config, const ControlPlaneConfig& cc) {
     cluster_ = std::make_unique<Cluster>(&sim_, config);
-    spec_config_.enabled = true;
-    manager_ = std::make_unique<SpeculationManager>(spec_config_, &stats_);
     // Mirror the scheduler's wiring: every worker reports discarded
     // duplicate work into the shared speculation accounting.
     for (int w = 0; w < cluster_->size(); ++w) {
@@ -309,9 +319,12 @@ class SpeculationRaceTest : public ::testing::Test {
             manager_->RecordWaste(r, bytes, seconds);
           });
     }
-    ctrl_ = std::make_unique<ControlPlane>(&sim_, cluster_.get(), ControlPlaneConfig(), nullptr);
-    ctrl_->set_completion_handler(
-        [this](const ControlPlane::CompletionMsg& msg) { jm_->OnReport(msg); });
+    ctrl_ = std::make_unique<ControlPlane>(&sim_, cluster_.get(), cc, &stats_);
+    // Every report, as delivered, is kept for replays.
+    ctrl_->set_completion_handler([this](const ControlPlane::CompletionMsg& msg) {
+      reports_.push_back(msg);
+      jm_->OnReport(msg);
+    });
   }
 
   // A job manager on the fixture's pass-through control plane, which routes
@@ -389,6 +402,7 @@ class SpeculationRaceTest : public ::testing::Test {
   std::unique_ptr<SpeculationManager> manager_;
   std::unique_ptr<ControlPlane> ctrl_;
   std::unique_ptr<JobManager> jm_;
+  std::vector<ControlPlane::CompletionMsg> reports_;
 };
 
 TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsInFlight) {
@@ -615,6 +629,204 @@ TEST_F(SpeculationRaceTest, CopyWinsThenItsWorkerFails) {
   ExpectMemoryDrained();
 }
 
+// Places the four scans on worker 1, runs them and returns the two ready
+// reducers: a shuffle (network) then a deserialize (CPU) each.
+std::vector<TaskId> RunScans(JobManager& jm, Simulator& sim) {
+  for (TaskId t : std::vector<TaskId>(jm.ready_tasks())) {
+    EXPECT_TRUE(jm.PlaceTask(t, 1));
+  }
+  while (jm.ready_tasks().empty()) {
+    EXPECT_TRUE(sim.Step());
+  }
+  return jm.ready_tasks();
+}
+
+// Every delivery reaches the job manager twice (the control plane duplicates
+// each message). The copy of a reducer finishes its shuffle while its CPU
+// monotask is still to run, so that shuffle's duplicate report reaches a
+// live copy and must not advance it twice.
+TEST_F(SpeculationRaceTest, DuplicatedCopyReportsChangeNothing) {
+  ControlPlaneConfig cc;
+  cc.enabled = true;
+  cc.dup_prob = 1.0;
+  Build(RaceCluster(), cc);
+  auto job = MakeJob();
+  SpecListener listener;
+  JobManager& jm = MakeJm(job.get(), &listener);
+  jm.ConfigureSpeculation(manager_.get());
+  jm.Start();
+  const std::vector<TaskId> reducers = RunScans(jm, sim_);
+  ASSERT_EQ(reducers.size(), 2u);
+  cluster_->worker(0).set_speed_factor(0.05);  // The primary's CPU straggles.
+  ASSERT_TRUE(jm.PlaceTask(reducers[0], 0));
+  ASSERT_TRUE(jm.PlaceTask(reducers[1], 1));
+  sim_.Schedule(0.1, [&] { ASSERT_TRUE(jm.PlaceSpeculative(reducers[0], 3)); });
+  sim_.Run();
+  int copy_reports = 0;
+  for (const ControlPlane::CompletionMsg& msg : reports_) {
+    copy_reports += msg.key.channel != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(copy_reports, 4);  // The copy's two monotasks, delivered twice.
+  EXPECT_TRUE(listener.finished);
+  EXPECT_EQ(stats_.speculations_won, 1);
+  EXPECT_EQ(stats_.speculations_lost, 0);
+  EXPECT_EQ(stats_.speculations_cancelled, 0);
+  EXPECT_EQ(jm.task_worker(reducers[0]), 3);
+  EXPECT_EQ(listener.monotasks, 8);
+  EXPECT_EQ(manager_->active(), 0);
+  ExpectMemoryDrained();
+}
+
+// A copy gets no retries: its first failed monotask cancels it, and the
+// primary, which never failed, is neither retried nor reset.
+TEST_F(SpeculationRaceTest, FailedCopyIsCancelledWithoutRetry) {
+  auto job = MakeJob();
+  SpecListener listener;
+  JobManager& jm = MakeJm(job.get(), &listener);
+  jm.ConfigureSpeculation(manager_.get());
+  jm.ConfigureFaultPolicy(3, &stats_);
+  jm.Start();
+  const TaskId target = PlaceScans(jm);
+  sim_.ScheduleAt(0.1, [&] {
+    cluster_->worker(0).set_speed_factor(0.05);  // The copy would win...
+    cluster_->worker(3).InjectTransientFailures(1);  // ...but fails instead.
+    ASSERT_TRUE(jm.PlaceSpeculative(target, 3));
+  });
+  sim_.ScheduleAt(2.0, [&] {
+    EXPECT_FALSE(jm.has_speculative_copy(target));
+    EXPECT_EQ(jm.task_state(target), TaskState::kPlaced);
+    EXPECT_EQ(jm.task_worker(target), 0);
+    cluster_->worker(0).set_speed_factor(1.0);
+  });
+  Drive(jm, {0, 1, 2});
+  sim_.Run();
+  EXPECT_TRUE(listener.finished);
+  EXPECT_EQ(stats_.speculations_cancelled, 1);
+  EXPECT_EQ(stats_.speculations_won + stats_.speculations_lost, 0);
+  EXPECT_EQ(stats_.transient_failures, 0);  // Counts the primary's only.
+  EXPECT_EQ(stats_.retries, 0);
+  EXPECT_EQ(stats_.escalations, 0);
+  EXPECT_EQ(jm.task_worker(target), 0);
+  EXPECT_EQ(listener.monotasks, 8);
+  ExpectMemoryDrained();
+}
+
+// Reports of a copy whose race is over (won here) find no live copy on their
+// channel and are dropped: replaying them, as completions or as failures,
+// neither re-completes nor resets the task.
+TEST_F(SpeculationRaceTest, CopyReportsAfterTheRaceChangeNothing) {
+  auto job = MakeJob();
+  SpecListener listener;
+  JobManager& jm = MakeJm(job.get(), &listener);
+  jm.ConfigureSpeculation(manager_.get());
+  jm.Start();
+  const TaskId target = PlaceScans(jm);
+  sim_.ScheduleAt(0.1, [&] {
+    cluster_->worker(0).set_speed_factor(0.05);
+    ASSERT_TRUE(jm.PlaceSpeculative(target, 3));
+  });
+  sim_.ScheduleAt(2.0, [&] {
+    ASSERT_EQ(stats_.speculations_won, 1);
+    ASSERT_EQ(jm.task_state(target), TaskState::kCompleted);
+    cluster_->worker(0).set_speed_factor(1.0);
+    std::vector<ControlPlane::CompletionMsg> late;
+    for (const ControlPlane::CompletionMsg& msg : reports_) {
+      if (msg.key.channel != 0) {
+        late.push_back(msg);
+        ControlPlane::CompletionMsg failed = msg;
+        failed.failed = true;
+        late.push_back(failed);
+        ControlPlane::CompletionMsg other = msg;  // A channel never launched.
+        other.key.channel += 1;
+        late.push_back(other);
+      }
+    }
+    ASSERT_EQ(late.size(), 3u);
+    const int monotasks = listener.monotasks;
+    const size_t completed = listener.completed.size();
+    for (const ControlPlane::CompletionMsg& msg : late) {
+      ctrl_->CompletionToScheduler(msg);
+    }
+    EXPECT_EQ(listener.monotasks, monotasks);
+    EXPECT_EQ(listener.completed.size(), completed);
+    EXPECT_EQ(jm.task_state(target), TaskState::kCompleted);
+    EXPECT_EQ(jm.task_worker(target), 3);
+    EXPECT_EQ(stats_.escalations, 0);
+    EXPECT_EQ(stats_.speculations_cancelled, 0);
+    ExpectPlacedIndexMatches(jm);
+  });
+  Drive(jm, {1, 2, 3});
+  sim_.Run();
+  EXPECT_TRUE(listener.finished);
+  EXPECT_EQ(listener.monotasks, 8);
+  EXPECT_EQ(stats_.speculations_won, 1);
+  EXPECT_EQ(manager_->active(), 0);
+  ExpectMemoryDrained();
+}
+
+// A report on the channel of a cancelled copy must not reach the task's next
+// copy: each copy has its own channel, and only the live one's reports count.
+TEST_F(SpeculationRaceTest, StaleChannelReportMissesTheLiveCopy) {
+  auto job = MakeJob();
+  SpecListener listener;
+  JobManager& jm = MakeJm(job.get(), &listener);
+  jm.ConfigureSpeculation(manager_.get());
+  jm.Start();
+  const TaskId target = PlaceScans(jm);
+  sim_.ScheduleAt(0.1, [&] { ASSERT_TRUE(jm.PlaceSpeculative(target, 3)); });
+  sim_.ScheduleAt(0.2, [&] {
+    cluster_->worker(3).Fail();  // Cancels the first copy (channel 1)...
+    jm.HandleWorkerFailureForSpeculation(3);
+    ASSERT_FALSE(jm.has_speculative_copy(target));
+    ASSERT_TRUE(jm.PlaceSpeculative(target, 2));  // ...and races a second one.
+    ControlPlane::CompletionMsg stale;
+    stale.key = MsgKey{job->id, 0, job->plan.task(target).monotasks[0], 0, 0, 1};
+    stale.worker = 3;
+    ctrl_->CompletionToScheduler(stale);
+    EXPECT_TRUE(jm.has_speculative_copy(target));
+    EXPECT_EQ(jm.task_state(target), TaskState::kPlaced);
+    EXPECT_EQ(stats_.speculations_won, 0);
+  });
+  Drive(jm, {0, 1, 2});
+  sim_.Run();
+  EXPECT_TRUE(listener.finished);
+  // The primary (placed at 0) beat the second copy (started at 0.2).
+  EXPECT_EQ(jm.task_worker(target), 0);
+  EXPECT_EQ(stats_.speculations_cancelled, 1);
+  EXPECT_EQ(stats_.speculations_lost, 1);
+  EXPECT_EQ(stats_.speculations_won, 0);
+  EXPECT_EQ(listener.monotasks, 8);
+  ExpectMemoryDrained();
+}
+
+// A losing primary's finished network monotask is charged as wasted time at
+// the receiving worker's downlink (1 Gbps here), not at a fixed default rate.
+TEST_F(SpeculationRaceTest, WastedNetworkSecondsUseTheDownlink) {
+  ClusterConfig config = RaceCluster();
+  config.downlink_bytes_per_sec = 1e9 / 8.0;
+  Build(config, ControlPlaneConfig());
+  auto job = MakeJob();
+  SpecListener listener;
+  JobManager& jm = MakeJm(job.get(), &listener);
+  jm.ConfigureSpeculation(manager_.get());
+  jm.Start();
+  // The primary's shuffle finishes at full speed; its CPU monotask straggles
+  // on worker 0.
+  const std::vector<TaskId> reducers = RunScans(jm, sim_);
+  ASSERT_EQ(reducers.size(), 2u);
+  cluster_->worker(0).set_speed_factor(0.05);
+  ASSERT_TRUE(jm.PlaceTask(reducers[0], 0));
+  ASSERT_TRUE(jm.PlaceTask(reducers[1], 1));
+  sim_.Schedule(0.1, [&] { ASSERT_TRUE(jm.PlaceSpeculative(reducers[0], 3)); });
+  sim_.Run();
+  EXPECT_TRUE(listener.finished);
+  EXPECT_EQ(stats_.speculations_won, 1);
+  const size_t net = static_cast<size_t>(ResourceType::kNetwork);
+  ASSERT_GT(stats_.wasted_bytes[net], 0.0);
+  EXPECT_DOUBLE_EQ(stats_.wasted_seconds[net],
+                   stats_.wasted_bytes[net] / config.downlink_bytes_per_sec);
+}
+
 // --- End-to-end: the scheduler's detection -> placement loop. ---
 
 class SpeculationSchedulerTest : public ::testing::Test {
@@ -711,6 +923,47 @@ TEST_F(SpeculationSchedulerTest, SpeculationSurvivesWorkerFailureMidRace) {
           << "worker " << w;
     }
   }
+}
+
+// With lineage off a worker failure restarts the job with a fresh job
+// manager. A copy report still in flight from the freed manager lands on the
+// new incarnation and is counted as fenced. One job only, so any copy report
+// fenced before it finishes was fenced by a restart, not by the job's end.
+TEST_F(SpeculationSchedulerTest, CopyReportAfterFullRestartIsFenced) {
+  UrsaSchedulerConfig sc;
+  sc.fault.enable_lineage_recovery = false;
+  sc.ctrl.enabled = true;
+  sc.ctrl.loss_prob = 0.3;  // Retransmits keep reports in flight longer.
+  sc.spec.enabled = true;
+  sc.spec.min_runtime = 0.5;
+  sc.spec.min_stage_samples = 2;
+  sc.spec.slowdown_threshold = 1.3;
+  Tracer tracer;
+  cluster_->set_tracer(&tracer);
+  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  scheduler.set_tracer(&tracer);
+  SubmitTpch(scheduler, 1, 17);
+  sim_.Schedule(1.0, [&] { cluster_->worker(0).set_speed_factor(0.05); });
+  for (int i = 0; i < 6; ++i) {
+    const WorkerId w = 1 + i % 3;
+    sim_.Schedule(4.0 + 4.0 * i, [&, w] { scheduler.FailWorker(w); });
+    sim_.Schedule(6.0 + 4.0 * i, [&, w] { cluster_->worker(w).Recover(); });
+  }
+  sim_.Run();
+  ASSERT_TRUE(scheduler.AllJobsFinished());
+  ASSERT_EQ(tracer.dropped(), 0u);
+  const double finish = scheduler.job_records()[0].finish_time;
+  int fenced_copy_reports = 0;
+  int fenced = 0;
+  for (const TraceEvent& e : tracer.Snapshot()) {
+    if (e.kind == TraceEventKind::kMsgFenced) {
+      ++fenced;
+      fenced_copy_reports += e.a > 0.0 && e.t < finish ? 1 : 0;
+    }
+  }
+  EXPECT_GT(scheduler.fault_stats().full_restarts, 0);
+  EXPECT_GT(fenced_copy_reports, 0);
+  EXPECT_EQ(fenced, scheduler.fault_stats().msgs_fenced);
 }
 
 }  // namespace

@@ -38,9 +38,9 @@ class TraceTest : public ::testing::Test {
   }
 
   // Runs a small TPC-H mix with tracing and returns the simulated end time.
-  double RunTraced(Tracer* tracer, int jobs = 4) {
+  double RunTraced(Tracer* tracer, int jobs = 4,
+                   const UrsaSchedulerConfig& sc = UrsaSchedulerConfig()) {
     cluster_->set_tracer(tracer);
-    UrsaSchedulerConfig sc;
     scheduler_ = std::make_unique<UrsaScheduler>(&sim_, cluster_.get(), sc);
     scheduler_->set_tracer(tracer);
     const Workload workload = SmallTpch(jobs);
@@ -101,28 +101,28 @@ TEST_F(TraceTest, ChromeTraceParsesPairsAndIsMonotonic) {
   EXPECT_GE(ticks.candidates, ticks.placed);
 }
 
-TEST_F(TraceTest, BusyTimeMatchesStepTrackerIntegrals) {
-  Tracer tracer;
-  const double end = RunTraced(&tracer);
+// Trace-derived busy time equals the metrics pipeline's occupancy
+// integrals. cpu_busy_ is +1 per counted CPU monotask for its whole service
+// time, so the integral is the total CPU busy seconds; same for disk. Both
+// sum the same span durations, so they agree to rounding; the JSON export
+// prints 9 significant digits per span.
+void ExpectBusyTimeMatchesIntegrals(const Cluster& cluster, const Tracer& tracer,
+                                    double end) {
   ASSERT_EQ(tracer.dropped(), 0u);
-
-  // Reference: the metrics pipeline's occupancy integrals. cpu_busy_ is +1
-  // per counted CPU monotask for its whole service time, so the integral is
-  // the total CPU busy seconds; same for disk.
   double cpu_integral = 0.0;
   double disk_integral = 0.0;
-  for (int w = 0; w < cluster_->size(); ++w) {
-    cpu_integral += cluster_->worker(w).cpu_busy_tracker().IntegralTo(end);
-    disk_integral += cluster_->worker(w).disk_busy_tracker().IntegralTo(end);
+  for (int w = 0; w < cluster.size(); ++w) {
+    cpu_integral += cluster.worker(w).cpu_busy_tracker().IntegralTo(end);
+    disk_integral += cluster.worker(w).disk_busy_tracker().IntegralTo(end);
   }
   ASSERT_GT(cpu_integral, 0.0);
 
   const auto summaries = tracer.SummarizeMonotasks();
   const auto& cpu = summaries[static_cast<size_t>(ResourceType::kCpu)];
   const auto& disk = summaries[static_cast<size_t>(ResourceType::kDisk)];
-  EXPECT_NEAR(cpu.busy_time, cpu_integral, 0.01 * cpu_integral);
+  EXPECT_NEAR(cpu.busy_time, cpu_integral, 1e-9 * cpu_integral);
   if (disk_integral > 0.0) {
-    EXPECT_NEAR(disk.busy_time, disk_integral, 0.01 * disk_integral);
+    EXPECT_NEAR(disk.busy_time, disk_integral, 1e-9 * disk_integral);
   }
 
   // The exported JSON carries the same totals (reader round-trip).
@@ -138,7 +138,37 @@ TEST_F(TraceTest, BusyTimeMatchesStepTrackerIntegrals) {
       json_cpu_busy += e.args.at("service_s");
     }
   }
-  EXPECT_NEAR(json_cpu_busy, cpu_integral, 0.01 * cpu_integral);
+  EXPECT_NEAR(json_cpu_busy, cpu_integral, 1e-6 * cpu_integral);
+}
+
+TEST_F(TraceTest, BusyTimeMatchesStepTrackerIntegrals) {
+  Tracer tracer;
+  const double end = RunTraced(&tracer);
+  ExpectBusyTimeMatchesIntegrals(*cluster_, tracer, end);
+}
+
+// Lost spans (cut short by a worker kill) and cancelled spans (losers of
+// speculative races) held their core until they ended, so they count too.
+TEST_F(TraceTest, BusyTimeMatchesStepTrackerIntegralsUnderKillsAndSpeculation) {
+  Tracer tracer;
+  UrsaSchedulerConfig sc;
+  sc.spec.enabled = true;
+  sc.spec.min_runtime = 0.5;
+  sc.spec.min_stage_samples = 2;
+  sc.spec.slowdown_threshold = 1.3;
+  sim_.Schedule(1.0, [&] { cluster_->worker(0).set_speed_factor(0.05); });
+  sim_.Schedule(8.0, [&] { scheduler_->FailWorker(2); });
+  sim_.Schedule(12.0, [&] { cluster_->worker(2).Recover(); });
+  const double end = RunTraced(&tracer, 4, sc);
+  int64_t lost = 0;
+  int64_t cancelled = 0;
+  for (const auto& rs : tracer.SummarizeMonotasks()) {
+    lost += rs.lost;
+    cancelled += rs.cancelled;
+  }
+  EXPECT_GT(lost, 0);
+  EXPECT_GT(cancelled, 0);
+  ExpectBusyTimeMatchesIntegrals(*cluster_, tracer, end);
 }
 
 TEST_F(TraceTest, SamplingIsStickyPerMonotask) {

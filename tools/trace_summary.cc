@@ -10,26 +10,12 @@
 #include <cstdio>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "src/common/stats.h"
 #include "src/common/table.h"
+#include "src/obs/trace.h"
 #include "src/obs/trace_reader.h"
 
 namespace {
-
-struct ResourceStats {
-  int64_t queued = 0;
-  int64_t dispatches = 0;
-  int64_t completes = 0;
-  int64_t fails = 0;
-  int64_t lost = 0;
-  int64_t cancelled = 0;
-  double busy_time = 0.0;    // Counted service seconds.
-  double wasted_time = 0.0;  // Counted service seconds of cancelled copies.
-  std::vector<double> queue_waits;
-  std::vector<double> services;
-};
 
 double Arg(const ursa::ChromeTraceEvent& e, const char* key) {
   const auto it = e.args.find(key);
@@ -39,6 +25,20 @@ double Arg(const ursa::ChromeTraceEvent& e, const char* key) {
 std::string StringArg(const ursa::ChromeTraceEvent& e, const char* key) {
   const auto it = e.string_args.find(key);
   return it != e.string_args.end() ? it->second : std::string();
+}
+
+// The finish kind an exported span's "status" names.
+ursa::TraceEventKind FinishKind(const std::string& status) {
+  if (status == "complete") {
+    return ursa::TraceEventKind::kComplete;
+  }
+  if (status == "fail") {
+    return ursa::TraceEventKind::kFail;
+  }
+  if (status == "cancelled") {
+    return ursa::TraceEventKind::kCancelled;
+  }
+  return ursa::TraceEventKind::kLost;
 }
 
 }  // namespace
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::map<std::string, ResourceStats> by_resource;
+  std::map<std::string, MonotaskTally> by_resource;
   std::map<uint64_t, const ChromeTraceEvent*> open;  // Dispatches awaiting an end.
   std::map<std::string, int64_t> faults;
   std::map<std::string, int64_t> spec_events;
@@ -85,12 +85,11 @@ int main(int argc, char** argv) {
     last_ts = e.ts > last_ts ? e.ts : last_ts;
     if (e.cat == "monotask") {
       const std::string resource = StringArg(e, "resource");
-      ResourceStats& rs = by_resource[resource];
+      MonotaskTally& tally = by_resource[resource];
       if (e.ph == "i") {
-        ++rs.queued;
+        tally.Queued();
       } else if (e.ph == "b") {
-        ++rs.dispatches;
-        rs.queue_waits.push_back(Arg(e, "queue_wait_s"));
+        tally.Dispatched(Arg(e, "queue_wait_s"));
         open[e.id] = &e;
       } else if (e.ph == "e") {
         const auto it = open.find(e.id);
@@ -99,23 +98,8 @@ int main(int argc, char** argv) {
         } else {
           open.erase(it);
         }
-        const std::string status = StringArg(e, "status");
-        if (status == "complete") {
-          ++rs.completes;
-        } else if (status == "fail") {
-          ++rs.fails;
-        } else if (status == "cancelled") {
-          ++rs.cancelled;
-        } else {
-          ++rs.lost;
-        }
-        rs.services.push_back(Arg(e, "service_s"));
-        if (Arg(e, "counted") != 0.0) {
-          rs.busy_time += Arg(e, "service_s");
-          if (status == "cancelled") {
-            rs.wasted_time += Arg(e, "service_s");
-          }
-        }
+        tally.Finished(FinishKind(StringArg(e, "status")), Arg(e, "service_s"),
+                       Arg(e, "counted") != 0.0);
       }
     } else if (e.cat == "scheduler" && e.name == "tick") {
       ++ticks;
@@ -144,9 +128,10 @@ int main(int argc, char** argv) {
                 "cancelled", "busy(s)", "wasted(s)"});
   Table latencies({"resource", "qwait-mean(ms)", "qwait-p50", "qwait-p95", "qwait-p99",
                    "svc-mean(ms)", "svc-p50", "svc-p95", "svc-p99"});
-  for (auto& [resource, rs] : by_resource) {
-    const Summary wait = Summarize(rs.queue_waits);
-    const Summary service = Summarize(rs.services);
+  for (const auto& [resource, tally] : by_resource) {
+    const Tracer::ResourceSummary rs = tally.Result();
+    const Summary& wait = rs.queue_wait;
+    const Summary& service = rs.service;
     counts.Row()
         .Cell(resource)
         .Cell(rs.queued)
