@@ -84,8 +84,8 @@ void BM_MonotaskQueueOrdered(benchmark::State& state) {
     MonotaskQueue queue;
     for (int i = 0; i < n; ++i) {
       RunnableMonotask mt;
-      mt.job = static_cast<JobId>(rng.UniformInt(16u));
-      mt.job_priority = static_cast<double>(mt.job);
+      mt.key.job = static_cast<JobId>(rng.UniformInt(16u));
+      mt.job_priority = static_cast<double>(mt.key.job);
       mt.intra_key = rng.Uniform(0.0, 1e9);
       mt.input_bytes = 1.0;
       queue.Push(std::move(mt));

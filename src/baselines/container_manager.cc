@@ -6,10 +6,17 @@
 
 namespace ursa {
 
+namespace {
+
+// Container grants happen at heartbeat boundaries, every second (the
+// paper's YARN configuration).
+constexpr double kHeartbeatInterval = 1.0;
+
+}  // namespace
+
 ContainerManager::ContainerManager(Simulator* sim, Cluster* cluster,
                                    const ContainerManagerConfig& config)
     : sim_(sim), cluster_(cluster), config_(config) {
-  CHECK_GT(config_.heartbeat_interval, 0.0);
   CHECK_GE(config_.cpu_subscription_ratio, 1.0);
   core_capacity_ =
       cluster->config().worker.cores * config_.cpu_subscription_ratio;
@@ -49,20 +56,12 @@ void ContainerManager::ReleaseContainer([[maybe_unused]] JobId job, WorkerId wor
   EnsureHeartbeat();
 }
 
-int ContainerManager::pending_requests() const {
-  int total = 0;
-  for (const Pending& p : queue_) {
-    total += p.remaining;
-  }
-  return total;
-}
-
 void ContainerManager::EnsureHeartbeat() {
   if (heartbeat_scheduled_ || queue_.empty()) {
     return;
   }
   heartbeat_scheduled_ = true;
-  sim_->Schedule(config_.heartbeat_interval, [this] { Heartbeat(); });
+  sim_->Schedule(kHeartbeatInterval, [this] { Heartbeat(); });
 }
 
 WorkerId ContainerManager::TryPlace(int cores, double memory_bytes) {

@@ -20,7 +20,6 @@
 namespace ursa {
 
 struct ContainerManagerConfig {
-  double heartbeat_interval = 1.0;
   double cpu_subscription_ratio = 1.0;
 };
 
@@ -39,8 +38,6 @@ class ContainerManager {
 
   // Returns a container's resources to the pool.
   void ReleaseContainer(JobId job, WorkerId worker, int cores, double memory_bytes);
-
-  int pending_requests() const;
 
  private:
   void EnsureHeartbeat();

@@ -75,9 +75,6 @@ class Rng {
     return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
   }
 
-  // Log-normal with the given mean/sigma of the underlying normal.
-  double LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
-
   double Exponential(double rate) {
     DCHECK(rate > 0);
     double u = NextDouble();

@@ -35,6 +35,23 @@ ControlPlane::ControlPlane(Simulator* sim, Cluster* cluster,
   CHECK(config_.delay_prob >= 0.0 && config_.delay_prob <= 1.0);
   CHECK_GE(config_.base_latency, 0.0);
   CHECK_GE(config_.delay_extra, 0.0);
+  for (int w = 0; w < cluster_->size(); ++w) {
+    Worker& worker = cluster_->worker(w);
+    worker.set_report_listener([this](const CompletionMsg& msg) { CompletionToScheduler(msg); });
+    if (config_.enabled) {
+      // A failing worker loses its delivered-dispatch records with the rest
+      // of its state, whoever injected the failure and whether or not the
+      // scheduler is up. A pass-through plane keeps no records.
+      worker.set_fail_listener([this](WorkerId id) { ForgetWorker(id); });
+    }
+  }
+}
+
+ControlPlane::~ControlPlane() {
+  for (int w = 0; w < cluster_->size(); ++w) {
+    cluster_->worker(w).set_report_listener(nullptr);
+    cluster_->worker(w).set_fail_listener(nullptr);
+  }
 }
 
 ControlPlane::Fate ControlPlane::DrawFate() {
@@ -70,14 +87,13 @@ ControlPlane::Fate ControlPlane::DrawFate() {
   return fate;
 }
 
-void ControlPlane::Dispatch(WorkerId worker, const MsgKey& key, RunnableMonotask run) {
+void ControlPlane::Dispatch(WorkerId worker, RunnableMonotask run) {
   if (!config_.enabled) {
     cluster_->worker(worker).Submit(std::move(run));
     return;
   }
   auto p = std::make_shared<PendingDispatch>();
   p->worker = worker;
-  p->key = key;
   p->epoch = epoch_;
   p->run = std::move(run);
   SendDispatch(p, kAckTimeout);
@@ -142,9 +158,10 @@ void ControlPlane::DeliverDispatch(const std::shared_ptr<PendingDispatch>& p) {
     return;
   }
   p->delivered = true;
-  std::vector<Delivery>& seen = DeliveriesOf(p->key);
+  const MsgKey& key = p->run.key;
+  std::vector<Delivery>& seen = DeliveriesOf(key);
   for (const Delivery& d : seen) {
-    if (Matches(d, p->worker, p->key)) {
+    if (Matches(d, p->worker, key)) {
       // The same execution attempt was already delivered (e.g. the original
       // send of a placement the recovery resync re-dispatched).
       if (stats_ != nullptr) {
@@ -153,8 +170,8 @@ void ControlPlane::DeliverDispatch(const std::shared_ptr<PendingDispatch>& p) {
       return;
     }
   }
-  seen.push_back(Delivery{p->worker, p->key.incarnation, p->key.generation,
-                          p->key.attempt, p->key.channel});
+  seen.push_back(
+      Delivery{p->worker, key.incarnation, key.generation, key.attempt, key.channel});
   // `delivered` is set, so no later copy of this message reads `run` again.
   cluster_->worker(p->worker).Submit(std::move(p->run));
 }

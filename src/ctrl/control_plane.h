@@ -14,12 +14,13 @@
 //     (job, incarnation, monotask, generation, attempt, channel), and the
 //     scheduler-side handlers dedup completions/failures by monotask
 //     done-flag / attempt;
-//   * identity routing: a report carries its dispatch's MsgKey and nothing
-//     else, so no closure held by a worker or by this layer points into a
-//     job manager. The scheduler routes each report to the job manager
-//     incarnation that owns the job (or fences it), and the key's channel
-//     picks the execution there: 0 is the primary, any other channel a
-//     speculative copy;
+//   * identity routing: a dispatched RunnableMonotask carries its MsgKey,
+//     and the worker reports every outcome under that key through the one
+//     report listener this layer installs on it, so nothing held by a
+//     worker or by this layer points into a job manager. The scheduler
+//     routes each report to the job manager incarnation that owns the job
+//     (or fences it), and the key's channel picks the execution there: 0 is
+//     the primary, any other channel a speculative copy;
 //   * epoch fencing: a scheduler crash bumps the epoch, and any dispatch
 //     minted under an older epoch is discarded at delivery, so a stale
 //     message can never double-charge a worker's concurrency slot or resurrect
@@ -58,36 +59,18 @@ struct ControlPlaneConfig {
   double checkpoint_interval = 0.0;
 };
 
-// Identity of one dispatch message. `generation` and `attempt` make keys
-// unique per execution attempt; `channel` separates the primary execution
-// (0) from speculative copies (each its run-wide launch number, from 1).
-struct MsgKey {
-  JobId job = kInvalidId;
-  // Distinguishes executions of the same monotask across full job restarts:
-  // a restart resets generations and attempts to zero, so without the
-  // incarnation a fresh dispatch would collide with the worker's delivered
-  // record of the pre-restart execution and be suppressed as a duplicate.
-  int incarnation = 0;
-  MonotaskId monotask = kInvalidId;
-  int generation = 0;
-  int attempt = 0;
-  int channel = 0;
-};
-
 class ControlPlane {
  public:
-  // A worker->scheduler completion/failure report of one dispatch, for a
-  // primary and a speculative copy alike. Identity-addressed so it can be
-  // routed to whichever job-manager incarnation currently owns the job (or
-  // fenced if none does).
-  struct CompletionMsg {
-    MsgKey key;  // The reported dispatch; its channel picks the execution.
-    bool failed = false;
-    WorkerId worker = kInvalidId;
-  };
-
+  // Owns the message-layer hooks of every worker in `cluster`: each
+  // worker's report listener feeds CompletionToScheduler, and (when enabled)
+  // its fail listener ForgetWorker. The destructor clears both, so at most
+  // one control plane may serve a cluster at a time.
   ControlPlane(Simulator* sim, Cluster* cluster, const ControlPlaneConfig& config,
                FaultCounters* stats);
+  ~ControlPlane();
+
+  ControlPlane(const ControlPlane&) = delete;
+  ControlPlane& operator=(const ControlPlane&) = delete;
 
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   // Reliable scheduler-bound deliveries retry while this returns true.
@@ -101,13 +84,15 @@ class ControlPlane {
   // Fences every dispatch minted under an older epoch (scheduler crash).
   void BumpEpoch() { ++epoch_; }
 
-  // Scheduler -> worker dispatch. Reliable: retransmitted with capped
-  // backoff until the worker acks (delivery) or the message is fenced.
-  void Dispatch(WorkerId worker, const MsgKey& key, RunnableMonotask run);
+  // Scheduler -> worker dispatch of `run`, identified by `run.key`.
+  // Reliable: retransmitted with capped backoff until the worker acks
+  // (delivery) or the message is fenced.
+  void Dispatch(WorkerId worker, RunnableMonotask run);
 
-  // Worker -> scheduler completion/failure report. Reliable: a report that
-  // arrives while the scheduler is down is retried until a live scheduler
-  // accepts it, so orphaned monotasks re-attach after recovery.
+  // Worker -> scheduler completion/failure report, the target of every
+  // worker's report listener. Reliable: a report that arrives while the
+  // scheduler is down is retried until a live scheduler accepts it, so
+  // orphaned monotasks re-attach after recovery.
   void CompletionToScheduler(const CompletionMsg& msg);
 
   // Worker -> scheduler heartbeat: best-effort, never retransmitted. Lost
@@ -121,17 +106,16 @@ class ControlPlane {
   // Drops a finished job's dedup table, on every worker at once.
   void ForgetJob(JobId job);
 
-  // Drops one worker's delivered-dispatch records. Called when the worker
-  // fails: the records are worker-side state, so a crash wipes them along
-  // with the queues, and resync after a scheduler recovery must be able to
-  // re-send (and the rejoined worker to re-accept) dispatches the dead
-  // process had acked.
+  // Drops one worker's delivered-dispatch records. Called by the worker's
+  // fail listener: the records are worker-side state, so a crash wipes them
+  // along with the queues, and resync after a scheduler recovery must be
+  // able to re-send (and the rejoined worker to re-accept) dispatches the
+  // dead process had acked.
   void ForgetWorker(WorkerId worker);
 
  private:
   struct PendingDispatch {
     WorkerId worker = kInvalidId;
-    MsgKey key;
     int epoch = 0;
     RunnableMonotask run;
     bool delivered = false;

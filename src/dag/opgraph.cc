@@ -47,11 +47,6 @@ OpHandle& OpHandle::SetM2i(double m2i) {
   return *this;
 }
 
-OpHandle& OpHandle::SetName(const std::string& name) {
-  graph_->op(id_).name = name;
-  return *this;
-}
-
 OpHandle& OpHandle::To(const OpHandle& downstream, DepKind kind) {
   CHECK(downstream.valid());
   CHECK(graph_ == downstream.graph_) << "dependency across different OpGraphs";
@@ -115,26 +110,6 @@ OpDef& OpGraph::op(OpId id) {
 }
 
 const OpDef& OpGraph::op(OpId id) const { return const_cast<OpGraph*>(this)->op(id); }
-
-std::vector<std::pair<OpId, DepKind>> OpGraph::Parents(OpId op) const {
-  std::vector<std::pair<OpId, DepKind>> out;
-  for (const DepDef& dep : deps_) {
-    if (dep.to == op) {
-      out.emplace_back(dep.from, dep.kind);
-    }
-  }
-  return out;
-}
-
-std::vector<std::pair<OpId, DepKind>> OpGraph::Children(OpId op) const {
-  std::vector<std::pair<OpId, DepKind>> out;
-  for (const DepDef& dep : deps_) {
-    if (dep.from == op) {
-      out.emplace_back(dep.to, dep.kind);
-    }
-  }
-  return out;
-}
 
 int OpGraph::OpParallelism(OpId op_id) const {
   const OpDef& o = op(op_id);

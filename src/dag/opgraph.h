@@ -89,7 +89,6 @@ class OpHandle {
   OpHandle& SetParallelism(int parallelism);
   OpHandle& SetUdf(int udf_index);
   OpHandle& SetM2i(double m2i);
-  OpHandle& SetName(const std::string& name);
   // Adds a dependency edge this -> downstream.
   OpHandle& To(const OpHandle& downstream, DepKind kind);
 
@@ -134,10 +133,6 @@ class OpGraph {
   const DatasetDef& dataset(DataId id) const;
   OpDef& op(OpId id);
   const OpDef& op(OpId id) const;
-
-  // Upstream ops with an edge into `op`, with the dep kind.
-  std::vector<std::pair<OpId, DepKind>> Parents(OpId op) const;
-  std::vector<std::pair<OpId, DepKind>> Children(OpId op) const;
 
   // Total bytes of all external datasets (the job input size).
   double TotalExternalInputBytes() const;

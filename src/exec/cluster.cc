@@ -21,10 +21,6 @@ Cluster::Cluster(Simulator* sim, const ClusterConfig& config)
   }
 }
 
-int Cluster::total_cores() const {
-  return size() * config_.worker.cores;
-}
-
 double Cluster::total_memory() const {
   return static_cast<double>(size()) * config_.worker.memory_bytes;
 }

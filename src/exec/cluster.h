@@ -43,7 +43,6 @@ class Cluster {
   Simulator& sim() { return *sim_; }
   const ClusterConfig& config() const { return config_; }
 
-  int total_cores() const;
   double total_memory() const;
 
   // Makes every worker's utilization trackers and the flow model's

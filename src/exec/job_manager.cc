@@ -225,8 +225,6 @@ RunnableMonotask JobManager::BuildRunnable(MonotaskId m,
                                            std::shared_ptr<CancelToken> cancel) const {
   const MonotaskSpec& mt = plan().monotask(m);
   RunnableMonotask run;
-  run.job = job_->id;
-  run.id = m;
   run.type = mt.type;
   run.job_priority = priority_;
   run.cancel = std::move(cancel);
@@ -272,25 +270,17 @@ void JobManager::DispatchMonotask(MonotaskId m, SpecCopy* copy) {
   RunnableMonotask run = BuildRunnable(m, copy != nullptr ? &copy->outputs : nullptr, worker,
                                        copy != nullptr ? copy->cancel : trt.cancel);
   mrt.input_bytes = run.input_bytes;
-  // Identity-routed reports: the callbacks capture no JM pointer, so an
+  // Identity-routed reports: the worker reports under this key, so an
   // orphaned monotask survives a scheduler crash or a full restart, and its
   // report is routed to (or fenced against) whichever incarnation owns the
   // job when it lands. The generation lets OnReport ignore reports of an
   // execution that has since been invalidated (lineage reset, re-placement),
   // the channel those of a copy whose race is over.
-  ControlPlane::CompletionMsg msg;
-  msg.key = DispatchKey(m, mrt.attempts, copy != nullptr ? copy->channel : 0);
-  msg.worker = worker;
-  run.on_complete = [ctrl = ctrl_, msg] { ctrl->CompletionToScheduler(msg); };
-  run.on_failure = [ctrl = ctrl_, msg] {
-    ControlPlane::CompletionMsg report = msg;
-    report.failed = true;
-    ctrl->CompletionToScheduler(report);
-  };
-  ctrl_->Dispatch(worker, msg.key, std::move(run));
+  run.key = DispatchKey(m, mrt.attempts, copy != nullptr ? copy->channel : 0);
+  ctrl_->Dispatch(worker, std::move(run));
 }
 
-void JobManager::OnReport(const ControlPlane::CompletionMsg& msg) {
+void JobManager::OnReport(const CompletionMsg& msg) {
   if (aborted_) {
     return;  // A late report from before the abort; the restart owns the job.
   }

@@ -117,7 +117,7 @@ class JobManager {
   // and duplicates (done-flag, or a failure whose attempt was already
   // handled), so the endpoint stays idempotent under message duplication
   // and retransmission.
-  void OnReport(const ControlPlane::CompletionMsg& msg);
+  void OnReport(const CompletionMsg& msg);
 
   // --- Scheduler crash-recovery (DESIGN.md section 14). ---
   // Rebuilds runtime state from a journal image instead of Start(): folds in
@@ -319,7 +319,7 @@ class JobManager {
   // input bytes, work or pulls, and the intra-job queue key of monotask `m`
   // running on `worker`. `buffer` holds a copy's locally buffered outputs
   // (null for a primary, whose in-task inputs are committed metadata).
-  // Report callbacks are left to the caller.
+  // The dispatch key is left to the caller.
   RunnableMonotask BuildRunnable(MonotaskId m, const std::vector<OutputRecord>* buffer,
                                  WorkerId worker, std::shared_ptr<CancelToken> cancel) const;
   // Wire identity of a dispatch of monotask `m` for the task's current

@@ -38,7 +38,7 @@ size_t MonotaskQueue::RemoveCancelled() {
     if (mt.cancel != nullptr && mt.cancel->cancelled) {
       queued_bytes_ -= mt.input_bytes;
       free_slots_.push_back(it->seq);
-      mt = RunnableMonotask{};  // Drop callbacks and pull lists eagerly.
+      mt = RunnableMonotask{};  // Drop the pull list and token eagerly.
       it = order_.erase(it);
       ++removed;
     } else {
@@ -52,7 +52,7 @@ void MonotaskQueue::Reprioritize(const std::function<double(JobId)>& priority_of
   std::set<Entry> rebuilt;
   for (const Entry& entry : order_) {
     RunnableMonotask& mt = slots_[entry.seq];
-    mt.job_priority = priority_of(mt.job);
+    mt.job_priority = priority_of(mt.key.job);
     rebuilt.insert(Entry{mt.job_priority, mt.intra_key, entry.seq});
   }
   order_ = std::move(rebuilt);

@@ -24,20 +24,45 @@ namespace ursa {
 // Cooperative cancellation handle (DESIGN.md section 9). The job manager
 // keeps the mutable end and flips `cancelled` when a speculative race is
 // decided; every RunnableMonotask of the losing copy shares the const end.
-// A cancelled monotask must never deliver its callbacks: queued copies are
-// dequeued by Worker::SweepCancelled before their resources are charged,
-// in-flight copies are disarmed and their elapsed busy time is recorded as
-// wasted work.
+// A cancelled monotask must never be reported: queued copies are dequeued
+// by Worker::SweepCancelled before their resources are charged, in-flight
+// copies are disarmed and their elapsed busy time is recorded as wasted
+// work.
 struct CancelToken {
   bool cancelled = false;
 };
 
+// Identity of one dispatched monotask execution (DESIGN.md section 14).
+// `generation` and `attempt` make keys unique per execution attempt;
+// `channel` separates the primary execution (0) from speculative copies
+// (each its run-wide launch number, from 1).
+struct MsgKey {
+  JobId job = kInvalidId;
+  // Distinguishes executions of the same monotask across full job restarts:
+  // a restart resets generations and attempts to zero, so without the
+  // incarnation a fresh dispatch would collide with the worker's delivered
+  // record of the pre-restart execution and be suppressed as a duplicate.
+  int incarnation = 0;
+  MonotaskId monotask = kInvalidId;
+  int generation = 0;
+  int attempt = 0;
+  int channel = 0;
+};
+
+// A worker's report of one dispatch's outcome, for a primary and a
+// speculative copy alike. Identity-addressed, so the scheduler can route it
+// to whichever job-manager incarnation owns the job (or fence it).
+struct CompletionMsg {
+  MsgKey key;  // The reported dispatch; its channel picks the execution.
+  bool failed = false;
+  WorkerId worker = kInvalidId;
+};
+
 // A fully-resolved monotask handed to a worker for execution. The job
 // manager resolves sizes and source locations before enqueueing, so the
-// worker needs no knowledge of the DAG.
+// worker needs no knowledge of the DAG; it reports the outcome under `key`.
 struct RunnableMonotask {
-  JobId job = kInvalidId;
-  MonotaskId id = kInvalidId;
+  MsgKey key;
   ResourceType type = ResourceType::kCpu;
 
   // CPU: byte-equivalents of compute. Disk: bytes read/written.
@@ -65,12 +90,6 @@ struct RunnableMonotask {
   // the monotask is not traced).
   double queued_time = 0.0;
   uint64_t trace_id = 0;
-
-  // Fired on the simulator when the monotask finishes.
-  std::function<void()> on_complete;
-  // Fired instead of on_complete when the monotask fails: a transient
-  // execution fault, or submission to an already-failed worker. Optional.
-  std::function<void()> on_failure;
 };
 
 class MonotaskQueue {
@@ -86,9 +105,9 @@ class MonotaskQueue {
   // maps a job id to its current priority.
   void Reprioritize(const std::function<double(JobId)>& priority_of);
 
-  // Drops every queued monotask whose cancel token fired, without invoking
-  // callbacks (cancellation means nobody is waiting for the result). Returns
-  // the number removed.
+  // Drops every queued monotask whose cancel token fired, without reporting
+  // it (cancellation means nobody is waiting for the result). Returns the
+  // number removed.
   size_t RemoveCancelled();
 
   // Total queued input bytes (for APT load reporting).

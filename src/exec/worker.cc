@@ -55,21 +55,20 @@ void Worker::Fail() {
     while (!q.Empty()) {
       RunnableMonotask mt = q.Pop();
       if (mt.cancel != nullptr && mt.cancel->cancelled) {
-        continue;  // Cancelled work has no listener to notify.
+        continue;  // Cancelled work has nobody waiting for it.
       }
-      if (mt.on_failure) {
-        sim_->Schedule(0.0, std::move(mt.on_failure));
-      }
+      ReportFailureLater(mt.key);
     }
   }
-  // In-flight monotasks are discarded without callbacks: the owning task is
-  // re-placed by lineage recovery, not by per-monotask failure callbacks. A
+  // In-flight monotasks are discarded without reports: the owning task is
+  // re-placed by lineage recovery, not by per-monotask failure reports. A
   // network entry's flow still runs out, finds no entry and is a no-op.
   for (auto& [key, fl] : inflight_) {
     sim_->Cancel(fl.event);
     if (tracer_ != nullptr) {
-      tracer_->MonotaskFinished(now, fl.trace_id, TraceEventKind::kLost, fl.type, id_, fl.job,
-                                fl.id, fl.input_bytes, now - fl.start, fl.counted);
+      tracer_->MonotaskFinished(now, fl.trace_id, TraceEventKind::kLost, fl.type, id_,
+                                fl.key.job, fl.key.monotask, fl.input_bytes, now - fl.start,
+                                fl.counted);
     }
   }
   inflight_.clear();
@@ -108,7 +107,6 @@ void Worker::Recover() {
   ResetRateMonitors(sim_->Now());
   speed_factor_ = 1.0;
   pending_transient_failures_ = 0;
-  transient_failure_prob_ = 0.0;
   MarkLoadChanged();
 }
 
@@ -136,13 +134,6 @@ void Worker::ScheduleHeartbeat() {
     }
     ScheduleHeartbeat();
   });
-}
-
-void Worker::SetTransientFailureProfile(double p, uint64_t seed) {
-  CHECK_GE(p, 0.0);
-  CHECK_LE(p, 1.0);
-  transient_failure_prob_ = p;
-  transient_rng_ = Rng(seed);
 }
 
 void Worker::set_speed_factor(double factor) {
@@ -186,15 +177,13 @@ void Worker::Submit(RunnableMonotask mt) {
   if (failed_) {
     // Never strand the caller: report the loss so the job manager can
     // re-place the task instead of waiting forever (section 4.3).
-    if (mt.on_failure) {
-      sim_->Schedule(0.0, std::move(mt.on_failure));
-    }
+    ReportFailureLater(mt.key);
     return;
   }
   mt.queued_time = sim_->Now();
   if (tracer_ != nullptr) {
-    mt.trace_id =
-        tracer_->MonotaskQueued(mt.queued_time, mt.type, id_, mt.job, mt.id, mt.input_bytes);
+    mt.trace_id = tracer_->MonotaskQueued(mt.queued_time, mt.type, id_, mt.key.job,
+                                          mt.key.monotask, mt.input_bytes);
   }
   // Latency-sensitive small network monotasks bypass the queue entirely and
   // do not consume a concurrency slot (section 4.2.3).
@@ -342,8 +331,8 @@ void Worker::Execute(RunnableMonotask mt, bool counted) {
   const ResourceType r = mt.type;
   AddRunningBytes(r, mt.input_bytes);
   if (tracer_ != nullptr) {
-    tracer_->MonotaskDispatched(now, mt.trace_id, r, id_, mt.job, mt.id, mt.input_bytes,
-                                now - mt.queued_time, counted);
+    tracer_->MonotaskDispatched(now, mt.trace_id, r, id_, mt.key.job, mt.key.monotask,
+                                mt.input_bytes, now - mt.queued_time, counted);
   }
   // The entry is registered before its completion can be scheduled. Fail()
   // clears the registry, so a completion that fires after a failure (and
@@ -355,12 +344,9 @@ void Worker::Execute(RunnableMonotask mt, bool counted) {
   fl.start = now;
   fl.resumed = now;
   fl.counted = counted;
-  fl.job = mt.job;
-  fl.id = mt.id;
+  fl.key = mt.key;
   fl.trace_id = mt.trace_id;
   fl.cancel = std::move(mt.cancel);
-  fl.on_complete = std::move(mt.on_complete);
-  fl.on_failure = std::move(mt.on_failure);
   auto finish = [this, key] { FinishInFlight(key); };
   if (r != ResourceType::kNetwork) {
     AddCountedOccupancy(fl, 1.0);
@@ -446,7 +432,8 @@ void Worker::DiscardCancelled(const InFlight& fl, double elapsed, double done_by
   AddRunningBytes(fl.type, -fl.input_bytes);
   if (tracer_ != nullptr) {
     tracer_->MonotaskFinished(sim_->Now(), fl.trace_id, TraceEventKind::kCancelled, fl.type,
-                              id_, fl.job, fl.id, fl.input_bytes, elapsed, fl.counted);
+                              id_, fl.key.job, fl.key.monotask, fl.input_bytes, elapsed,
+                              fl.counted);
   }
   if (waste_sink_) {
     waste_sink_(fl.type, done_bytes, elapsed);
@@ -462,38 +449,40 @@ void Worker::OnMonotaskDone(const InFlight& fl, double elapsed) {
   const ResourceType r = fl.type;
   AddRunningBytes(r, -fl.input_bytes);
   // Transient failure: the monotask consumed its resources but produced no
-  // result. Injected (scheduled) failures take precedence over the
-  // probabilistic profile.
-  bool transient_fail = false;
-  if (pending_transient_failures_ > 0) {
+  // result.
+  const bool transient_fail = pending_transient_failures_ > 0;
+  if (transient_fail) {
     --pending_transient_failures_;
-    transient_fail = true;
-  } else if (transient_failure_prob_ > 0.0 &&
-             transient_rng_.Bernoulli(transient_failure_prob_)) {
-    transient_fail = true;
   }
   RecordRate(r, fl.input_bytes, elapsed);
   if (tracer_ != nullptr) {
     tracer_->MonotaskFinished(sim_->Now(), fl.trace_id,
                               transient_fail ? TraceEventKind::kFail
                                              : TraceEventKind::kComplete,
-                              r, id_, fl.job, fl.id, fl.input_bytes, elapsed, fl.counted);
+                              r, id_, fl.key.job, fl.key.monotask, fl.input_bytes, elapsed,
+                              fl.counted);
   }
-  if (transient_fail) {
-    if (fl.on_failure) {
-      fl.on_failure();
-    }
-  } else {
+  if (!transient_fail) {
     ++completed_[static_cast<size_t>(r)];
-    if (fl.on_complete) {
-      fl.on_complete();
-    }
   }
+  Report(fl.key, transient_fail);
   if (fl.counted) {
     --slots_[static_cast<size_t>(r)];
     PumpQueue(r);
   }
   MarkLoadChanged();
+}
+
+void Worker::Report(const MsgKey& key, bool failed) {
+  if (report_listener_) {
+    report_listener_(CompletionMsg{key, failed, id_});
+  }
+}
+
+void Worker::ReportFailureLater(const MsgKey& key) {
+  if (report_listener_) {
+    sim_->Schedule(0.0, [this, key] { Report(key, /*failed=*/true); });
+  }
 }
 
 void Worker::RecordRate(ResourceType r, double bytes, double elapsed) {

@@ -14,13 +14,14 @@
 #ifndef SRC_EXEC_WORKER_H_
 #define SRC_EXEC_WORKER_H_
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/common/time_series.h"
 #include "src/exec/monotask_queue.h"
 #include "src/net/flow_simulator.h"
@@ -55,16 +56,17 @@ class Worker {
 
   // --- Monotask execution path (Ursa). ---
   // Enqueues a monotask. If the worker already failed, the monotask is not
-  // executed and its on_failure callback (when set) fires asynchronously so
+  // executed and a failed report under its key goes out asynchronously, so
   // the submitting job manager never hangs on a silently-dropped monotask.
   void Submit(RunnableMonotask mt);
   // Re-sorts all queues after job priorities changed (SRJF).
   void Reprioritize(const std::function<double(JobId)>& priority_of);
 
   // --- Fault injection (section 4.3). ---
-  // Marks the worker failed: queued monotasks are dropped, in-flight
-  // completions are suppressed, memory accounting is zeroed, and further
-  // submissions are rejected. Utilization trackers stop at the failure time.
+  // Marks the worker failed: queued monotasks are dropped (each reports its
+  // failure asynchronously), in-flight completions are suppressed without a
+  // report, memory accounting is zeroed, and further submissions are
+  // rejected. Utilization trackers stop at the failure time.
   // Idempotent: calling Fail() on an already-failed worker is a no-op.
   void Fail();
   bool failed() const { return failed_; }
@@ -92,11 +94,8 @@ class Worker {
 
   // --- Chaos knobs (FaultInjector). ---
   // The next `count` monotasks finishing on this worker fail instead of
-  // completing (their on_failure callback fires; the work is wasted).
+  // completing: each is reported failed and its work is wasted.
   void InjectTransientFailures(int count) { pending_transient_failures_ += count; }
-  // Every finishing monotask independently fails with probability `p`,
-  // drawn from a deterministic per-worker stream seeded with `seed`.
-  void SetTransientFailureProfile(double p, uint64_t seed);
   // Degraded-rate (straggler) mode: CPU and disk monotasks run at `factor`
   // times normal speed (0 < factor <= 1 slows the worker down). The change
   // also applies to in-flight monotasks: work done so far is banked at the
@@ -181,6 +180,17 @@ class Worker {
     fail_listener_ = std::move(listener);
   }
 
+  // At most one listener; the one route of every monotask outcome. It gets
+  // {key, failed, this worker's id} for each submitted monotask that
+  // completes (failed = false), fails transiently, is submitted while the
+  // worker is failed, or is still queued when Fail() drains the queues (all
+  // failed = true). The last two are deferred through the simulator, never
+  // sent from inside Submit() or Fail(). Cancelled monotasks and monotasks
+  // in flight at Fail() are not reported. The control plane installs it.
+  void set_report_listener(std::function<void(const CompletionMsg&)> listener) {
+    report_listener_ = std::move(listener);
+  }
+
   // Current occupancy, for invariant checks in tests.
   int busy_cores() const { return slots_[static_cast<size_t>(ResourceType::kCpu)]; }
   int busy_disks() const { return slots_[static_cast<size_t>(ResourceType::kDisk)]; }
@@ -188,6 +198,11 @@ class Worker {
   double running_bytes(ResourceType r) const { return running_bytes_[static_cast<size_t>(r)]; }
   double cpu_busy_now() const { return cpu_busy_.current(); }
   double disk_busy_now() const { return disk_busy_.current(); }
+  // No monotask queued or in flight (always true while failed).
+  bool idle() const {
+    return inflight_.empty() && std::all_of(std::begin(queues_), std::end(queues_),
+                                            [](const MonotaskQueue& q) { return q.Empty(); });
+  }
 
  private:
   struct RateMonitor {
@@ -214,12 +229,9 @@ class Worker {
     double resumed = 0.0;    // Last (re)schedule time.
     double rate = 0.0;       // Effective bytes/s since `resumed`.
     bool counted = true;
-    JobId job = kInvalidId;
-    MonotaskId id = kInvalidId;
+    MsgKey key;
     uint64_t trace_id = 0;
     std::shared_ptr<const CancelToken> cancel;
-    std::function<void()> on_complete;
-    std::function<void()> on_failure;
     EventId event = kInvalidEventId;
   };
 
@@ -252,6 +264,10 @@ class Worker {
   // Work completed so far by an in-flight entry at time `now`.
   static double DoneWork(const InFlight& fl, double now);
   void RecordRate(ResourceType r, double bytes, double elapsed);
+  // Sends the outcome of the dispatch `key` to the report listener, now or
+  // (for monotasks this worker never ran) from a fresh simulator event.
+  void Report(const MsgKey& key, bool failed);
+  void ReportFailureLater(const MsgKey& key);
   void ScheduleHeartbeat();
   // Factory-default rates: the configured CPU and disk rates, and the
   // worker's downlink for the network before any transfer is measured.
@@ -282,8 +298,6 @@ class Worker {
   int failure_epoch_ = 0;
   // Chaos state.
   int pending_transient_failures_ = 0;
-  double transient_failure_prob_ = 0.0;
-  Rng transient_rng_{0};
   double speed_factor_ = 1.0;
   // Heartbeat chain state.
   bool hb_running_ = false;
@@ -292,6 +306,7 @@ class Worker {
   std::function<bool()> hb_active_;
   std::function<void(WorkerId)> load_listener_;
   std::function<void(WorkerId)> fail_listener_;
+  std::function<void(const CompletionMsg&)> report_listener_;
 
   // Per resource: concurrency slots in use, bytes of input being processed,
   // and completed monotasks (cumulative; survives failures).

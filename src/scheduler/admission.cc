@@ -6,6 +6,15 @@
 
 namespace ursa {
 
+namespace {
+
+// Admission-latency EWMA above this fraction of default_slo bumps the
+// backpressure level (jobs are waiting too long to start to meet their
+// SLOs).
+constexpr double kLatencyFraction = 0.5;
+
+}  // namespace
+
 const char* ShedPolicyName(ShedPolicy policy) {
   switch (policy) {
     case ShedPolicy::kRejectNewest:
@@ -209,7 +218,7 @@ bool AdmissionController::UpdateBackpressure([[maybe_unused]] double now,
   // into the SLO budget escalates one step even before the queue fills.
   const bool saturated = avg_headroom < config_.headroom_floor && !pending_.empty();
   const bool latency_high =
-      c_.admission_latency_ewma > config_.latency_fraction * config_.default_slo;
+      c_.admission_latency_ewma > kLatencyFraction * config_.default_slo;
   if ((saturated || latency_high) && level < static_cast<int>(BackpressureLevel::kDegrade)) {
     ++level;
   }

@@ -71,9 +71,6 @@ struct AdmissionConfig {
   // Mean per-resource D_r headroom below which the cluster counts as
   // saturated (bumps the backpressure level by one).
   double headroom_floor = 0.05;
-  // Admission-latency EWMA above this fraction of default_slo also bumps
-  // the level (jobs are waiting too long to start to meet their SLOs).
-  double latency_fraction = 0.5;
 };
 
 // The controller's counters. Identity maintained:

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <sstream>
 
 #include "src/common/logging.h"
 #include "src/common/wallclock.h"
@@ -29,6 +30,13 @@ constexpr double kStageBonus = 1e9;
 // time per journal record written since the last checkpoint.
 constexpr double kRecoveryBaseCost = 0.01;
 constexpr double kReplayCostPerRecord = 1e-5;
+// Simulated seconds without progress after which a run whose workers are
+// all idle is declared stuck. Above the longest downtime any test, bench or
+// CI config injects: 30 s for a worker (FaultInjectorConfig::max_downtime)
+// and 10 s for the scheduler (max_sched_downtime; recovery also restarts
+// the clock).
+constexpr double kStallTimeout = 120.0;
+constexpr const char* kTaskStateNames[] = {"blocked", "ready", "placed", "completed"};
 
 }  // namespace
 
@@ -49,17 +57,7 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
   // pass-through unless enabled, so the default costs no events or RNG.
   ctrl_ = std::make_unique<ControlPlane>(sim_, cluster_, config_.ctrl, &fault_stats_);
   ctrl_->set_down_check([this] { return down_; });
-  ctrl_->set_completion_handler(
-      [this](const ControlPlane::CompletionMsg& msg) { DeliverCompletion(msg); });
-  if (config_.ctrl.enabled) {
-    // A failing worker loses its delivered-dispatch dedup set with the rest
-    // of its state, whether the failure is injected directly, via FailWorker
-    // or while the scheduler itself is down.
-    for (int w = 0; w < cluster_->size(); ++w) {
-      cluster_->worker(w).set_fail_listener(
-          [this](WorkerId id) { ctrl_->ForgetWorker(id); });
-    }
-  }
+  ctrl_->set_completion_handler([this](const CompletionMsg& msg) { DeliverCompletion(msg); });
   if (config_.ctrl.checkpoint_interval > 0.0) {
     CHECK(config_.ctrl.enabled)
         << "journaling requires the control plane (checkpoints pace the "
@@ -95,11 +93,10 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
 
 UrsaScheduler::~UrsaScheduler() {
   // The cluster outlives this scheduler inside RunExperiment; detach the
-  // load and fail listeners so a later worker mutation cannot call a dead
-  // object.
+  // load listeners so a later worker mutation cannot call a dead object
+  // (the control plane detaches its own hooks).
   for (int w = 0; w < cluster_->size(); ++w) {
     cluster_->worker(w).set_load_listener(nullptr);
-    cluster_->worker(w).set_fail_listener(nullptr);
   }
 }
 
@@ -156,6 +153,7 @@ void UrsaScheduler::SubmitJob(std::unique_ptr<Job> job) {
     }
   }
   waiting_admission_.push_back(id);
+  last_progress_ = sim_->Now();  // A fresh arrival restarts the stall clock.
   TryAdmitJobs();
   EnsureTickScheduled();
 }
@@ -363,7 +361,7 @@ void UrsaScheduler::FullRestart(JobEntry& entry) {
   ++fault_stats_.full_restarts;
 }
 
-void UrsaScheduler::DeliverCompletion(const ControlPlane::CompletionMsg& msg) {
+void UrsaScheduler::DeliverCompletion(const CompletionMsg& msg) {
   JobEntry& entry = *jobs_[static_cast<size_t>(msg.key.job)];
   JobManager* jm = entry.jm.get();
   if (jm == nullptr || entry.finished || jm->incarnation() != msg.key.incarnation) {
@@ -376,6 +374,7 @@ void UrsaScheduler::DeliverCompletion(const ControlPlane::CompletionMsg& msg) {
     }
     return;
   }
+  last_progress_ = sim_->Now();
   jm->OnReport(msg);
 }
 
@@ -436,6 +435,7 @@ void UrsaScheduler::RecoverScheduler() {
   const double now = sim_->Now();
   CHECK(down_);
   down_ = false;
+  last_progress_ = now;  // A down scheduler makes no progress; restart the clock.
   if (tracer_ != nullptr) {
     tracer_->WorkerEvent(now, TraceEventKind::kSchedRecover, kInvalidId,
                          now - crash_time_);
@@ -630,9 +630,45 @@ void UrsaScheduler::Tick() {
     tracer_->SchedulerTick(sim_->Now(), stats.candidates, stats.placed,
                            wall.ElapsedMicros());
   }
+  if (stats.placed > 0) {
+    last_progress_ = sim_->Now();
+  }
   if (active_jobs_ > 0 || !waiting_admission_.empty()) {
+    CheckProgress();
     EnsureTickScheduled();
   }
+}
+
+void UrsaScheduler::CheckProgress() const {
+  if (sim_->Now() - last_progress_ <= kStallTimeout) {
+    return;
+  }
+  for (int w = 0; w < cluster_->size(); ++w) {
+    if (!cluster_->worker(w).idle()) {
+      return;  // Work is still running or queued somewhere.
+    }
+  }
+  std::ostringstream stuck;
+  for (const auto& entry : jobs_) {
+    if (entry->admitted && !entry->finished) {
+      stuck << "job " << entry->job->id << " (" << entry->job->spec.name << ")";
+      for (const TaskSpec& task : entry->job->plan.tasks()) {
+        const TaskState state = entry->jm->task_state(task.id);
+        if (state != TaskState::kCompleted) {
+          stuck << " task " << task.id << " is "
+                << kTaskStateNames[static_cast<size_t>(state)];
+          break;
+        }
+      }
+      break;
+    }
+  }
+  if (stuck.tellp() == 0) {
+    stuck << "job " << waiting_admission_.front() << " waits for admission";
+  }
+  LOG(Fatal) << "simulation stalled: nothing placed, admitted or reported for "
+             << sim_->Now() - last_progress_
+             << " simulated seconds and every live worker idle; " << stuck.str();
 }
 
 void UrsaScheduler::TryAdmitJobs() {
@@ -739,6 +775,7 @@ void UrsaScheduler::TryAdmitJobs() {
                         entry.job->spec.declared_memory_bytes, 0.0, now});
     }
     StartJobManager(entry);
+    last_progress_ = now;
   }
 }
 

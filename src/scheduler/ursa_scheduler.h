@@ -189,6 +189,13 @@ class UrsaScheduler : public JobManagerListener {
 
   void EnsureTickScheduled();
   void Tick();
+  // Stall check of every tick: fails the run, naming a stuck job and one of
+  // its unfinished tasks, when jobs are outstanding, nothing was submitted,
+  // placed, admitted or reported to a live job manager (and the scheduler
+  // did not recover) for kStallTimeout simulated seconds, and no live worker
+  // has a monotask queued or running. Draws no randomness and schedules
+  // nothing.
+  void CheckProgress() const;
   void TryAdmitJobs();
   void RefreshPriorities();
   // Placement volume of one tick, for the tick trace events.
@@ -237,7 +244,7 @@ class UrsaScheduler : public JobManagerListener {
   // or a speculative copy's, to the incarnation that owns the job, or fences
   // it (a finished job's or a dead incarnation's report, with or without the
   // message layer).
-  void DeliverCompletion(const ControlPlane::CompletionMsg& msg);
+  void DeliverCompletion(const CompletionMsg& msg);
   // Brings the scheduler back up after InjectSchedulerCrash: restores or
   // restarts every live job, reconciles currently-failed workers, re-sends
   // unacked dispatches and resubmits parked jobs.
@@ -462,6 +469,9 @@ class UrsaScheduler : public JobManagerListener {
   bool tick_scheduled_ = false;
   bool checkpoint_scheduled_ = false;
   bool placement_dirty_ = false;
+  // Last submission, placement, admission, report to a live job manager or
+  // scheduler recovery, for the stall check.
+  double last_progress_ = 0.0;
   std::function<void()> job_finished_listener_;
 };
 

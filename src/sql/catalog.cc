@@ -36,17 +36,6 @@ void SqlCatalog::CreateTable(const std::string& name, SqlSchema schema,
   tables_.emplace(name, std::move(table));
 }
 
-void SqlCatalog::CreateTablePartitioned(const std::string& name, SqlSchema schema,
-                                        std::vector<std::vector<SqlRow>> partitions) {
-  CHECK(!partitions.empty());
-  CHECK(!Has(name)) << "table " << name << " already exists";
-  SqlTable table;
-  table.name = name;
-  table.schema = std::move(schema);
-  table.partitions = std::move(partitions);
-  tables_.emplace(name, std::move(table));
-}
-
 const SqlTable& SqlCatalog::Get(const std::string& name) const {
   auto it = tables_.find(name);
   CHECK(it != tables_.end()) << "unknown table: " << name;

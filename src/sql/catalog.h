@@ -16,13 +16,6 @@ struct SqlTable {
   SqlSchema schema;
   std::vector<std::vector<SqlRow>> partitions;
 
-  int64_t num_rows() const {
-    int64_t n = 0;
-    for (const auto& p : partitions) {
-      n += static_cast<int64_t>(p.size());
-    }
-    return n;
-  }
   // Rough byte size used to seed simulator cost models.
   double approx_bytes() const;
 };
@@ -30,11 +23,9 @@ struct SqlTable {
 class SqlCatalog {
  public:
   // Registers a table; rows are hash-distributed into `partitions` by the
-  // first column when not pre-partitioned.
+  // first column.
   void CreateTable(const std::string& name, SqlSchema schema, std::vector<SqlRow> rows,
                    int partitions);
-  void CreateTablePartitioned(const std::string& name, SqlSchema schema,
-                              std::vector<std::vector<SqlRow>> partitions);
 
   bool Has(const std::string& name) const { return tables_.count(name) > 0; }
   const SqlTable& Get(const std::string& name) const;

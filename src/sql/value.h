@@ -25,10 +25,6 @@ enum class SqlType : int {
 using SqlValue = std::variant<int64_t, double, std::string>;
 using SqlRow = std::vector<SqlValue>;
 
-inline SqlType TypeOf(const SqlValue& value) {
-  return static_cast<SqlType>(value.index());
-}
-
 // Three-way comparison usable across int64/double (numeric promotion);
 // strings compare lexicographically and only with strings.
 inline int CompareValues(const SqlValue& a, const SqlValue& b) {
@@ -86,15 +82,6 @@ struct SqlColumn {
 
 struct SqlSchema {
   std::vector<SqlColumn> columns;
-
-  int IndexOf(const std::string& name) const {
-    for (size_t i = 0; i < columns.size(); ++i) {
-      if (columns[i].name == name) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
 };
 
 }  // namespace ursa

@@ -27,9 +27,7 @@ class ContainerManagerTest : public ::testing::Test {
 };
 
 TEST_F(ContainerManagerTest, GrantsAtHeartbeatGranularity) {
-  ContainerManagerConfig cm_config;
-  cm_config.heartbeat_interval = 1.0;
-  ContainerManager cm(&sim_, cluster_.get(), cm_config);
+  ContainerManager cm(&sim_, cluster_.get(), ContainerManagerConfig());
   std::vector<double> grant_times;
   cm.RequestContainers(0, 4, 1e9, 2, [&](WorkerId) { grant_times.push_back(sim_.Now()); });
   sim_.Run(0.5);

@@ -30,17 +30,30 @@ class ControlPlaneTest : public ::testing::Test {
     cluster_ = std::make_unique<Cluster>(&sim_, config_);
   }
 
+  // A plane whose scheduler end records every report it accepts.
   std::unique_ptr<ControlPlane> MakePlane(const ControlPlaneConfig& cc) {
-    return std::make_unique<ControlPlane>(&sim_, cluster_.get(), cc, &stats_);
+    auto plane = std::make_unique<ControlPlane>(&sim_, cluster_.get(), cc, &stats_);
+    plane->set_completion_handler([this](const CompletionMsg& msg) { reports_.push_back(msg); });
+    return plane;
   }
 
-  static RunnableMonotask CountingMonotask(int* completions) {
+  // A 10 ms CPU monotask dispatched under `key`.
+  static RunnableMonotask Run(const MsgKey& key) {
     RunnableMonotask run;
+    run.key = key;
     run.type = ResourceType::kCpu;
     run.work = 1e6;  // 10 ms at 100 MB/s.
     run.input_bytes = 1e6;
-    run.on_complete = [completions] { ++*completions; };
     return run;
+  }
+
+  // Monotasks the workers actually executed to completion.
+  int Executed() const {
+    int64_t n = 0;
+    for (int w = 0; w < cluster_->size(); ++w) {
+      n += cluster_->worker(w).completed(ResourceType::kCpu);
+    }
+    return static_cast<int>(n);
   }
 
   static MsgKey Key(MonotaskId m, int attempt = 0, int channel = 0) {
@@ -52,35 +65,84 @@ class ControlPlaneTest : public ::testing::Test {
     return key;
   }
 
+  static void ExpectReport(const CompletionMsg& msg, const MsgKey& key, bool failed,
+                           WorkerId worker) {
+    EXPECT_EQ(msg.key.job, key.job);
+    EXPECT_EQ(msg.key.incarnation, key.incarnation);
+    EXPECT_EQ(msg.key.monotask, key.monotask);
+    EXPECT_EQ(msg.key.generation, key.generation);
+    EXPECT_EQ(msg.key.attempt, key.attempt);
+    EXPECT_EQ(msg.key.channel, key.channel);
+    EXPECT_EQ(msg.failed, failed);
+    EXPECT_EQ(msg.worker, worker);
+  }
+
   Simulator sim_;
   ClusterConfig config_;
   std::unique_ptr<Cluster> cluster_;
   FaultCounters stats_;
+  std::vector<CompletionMsg> reports_;
 };
 
 TEST_F(ControlPlaneTest, DisabledIsSynchronousPassThrough) {
   ControlPlaneConfig cc;  // enabled = false.
   auto plane = MakePlane(cc);
-  int completions = 0;
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
-  int reported = 0;
-  plane->set_completion_handler([&](const ControlPlane::CompletionMsg& msg) {
-    EXPECT_EQ(msg.key.channel, 1);
-    EXPECT_TRUE(msg.failed);
-    ++reported;
-  });
-  ControlPlane::CompletionMsg msg;
+  plane->Dispatch(0, Run(Key(0)));
+  CompletionMsg msg;
   msg.key = Key(3, 0, 1);
   msg.failed = true;
   plane->CompletionToScheduler(msg);
   int beats = 0;
   plane->Heartbeat(0, [&] { ++beats; });
   // The pass-through path schedules no messages and draws no randomness.
-  EXPECT_EQ(reported, 1);
+  ASSERT_EQ(reports_.size(), 1u);
+  EXPECT_EQ(reports_[0].key.channel, 1);
+  EXPECT_TRUE(reports_[0].failed);
   EXPECT_EQ(beats, 1);
   sim_.Run();
-  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(Executed(), 1);
+  ASSERT_EQ(reports_.size(), 2u);  // The worker's report of the dispatch.
+  ExpectReport(reports_[1], Key(0), /*failed=*/false, /*worker=*/0);
   EXPECT_EQ(stats_.msgs_sent, 0);
+}
+
+// Every outcome a worker reports reaches the scheduler as exactly its
+// dispatch's key, the worker it ran on and the right `failed` flag: a
+// completion, a transient failure, a submission to a failed worker and a
+// queued monotask drained by Fail(). The last two are deferred, never sent
+// from inside Submit() or Fail().
+TEST_F(ControlPlaneTest, EveryReportPathCarriesItsDispatchIdentity) {
+  auto plane = MakePlane(ControlPlaneConfig());  // Pass-through.
+  const auto key = [](MonotaskId m) {
+    MsgKey k;
+    k.job = 2;
+    k.incarnation = 1;
+    k.monotask = m;
+    k.generation = 3;
+    k.attempt = static_cast<int>(m) + 1;
+    k.channel = 7 * static_cast<int>(m);
+    return k;
+  };
+  plane->Dispatch(0, Run(key(1)));  // Completes at 10 ms.
+  cluster_->worker(1).InjectTransientFailures(1);
+  plane->Dispatch(1, Run(key(2)));  // Fails at 10 ms.
+  sim_.Schedule(0.1, [&] {
+    // Worker 1's four cores run monotasks 10-13; monotask 4 queues behind.
+    for (MonotaskId m = 10; m < 14; ++m) {
+      plane->Dispatch(1, Run(key(m)));
+    }
+    plane->Dispatch(1, Run(key(4)));
+    cluster_->worker(1).Fail();
+    plane->Dispatch(1, Run(key(3)));  // Submitted to the failed worker.
+    EXPECT_EQ(reports_.size(), 2u);   // Nothing reported synchronously.
+  });
+  sim_.Run();
+  // The running monotasks 10-13 were lost with the worker, unreported.
+  ASSERT_EQ(reports_.size(), 4u);
+  ExpectReport(reports_[0], key(1), /*failed=*/false, /*worker=*/0);
+  ExpectReport(reports_[1], key(2), /*failed=*/true, /*worker=*/1);
+  ExpectReport(reports_[2], key(4), /*failed=*/true, /*worker=*/1);
+  ExpectReport(reports_[3], key(3), /*failed=*/true, /*worker=*/1);
 }
 
 TEST_F(ControlPlaneTest, DispatchSurvivesHeavyLossExactlyOnce) {
@@ -88,11 +150,10 @@ TEST_F(ControlPlaneTest, DispatchSurvivesHeavyLossExactlyOnce) {
   cc.enabled = true;
   cc.loss_prob = 0.7;
   auto plane = MakePlane(cc);
-  int completions = 0;
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
   sim_.Run();
   // Retransmission pushes the dispatch through; dedup keeps it single.
-  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(Executed(), 1);
   const FaultCounters& c = stats_;
   EXPECT_GT(c.msgs_sent, 0);
   EXPECT_TRUE(plane->Delivered(0, Key(0)));
@@ -105,10 +166,9 @@ TEST_F(ControlPlaneTest, DuplicatedDispatchRunsOnce) {
   cc.enabled = true;
   cc.dup_prob = 1.0;  // Every send is duplicated.
   auto plane = MakePlane(cc);
-  int completions = 0;
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
   sim_.Run();
-  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(Executed(), 1);
   const FaultCounters& c = stats_;
   EXPECT_GT(c.msgs_duplicated, 0);
   EXPECT_GT(c.dup_suppressed, 0);
@@ -118,11 +178,10 @@ TEST_F(ControlPlaneTest, EpochFencingDiscardsStaleDispatch) {
   ControlPlaneConfig cc;
   cc.enabled = true;
   auto plane = MakePlane(cc);
-  int completions = 0;
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
   plane->BumpEpoch();  // Crash before the message lands.
   sim_.Run();
-  EXPECT_EQ(completions, 0);
+  EXPECT_EQ(Executed(), 0);
   EXPECT_FALSE(plane->Delivered(0, Key(0)));
   EXPECT_GT(stats_.msgs_fenced, 0);
 }
@@ -134,9 +193,8 @@ TEST_F(ControlPlaneTest, CompletionRetriesAcrossSchedulerDowntime) {
   bool down = true;
   plane->set_down_check([&down] { return down; });
   int delivered = 0;
-  plane->set_completion_handler(
-      [&](const ControlPlane::CompletionMsg&) { ++delivered; });
-  ControlPlane::CompletionMsg msg;
+  plane->set_completion_handler([&](const CompletionMsg&) { ++delivered; });
+  CompletionMsg msg;
   msg.key = Key(3);
   msg.worker = 1;
   plane->CompletionToScheduler(msg);
@@ -168,8 +226,7 @@ TEST_F(ControlPlaneTest, ForgetJobDropsDedupState) {
   ControlPlaneConfig cc;
   cc.enabled = true;
   auto plane = MakePlane(cc);
-  int completions = 0;
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
   sim_.Run();
   ASSERT_TRUE(plane->Delivered(0, Key(0)));
   plane->ForgetJob(0);
@@ -180,33 +237,31 @@ TEST_F(ControlPlaneTest, ForgetWorkerKeepsOtherWorkersRecords) {
   ControlPlaneConfig cc;
   cc.enabled = true;
   auto plane = MakePlane(cc);
-  int completions = 0;
   // The same monotask identity acked by both workers (e.g. a re-placement).
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
-  plane->Dispatch(1, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
+  plane->Dispatch(1, Run(Key(0)));
   sim_.Run();
-  EXPECT_EQ(completions, 2);
+  EXPECT_EQ(Executed(), 2);
   plane->ForgetWorker(0);
   EXPECT_FALSE(plane->Delivered(0, Key(0)));
   EXPECT_TRUE(plane->Delivered(1, Key(0)));
   // The rejoined worker re-accepts; the other still suppresses.
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
-  plane->Dispatch(1, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
+  plane->Dispatch(1, Run(Key(0)));
   sim_.Run();
-  EXPECT_EQ(completions, 3);
+  EXPECT_EQ(Executed(), 3);
 }
 
 TEST_F(ControlPlaneTest, ForgetJobKeepsOtherJobsRecords) {
   ControlPlaneConfig cc;
   cc.enabled = true;
   auto plane = MakePlane(cc);
-  int completions = 0;
   MsgKey other = Key(0);
   other.job = 1;
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
-  plane->Dispatch(0, other, CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
+  plane->Dispatch(0, Run(other));
   sim_.Run();
-  EXPECT_EQ(completions, 2);
+  EXPECT_EQ(Executed(), 2);
   plane->ForgetJob(0);
   EXPECT_FALSE(plane->Delivered(0, Key(0)));
   EXPECT_TRUE(plane->Delivered(0, other));
@@ -218,10 +273,9 @@ TEST_F(ControlPlaneTest, KeyDifferingInOneFieldIsNotADuplicate) {
   ControlPlaneConfig cc;
   cc.enabled = true;
   auto plane = MakePlane(cc);
-  int completions = 0;
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
   sim_.Run();
-  ASSERT_EQ(completions, 1);
+  ASSERT_EQ(Executed(), 1);
   std::vector<MsgKey> variants(4, Key(0));
   variants[0].incarnation = 1;  // A full restart mints distinct keys.
   variants[1].generation = 1;
@@ -229,14 +283,14 @@ TEST_F(ControlPlaneTest, KeyDifferingInOneFieldIsNotADuplicate) {
   variants[3].channel = 1;
   for (const MsgKey& key : variants) {
     EXPECT_FALSE(plane->Delivered(0, key));
-    plane->Dispatch(0, key, CountingMonotask(&completions));
+    plane->Dispatch(0, Run(key));
   }
   sim_.Run();
-  EXPECT_EQ(completions, 5);
+  EXPECT_EQ(Executed(), 5);
   // The identical key is a duplicate and never runs again.
-  plane->Dispatch(0, Key(0), CountingMonotask(&completions));
+  plane->Dispatch(0, Run(Key(0)));
   sim_.Run();
-  EXPECT_EQ(completions, 5);
+  EXPECT_EQ(Executed(), 5);
   EXPECT_EQ(stats_.dup_suppressed, 1);
 }
 
@@ -266,7 +320,6 @@ TEST_F(ControlPlaneTest, DedupFuzzMatchesReferenceSet) {
     key.channel = static_cast<int>(rng.UniformInt(uint64_t{2}));
     return key;
   };
-  int completions = 0;
   for (int step = 0; step < 3000; ++step) {
     const uint64_t op = rng.UniformInt(uint64_t{20});
     const WorkerId w = static_cast<WorkerId>(rng.UniformInt(uint64_t{2}));
@@ -284,10 +337,10 @@ TEST_F(ControlPlaneTest, DedupFuzzMatchesReferenceSet) {
     } else if (op < 10) {
       const MsgKey key = random_key();
       const bool fresh = reference.insert(full(w, key)).second;
-      const int before = completions;
-      plane->Dispatch(w, key, CountingMonotask(&completions));
+      const int before = Executed();
+      plane->Dispatch(w, Run(key));
       sim_.Run();
-      ASSERT_EQ(completions - before, fresh ? 1 : 0) << "step " << step;
+      ASSERT_EQ(Executed() - before, fresh ? 1 : 0) << "step " << step;
     } else {
       const MsgKey key = random_key();
       ASSERT_EQ(plane->Delivered(w, key), reference.count(full(w, key)) == 1)

@@ -24,23 +24,35 @@ class FaultToleranceTest : public ::testing::Test {
     cluster_ = std::make_unique<Cluster>(&sim_, config_);
   }
 
+  // Records every report of worker 0 in `reports_`.
+  Worker& ListenedWorker() {
+    Worker& worker = cluster_->worker(0);
+    worker.set_report_listener([this](const CompletionMsg& msg) { reports_.push_back(msg); });
+    return worker;
+  }
+  // Reports of monotasks in [first, last] that completed (or failed).
+  int Reports(bool failed, MonotaskId first = kInvalidId, MonotaskId last = 1000) const {
+    return static_cast<int>(std::count_if(reports_.begin(), reports_.end(), [&](const auto& r) {
+      return r.failed == failed && r.key.monotask >= first && r.key.monotask <= last;
+    }));
+  }
+
   Simulator sim_;
   ClusterConfig config_;
   std::unique_ptr<Cluster> cluster_;
+  std::vector<CompletionMsg> reports_;
 };
 
 TEST_F(FaultToleranceTest, FailedWorkerDropsWorkAndRejectsSubmissions) {
-  Worker& worker = cluster_->worker(0);
-  int completed = 0;
+  Worker& worker = ListenedWorker();
   RunnableMonotask mt;
   mt.type = ResourceType::kCpu;
   mt.work = 100e6;  // 1 second.
   mt.input_bytes = 100e6;
-  mt.on_complete = [&] { ++completed; };
   worker.Submit(std::move(mt));
   sim_.Schedule(0.5, [&] { worker.Fail(); });
   sim_.Run();
-  EXPECT_EQ(completed, 0);  // In-flight completion suppressed.
+  EXPECT_EQ(Reports(/*failed=*/false), 0);  // In-flight completion suppressed.
   EXPECT_FALSE(worker.TryAllocateMemory(1.0));
   // Trackers stopped at the failure instant.
   EXPECT_DOUBLE_EQ(worker.cpu_busy_tracker().current(), 0.0);
@@ -127,21 +139,17 @@ TEST_F(FaultToleranceTest, WorkerFailIsIdempotentAndRecoverable) {
   EXPECT_EQ(worker.failure_epoch(), 2);
 }
 
-TEST_F(FaultToleranceTest, SubmitOnFailedWorkerFiresFailureCallback) {
-  Worker& worker = cluster_->worker(0);
+TEST_F(FaultToleranceTest, SubmitOnFailedWorkerReportsFailure) {
+  Worker& worker = ListenedWorker();
   worker.Fail();
-  bool failed_cb = false;
-  int completed = 0;
   RunnableMonotask mt;
   mt.type = ResourceType::kCpu;
   mt.work = 100e6;
   mt.input_bytes = 100e6;
-  mt.on_complete = [&] { ++completed; };
-  mt.on_failure = [&] { failed_cb = true; };
   worker.Submit(std::move(mt));
   sim_.Run();
-  EXPECT_TRUE(failed_cb);
-  EXPECT_EQ(completed, 0);
+  EXPECT_EQ(Reports(/*failed=*/true), 1);
+  EXPECT_EQ(Reports(/*failed=*/false), 0);
 }
 
 TEST_F(FaultToleranceTest, HeartbeatTimeoutDetectsFailureWithoutExplicitReport) {
@@ -287,36 +295,31 @@ TEST_F(FaultToleranceTest, RecoveredWorkerRejoinsAndReceivesPlacements) {
 // Fail() had already zeroed (driving busy_cores_/cpu_busy_now_/running_bytes_
 // negative) and delivered completion callbacks for work that was lost.
 TEST_F(FaultToleranceTest, StaleCompletionsAfterRejoinAreDiscarded) {
-  Worker& worker = cluster_->worker(0);
+  Worker& worker = ListenedWorker();
   Tracer tracer;
   worker.set_tracer(&tracer);
-  int stale_completed = 0;
-  int stale_failed = 0;
-  int fresh_completed = 0;
 
-  // One in-flight monotask per resource, each longer than 0.5 s.
+  // One in-flight monotask per resource (monotasks 0-2), each longer than
+  // 0.5 s.
   RunnableMonotask cpu;
+  cpu.key.monotask = 0;
   cpu.type = ResourceType::kCpu;
   cpu.work = 100e6;  // 1 s at 100 MB/s.
   cpu.input_bytes = 100e6;
-  cpu.on_complete = [&] { ++stale_completed; };
-  cpu.on_failure = [&] { ++stale_failed; };
   worker.Submit(std::move(cpu));
 
   RunnableMonotask disk;
+  disk.key.monotask = 1;
   disk.type = ResourceType::kDisk;
   disk.work = 150e6;  // 1 s at the default 150 MB/s disk rate.
   disk.input_bytes = 150e6;
-  disk.on_complete = [&] { ++stale_completed; };
-  disk.on_failure = [&] { ++stale_failed; };
   worker.Submit(std::move(disk));
 
   RunnableMonotask net;
+  net.key.monotask = 2;
   net.type = ResourceType::kNetwork;
   net.pulls = {{/*src=*/1, /*bytes=*/1.25e9}};  // ~1 s at the default downlink.
   net.input_bytes = 1.25e9;
-  net.on_complete = [&] { ++stale_completed; };
-  net.on_failure = [&] { ++stale_failed; };
   worker.Submit(std::move(net));
 
   // Fail and rejoin before any of the three events fire.
@@ -324,21 +327,21 @@ TEST_F(FaultToleranceTest, StaleCompletionsAfterRejoinAreDiscarded) {
     worker.Fail();
     worker.Recover();
     ASSERT_FALSE(worker.failed());
-    // Fresh work on the rejoined worker must execute normally.
+    // Fresh work (monotask 3) on the rejoined worker must execute normally.
     RunnableMonotask fresh;
+    fresh.key.monotask = 3;
     fresh.type = ResourceType::kCpu;
     fresh.work = 100e6;
     fresh.input_bytes = 100e6;
-    fresh.on_complete = [&] { ++fresh_completed; };
     worker.Submit(std::move(fresh));
   });
   sim_.Run();
 
-  // No stale callback delivery: the lost monotasks are the scheduler's
-  // problem (lineage recovery), not the rejoined worker's.
-  EXPECT_EQ(stale_completed, 0);
-  EXPECT_EQ(stale_failed, 0);
-  EXPECT_EQ(fresh_completed, 1);
+  // No stale report: the lost monotasks are the scheduler's problem
+  // (lineage recovery), not the rejoined worker's.
+  EXPECT_EQ(Reports(/*failed=*/false, 0, 2), 0);
+  EXPECT_EQ(Reports(/*failed=*/true, 0, 2), 0);
+  EXPECT_EQ(Reports(/*failed=*/false, 3, 3), 1);
   EXPECT_EQ(worker.completed(ResourceType::kCpu), 1);
   EXPECT_EQ(worker.completed(ResourceType::kDisk), 0);
   EXPECT_EQ(worker.completed(ResourceType::kNetwork), 0);
@@ -382,36 +385,35 @@ TEST_F(FaultToleranceTest, StaleCompletionsAfterRejoinAreDiscarded) {
 }
 
 // Queued (not yet running) monotasks drained by Fail() report failure
-// through on_failure — asynchronously, never from inside Fail() itself.
+// through the report listener — asynchronously, never from inside Fail()
+// itself.
 TEST_F(FaultToleranceTest, DrainedQueuedMonotasksFailAsynchronously) {
-  Worker& worker = cluster_->worker(0);
-  int completions = 0;
-  int failures = 0;
-  // 8 cores: monotasks 9 and 10 wait in the CPU queue.
+  Worker& worker = ListenedWorker();
+  // 8 cores: monotasks 8 and 9 wait in the CPU queue.
   for (int i = 0; i < 10; ++i) {
     RunnableMonotask mt;
+    mt.key.monotask = i;
     mt.type = ResourceType::kCpu;
     mt.work = 100e6;  // 1 s.
     mt.input_bytes = 100e6;
-    mt.on_complete = [&] { ++completions; };
-    mt.on_failure = [&] { ++failures; };
     worker.Submit(std::move(mt));
   }
   sim_.Schedule(0.5, [&] {
     worker.Fail();
-    // Deferred via the simulator: nothing fired synchronously.
-    EXPECT_EQ(failures, 0);
+    // Deferred via the simulator: nothing reported synchronously.
+    EXPECT_TRUE(reports_.empty());
   });
   sim_.Run();
   // The 8 in-flight monotasks are suppressed (lineage recovery's job); the 2
   // drained queued ones fail explicitly so no job manager hangs on them.
-  EXPECT_EQ(failures, 2);
-  EXPECT_EQ(completions, 0);
+  EXPECT_EQ(Reports(/*failed=*/true), 2);
+  EXPECT_EQ(Reports(/*failed=*/true, 8, 9), 2);
+  EXPECT_EQ(Reports(/*failed=*/false), 0);
 }
 
 // End-to-end version of the drain guarantee with lineage recovery disabled:
 // the failure is only noticed via heartbeat timeout, so without the drained
-// on_failure notifications the affected job managers would wait forever on
+// monotasks' failure reports the affected job managers would wait forever on
 // monotasks that no longer exist.
 TEST_F(FaultToleranceTest, DrainedMonotasksUnblockJobsWithoutLineageRecovery) {
   UrsaSchedulerConfig sc;
@@ -435,6 +437,30 @@ TEST_F(FaultToleranceTest, DrainedMonotasksUnblockJobsWithoutLineageRecovery) {
   EXPECT_TRUE(scheduler.AllJobsFinished());
   EXPECT_EQ(scheduler.fault_stats().detections, 1);
   EXPECT_GT(scheduler.fault_stats().worker_loss_failures, 0);
+}
+
+// A run whose jobs can no longer finish fails instead of spinning: with
+// every worker dead and none coming back, the tick, heartbeat and sweep
+// chains would otherwise re-arm forever. The stall check fails the run
+// after two simulated minutes without progress, naming the stuck task.
+TEST_F(FaultToleranceTest, RunWithEveryWorkerDeadFailsInsteadOfSpinning) {
+  EXPECT_DEATH(
+      {
+        UrsaScheduler scheduler(&sim_, cluster_.get(), UrsaSchedulerConfig());
+        TpchWorkloadConfig wc;
+        wc.num_jobs = 1;
+        wc.seed = 31;
+        const Workload workload = MakeTpchWorkload(wc);
+        scheduler.SubmitJob(Job::Create(0, workload.jobs[0].spec));
+        sim_.Schedule(1.0, [&] {
+          CHECK(!scheduler.AllJobsFinished());
+          for (int w = 0; w < cluster_->size(); ++w) {
+            scheduler.FailWorker(w);
+          }
+        });
+        sim_.Run();
+      },
+      "simulation stalled: .* job 0 \\(.*\\) task [0-9]+ is (blocked|ready|placed)");
 }
 
 // A full restart frees the aborted job manager at once: no closure held by a

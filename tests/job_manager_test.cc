@@ -37,7 +37,7 @@ class JobManagerTest : public ::testing::Test {
     cluster_ = std::make_unique<Cluster>(&sim_, config);
     ctrl_ = std::make_unique<ControlPlane>(&sim_, cluster_.get(), ControlPlaneConfig(), nullptr);
     ctrl_->set_completion_handler(
-        [this](const ControlPlane::CompletionMsg& msg) { jm_->OnReport(msg); });
+        [this](const CompletionMsg& msg) { jm_->OnReport(msg); });
   }
 
   // A job manager on the fixture's pass-through control plane, which routes

@@ -6,6 +6,7 @@
 // re-runs the task exactly once).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 #include <vector>
 
@@ -162,30 +163,25 @@ TEST(Budget, AlwaysAdmitsOneCopyWhenAnythingRuns) {
 
 // --- Cooperative cancellation at the queue / worker level. ---
 
-TEST(Cancellation, QueueDropsCancelledEntriesWithoutCallbacks) {
+TEST(Cancellation, QueueDropsCancelledEntries) {
   MonotaskQueue queue;
   auto token = std::make_shared<CancelToken>();
-  bool cancelled_cb = false;
-  bool kept_cb = false;
   RunnableMonotask doomed;
-  doomed.job = 1;
+  doomed.key.job = 1;
+  doomed.key.monotask = 0;
   doomed.input_bytes = 30.0;
   doomed.cancel = token;
-  doomed.on_complete = [&] { cancelled_cb = true; };
   RunnableMonotask kept;
-  kept.job = 1;
+  kept.key.job = 1;
+  kept.key.monotask = 1;
   kept.input_bytes = 12.0;
-  kept.on_complete = [&] { kept_cb = true; };
   queue.Push(std::move(doomed));
   queue.Push(std::move(kept));
   token->cancelled = true;
   EXPECT_EQ(queue.RemoveCancelled(), 1u);
   EXPECT_DOUBLE_EQ(queue.queued_bytes(), 12.0);
   ASSERT_EQ(queue.Size(), 1u);
-  RunnableMonotask survivor = queue.Pop();
-  survivor.on_complete();
-  EXPECT_TRUE(kept_cb);
-  EXPECT_FALSE(cancelled_cb);  // The cancelled callback was dropped, not fired.
+  EXPECT_EQ(queue.Pop().key.monotask, 1);  // The cancelled entry was dropped.
 }
 
 class CancellationWorkerTest : public ::testing::Test {
@@ -196,22 +192,29 @@ class CancellationWorkerTest : public ::testing::Test {
     config.worker.cores = 2;
     config.worker.cpu_byte_rate = 100.0;
     cluster_ = std::make_unique<Cluster>(&sim_, config);
+    cluster_->worker(0).set_report_listener([this](const CompletionMsg& msg) {
+      EXPECT_FALSE(msg.failed);
+      done_at_[msg.key.monotask] = sim_.Now();
+    });
   }
 
-  RunnableMonotask Cpu(double bytes, std::shared_ptr<CancelToken> token,
-                       std::function<void()> done = nullptr) {
+  // A CPU monotask of job 1 that reports as monotask `m`.
+  static RunnableMonotask Cpu(double bytes, std::shared_ptr<CancelToken> token,
+                              MonotaskId m = kInvalidId) {
     RunnableMonotask mt;
-    mt.job = 1;
+    mt.key.job = 1;
+    mt.key.monotask = m;
     mt.type = ResourceType::kCpu;
     mt.work = bytes;
     mt.input_bytes = bytes;
     mt.cancel = std::move(token);
-    mt.on_complete = std::move(done);
     return mt;
   }
 
   Simulator sim_;
   std::unique_ptr<Cluster> cluster_;
+  // Report time of each monotask that completed.
+  std::map<MonotaskId, double> done_at_;
 };
 
 TEST_F(CancellationWorkerTest, SweepDisarmsInFlightAndReportsElapsedAsWaste) {
@@ -224,20 +227,18 @@ TEST_F(CancellationWorkerTest, SweepDisarmsInFlightAndReportsElapsedAsWaste) {
     wasted_seconds += seconds;
   });
   auto token = std::make_shared<CancelToken>();
-  bool completed = false;
-  worker.Submit(Cpu(100.0, token, [&] { completed = true; }));  // 1 s.
-  double follower_done = -1.0;
+  worker.Submit(Cpu(100.0, token, /*m=*/0));  // 1 s.
   sim_.Schedule(0.5, [&] {
     token->cancelled = true;
     worker.SweepCancelled();
     // The freed core picks up new work immediately.
-    worker.Submit(Cpu(50.0, nullptr, [&] { follower_done = sim_.Now(); }));
+    worker.Submit(Cpu(50.0, nullptr, /*m=*/1));
   });
   sim_.Run();
-  EXPECT_FALSE(completed);
+  EXPECT_EQ(done_at_.count(0), 0u);
   EXPECT_NEAR(wasted_bytes, 50.0, 1e-9);    // Half the input was processed.
   EXPECT_NEAR(wasted_seconds, 0.5, 1e-9);   // For half a second.
-  EXPECT_NEAR(follower_done, 1.0, 1e-9);    // 0.5 s start + 0.5 s of work.
+  EXPECT_NEAR(done_at_.at(1), 1.0, 1e-9);   // 0.5 s start + 0.5 s of work.
   EXPECT_EQ(worker.busy_cores(), 0);
 }
 
@@ -251,14 +252,13 @@ TEST_F(CancellationWorkerTest, QueuedCancelledMonotasksAreNeverCharged) {
     worker.Submit(Cpu(100.0, nullptr));
   }
   auto token = std::make_shared<CancelToken>();
-  bool completed = false;
-  worker.Submit(Cpu(100.0, token, [&] { completed = true; }));
+  worker.Submit(Cpu(100.0, token, /*m=*/0));
   sim_.Schedule(0.5, [&] {
     token->cancelled = true;
     worker.SweepCancelled();
   });
   sim_.Run();
-  EXPECT_FALSE(completed);
+  EXPECT_EQ(done_at_.count(0), 0u);
   EXPECT_DOUBLE_EQ(wasted_seconds, 0.0);  // Dequeued before any resource use.
   EXPECT_NEAR(sim_.Now(), 1.0, 1e-9);     // Only the two blockers ran.
 }
@@ -310,6 +310,8 @@ class SpeculationRaceTest : public ::testing::Test {
 
   // (Re)builds the cluster and the control plane; call before MakeJm.
   void Build(const ClusterConfig& config, const ControlPlaneConfig& cc) {
+    jm_.reset();
+    ctrl_.reset();  // Detaches from the old cluster's workers first.
     cluster_ = std::make_unique<Cluster>(&sim_, config);
     // Mirror the scheduler's wiring: every worker reports discarded
     // duplicate work into the shared speculation accounting.
@@ -320,8 +322,12 @@ class SpeculationRaceTest : public ::testing::Test {
           });
     }
     ctrl_ = std::make_unique<ControlPlane>(&sim_, cluster_.get(), cc, &stats_);
-    // Every report, as delivered, is kept for replays.
-    ctrl_->set_completion_handler([this](const ControlPlane::CompletionMsg& msg) {
+    // Every report of the job under test, as delivered, is kept for
+    // replays; other jobs' monotasks (blockers) have nobody to report to.
+    ctrl_->set_completion_handler([this](const CompletionMsg& msg) {
+      if (msg.key.job != 0) {
+        return;
+      }
       reports_.push_back(msg);
       jm_->OnReport(msg);
     });
@@ -402,7 +408,7 @@ class SpeculationRaceTest : public ::testing::Test {
   std::unique_ptr<SpeculationManager> manager_;
   std::unique_ptr<ControlPlane> ctrl_;
   std::unique_ptr<JobManager> jm_;
-  std::vector<ControlPlane::CompletionMsg> reports_;
+  std::vector<CompletionMsg> reports_;
 };
 
 TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsInFlight) {
@@ -449,7 +455,7 @@ TEST_F(SpeculationRaceTest, OriginalWinsWhileCopyIsStillQueued) {
   // Saturate worker 3's cores so the copy's monotask can only queue.
   for (int i = 0; i < 8; ++i) {
     RunnableMonotask blocker;
-    blocker.job = 99;
+    blocker.key.job = 99;
     blocker.type = ResourceType::kCpu;
     blocker.work = 100000.0;  // 100 s.
     blocker.input_bytes = 100000.0;
@@ -663,7 +669,7 @@ TEST_F(SpeculationRaceTest, DuplicatedCopyReportsChangeNothing) {
   sim_.Schedule(0.1, [&] { ASSERT_TRUE(jm.PlaceSpeculative(reducers[0], 3)); });
   sim_.Run();
   int copy_reports = 0;
-  for (const ControlPlane::CompletionMsg& msg : reports_) {
+  for (const CompletionMsg& msg : reports_) {
     copy_reports += msg.key.channel != 0 ? 1 : 0;
   }
   EXPECT_EQ(copy_reports, 4);  // The copy's two monotasks, delivered twice.
@@ -729,14 +735,14 @@ TEST_F(SpeculationRaceTest, CopyReportsAfterTheRaceChangeNothing) {
     ASSERT_EQ(stats_.speculations_won, 1);
     ASSERT_EQ(jm.task_state(target), TaskState::kCompleted);
     cluster_->worker(0).set_speed_factor(1.0);
-    std::vector<ControlPlane::CompletionMsg> late;
-    for (const ControlPlane::CompletionMsg& msg : reports_) {
+    std::vector<CompletionMsg> late;
+    for (const CompletionMsg& msg : reports_) {
       if (msg.key.channel != 0) {
         late.push_back(msg);
-        ControlPlane::CompletionMsg failed = msg;
+        CompletionMsg failed = msg;
         failed.failed = true;
         late.push_back(failed);
-        ControlPlane::CompletionMsg other = msg;  // A channel never launched.
+        CompletionMsg other = msg;  // A channel never launched.
         other.key.channel += 1;
         late.push_back(other);
       }
@@ -744,7 +750,7 @@ TEST_F(SpeculationRaceTest, CopyReportsAfterTheRaceChangeNothing) {
     ASSERT_EQ(late.size(), 3u);
     const int monotasks = listener.monotasks;
     const size_t completed = listener.completed.size();
-    for (const ControlPlane::CompletionMsg& msg : late) {
+    for (const CompletionMsg& msg : late) {
       ctrl_->CompletionToScheduler(msg);
     }
     EXPECT_EQ(listener.monotasks, monotasks);
@@ -779,7 +785,7 @@ TEST_F(SpeculationRaceTest, StaleChannelReportMissesTheLiveCopy) {
     jm.HandleWorkerFailureForSpeculation(3);
     ASSERT_FALSE(jm.has_speculative_copy(target));
     ASSERT_TRUE(jm.PlaceSpeculative(target, 2));  // ...and races a second one.
-    ControlPlane::CompletionMsg stale;
+    CompletionMsg stale;
     stale.key = MsgKey{job->id, 0, job->plan.task(target).monotasks[0], 0, 0, 1};
     stale.worker = 3;
     ctrl_->CompletionToScheduler(stale);

@@ -4,6 +4,9 @@
 // (sections 4.2.2 / 4.2.3).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/exec/cluster.h"
 
 namespace ursa {
@@ -11,7 +14,7 @@ namespace {
 
 RunnableMonotask MakeTask(JobId job, double priority, double intra, double bytes) {
   RunnableMonotask mt;
-  mt.job = job;
+  mt.key.job = job;
   mt.job_priority = priority;
   mt.intra_key = intra;
   mt.input_bytes = bytes;
@@ -55,8 +58,8 @@ TEST(MonotaskQueue, ReprioritizeResorts) {
   queue.Push(MakeTask(2, 2.0, 0.0, 2.0));
   // Invert priorities: job 2 becomes more urgent.
   queue.Reprioritize([](JobId job) { return job == 2 ? 0.0 : 1.0; });
-  EXPECT_EQ(queue.Pop().job, 2);
-  EXPECT_EQ(queue.Pop().job, 1);
+  EXPECT_EQ(queue.Pop().key.job, 2);
+  EXPECT_EQ(queue.Pop().key.job, 1);
 }
 
 class WorkerTest : public ::testing::Test {
@@ -70,29 +73,50 @@ class WorkerTest : public ::testing::Test {
     config.worker.disk_bytes_per_sec = 50.0;
     config.worker.memory_bytes = 1000.0;
     cluster_ = std::make_unique<Cluster>(&sim_, config);
+    // Every report of worker 0, with the simulated time it was sent.
+    cluster_->worker(0).set_report_listener([this](const CompletionMsg& msg) {
+      EXPECT_FALSE(msg.failed);
+      EXPECT_EQ(msg.worker, 0);
+      reports_.push_back({msg.key.monotask, sim_.Now()});
+    });
   }
 
-  RunnableMonotask Cpu(double bytes, std::function<void()> done = nullptr) {
+  // A monotask of job 1 reported as monotask `m`.
+  static RunnableMonotask Task(MonotaskId m, ResourceType type, double bytes) {
     RunnableMonotask mt = MakeTask(1, 0.0, 0.0, bytes);
-    mt.type = ResourceType::kCpu;
-    mt.on_complete = std::move(done);
+    mt.key.monotask = m;
+    mt.type = type;
     return mt;
+  }
+  static RunnableMonotask Cpu(double bytes, MonotaskId m = 0) {
+    return Task(m, ResourceType::kCpu, bytes);
+  }
+
+  size_t completed() const { return reports_.size(); }
+  // Time monotask `m` reported its completion; -1 if it has not.
+  double done_at(MonotaskId m) const {
+    for (const auto& [id, t] : reports_) {
+      if (id == m) {
+        return t;
+      }
+    }
+    return -1.0;
   }
 
   Simulator sim_;
   std::unique_ptr<Cluster> cluster_;
+  std::vector<std::pair<MonotaskId, double>> reports_;
 };
 
 TEST_F(WorkerTest, CpuConcurrencyBoundedByCores) {
   Worker& worker = cluster_->worker(0);
-  int completed = 0;
   for (int i = 0; i < 8; ++i) {
-    worker.Submit(Cpu(100.0, [&] { ++completed; }));  // 1 s each.
+    worker.Submit(Cpu(100.0, i));  // 1 s each.
   }
   sim_.Run(1.5);
-  EXPECT_EQ(completed, 4);  // First wave only.
+  EXPECT_EQ(completed(), 4u);  // First wave only.
   sim_.Run();
-  EXPECT_EQ(completed, 8);
+  EXPECT_EQ(completed(), 8u);
   EXPECT_NEAR(sim_.Now(), 2.0, 1e-9);
   // Busy-core integral: 4 cores for 2 seconds.
   EXPECT_NEAR(worker.cpu_busy_tracker().IntegralTo(2.0), 8.0, 1e-9);
@@ -111,36 +135,29 @@ TEST_F(WorkerTest, AptCpuZeroWithIdleCores) {
 
 TEST_F(WorkerTest, DiskSerializedPerDisk) {
   Worker& worker = cluster_->worker(0);
-  double last = 0.0;
   for (int i = 0; i < 2; ++i) {
-    RunnableMonotask mt = MakeTask(1, 0.0, 0.0, 50.0);
-    mt.type = ResourceType::kDisk;
-    mt.work = 50.0;  // 1 s at 50 B/s.
-    mt.on_complete = [&] { last = sim_.Now(); };
-    worker.Submit(std::move(mt));
+    worker.Submit(Task(i, ResourceType::kDisk, 50.0));  // 1 s at 50 B/s.
   }
   sim_.Run();
-  EXPECT_NEAR(last, 2.0, 1e-9);  // Serialized on the single disk.
+  ASSERT_EQ(completed(), 2u);
+  EXPECT_NEAR(reports_.back().second, 2.0, 1e-9);  // Serialized on the single disk.
 }
 
 TEST_F(WorkerTest, NetworkConcurrencyLimit) {
   Worker& worker = cluster_->worker(0);
-  int completed = 0;
   const double downlink = cluster_->config().downlink_bytes_per_sec;
   for (int i = 0; i < 3; ++i) {
-    RunnableMonotask mt = MakeTask(1, 0.0, 0.0, downlink);  // 1 s at full rate.
-    mt.type = ResourceType::kNetwork;
+    RunnableMonotask mt = Task(i, ResourceType::kNetwork, downlink);  // 1 s at full rate.
     mt.pulls.push_back(RunnableMonotask::Pull{1, downlink});
-    mt.on_complete = [&] { ++completed; };
     worker.Submit(std::move(mt));
   }
   // Concurrency 2: two transfers share the downlink (2 s), the third queues.
   sim_.Run(1.0);
-  EXPECT_EQ(completed, 0);
+  EXPECT_EQ(completed(), 0u);
   sim_.Run(2.5);
-  EXPECT_EQ(completed, 2);
+  EXPECT_EQ(completed(), 2u);
   sim_.Run();
-  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(completed(), 3u);
 }
 
 TEST_F(WorkerTest, SmallTransfersBypassQueue) {
@@ -148,19 +165,15 @@ TEST_F(WorkerTest, SmallTransfersBypassQueue) {
   const double downlink = cluster_->config().downlink_bytes_per_sec;
   // Fill both network lanes with big transfers.
   for (int i = 0; i < 2; ++i) {
-    RunnableMonotask mt = MakeTask(1, 0.0, 0.0, downlink * 10);
-    mt.type = ResourceType::kNetwork;
+    RunnableMonotask mt = Task(i, ResourceType::kNetwork, downlink * 10);
     mt.pulls.push_back(RunnableMonotask::Pull{1, downlink * 10});
     worker.Submit(std::move(mt));
   }
-  bool small_done = false;
-  RunnableMonotask small = MakeTask(1, 0.0, 0.0, 1024.0);  // < 16 KB.
-  small.type = ResourceType::kNetwork;
+  RunnableMonotask small = Task(2, ResourceType::kNetwork, 1024.0);  // < 16 KB.
   small.pulls.push_back(RunnableMonotask::Pull{1, 1024.0});
-  small.on_complete = [&] { small_done = true; };
   worker.Submit(std::move(small));
   sim_.Run(1.0);
-  EXPECT_TRUE(small_done);  // Did not wait for the 10+ second transfers.
+  EXPECT_GE(done_at(2), 0.0);  // Did not wait for the 10+ second transfers.
 }
 
 TEST_F(WorkerTest, MemoryAccounting) {
@@ -189,43 +202,33 @@ TEST_F(WorkerTest, RateMonitorAdjustsForComplexity) {
 
 TEST_F(WorkerTest, SpeedFactorAffectsInFlightMonotasks) {
   Worker& worker = cluster_->worker(0);
-  double done_at = -1.0;
-  worker.Submit(Cpu(100.0, [&] { done_at = sim_.Now(); }));  // 1 s at full speed.
+  worker.Submit(Cpu(100.0));  // 1 s at full speed.
   // Halfway through, the worker degrades to half speed: 50 bytes remain and
   // now take 1 s, so completion slips from t=1.0 to t=1.5.
   sim_.Schedule(0.5, [&] { worker.set_speed_factor(0.5); });
   sim_.Run();
-  EXPECT_NEAR(done_at, 1.5, 1e-9);
+  EXPECT_NEAR(done_at(0), 1.5, 1e-9);
 }
 
 TEST_F(WorkerTest, SpeedFactorRestoreReschedulesRemainingWork) {
   Worker& worker = cluster_->worker(0);
   worker.set_speed_factor(0.25);
-  double cpu_done = -1.0;
-  double disk_done = -1.0;
-  worker.Submit(Cpu(100.0, [&] { cpu_done = sim_.Now(); }));  // 4 s degraded.
-  RunnableMonotask disk = MakeTask(1, 0.0, 0.0, 50.0);
-  disk.type = ResourceType::kDisk;
-  disk.work = 50.0;  // 1 s at 50 B/s, 4 s degraded.
-  disk.on_complete = [&] { disk_done = sim_.Now(); };
-  worker.Submit(std::move(disk));
+  worker.Submit(Cpu(100.0, 0));                       // 4 s degraded.
+  worker.Submit(Task(1, ResourceType::kDisk, 50.0));  // 1 s at 50 B/s, 4 s degraded.
   // Recover at t=2: both are half done, the remainder runs at full rate.
   sim_.Schedule(2.0, [&] { worker.set_speed_factor(1.0); });
   sim_.Run();
-  EXPECT_NEAR(cpu_done, 2.5, 1e-9);   // 50 bytes left at 100 B/s.
-  EXPECT_NEAR(disk_done, 2.5, 1e-9);  // 25 bytes left at 50 B/s.
+  EXPECT_NEAR(done_at(0), 2.5, 1e-9);  // 50 bytes left at 100 B/s.
+  EXPECT_NEAR(done_at(1), 2.5, 1e-9);  // 25 bytes left at 50 B/s.
 }
 
 TEST_F(WorkerTest, LocalPullsUseLocalCopyRate) {
   Worker& worker = cluster_->worker(0);
-  bool done = false;
-  RunnableMonotask mt = MakeTask(1, 0.0, 0.0, 1e9);
-  mt.type = ResourceType::kNetwork;
+  RunnableMonotask mt = Task(0, ResourceType::kNetwork, 1e9);
   mt.pulls.push_back(RunnableMonotask::Pull{0, 1e9});  // Local partition.
-  mt.on_complete = [&] { done = true; };
   worker.Submit(std::move(mt));
   sim_.Run(0.5);  // 1 GB at 8 GB/s local rate = 0.125 s.
-  EXPECT_TRUE(done);
+  EXPECT_GE(done_at(0), 0.0);
 }
 
 }  // namespace
