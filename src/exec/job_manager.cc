@@ -419,7 +419,12 @@ void JobManager::OnMonotaskFailed(MonotaskId m, SpecCopy* copy) {
   TaskRuntime& trt = tasks_[static_cast<size_t>(mt.task)];
   if (copy != nullptr) {
     // Copies get no retries: speculation is best-effort and the straggler
-    // detector can always launch a new copy later.
+    // detector can always launch a new copy later. The failure still counts,
+    // as a primary's would.
+    if (fault_stats_ != nullptr) {
+      ++(cluster_->worker(copy->worker).failed() ? fault_stats_->worker_loss_failures
+                                                 : fault_stats_->transient_failures);
+    }
     const bool solo = trt.primary_lost;
     CancelSpeculativeCopy(mt.task, SpecEnd::kCancelled);
     if (solo) {

@@ -709,7 +709,7 @@ TEST_F(SpeculationRaceTest, FailedCopyIsCancelledWithoutRetry) {
   EXPECT_TRUE(listener.finished);
   EXPECT_EQ(stats_.speculations_cancelled, 1);
   EXPECT_EQ(stats_.speculations_won + stats_.speculations_lost, 0);
-  EXPECT_EQ(stats_.transient_failures, 0);  // Counts the primary's only.
+  EXPECT_EQ(stats_.transient_failures, 1);  // The copy's failure counts too.
   EXPECT_EQ(stats_.retries, 0);
   EXPECT_EQ(stats_.escalations, 0);
   EXPECT_EQ(jm.task_worker(target), 0);
