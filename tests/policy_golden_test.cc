@@ -17,10 +17,6 @@
 // which rewrites the golden in the source tree (the path is compiled in via
 // URSA_SOURCE_DIR); rerun without the variable to confirm, then commit the
 // new golden alongside the change that moved it.
-#include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -30,6 +26,7 @@
 #include "src/dag/job.h"
 #include "src/driver/experiment.h"
 #include "src/obs/trace.h"
+#include "tests/golden_util.h"
 
 namespace ursa {
 namespace {
@@ -186,15 +183,6 @@ std::vector<GoldenCase> MakeCases() {
 
 // --- Golden text generation. ---
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  *out += buf;
-}
-
 // Section 1: per-case criticality analysis at Graphene's threshold. %.4f
 // on megabyte-scaled values keeps the text readable while still exact for
 // these hand-sized inputs.
@@ -249,48 +237,6 @@ std::string PlacementSection(const std::vector<GoldenCase>& cases) {
   return out;
 }
 
-std::string ReadFileOrEmpty(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    return "";
-  }
-  std::string text;
-  char chunk[4096];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    text.append(chunk, n);
-  }
-  std::fclose(f);
-  return text;
-}
-
-// Pinpoints the first diverging line so a golden diff reads like a review
-// comment instead of a 500-line blob.
-void ExpectGoldenEq(const std::string& expected, const std::string& actual) {
-  if (expected == actual) {
-    SUCCEED();
-    return;
-  }
-  size_t line = 1;
-  size_t i = 0;
-  const size_t n = std::min(expected.size(), actual.size());
-  while (i < n && expected[i] == actual[i]) {
-    if (expected[i] == '\n') {
-      ++line;
-    }
-    ++i;
-  }
-  const auto line_at = [](const std::string& s, size_t pos) {
-    const size_t begin = s.rfind('\n', pos == 0 ? 0 : pos - 1) + 1;
-    const size_t end = s.find('\n', pos);
-    return s.substr(begin, (end == std::string::npos ? s.size() : end) - begin);
-  };
-  FAIL() << "golden mismatch at line " << line << ":\n  golden: '"
-         << line_at(expected, i) << "'\n  actual: '" << line_at(actual, i)
-         << "'\nIf the change is intentional, regenerate with "
-            "URSA_REGEN_GOLDEN=1 and commit the diff.";
-}
-
 TEST(PolicyGolden, ConformanceMatchesCommittedGolden) {
   const std::vector<GoldenCase> cases = MakeCases();
   std::string actual = "# Policy-conformance golden. Regenerate with URSA_REGEN_GOLDEN=1\n";
@@ -298,18 +244,7 @@ TEST(PolicyGolden, ConformanceMatchesCommittedGolden) {
   actual += CriticalitySection(cases);
   actual += PlacementSection(cases);
 
-  if (std::getenv("URSA_REGEN_GOLDEN") != nullptr) {
-    std::FILE* f = std::fopen(kGoldenPath, "wb");
-    ASSERT_NE(f, nullptr) << "cannot write " << kGoldenPath;
-    std::fwrite(actual.data(), 1, actual.size(), f);
-    std::fclose(f);
-    std::printf("regenerated %s (%zu bytes)\n", kGoldenPath, actual.size());
-    return;
-  }
-  const std::string expected = ReadFileOrEmpty(kGoldenPath);
-  ASSERT_FALSE(expected.empty()) << "missing golden file " << kGoldenPath
-                                 << " — generate it with URSA_REGEN_GOLDEN=1";
-  ExpectGoldenEq(expected, actual);
+  CheckGolden(kGoldenPath, actual);
 }
 
 // The golden zoo is only a conformance probe if its text is reproducible:
