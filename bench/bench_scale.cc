@@ -63,7 +63,6 @@ struct Row {
   int64_t load_refreshes = 0;
   int64_t bestworker_calls = 0;
   int64_t workers_scanned = 0;
-  int64_t scoring_truncated = 0;
   double makespan = 0.0;
   double avg_jct = 0.0;
 };
@@ -81,10 +80,6 @@ Row RunRow(const Options& opt, int workers) {
 
   ExperimentConfig config = UrsaEjfConfig();
   config.cluster.num_workers = workers;
-  // The candidate budget is a liveness safety valve, not part of the
-  // algorithm; lift it so every candidate is scored and the sweep measures
-  // the scan itself.
-  config.ursa.max_scored_pairs_per_tick = size_t{1} << 40;
   config.time_limit = 5e6;
   // Tracing captures per-tick wall latency; monotask events are sampled out
   // so the ring retains every tick even on the million-monotask points.
@@ -104,7 +99,6 @@ Row RunRow(const Options& opt, int workers) {
   row.load_refreshes = sc.load_refreshes;
   row.bestworker_calls = sc.bestworker_calls;
   row.workers_scanned = sc.workers_scanned;
-  row.scoring_truncated = sc.scoring_truncated;
   const Tracer::TickSummary& ticks = result.trace->tick_summary();
   row.placed = ticks.placed;
   row.placements_per_sec =
@@ -135,7 +129,6 @@ void AppendRowJson(std::string* out, const Row& r) {
                 "\"placements_per_sec\": %.1f, \"p99_tick_ms\": %.3f, "
                 "\"max_tick_ms\": %.3f, \"ticks\": %lld, \"load_refreshes\": %lld, "
                 "\"bestworker_calls\": %lld, \"workers_scanned\": %lld, "
-                "\"scoring_truncated\": %lld, "
                 "\"makespan\": %.3f, \"avg_jct\": %.3f}",
                 r.workers, r.jobs, static_cast<long long>(r.monotasks),
                 static_cast<unsigned long long>(r.events), r.wall_seconds,
@@ -143,8 +136,7 @@ void AppendRowJson(std::string* out, const Row& r) {
                 r.p99_tick_ms, r.max_tick_ms, static_cast<long long>(r.ticks),
                 static_cast<long long>(r.load_refreshes),
                 static_cast<long long>(r.bestworker_calls),
-                static_cast<long long>(r.workers_scanned),
-                static_cast<long long>(r.scoring_truncated), r.makespan, r.avg_jct);
+                static_cast<long long>(r.workers_scanned), r.makespan, r.avg_jct);
   *out += buf;
 }
 

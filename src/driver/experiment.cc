@@ -59,16 +59,17 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
     return ursa_sched != nullptr ? ursa_sched->job_records() : exec_sched->job_records();
   };
 
-  // A closed batch's SE/UE integrate over [0, last finish] and are read at
-  // that instant: the running integrals cannot look back, and a cancelled
-  // speculative copy's gather may still move a worker's net_rx afterwards
-  // (DESIGN.md section 12). A finish that leaves no submitted job unresolved
-  // is the last one unless more jobs arrive; their finishes read again.
+  // A closed batch's SE/UE integrate over [0, last finish] and are read once,
+  // at the finish that resolves the workload's last job: the running
+  // integrals cannot look back, and a cancelled speculative copy's gather may
+  // still move a worker's net_rx afterwards (DESIGN.md section 12).
   if (!config.open_loop.enabled) {
-    auto on_job_finished = [&] {
-      const bool all_resolved = ursa_sched != nullptr ? ursa_sched->AllJobsFinished()
-                                                      : exec_sched->AllJobsFinished();
-      if (all_resolved) {
+    const int batch = static_cast<int>(workload.jobs.size());
+    auto on_job_finished = [&, batch] {
+      const int resolved = ursa_sched != nullptr
+                               ? ursa_sched->finished_jobs() + ursa_sched->shed_jobs()
+                               : exec_sched->finished_jobs();
+      if (resolved == batch) {
         result.efficiency = MetricsCollector::Compute(cluster, records(), sim.Now());
       }
     };

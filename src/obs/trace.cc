@@ -80,8 +80,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "defer";
     case TraceEventKind::kBackpressure:
       return "backpressure";
-    case TraceEventKind::kScoringTruncated:
-      return "scoring_truncated";
     case TraceEventKind::kMsgDrop:
       return "msg_drop";
     case TraceEventKind::kMsgDup:
@@ -220,8 +218,7 @@ void Tracer::WorkerEvent(double now, TraceEventKind kind, WorkerId w, double lat
 void Tracer::AdmissionEvent(double now, TraceEventKind kind, JobId j, int tier, double a,
                             double b) {
   CHECK(kind == TraceEventKind::kAdmit || kind == TraceEventKind::kShed ||
-        kind == TraceEventKind::kDefer || kind == TraceEventKind::kBackpressure ||
-        kind == TraceEventKind::kScoringTruncated);
+        kind == TraceEventKind::kDefer || kind == TraceEventKind::kBackpressure);
   TraceEvent event;
   event.kind = kind;
   event.t = now;
@@ -360,7 +357,6 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
       case TraceEventKind::kShed:
       case TraceEventKind::kDefer:
       case TraceEventKind::kBackpressure:
-      case TraceEventKind::kScoringTruncated:
         std::snprintf(buf, sizeof(buf),
                       "{\"name\":\"%s\",\"cat\":\"admission\",\"ph\":\"i\",\"s\":\"g\","
                       "\"ts\":%.3f,\"pid\":%d,\"tid\":0,"

@@ -74,11 +74,6 @@ enum class TraceEventKind : int8_t {
   kShed = 19,
   kDefer = 20,
   kBackpressure = 21,
-  // A placement tick exhausted max_scored_pairs_per_tick and deferred the
-  // remaining jobs to the next tick (job == kInvalidId; a = pairs scored,
-  // b = admitted jobs with ready stages left ungathered). Recorded through
-  // AdmissionEvent.
-  kScoringTruncated = 22,
   // Control-plane message layer + scheduler crash-recovery (DESIGN.md
   // section 14). Recorded through WorkerEvent; worker == kInvalidId for
   // scheduler-side events (crash, recover, checkpoint, resync).

@@ -44,7 +44,6 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
                              const UrsaSchedulerConfig& config)
     : sim_(sim), cluster_(cluster), config_(config) {
   CHECK_GT(config_.scheduling_interval, 0.0);
-  CHECK_GT(config_.max_scored_pairs_per_tick, 0u);
   for (int w = 0; w < cluster_->size(); ++w) {
     cluster_->worker(w).set_load_listener([this](WorkerId id) { MarkLoadDirty(id); });
   }
@@ -1442,26 +1441,15 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
   int headroom[kNumMonotaskResources];
   CountHeadroom(master, headroom);
 
-  // Gather candidate (job, stage, ready tasks) groups. The scan starts at the
-  // rotation cursor so that when the pair budget truncates a tick, the jobs
-  // deferred this tick are examined first on the next one instead of being
-  // starved behind the same low-index jobs forever. The cursor stays at 0
-  // across untruncated ticks, so runs that never hit the budget see the exact
-  // submission-order scan.
+  // Gather candidate (job, stage, ready tasks) groups from every admitted
+  // job, in submission order.
   struct Candidate {
     JobEntry* entry;
     StageId stage;
     std::vector<TaskId> tasks;
   };
   std::vector<Candidate> candidates;
-  size_t scored_pairs = 0;
-  const size_t num_jobs = jobs_.size();
-  const size_t start = num_jobs > 0 ? placement_scan_start_ % num_jobs : 0;
-  size_t next_start = 0;
-  bool truncated = false;
-  for (size_t i = 0; i < num_jobs && !truncated; ++i) {
-    const size_t j = (start + i) % num_jobs;
-    const auto& entry = jobs_[j];
+  for (const auto& entry : jobs_) {
     if (!entry->admitted || entry->finished) {
       continue;
     }
@@ -1469,47 +1457,17 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
     for (TaskId t : entry->jm->ready_tasks()) {
       by_stage[entry->job->plan.task(t).stage].push_back(t);
     }
-    auto it = by_stage.begin();
-    for (; it != by_stage.end() && scored_pairs <= config_.max_scored_pairs_per_tick; ++it) {
-      auto& [stage, tasks] = *it;
+    for (auto& [stage, tasks] : by_stage) {
       if (config_.stage_aware) {
-        scored_pairs += tasks.size() * master.size();
         candidates.push_back(Candidate{entry.get(), stage, std::move(tasks)});
       } else {
         // Per-task placement ablation: each task is its own candidate.
         for (TaskId t : tasks) {
-          scored_pairs += master.size();
           candidates.push_back(Candidate{entry.get(), stage, {t}});
         }
       }
     }
-    if (scored_pairs > config_.max_scored_pairs_per_tick) {
-      truncated = true;
-      next_start = (j + 1) % num_jobs;
-      // Deferred jobs: this one if the budget cut off some of its ready
-      // stages, plus every later admitted job that has ready tasks.
-      size_t skipped = it != by_stage.end() ? 1 : 0;
-      for (size_t k = i + 1; k < num_jobs; ++k) {
-        const JobEntry& rest = *jobs_[(start + k) % num_jobs];
-        if (rest.admitted && !rest.finished && !rest.jm->ready_tasks().empty()) {
-          ++skipped;
-        }
-      }
-      // A budget crossed by the last ready stage defers nothing: the
-      // cursor still rotates, but there is no truncation to report.
-      if (skipped > 0) {
-        LOG(Warning) << "placement candidate budget exhausted (" << scored_pairs
-                     << " pairs); deferring " << skipped << " job(s) to next tick";
-        ++counters_.scoring_truncated;
-        if (tracer_ != nullptr) {
-          tracer_->AdmissionEvent(sim_->Now(), TraceEventKind::kScoringTruncated,
-                                  kInvalidId, 0, static_cast<double>(scored_pairs),
-                                  static_cast<double>(skipped));
-        }
-      }
-    }
   }
-  placement_scan_start_ = truncated ? next_start : 0;
   for (const Candidate& c : candidates) {
     stats.candidates += static_cast<int64_t>(c.tasks.size());
   }

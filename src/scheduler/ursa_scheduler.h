@@ -79,12 +79,6 @@ struct UrsaSchedulerConfig {
 #else
   bool verify_hot_path = false;
 #endif
-  // Guard against pathological candidate explosions in a single tick: at
-  // most this many (task, worker) pairs are scored per placement pass. Jobs
-  // past the budget are deferred to the next tick, a tick that defers any is
-  // counted in scheduler_counters().scoring_truncated, and the gather start
-  // rotates so deferred jobs are not starved.
-  size_t max_scored_pairs_per_tick = 2'000'000;
 };
 
 class UrsaScheduler : public JobManagerListener {
@@ -168,7 +162,9 @@ class UrsaScheduler : public JobManagerListener {
     int64_t load_refreshes = 0;     // Dirty workers recomputed incrementally.
     int64_t bestworker_calls = 0;
     int64_t workers_scanned = 0;    // Scan entries examined across all calls.
-    int64_t scoring_truncated = 0;  // Ticks that deferred a job to the budget.
+    // Always 0: every ready stage is scored each tick. Kept only because
+    // perfbench reads it; goes with the next benchmark change.
+    int64_t scoring_truncated = 0;
   };
   SchedulerCounters scheduler_counters() const { return counters_; }
 
@@ -443,9 +439,6 @@ class UrsaScheduler : public JobManagerListener {
   };
   mutable std::vector<BucketPass> scan_pass_;
   mutable uint64_t scan_stamp_ = 0;  // Bumped by every bucketed call.
-  // First job index of the next candidate gather: rotated after a truncated
-  // tick so deferred jobs are not starved, 0 (submission order) otherwise.
-  size_t placement_scan_start_ = 0;
   mutable SchedulerCounters counters_;
   // Placement overlay scratch: worker -> overlay_buckets_ index (-1 when the
   // worker is unmodified; sized once, one entry per worker), the

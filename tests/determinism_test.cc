@@ -191,7 +191,6 @@ TEST(Determinism, VerifiedHotPathWithStagesWiderThanTheCluster) {
   const Workload workload = MakePlacementStressWorkload(6, /*seed=*/3);
   ExperimentConfig config = UrsaEjfConfig();
   config.cluster.num_workers = 6;
-  config.ursa.max_scored_pairs_per_tick = size_t{1} << 40;
   ExpectVerifiedHotPathMatches(workload, config, "ursa-ejf");
 }
 
@@ -284,7 +283,6 @@ TEST(Determinism, VerifiedHotPathOnPlacementStress) {
   ExperimentConfig config = UrsaEjfConfig();
   config.cluster.num_workers = 300;
   config.ursa.verify_hot_path = true;
-  config.ursa.max_scored_pairs_per_tick = size_t{1} << 40;  // As bench_scale.
   config.trace = true;
   config.trace_sample = 1 << 20;  // Ticks and task events only.
   const ExperimentResult result = RunExperiment(workload, config, "ursa-ejf");
@@ -315,26 +313,6 @@ TEST(Determinism, FlowRefillVisitsOnlyTheTouchedReceivers) {
   EXPECT_LT(4 * stats.flows_visited, stats.live_flows)
       << stats.refills << " refills visited " << stats.flows_visited << " flows of "
       << stats.live_flows << " live";
-}
-
-TEST(Determinism, TruncatedGatherRotatesAndFinishes) {
-  // A candidate budget small enough to truncate every tick must still finish
-  // the workload (the rotation cursor keeps deferred jobs from starving) and
-  // must report the truncation it did.
-  ExperimentConfig config = UrsaEjfConfig();
-  config.ursa.max_scored_pairs_per_tick = 200;
-  const Workload workload = SeededTpch(6, 11);
-  const ExperimentResult result = RunExperiment(workload, config, "ursa-ejf");
-  EXPECT_GT(result.scheduler_counters.scoring_truncated, 0);
-  ASSERT_EQ(result.records.size(), workload.jobs.size());
-  for (const JobRecord& record : result.records) {
-    EXPECT_GE(record.finish_time, 0.0);
-  }
-  // And truncated runs are themselves seed-stable.
-  const ExperimentResult again = RunExperiment(workload, config, "ursa-ejf");
-  EXPECT_EQ(result.makespan(), again.makespan());
-  EXPECT_EQ(result.scheduler_counters.scoring_truncated,
-            again.scheduler_counters.scoring_truncated);
 }
 
 // --- Scheduling policies (DESIGN.md section 13). ---

@@ -109,51 +109,30 @@ TEST_F(SchedulerTest, PackingReservationsReleaseOnTaskCompletion) {
   }
 }
 
-TEST_F(SchedulerTest, TruncationCountsJobWithUngatheredStages) {
+TEST(SchedulerPlacementTest, EveryReadyStageIsPlacedAtTheFirstTick) {
+  // A 2,100-task stage on 1,000 workers is 2.1M (task, worker) pairs. Each
+  // tick scores every ready stage of every admitted job, so a second job
+  // submitted at the same instant is placed at the first tick too.
+  Simulator sim;
+  ClusterConfig cc;
+  cc.num_workers = 1000;
+  Cluster cluster(&sim, cc);
   UrsaSchedulerConfig sc;
-  // Smaller than the first stage's 4 tasks x 4 workers, so the gather stops
-  // after one stage and the job's second ready stage waits for the next tick.
-  sc.max_scored_pairs_per_tick = 8;
-  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  UrsaScheduler scheduler(&sim, &cluster, sc);
   Tracer tracer;
   scheduler.set_tracer(&tracer);
-  JobSpec spec;
-  spec.name = "two-stages";
-  spec.declared_memory_bytes = 1e9;
-  OpGraph& graph = spec.graph;
-  for (const char* name : {"a", "b"}) {
-    const DataId input = graph.CreateExternalData(std::vector<double>(4, 1000.0), name);
-    graph.CreateOp(ResourceType::kCpu, name).Read(input).Create(graph.CreateData(4, name));
-  }
-  scheduler.SubmitJob(Job::Create(0, std::move(spec)));
-  sim_.Run(sc.scheduling_interval);
-  std::vector<double> deferred;
+  scheduler.SubmitJob(SimpleJob(0, 2100, 1e6, 1e9));
+  scheduler.SubmitJob(SimpleJob(1, 4, 1e6, 1e9));
+  sim.Run(sc.scheduling_interval);
+  int placed[2] = {0, 0};
   for (const TraceEvent& event : tracer.Snapshot()) {
-    if (event.kind == TraceEventKind::kScoringTruncated) {
-      deferred.push_back(event.b);
+    if (event.kind == TraceEventKind::kTaskPlaced) {
+      EXPECT_EQ(event.t, sc.scheduling_interval);
+      ++placed[event.job];
     }
   }
-  ASSERT_EQ(deferred.size(), 1u);
-  EXPECT_EQ(deferred[0], 1.0);
-  EXPECT_EQ(scheduler.scheduler_counters().scoring_truncated, 1);
-}
-
-TEST_F(SchedulerTest, BudgetCrossedWithNothingDeferredIsNotATruncation) {
-  UrsaSchedulerConfig sc;
-  // The only ready stage (4 tasks x 4 workers = 16 pairs) crosses the budget
-  // but is still gathered, and nothing else is ready: nothing is deferred,
-  // so there is no truncation to count, log or trace.
-  sc.max_scored_pairs_per_tick = 8;
-  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
-  Tracer tracer;
-  scheduler.set_tracer(&tracer);
-  scheduler.SubmitJob(SimpleJob(0, 4, 1000.0, 1e9));
-  sim_.Run();
-  EXPECT_TRUE(scheduler.AllJobsFinished());
-  for (const TraceEvent& event : tracer.Snapshot()) {
-    EXPECT_NE(event.kind, TraceEventKind::kScoringTruncated);
-  }
-  EXPECT_EQ(scheduler.scheduler_counters().scoring_truncated, 0);
+  EXPECT_GT(placed[0], 0);
+  EXPECT_GT(placed[1], 0);
 }
 
 TEST(SrjfRank, SmallerRemainingRanksFirst) {

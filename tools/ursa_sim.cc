@@ -28,8 +28,7 @@
 //              (--jobs bounds the arrival count)
 // Admission:   --admission --max-pending=N --shed-policy=newest|largest|tier
 //              --slo=SEC --u-bound=X (ursa schemes only)
-// Hot path:    --max-scored-pairs=N (per-tick candidate budget)
-//              --sched-counters (tick/load-refresh/scan counters; DESIGN.md
+// Hot path:    --sched-counters (tick/load-refresh/scan counters; DESIGN.md
 //              section 12)
 //
 // Unknown flags and out-of-range values are errors: the offending flag is
@@ -109,7 +108,6 @@ struct Flags {
   double slo = 300.0;
   double u_bound = 4.0;
   // Hot path (DESIGN.md section 12).
-  int max_scored_pairs = 0;  // 0 = library default.
   bool sched_counters = false;
 };
 
@@ -179,7 +177,7 @@ int Usage() {
                "                [--tenants=name:weight:tier:slo,...]\n"
                "                [--admission] [--max-pending=N]\n"
                "                [--shed-policy=newest|largest|tier] [--slo=SEC] [--u-bound=X]\n"
-               "                [--max-scored-pairs=N] [--sched-counters]\n");
+               "                [--sched-counters]\n");
   return 2;
 }
 
@@ -336,10 +334,6 @@ int main(int argc, char** argv) {
       if (!ToDouble(value, 1e-9, 1e9, &flags.slo)) return BadFlagValue("slo", value);
     } else if (ParseFlag(argv[i], "u-bound", &value)) {
       if (!ToDouble(value, 1e-9, 1e9, &flags.u_bound)) return BadFlagValue("u-bound", value);
-    } else if (ParseFlag(argv[i], "max-scored-pairs", &value)) {
-      if (!ToInt(value, 1, 2000000000, &flags.max_scored_pairs)) {
-        return BadFlagValue("max-scored-pairs", value);
-      }
     } else if (std::strcmp(argv[i], "--sched-counters") == 0) {
       flags.sched_counters = true;
     } else {
@@ -452,11 +446,6 @@ int main(int argc, char** argv) {
   config.ursa.admission.default_slo = flags.slo;
   config.ursa.admission.utilization_bound = flags.u_bound;
 
-  // Per-tick candidate budget (DESIGN.md section 12).
-  if (flags.max_scored_pairs > 0) {
-    config.ursa.max_scored_pairs_per_tick = static_cast<size_t>(flags.max_scored_pairs);
-  }
-
   // Fault-tolerance knobs and the chaos plan.
   config.ursa.fault.detector.heartbeat_interval = flags.heartbeat;
   config.ursa.fault.detector.detect_timeout = flags.detect_timeout;
@@ -529,11 +518,10 @@ int main(int argc, char** argv) {
     const UrsaScheduler::SchedulerCounters& sc = result.scheduler_counters;
     std::printf(
         "sched: ticks=%lld loadRefreshes=%lld bestWorker=%lld "
-        "workersScanned=%lld truncated=%lld events=%llu wall=%.3fs\n",
+        "workersScanned=%lld events=%llu wall=%.3fs\n",
         static_cast<long long>(sc.ticks), static_cast<long long>(sc.load_refreshes),
         static_cast<long long>(sc.bestworker_calls),
         static_cast<long long>(sc.workers_scanned),
-        static_cast<long long>(sc.scoring_truncated),
         static_cast<unsigned long long>(result.events_fired), result.wall_seconds);
   }
   if (result.trace != nullptr) {
