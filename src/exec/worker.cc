@@ -110,32 +110,6 @@ void Worker::Recover() {
   MarkLoadChanged();
 }
 
-void Worker::StartHeartbeats(double interval, std::function<void(WorkerId)> sink,
-                             std::function<bool()> active) {
-  CHECK_GT(interval, 0.0);
-  hb_interval_ = interval;
-  hb_sink_ = std::move(sink);
-  hb_active_ = std::move(active);
-  if (hb_running_) {
-    return;
-  }
-  hb_running_ = true;
-  ScheduleHeartbeat();
-}
-
-void Worker::ScheduleHeartbeat() {
-  sim_->Schedule(hb_interval_, [this] {
-    if (!hb_active_ || !hb_active_()) {
-      hb_running_ = false;  // Let the simulator drain; restartable.
-      return;
-    }
-    if (!failed_ && hb_sink_) {
-      hb_sink_(id_);
-    }
-    ScheduleHeartbeat();
-  });
-}
-
 void Worker::set_speed_factor(double factor) {
   CHECK_GT(factor, 0.0);
   CHECK_LE(factor, 1.0);

@@ -78,19 +78,10 @@ class Worker {
   int failure_epoch() const { return failure_epoch_; }
 
   // Brings a failed worker back online with empty queues, zeroed memory
-  // accounting and factory-default processing rates. Heartbeats resume on
-  // the next beat, which is how the failure detector learns of the rejoin.
-  // No-op if the worker is not failed.
+  // accounting and factory-default processing rates. The failure detector's
+  // next beat for this worker is how it learns of the rejoin. No-op if the
+  // worker is not failed.
   void Recover();
-
-  // --- Heartbeats (section 4.3). ---
-  // Starts a periodic heartbeat chain on the simulator: every `interval`
-  // seconds, while `active` returns true, the worker reports to `sink`
-  // unless it is failed. The chain stops (and can be restarted) once
-  // `active` turns false so the simulator can drain. Idempotent while a
-  // chain is running.
-  void StartHeartbeats(double interval, std::function<void(WorkerId)> sink,
-                       std::function<bool()> active);
 
   // --- Chaos knobs (FaultInjector). ---
   // The next `count` monotasks finishing on this worker fail instead of
@@ -268,7 +259,6 @@ class Worker {
   // (for monotasks this worker never ran) from a fresh simulator event.
   void Report(const MsgKey& key, bool failed);
   void ReportFailureLater(const MsgKey& key);
-  void ScheduleHeartbeat();
   // Factory-default rates: the configured CPU and disk rates, and the
   // worker's downlink for the network before any transfer is measured.
   void ResetRateMonitors(double now);
@@ -299,11 +289,6 @@ class Worker {
   // Chaos state.
   int pending_transient_failures_ = 0;
   double speed_factor_ = 1.0;
-  // Heartbeat chain state.
-  bool hb_running_ = false;
-  double hb_interval_ = 0.0;
-  std::function<void(WorkerId)> hb_sink_;
-  std::function<bool()> hb_active_;
   std::function<void(WorkerId)> load_listener_;
   std::function<void(WorkerId)> fail_listener_;
   std::function<void(const CompletionMsg&)> report_listener_;

@@ -7,40 +7,55 @@
 namespace ursa {
 
 FailureDetector::FailureDetector(Simulator* sim, Cluster* cluster,
-                                 const FailureDetectorConfig& config)
-    : sim_(sim), cluster_(cluster), config_(config) {
+                                 const FailureDetectorConfig& config,
+                                 std::function<bool()> active)
+    : sim_(sim), cluster_(cluster), config_(config), active_(std::move(active)) {
   CHECK_GT(config_.heartbeat_interval, 0.0);
   CHECK_GT(config_.detect_timeout, config_.heartbeat_interval)
       << "detect_timeout must cover at least one missed heartbeat";
-  last_heartbeat_.resize(static_cast<size_t>(cluster_->size()), 0.0);
-  dead_.resize(static_cast<size_t>(cluster_->size()), false);
+  CHECK(active_ != nullptr);
+  const size_t n = static_cast<size_t>(cluster_->size());
+  last_heartbeat_.resize(n, 0.0);
+  dead_.resize(n, false);
+  beating_.resize(n, false);
 }
 
-void FailureDetector::Activate(std::function<bool()> active) {
-  active_ = std::move(active);
+void FailureDetector::Activate() {
   if (running_) {
     return;
   }
   running_ = true;
   const double now = sim_->Now();
   for (int w = 0; w < cluster_->size(); ++w) {
+    const size_t i = static_cast<size_t>(w);
     // Grace period: a silent gap while the detector was idle is not evidence
     // of failure.
-    last_heartbeat_[static_cast<size_t>(w)] = now;
-    cluster_->worker(static_cast<WorkerId>(w))
-        .StartHeartbeats(config_.heartbeat_interval,
-                         [this](WorkerId id) {
-                           if (transport_) {
-                             // Route the beat through the control-plane
-                             // transport; a dropped closure is a lost beat.
-                             transport_(id, [this, id] { OnHeartbeat(id); });
-                           } else {
-                             OnHeartbeat(id);
-                           }
-                         },
-                         [this] { return active_ && active_(); });
+    last_heartbeat_[i] = now;
+    if (!beating_[i]) {
+      beating_[i] = true;
+      ScheduleBeat(static_cast<WorkerId>(w));
+    }
   }
   ScheduleSweep();
+}
+
+void FailureDetector::ScheduleBeat(WorkerId w) {
+  sim_->Schedule(config_.heartbeat_interval, [this, w] {
+    if (!active_()) {
+      beating_[static_cast<size_t>(w)] = false;  // Let the simulator drain.
+      return;
+    }
+    if (!cluster_->worker(w).failed()) {
+      if (transport_) {
+        // Route the beat through the control-plane transport; a dropped
+        // closure is a lost beat.
+        transport_(w, [this, w] { OnHeartbeat(w); });
+      } else {
+        OnHeartbeat(w);
+      }
+    }
+    ScheduleBeat(w);
+  });
 }
 
 void FailureDetector::Reset(double now) {
@@ -69,7 +84,7 @@ void FailureDetector::ScheduleSweep() {
   // detect_timeout + sweep_interval.
   const double sweep = std::min(config_.heartbeat_interval, config_.detect_timeout / 2.0);
   sim_->Schedule(sweep, [this] {
-    if (!active_ || !active_()) {
+    if (!active_()) {
       running_ = false;
       return;
     }

@@ -1,7 +1,8 @@
 // Heartbeat-based worker failure detection (section 4.3).
 //
-// Every worker emits a heartbeat into the simulator each heartbeat_interval
-// while it is alive; the detector sweeps the cluster and declares a worker
+// The detector owns the heartbeat chains: one per worker, firing every
+// heartbeat_interval, that sends a beat (through the transport, when set)
+// whenever the worker is alive. It sweeps the cluster and declares a worker
 // dead once it has been silent for longer than detect_timeout. A heartbeat
 // arriving from a declared-dead worker means the machine came back: the
 // detector un-declares it and fires the rejoin callback so the scheduler can
@@ -48,7 +49,9 @@ class FailureDetector {
   using DeathCallback = std::function<void(WorkerId worker, double silence)>;
   using RejoinCallback = std::function<void(WorkerId worker)>;
 
-  FailureDetector(Simulator* sim, Cluster* cluster, const FailureDetectorConfig& config);
+  // `active` is the activity predicate that gates every chain.
+  FailureDetector(Simulator* sim, Cluster* cluster, const FailureDetectorConfig& config,
+                  std::function<bool()> active);
 
   FailureDetector(const FailureDetector&) = delete;
   FailureDetector& operator=(const FailureDetector&) = delete;
@@ -68,16 +71,18 @@ class FailureDetector {
   // declared-dead so their comeback heartbeat still fires the rejoin hook.
   void Reset(double now);
 
-  // Starts the heartbeat and sweep chains if they are not already running.
-  // Both stop once `active` returns false; calling Activate again restarts
-  // them (with a fresh grace period so idle gaps do not cause false
-  // positives).
-  void Activate(std::function<bool()> active);
+  // Starts the heartbeat and sweep chains that are not already running.
+  // Each stops once the activity predicate returns false; calling Activate
+  // again restarts them (with a fresh grace period so idle gaps do not cause
+  // false positives).
+  void Activate();
 
   bool declared_dead(WorkerId w) const { return dead_[static_cast<size_t>(w)]; }
   int detections() const { return detections_; }
 
  private:
+  // One link of worker `w`'s heartbeat chain.
+  void ScheduleBeat(WorkerId w);
   void OnHeartbeat(WorkerId w);
   void ScheduleSweep();
   void Sweep();
@@ -89,10 +94,11 @@ class FailureDetector {
   RejoinCallback on_rejoin_;
   Transport transport_;
 
+  std::function<bool()> active_;
   std::vector<double> last_heartbeat_;
   std::vector<bool> dead_;
-  std::function<bool()> active_;
-  bool running_ = false;
+  std::vector<bool> beating_;  // Worker's heartbeat chain is scheduled.
+  bool running_ = false;       // The sweep chain is scheduled.
   int detections_ = 0;
 };
 

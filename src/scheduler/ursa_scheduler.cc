@@ -63,7 +63,9 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
            "message layer's crash-recovery model)";
     journal_ = std::make_unique<Journal>();
   }
-  detector_ = std::make_unique<FailureDetector>(sim_, cluster_, config_.fault.detector);
+  detector_ = std::make_unique<FailureDetector>(
+      sim_, cluster_, config_.fault.detector,
+      [this] { return active_jobs_ > 0 || !waiting_admission_.empty(); });
   detector_->set_on_death(
       [this](WorkerId w, [[maybe_unused]] double silence) { HandleWorkerFailure(w); });
   detector_->set_on_rejoin([this](WorkerId w) { OnWorkerRejoined(w); });
@@ -598,7 +600,7 @@ void UrsaScheduler::EnsureTickScheduled() {
   EnsureCheckpointScheduled();
   // (Re)start heartbeats and sweeps; both stop when the cluster goes idle so
   // the event queue can drain.
-  detector_->Activate([this] { return active_jobs_ > 0 || !waiting_admission_.empty(); });
+  detector_->Activate();
 }
 
 void UrsaScheduler::Tick() {
