@@ -217,18 +217,21 @@ TaskUsage UsageEstimator::EstimateTask(const Job& job, TaskId task_id,
       local.push_back(rec);
     }
   }
-  // Memory: min(r * M(j), m2i * I(t)), with r the task's share of the ready
-  // input (section 4.2.1).
-  const StageSpec& stage = plan.stage(task.stage);
+  usage.memory = EstimateMemory(job, task_id, usage.input_bytes, ready_input_total);
+  return usage;
+}
+
+double UsageEstimator::EstimateMemory(const Job& job, TaskId task, double input_bytes,
+                                      double ready_input_total) {
+  const StageSpec& stage = job.plan.stage(job.plan.task(task).stage);
   const double m2i = stage.m2i > 0.0 ? stage.m2i : job.spec.default_m2i;
   double r = 1.0;
   if (ready_input_total > 0.0) {
-    r = std::min(1.0, usage.input_bytes / ready_input_total);
+    r = std::min(1.0, input_bytes / ready_input_total);
   }
-  usage.memory = std::min(r * job.spec.declared_memory_bytes, m2i * usage.input_bytes);
+  const double memory = std::min(r * job.spec.declared_memory_bytes, m2i * input_bytes);
   // Every task needs some memory to run at all.
-  usage.memory = std::max(usage.memory, 16.0 * 1024 * 1024);
-  return usage;
+  return std::max(memory, 16.0 * 1024 * 1024);
 }
 
 }  // namespace ursa

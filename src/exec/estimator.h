@@ -67,6 +67,12 @@ class UsageEstimator {
   // of the job's currently-ready tasks (for the r * M(j) memory cap).
   static TaskUsage EstimateTask(const Job& job, TaskId task, const MetadataStore& meta,
                                 double ready_input_total);
+
+  // Memory of a task reading `input_bytes` (section 4.2.1):
+  // min(r * M(j), m2i * I(t)) with r the task's share of `ready_input_total`
+  // (1 when that is 0), and at least 16 MiB.
+  static double EstimateMemory(const Job& job, TaskId task, double input_bytes,
+                               double ready_input_total);
 };
 
 }  // namespace ursa

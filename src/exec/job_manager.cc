@@ -143,15 +143,8 @@ TaskUsage JobManager::GetUsage(TaskId t) const {
   TaskUsage usage = rt.usage;
   // Refresh the memory estimate against the current ready set (the r * M(j)
   // cap of section 4.2.1).
-  const StageSpec& stage = plan().stage(plan().task(t).stage);
-  const double m2i = stage.m2i > 0.0 ? stage.m2i : job_->spec.default_m2i;
-  double r = 1.0;
-  if (ready_input_total_ > 0.0) {
-    r = std::min(1.0, usage.input_bytes / ready_input_total_);
-  }
   usage.memory =
-      std::min(r * job_->spec.declared_memory_bytes, m2i * usage.input_bytes);
-  usage.memory = std::max(usage.memory, 16.0 * 1024 * 1024);
+      UsageEstimator::EstimateMemory(*job_, t, usage.input_bytes, ready_input_total_);
   return usage;
 }
 
