@@ -335,31 +335,9 @@ class ExecutorModelScheduler::ExecutorJob {
         break;
       }
       case ResourceType::kNetwork: {
-        // Same receiver-side aggregation as Worker::Execute.
-        const auto pulls = UsageEstimator::ResolvePulls(*job_, m, cluster_->metadata());
-        double remote_bytes = 0.0;
-        double local_bytes = 0.0;
-        WorkerId biggest_src = exec.worker;
-        double biggest = -1.0;
-        for (const auto& pull : pulls) {
-          if (pull.src == exec.worker) {
-            local_bytes += pull.bytes;
-          } else {
-            remote_bytes += pull.bytes;
-            if (pull.bytes > biggest) {
-              biggest = pull.bytes;
-              biggest_src = pull.src;
-            }
-          }
-        }
-        if (remote_bytes > 0.0) {
-          cluster_->net().StartFlow(biggest_src, exec.worker, remote_bytes + local_bytes,
-                                    complete);
-        } else if (local_bytes > 0.0) {
-          cluster_->net().StartFlow(exec.worker, exec.worker, local_bytes, complete);
-        } else {
-          sim_->Schedule(0.0, complete);
-        }
+        StartGather(sim_, &cluster_->net(), exec.worker,
+                    UsageEstimator::ResolvePulls(*job_, m, cluster_->metadata()),
+                    std::move(complete));
         break;
       }
     }

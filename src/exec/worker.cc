@@ -9,6 +9,32 @@
 
 namespace ursa {
 
+void StartGather(Simulator* sim, FlowSimulator* net, WorkerId dst,
+                 const std::vector<RunnableMonotask::Pull>& pulls, std::function<void()> done) {
+  double remote_bytes = 0.0;
+  double local_bytes = 0.0;
+  WorkerId biggest_src = dst;
+  double biggest = -1.0;
+  for (const RunnableMonotask::Pull& pull : pulls) {
+    if (pull.src == dst) {
+      local_bytes += pull.bytes;
+    } else {
+      remote_bytes += pull.bytes;
+      if (pull.bytes > biggest) {
+        biggest = pull.bytes;
+        biggest_src = pull.src;
+      }
+    }
+  }
+  if (remote_bytes > 0.0) {
+    net->StartFlow(biggest_src, dst, remote_bytes + local_bytes, std::move(done));
+  } else if (local_bytes > 0.0) {
+    net->StartFlow(dst, dst, local_bytes, std::move(done));
+  } else {
+    sim->Schedule(0.0, std::move(done));
+  }
+}
+
 namespace {
 
 // Observation window of the per-resource processing-rate monitors (seconds).
@@ -329,32 +355,7 @@ void Worker::Execute(RunnableMonotask mt, bool counted) {
     fl.event = sim_->Schedule(fl.work / fl.rate, std::move(finish));
     return;
   }
-  // Pull from every sender at once (section 4.2.3). The paper's contention
-  // model considers only the receiver's bandwidth, so the concurrent pulls
-  // are represented as one aggregate flow into this worker; purely local
-  // gathers move at the local copy rate.
-  double remote_bytes = 0.0;
-  double local_bytes = 0.0;
-  WorkerId biggest_src = id_;
-  double biggest = -1.0;
-  for (const RunnableMonotask::Pull& pull : mt.pulls) {
-    if (pull.src == id_) {
-      local_bytes += pull.bytes;
-    } else {
-      remote_bytes += pull.bytes;
-      if (pull.bytes > biggest) {
-        biggest = pull.bytes;
-        biggest_src = pull.src;
-      }
-    }
-  }
-  if (remote_bytes > 0.0) {
-    net_->StartFlow(biggest_src, id_, remote_bytes + local_bytes, std::move(finish));
-  } else if (local_bytes > 0.0) {
-    net_->StartFlow(id_, id_, local_bytes, std::move(finish));
-  } else {
-    sim_->Schedule(0.0, std::move(finish));
-  }
+  StartGather(sim_, net_, id_, mt.pulls, std::move(finish));
 }
 
 void Worker::FinishInFlight(uint64_t key) {

@@ -31,6 +31,14 @@ namespace ursa {
 
 class Tracer;
 
+// Moves a gather's pulls into `dst` (section 4.2.3) and calls `done` when
+// they have arrived. The paper's contention model considers only the
+// receiver's bandwidth, so the concurrent pulls are one aggregate flow from
+// the largest remote source; purely local gathers move at the local copy
+// rate, and a gather of zero bytes finishes from a zero-delay event.
+void StartGather(Simulator* sim, FlowSimulator* net, WorkerId dst,
+                 const std::vector<RunnableMonotask::Pull>& pulls, std::function<void()> done);
+
 struct WorkerConfig {
   int cores = 32;
   // Byte-equivalents of CPU work one core processes per second.
