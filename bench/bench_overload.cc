@@ -21,8 +21,8 @@
 //     a byte-identical JSON point.
 //
 //   bench_overload [--seed=N] [--jobs=N] [--workers=N] [--mults=CSV]
-//                  [--max-pending=N] [--shed-policy=newest|largest|tier]
-//                  [--json-out=FILE] [--trace-out=FILE] [--chaos]
+//                  [--max-pending=N] [--json-out=FILE] [--trace-out=FILE]
+//                  [--chaos]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +45,6 @@ struct Options {
   int jobs = 120;      // Arrivals per sweep point.
   int workers = 8;
   int max_pending = 32;
-  std::string shed_policy = "tier";
   std::vector<double> mults = {0.5, 1.0, 1.5, 2.0, 3.0};
   std::string json_out = "BENCH_overload.json";
   std::string trace_out;
@@ -55,8 +54,7 @@ struct Options {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed=N] [--jobs=N] [--workers=N] [--mults=CSV]\n"
-               "       [--max-pending=N] [--shed-policy=newest|largest|tier]\n"
-               "       [--json-out=FILE] [--trace-out=FILE] [--chaos]\n",
+               "       [--max-pending=N] [--json-out=FILE] [--trace-out=FILE] [--chaos]\n",
                argv0);
   return 2;
 }
@@ -119,7 +117,6 @@ Point RunPoint(const Options& opt, double mult, double rate) {
   // Backoff must not push the offered load below saturation at the top
   // multiple, or goodput dips for lack of work instead of overload.
   config.ursa.admission.max_throttle_factor = 2.0;
-  CHECK(ParseShedPolicy(opt.shed_policy, &config.ursa.admission.shed_policy));
   config.open_loop.enabled = true;
   config.open_loop.seed = opt.seed;
   config.open_loop.arrival_rate = rate;
@@ -215,8 +212,6 @@ int main(int argc, char** argv) {
       opt.workers = std::atoi(arg + 10);
     } else if (std::strncmp(arg, "--max-pending=", 14) == 0) {
       opt.max_pending = std::atoi(arg + 14);
-    } else if (std::strncmp(arg, "--shed-policy=", 14) == 0) {
-      opt.shed_policy = arg + 14;
     } else if (std::strncmp(arg, "--mults=", 8) == 0) {
       if (!ParseMults(arg + 8, &opt.mults)) {
         std::fprintf(stderr, "bad --mults value '%s'\n", arg + 8);
@@ -233,9 +228,7 @@ int main(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-  ShedPolicy policy;
-  if (opt.jobs < 1 || opt.workers < 1 || opt.max_pending < 1 ||
-      !ParseShedPolicy(opt.shed_policy, &policy)) {
+  if (opt.jobs < 1 || opt.workers < 1 || opt.max_pending < 1) {
     std::fprintf(stderr, "flag out of range\n");
     return Usage(argv[0]);
   }
@@ -328,11 +321,10 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "{\n  \"bench\": \"overload\",\n  \"seed\": %llu,\n"
                 "  \"workers\": %d,\n  \"jobs_per_point\": %d,\n"
-                "  \"max_pending\": %d,\n  \"shed_policy\": \"%s\",\n"
+                "  \"max_pending\": %d,\n"
                 "  \"chaos\": %s,\n  \"saturation_rate\": %.6g,\n  \"points\": [\n",
                 static_cast<unsigned long long>(opt.seed), opt.workers, opt.jobs,
-                opt.max_pending, opt.shed_policy.c_str(), opt.chaos ? "true" : "false",
-                sat_rate);
+                opt.max_pending, opt.chaos ? "true" : "false", sat_rate);
   json += buf;
   for (size_t i = 0; i < points.size(); ++i) {
     json += points[i].json;

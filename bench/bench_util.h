@@ -65,7 +65,8 @@ inline std::string TraceFileForScheme(const std::string& out, const std::string&
 
 // Runs every scheme over the workload and prints the Table 2/3/4-style
 // summary. Returns the results in scheme order. With tracing enabled, each
-// scheme writes its own Chrome trace file and prints the tracer summary.
+// Ursa scheme writes its own Chrome trace file and prints the tracer summary
+// (executor-model schemes record no trace).
 inline std::vector<ExperimentResult> RunSchemes(const Workload& workload,
                                                 std::vector<SchemeRun> schemes,
                                                 const std::string& title,

@@ -35,8 +35,6 @@ class TypedDataset;
 
 class UrsaContext {
  public:
-  explicit UrsaContext(const LocalRuntimeOptions& options = {}) : runtime_(options) {}
-
   // Creates a dataset from in-memory partitions.
   template <typename T>
   TypedDataset<T> Parallelize(std::vector<std::vector<T>> partitions,

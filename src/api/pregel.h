@@ -74,14 +74,13 @@ struct Slice {
 template <typename V, typename M>
 std::vector<std::pair<int64_t, V>> RunPregel(std::vector<std::vector<GraphVertex>> partitions,
                                              int supersteps, PregelInit<V> init,
-                                             PregelCompute<V, M> compute,
-                                             const LocalRuntimeOptions& options = {}) {
+                                             PregelCompute<V, M> compute) {
   using Slice = pregel_internal::Slice<V, M>;
   CHECK_GE(supersteps, 1);
   const int p = static_cast<int>(partitions.size());
   CHECK_GT(p, 0);
 
-  LocalRuntime runtime(options);
+  LocalRuntime runtime;
   OpGraph graph;
 
   // External adjacency input.

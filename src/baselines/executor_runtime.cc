@@ -14,6 +14,11 @@ namespace {
 
 // Upper bound on concurrently-held executors per job.
 constexpr int kMaxExecutorsPerJob = 160;
+// Dynamic allocation releases an executor idle for this long (Spark's
+// executorIdleTimeout, scaled to the simulated workloads).
+constexpr double kIdleTimeout = 2.0;
+// Per-executor network monotask concurrency in kMonotaskQueues mode.
+constexpr int kNetworkConcurrency = 2;
 
 }  // namespace
 
@@ -271,7 +276,7 @@ class ExecutorModelScheduler::ExecutorJob {
                       },
                       /*own_core=*/false);
     }
-    while (exec.active_net < config_.network_concurrency && !exec.net_q.empty()) {
+    while (exec.active_net < kNetworkConcurrency && !exec.net_q.empty()) {
       const MonotaskId m = exec.net_q.begin()->second;
       exec.net_q.erase(exec.net_q.begin());
       ++exec.active_net;
@@ -422,7 +427,7 @@ class ExecutorModelScheduler::ExecutorJob {
       if (!ready_.empty()) {
         continue;  // Will be assigned work right away.
       }
-      exec.idle_event = sim_->Schedule(config_.idle_timeout, [this, e] {
+      exec.idle_event = sim_->Schedule(kIdleTimeout, [this, e] {
         Executor& ex = executors_[e];
         ex.idle_event = kInvalidEventId;
         if (!ex.released && ex.running_tasks == 0 && ready_.empty()) {

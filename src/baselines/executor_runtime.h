@@ -46,13 +46,10 @@ struct ExecutorModelConfig {
   int executor_cores = 4;
   double executor_memory_bytes = 8.0 * 1024 * 1024 * 1024;
   bool dynamic_allocation = true;
-  double idle_timeout = 2.0;
   // Fixed scheduling/deserialization delay before a task starts in a slot.
   double task_launch_overhead = 0.02;
   // Driver / ApplicationMaster startup cost per job.
   double job_startup_delay = 1.0;
-  // Per-executor network monotask concurrency in kMonotaskQueues mode.
-  int network_concurrency = 2;
 };
 
 class ExecutorModelScheduler {

@@ -14,8 +14,11 @@ namespace ursa {
 
 namespace {
 
-// Per-message latency jitter: each one-way latency adds Uniform[0, kJitter).
+// Per-message one-way latency: kBaseLatency + Uniform[0, kJitter).
+constexpr double kBaseLatency = 0.0005;
 constexpr double kJitter = 0.0005;
+// Added latency when the delay fault fires.
+constexpr double kDelayExtra = 0.05;
 // Retransmission timer for the reliable channels: the first ack timeout,
 // doubled per retransmission up to the cap.
 constexpr double kAckTimeout = 0.05;
@@ -33,8 +36,6 @@ ControlPlane::ControlPlane(Simulator* sim, Cluster* cluster,
          "delivers and the retransmission loop cannot terminate";
   CHECK(config_.dup_prob >= 0.0 && config_.dup_prob <= 1.0);
   CHECK(config_.delay_prob >= 0.0 && config_.delay_prob <= 1.0);
-  CHECK_GE(config_.base_latency, 0.0);
-  CHECK_GE(config_.delay_extra, 0.0);
   for (int w = 0; w < cluster_->size(); ++w) {
     Worker& worker = cluster_->worker(w);
     worker.set_report_listener([this](const CompletionMsg& msg) { CompletionToScheduler(msg); });
@@ -67,12 +68,12 @@ ControlPlane::Fate ControlPlane::DrawFate() {
     return fate;
   }
   auto latency = [this] {
-    double l = config_.base_latency + rng_.Uniform(0.0, kJitter);
+    double l = kBaseLatency + rng_.Uniform(0.0, kJitter);
     if (config_.delay_prob > 0.0 && rng_.Bernoulli(config_.delay_prob)) {
       if (stats_ != nullptr) {
         ++stats_->msgs_delayed;
       }
-      l += config_.delay_extra;
+      l += kDelayExtra;
     }
     return l;
   };

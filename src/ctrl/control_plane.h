@@ -47,13 +47,11 @@ struct ControlPlaneConfig {
   // Off by default: synchronous pass-through, zero events, zero RNG draws.
   bool enabled = false;
   uint64_t seed = 1;
-  // Per-message one-way latency: base + Uniform[0, kJitter).
-  double base_latency = 0.0005;
-  // Fault model, applied per message send.
+  // Fault model, applied per message send (per-message latency and the
+  // delay fault's extra latency are constants in control_plane.cc).
   double loss_prob = 0.0;
   double dup_prob = 0.0;
   double delay_prob = 0.0;
-  double delay_extra = 0.05;  // Added latency when the delay fault fires.
   // Scheduler checkpoint/journal cadence; 0 disables journaling entirely
   // (a scheduler crash then degrades to full restarts of all live jobs).
   double checkpoint_interval = 0.0;
@@ -79,7 +77,6 @@ class ControlPlane {
     completion_handler_ = std::move(handler);
   }
 
-  const ControlPlaneConfig& config() const { return config_; }
   int epoch() const { return epoch_; }
   // Fences every dispatch minted under an older epoch (scheduler crash).
   void BumpEpoch() { ++epoch_; }

@@ -80,16 +80,16 @@ ExperimentResult RunExperiment(const Workload& workload, const ExperimentConfig&
     }
   }
 
+  // Only the Ursa scheduler records ticks, admission and monotask events;
+  // the executor model gets no tracer rather than a summary of zeros.
   std::shared_ptr<Tracer> tracer;
-  if (config.trace || !config.trace_out.empty()) {
+  if (ursa_sched != nullptr && (config.trace || !config.trace_out.empty())) {
     TracerConfig tc;
     tc.capacity = config.trace_capacity;
     tc.sample = config.trace_sample;
     tracer = std::make_shared<Tracer>(tc);
     cluster.set_tracer(tracer.get());
-    if (ursa_sched != nullptr) {
-      ursa_sched->set_tracer(tracer.get());
-    }
+    ursa_sched->set_tracer(tracer.get());
   }
 
   std::unique_ptr<FaultInjector> injector;
@@ -235,7 +235,6 @@ ExperimentConfig SparkLikeConfig() {
   config.executor.executor_cores = 4;
   config.executor.executor_memory_bytes = 8.0 * 1024 * 1024 * 1024;
   config.executor.dynamic_allocation = true;
-  config.executor.idle_timeout = 2.0;
   config.executor.task_launch_overhead = 0.02;
   config.executor.job_startup_delay = 1.0;
   return config;
@@ -260,7 +259,6 @@ ExperimentConfig MonoSparkConfig() {
   config.executor.executor_cores = 4;
   config.executor.executor_memory_bytes = 8.0 * 1024 * 1024 * 1024;
   config.executor.dynamic_allocation = true;
-  config.executor.idle_timeout = 2.0;
   config.executor.task_launch_overhead = 0.0;  // Monotasks queue directly.
   config.executor.job_startup_delay = 1.0;
   return config;

@@ -51,8 +51,9 @@ struct ExperimentConfig {
   // model has no recovery path and ignores it with a warning).
   FaultPlan fault_plan;
   // --- Tracing (src/obs, DESIGN.md section 8). ---
-  // Tracing activates when `trace` is true or `trace_out` is non-empty; the
-  // Tracer is returned in ExperimentResult and, when `trace_out` is set, the
+  // Tracing activates when `trace` is true or `trace_out` is non-empty and
+  // the scheduler is kUrsa (the executor model records nothing); the Tracer
+  // is returned in ExperimentResult and, when `trace_out` is set, the
   // Chrome-trace JSON is written there after the run.
   bool trace = false;
   std::string trace_out;
@@ -98,7 +99,8 @@ struct ExperimentResult {
   // Change points the cluster's utilization trackers hold at the end: 0
   // unless a series was requested (sample_step > 0).
   size_t tracker_history_points = 0;
-  // Non-null when tracing was enabled (config.trace / config.trace_out).
+  // Non-null when tracing was enabled (config.trace / config.trace_out) on a
+  // kUrsa run.
   std::shared_ptr<Tracer> trace;
   double makespan() const { return efficiency.makespan; }
   double avg_jct() const { return efficiency.avg_jct; }

@@ -386,8 +386,8 @@ class JobManager {
   std::vector<MonotaskRuntime> monotasks_;
   std::vector<StageRuntime> stages_;
   std::vector<TaskId> ready_unplaced_;
-  // Ascending ids of the tasks in kPlaced, so the per-tick speculation and
-  // co-location passes visit placed tasks only, in plan order.
+  // Ascending ids of the tasks in kPlaced, so the per-tick speculation pass
+  // visits placed tasks only, in plan order.
   std::vector<TaskId> placed_;
   double ready_input_total_ = 0.0;
   std::array<double, kNumMonotaskResources> remaining_work_ = {0.0, 0.0, 0.0};

@@ -7,6 +7,25 @@
 
 namespace ursa {
 
+namespace {
+
+// Crash-recover downtimes are drawn from [kMinDowntime, kMaxDowntime).
+constexpr double kMinDowntime = 5.0;
+constexpr double kMaxDowntime = 30.0;
+// Monotask failures injected per transient event.
+constexpr int kTransientCount = 1;
+// A degrade window runs the worker at kDegradeFactor speed for
+// kDegradeDuration seconds.
+constexpr double kDegradeFactor = 0.5;
+constexpr double kDegradeDuration = 10.0;
+
+static_assert(kMinDowntime >= 0.0 && kMaxDowntime >= kMinDowntime);
+static_assert(kTransientCount >= 0);
+static_assert(kDegradeDuration >= 0.0);
+static_assert(kDegradeFactor > 0.0 && kDegradeFactor <= 1.0);
+
+}  // namespace
+
 FaultPlan MakeRandomFaultPlan(const FaultPlanConfig& config) {
   // Reject malformed plans up front instead of producing a quietly-empty or
   // crash-prone event list (events drawn from an inverted horizon would all
@@ -21,14 +40,8 @@ FaultPlan MakeRandomFaultPlan(const FaultPlanConfig& config) {
   CHECK_GE(config.degrades, 0);
   CHECK_GE(config.sched_crashes, 0);
   CHECK_GE(config.sched_crash_recovers, 0);
-  CHECK_GE(config.transient_count, 0);
-  CHECK_GE(config.min_downtime, 0.0);
-  CHECK_GE(config.max_downtime, config.min_downtime);
   CHECK_GE(config.min_sched_downtime, 0.0);
   CHECK_GE(config.max_sched_downtime, config.min_sched_downtime);
-  CHECK_GE(config.degrade_duration, 0.0);
-  CHECK_GT(config.degrade_factor, 0.0);
-  CHECK_LE(config.degrade_factor, 1.0);
   FaultPlan plan;
   Rng rng(config.seed);
   auto draw_time = [&] { return rng.Uniform(config.horizon_start, config.horizon_end); };
@@ -63,7 +76,7 @@ FaultPlan MakeRandomFaultPlan(const FaultPlanConfig& config) {
     event.kind = FaultKind::kCrashRecover;
     event.time = draw_time();
     event.worker = w;
-    event.downtime = rng.Uniform(config.min_downtime, config.max_downtime);
+    event.downtime = rng.Uniform(kMinDowntime, kMaxDowntime);
     plan.events.push_back(event);
   }
   for (int i = 0; i < config.transients; ++i) {
@@ -72,7 +85,7 @@ FaultPlan MakeRandomFaultPlan(const FaultPlanConfig& config) {
     event.time = draw_time();
     event.worker =
         static_cast<WorkerId>(rng.UniformInt(static_cast<uint64_t>(config.num_workers)));
-    event.count = config.transient_count;
+    event.count = kTransientCount;
     plan.events.push_back(event);
   }
   for (int i = 0; i < config.degrades; ++i) {
@@ -81,8 +94,8 @@ FaultPlan MakeRandomFaultPlan(const FaultPlanConfig& config) {
     event.time = draw_time();
     event.worker =
         static_cast<WorkerId>(rng.UniformInt(static_cast<uint64_t>(config.num_workers)));
-    event.duration = config.degrade_duration;
-    event.factor = config.degrade_factor;
+    event.duration = kDegradeDuration;
+    event.factor = kDegradeFactor;
     plan.events.push_back(event);
   }
   for (int i = 0; i < config.sched_crashes; ++i) {

@@ -57,11 +57,6 @@ struct FaultPlanConfig {
   int crash_recovers = 0;
   int transients = 0;
   int degrades = 0;
-  double min_downtime = 5.0;
-  double max_downtime = 30.0;
-  int transient_count = 1;      // Monotask failures injected per transient event.
-  double degrade_factor = 0.5;  // Speed multiplier during a degrade window.
-  double degrade_duration = 10.0;
   // Control-plane faults: scheduler crashes with immediate failover and
   // crashes that keep the scheduler down for a drawn downtime.
   int sched_crashes = 0;
@@ -72,8 +67,11 @@ struct FaultPlanConfig {
 
 // Deterministic random plan. Permanently-crashed workers are distinct and
 // capped below half the cluster so the workload always remains schedulable.
-// CHECK-fails on malformed configs: an empty or inverted horizon, negative
-// event counts or downtimes, or a degrade factor outside (0, 1].
+// Worker-fault shapes (crash-recover downtime range, failures per transient,
+// degrade factor and duration) are constants in fault_injector.cc; a caller
+// needing other shapes edits the events of the returned plan. CHECK-fails on
+// malformed configs: an empty or inverted horizon, negative event counts or
+// scheduler downtimes.
 FaultPlan MakeRandomFaultPlan(const FaultPlanConfig& config);
 
 class FaultInjector {

@@ -6,14 +6,12 @@
 
 namespace ursa {
 
-LocalRuntime::LocalRuntime(const LocalRuntimeOptions& options) : options_(options) {
-  if (options_.cpu_threads <= 0) {
-    options_.cpu_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (options_.shuffle_lanes <= 0) {
-    options_.shuffle_lanes = 1;
-  }
-}
+namespace {
+
+// Concurrent shuffle/copy lanes; the CPU pool has one thread per core.
+constexpr int kShuffleLanes = 2;
+
+}  // namespace
 
 LocalRuntime::~LocalRuntime() = default;
 
@@ -84,10 +82,11 @@ void LocalRuntime::Run(const OpGraph& graph) {
   }
 
   // Spin up the per-resource lanes.
-  for (int i = 0; i < options_.cpu_threads; ++i) {
+  const unsigned cpu_threads = std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned i = 0; i < cpu_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(ResourceType::kCpu); });
   }
-  for (int i = 0; i < options_.shuffle_lanes; ++i) {
+  for (int i = 0; i < kShuffleLanes; ++i) {
     threads_.emplace_back([this] { WorkerLoop(ResourceType::kNetwork); });
   }
   threads_.emplace_back([this] { WorkerLoop(ResourceType::kDisk); });

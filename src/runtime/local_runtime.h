@@ -36,14 +36,9 @@ using UdfInputs = std::vector<const std::any*>;
 // One output partition per Created dataset (in op Create order).
 using Udf = std::function<std::vector<std::any>(const UdfInputs&)>;
 
-struct LocalRuntimeOptions {
-  int cpu_threads = 0;  // 0 = hardware concurrency.
-  int shuffle_lanes = 2;
-};
-
 class LocalRuntime {
  public:
-  explicit LocalRuntime(const LocalRuntimeOptions& options = {});
+  LocalRuntime() = default;
   ~LocalRuntime();
 
   LocalRuntime(const LocalRuntime&) = delete;
@@ -88,7 +83,6 @@ class LocalRuntime {
            static_cast<uint64_t>(static_cast<uint32_t>(partition));
   }
 
-  LocalRuntimeOptions options_;
   std::vector<Udf> udfs_;
 
   // Populated per Run().

@@ -13,32 +13,9 @@ namespace {
 // SLOs).
 constexpr double kLatencyFraction = 0.5;
 
+static_assert(kThrottleStart < kDegradeStart, "the throttle band must be non-empty");
+
 }  // namespace
-
-const char* ShedPolicyName(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kRejectNewest:
-      return "reject-newest";
-    case ShedPolicy::kRejectLargestWork:
-      return "reject-largest-work";
-    case ShedPolicy::kPriorityTier:
-      return "priority-tier";
-  }
-  return "?";
-}
-
-bool ParseShedPolicy(const std::string& name, ShedPolicy* out) {
-  if (name == "newest") {
-    *out = ShedPolicy::kRejectNewest;
-  } else if (name == "largest") {
-    *out = ShedPolicy::kRejectLargestWork;
-  } else if (name == "tier") {
-    *out = ShedPolicy::kPriorityTier;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 const char* BackpressureLevelName(BackpressureLevel level) {
   switch (level) {
@@ -56,9 +33,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config) : config
   CHECK_GE(config_.max_pending, 1);
   CHECK_GT(config_.utilization_bound, 0.0);
   CHECK_GT(config_.default_slo, 0.0);
-  CHECK_GE(config_.starvation_guard, 0);
   CHECK_GT(config_.max_throttle_factor, 0.0);
-  CHECK_LE(config_.throttle_start, config_.degrade_start);
 }
 
 int AdmissionController::FindPending(JobId id) const {
@@ -71,45 +46,23 @@ int AdmissionController::FindPending(JobId id) const {
 }
 
 int AdmissionController::PickVictim(const PendingEntry& incoming) const {
-  switch (config_.shed_policy) {
-    case ShedPolicy::kRejectNewest:
-      return -1;
-    case ShedPolicy::kRejectLargestWork: {
-      // Shed the largest expected work among pending and incoming; the
-      // incoming job loses ties (evicting is strictly more disruptive).
-      int victim = -1;
-      double largest = incoming.expected_seconds;
-      for (size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i].expected_seconds > largest) {
-          largest = pending_[i].expected_seconds;
-          victim = static_cast<int>(i);
-        }
-      }
-      return victim;
+  // Protected jobs keep a steady high-tier stream from starving the low
+  // tiers forever.
+  int victim = -1;
+  int victim_tier = incoming.tier;
+  double victim_submit = incoming.submit_time;
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const PendingEntry& e = pending_[i];
+    if (e.shed_rounds_survived >= kStarvationGuard) {
+      continue;  // Protected.
     }
-    case ShedPolicy::kPriorityTier: {
-      // Shed the lowest tier (largest tier number), newest first. Pending
-      // jobs that survived `starvation_guard` shed rounds are protected, so
-      // a steady high-tier stream cannot starve the low tiers forever.
-      int victim = -1;
-      int victim_tier = incoming.tier;
-      double victim_submit = incoming.submit_time;
-      for (size_t i = 0; i < pending_.size(); ++i) {
-        const PendingEntry& e = pending_[i];
-        if (e.shed_rounds_survived >= config_.starvation_guard) {
-          continue;  // Protected.
-        }
-        if (e.tier > victim_tier ||
-            (e.tier == victim_tier && e.submit_time > victim_submit)) {
-          victim = static_cast<int>(i);
-          victim_tier = e.tier;
-          victim_submit = e.submit_time;
-        }
-      }
-      return victim;
+    if (e.tier > victim_tier || (e.tier == victim_tier && e.submit_time > victim_submit)) {
+      victim = static_cast<int>(i);
+      victim_tier = e.tier;
+      victim_submit = e.submit_time;
     }
   }
-  return -1;
+  return victim;
 }
 
 AdmissionController::Decision AdmissionController::OnSubmit(const JobInfo& info,
@@ -118,7 +71,6 @@ AdmissionController::Decision AdmissionController::OnSubmit(const JobInfo& info,
   PendingEntry entry;
   entry.id = info.id;
   entry.tier = info.tier;
-  entry.expected_seconds = info.expected_seconds;
   const double slo = info.slo > 0.0 ? info.slo : config_.default_slo;
   entry.u = info.expected_seconds / slo;
   entry.submit_time = now;
@@ -141,7 +93,7 @@ AdmissionController::Decision AdmissionController::OnSubmit(const JobInfo& info,
     return decision;
   }
 
-  // Queue full: one job — chosen by the shed policy — must go.
+  // Queue full: one job — chosen by the shed rule — must go.
   const int victim = PickVictim(entry);
   for (PendingEntry& e : pending_) {
     ++e.shed_rounds_survived;
@@ -170,7 +122,7 @@ AdmissionController::Gate AdmissionController::GateActivation(JobId id, double n
   CHECK_GE(idx, 0) << "activation gate queried for a job not pending admission";
   const PendingEntry& entry = pending_[static_cast<size_t>(idx)];
   if (level_ >= BackpressureLevel::kDegrade && entry.tier > 0 && has_competing_work &&
-      now - entry.submit_time < config_.defer_age_cap) {
+      now - entry.submit_time < kDeferAgeCap) {
     ++c_.deferrals;
     return Gate::kDeferTier;
   }
@@ -204,19 +156,17 @@ void AdmissionController::OnJobFinished(JobId id) {
   }
 }
 
-bool AdmissionController::UpdateBackpressure([[maybe_unused]] double now,
-                                             double avg_headroom) {
-  last_headroom_ = avg_headroom;
+bool AdmissionController::UpdateBackpressure(double avg_headroom) {
   const double ratio = pending_ratio();
   int level = static_cast<int>(BackpressureLevel::kNone);
-  if (ratio >= config_.degrade_start) {
+  if (ratio >= kDegradeStart) {
     level = static_cast<int>(BackpressureLevel::kDegrade);
-  } else if (ratio >= config_.throttle_start) {
+  } else if (ratio >= kThrottleStart) {
     level = static_cast<int>(BackpressureLevel::kThrottle);
   }
   // A saturated cluster (no D_r headroom) or an admission latency that eats
   // into the SLO budget escalates one step even before the queue fills.
-  const bool saturated = avg_headroom < config_.headroom_floor && !pending_.empty();
+  const bool saturated = avg_headroom < kHeadroomFloor && !pending_.empty();
   const bool latency_high =
       c_.admission_latency_ewma > kLatencyFraction * config_.default_slo;
   if ((saturated || latency_high) && level < static_cast<int>(BackpressureLevel::kDegrade)) {
@@ -241,9 +191,8 @@ double AdmissionController::throttle_factor() const {
   }
   // Interpolate between 1 and the max over the throttle band of the fill
   // ratio, so backoff strengthens smoothly as the queue fills.
-  const double span = std::max(1e-9, config_.degrade_start - config_.throttle_start);
-  const double x =
-      std::clamp((pending_ratio() - config_.throttle_start) / span, 0.0, 1.0);
+  const double span = kDegradeStart - kThrottleStart;
+  const double x = std::clamp((pending_ratio() - kThrottleStart) / span, 0.0, 1.0);
   return 1.0 + (config_.max_throttle_factor - 1.0) * x;
 }
 

@@ -4,7 +4,7 @@
 // The controller sits in front of UrsaScheduler's memory-based admission: a
 // submitted job first passes through a *bounded* pending queue. When the
 // queue is full, one job — the incoming one or a queued one, chosen by the
-// configured shed policy — is shed instead of letting the admitted-job set
+// priority-tier shed rule — is shed instead of letting the admitted-job set
 // grow without bound. Jobs move from pending to active through a
 // utilization-bound gate in the spirit of `checkUvalue` from the real-time
 // containers literature: with u_j = (expected busiest-resource service
@@ -23,22 +23,24 @@
 #ifndef SRC_SCHEDULER_ADMISSION_H_
 #define SRC_SCHEDULER_ADMISSION_H_
 
-#include <string>
 #include <vector>
 
 #include "src/dag/types.h"
 
 namespace ursa {
 
-// What gets shed when the bounded pending queue overflows.
-enum class ShedPolicy : int {
-  kRejectNewest = 0,        // Shed the incoming job.
-  kRejectLargestWork = 1,   // Shed the largest-expected-work job (pending or incoming).
-  kPriorityTier = 2,        // Shed the lowest tier, newest first, with a starvation guard.
-};
-const char* ShedPolicyName(ShedPolicy policy);
-// Returns false when `name` is not one of newest|largest|tier.
-bool ParseShedPolicy(const std::string& name, ShedPolicy* out);
+// A pending job that survived this many shed rounds is protected from
+// eviction (the shed rule's starvation guard).
+inline constexpr int kStarvationGuard = 4;
+// A deferred low-tier job older than this (seconds) is admitted despite
+// degradation (the deferral side of the starvation guard).
+inline constexpr double kDeferAgeCap = 60.0;
+// Backpressure thresholds on the pending-queue fill ratio.
+inline constexpr double kThrottleStart = 0.5;
+inline constexpr double kDegradeStart = 0.75;
+// Mean per-resource D_r headroom below which the cluster counts as
+// saturated (bumps the backpressure level by one).
+inline constexpr double kHeadroomFloor = 0.05;
 
 enum class BackpressureLevel : int {
   kNone = 0,
@@ -51,26 +53,13 @@ struct AdmissionConfig {
   bool enabled = false;
   // Bound on the pending (accepted-but-not-active) queue depth.
   int max_pending = 64;
-  ShedPolicy shed_policy = ShedPolicy::kPriorityTier;
   // checkUvalue-style bound on the sum of u_j = service_seconds / SLO over
   // active jobs; a candidate whose admission would exceed it stays pending.
   double utilization_bound = 4.0;
   // SLO applied to jobs that declare none (JobSpec::slo_seconds == 0).
   double default_slo = 300.0;
-  // A pending job that survived this many shed rounds becomes protected
-  // from eviction (priority-tier policy's starvation guard).
-  int starvation_guard = 4;
-  // A deferred low-tier job older than this is admitted despite degradation
-  // (the deferral side of the starvation guard).
-  double defer_age_cap = 60.0;
-  // Backpressure thresholds on the pending-queue fill ratio.
-  double throttle_start = 0.5;
-  double degrade_start = 0.75;
   // Arrival gaps are stretched up to this factor under backpressure.
   double max_throttle_factor = 4.0;
-  // Mean per-resource D_r headroom below which the cluster counts as
-  // saturated (bumps the backpressure level by one).
-  double headroom_floor = 0.05;
 };
 
 // The controller's counters. Identity maintained:
@@ -115,7 +104,7 @@ class AdmissionController {
   };
 
   // Submission gate: hopeless-SLO rejection and the bounded-queue shed
-  // policies. On eviction the caller must also shed `evicted` on its side
+  // rule. On eviction the caller must also shed `evicted` on its side
   // (record, waiting list, trace).
   Decision OnSubmit(const JobInfo& info, double now);
 
@@ -135,7 +124,7 @@ class AdmissionController {
   // Tick-time refresh of the backpressure level from the queue fill ratio,
   // the cluster-wide mean D_r headroom and the admission-latency EWMA.
   // Returns true when the level changed.
-  bool UpdateBackpressure(double now, double avg_headroom);
+  bool UpdateBackpressure(double avg_headroom);
 
   BackpressureLevel level() const { return level_; }
   // >= 1; the open-loop driver multiplies inter-arrival gaps by this.
@@ -143,14 +132,11 @@ class AdmissionController {
 
   const AdmissionCounters& counters() const { return c_; }
 
-  const AdmissionConfig& config() const { return config_; }
-
  private:
   struct PendingEntry {
     JobId id = kInvalidId;
     int tier = 0;
-    double u = 0.0;              // expected_seconds / slo.
-    double expected_seconds = 0.0;
+    double u = 0.0;  // expected_seconds / slo.
     double submit_time = 0.0;
     int shed_rounds_survived = 0;
   };
@@ -161,8 +147,9 @@ class AdmissionController {
 
   // Index into pending_, or -1.
   int FindPending(JobId id) const;
-  // Victim among pending + incoming for the configured policy; returns -1
-  // to shed the incoming job.
+  // Victim among pending + incoming: the lowest tier (largest tier number),
+  // newest first, skipping pending jobs protected by kStarvationGuard.
+  // Returns -1 to shed the incoming job.
   int PickVictim(const PendingEntry& incoming) const;
   double pending_ratio() const {
     return config_.max_pending > 0
@@ -178,7 +165,6 @@ class AdmissionController {
   std::vector<ActiveEntry> active_;
   double active_u_ = 0.0;
   BackpressureLevel level_ = BackpressureLevel::kNone;
-  double last_headroom_ = 1.0;
   AdmissionCounters c_;
 };
 

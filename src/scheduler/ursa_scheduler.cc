@@ -32,9 +32,9 @@ constexpr double kRecoveryBaseCost = 0.01;
 constexpr double kReplayCostPerRecord = 1e-5;
 // Simulated seconds without progress after which a run whose workers are
 // all idle is declared stuck. Above the longest downtime any test, bench or
-// CI config injects: 30 s for a worker (FaultInjectorConfig::max_downtime)
-// and 10 s for the scheduler (max_sched_downtime; recovery also restarts
-// the clock).
+// CI config injects: 30 s for a worker (kMaxDowntime in
+// src/fault/fault_injector.cc) and 10 s for the scheduler
+// (max_sched_downtime; recovery also restarts the clock).
 constexpr double kStallTimeout = 120.0;
 constexpr const char* kTaskStateNames[] = {"blocked", "ready", "placed", "completed"};
 
@@ -610,8 +610,7 @@ void UrsaScheduler::Tick() {
   }
   ++counters_.ticks;
   const WallTimer wall;
-  if (admission_ != nullptr &&
-      admission_->UpdateBackpressure(sim_->Now(), AvgHeadroom())) {
+  if (admission_ != nullptr && admission_->UpdateBackpressure(AvgHeadroom())) {
     if (tracer_ != nullptr) {
       tracer_->AdmissionEvent(sim_->Now(), TraceEventKind::kBackpressure, kInvalidId, 0,
                               static_cast<double>(static_cast<int>(admission_->level())),

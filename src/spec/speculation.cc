@@ -6,16 +6,16 @@ namespace ursa {
 
 bool IsStraggler(const SpeculationConfig& config, const RobustSample& stage_durations,
                  double elapsed) {
-  if (static_cast<int>(stage_durations.size()) < config.min_stage_samples) {
+  if (static_cast<int>(stage_durations.size()) < kMinStageSamples) {
     return false;
   }
   const double median = stage_durations.Median();
   if (median <= 0.0) {
     return false;
   }
-  const double limit = std::max(
-      config.min_runtime,
-      config.slowdown_threshold * median + config.mad_multiplier * stage_durations.Mad());
+  const double limit =
+      std::max(kSpecMinRuntime,
+               config.slowdown_threshold * median + kMadMultiplier * stage_durations.Mad());
   return elapsed > limit;
 }
 

@@ -2,14 +2,14 @@
 //
 // Detection lives in the job managers (per-stage RobustSample of completed
 // task durations; a placed task whose elapsed time exceeds
-// max(min_runtime, slowdown_threshold * median + mad_multiplier * MAD) is a
-// straggler candidate). Mitigation lives in the scheduler (a speculative
+// max(kSpecMinRuntime, slowdown_threshold * median + kMadMultiplier * MAD)
+// is a straggler candidate). Mitigation lives in the scheduler (a speculative
 // copy of the task is placed on a different worker via the same Algorithm-1
 // score used for primary placement). This header holds the pieces shared by
-// both sides: the configuration knobs, the candidate record the job manager
-// hands to the scheduler, and the SpeculationManager that enforces the
-// global wasted-work budget and funnels all speculation accounting into
-// FaultCounters.
+// both sides: the detection constants and configuration, the candidate
+// record the job manager hands to the scheduler, and the SpeculationManager
+// that enforces the global wasted-work budget and funnels all speculation
+// accounting into FaultCounters.
 #ifndef SRC_SPEC_SPECULATION_H_
 #define SRC_SPEC_SPECULATION_H_
 
@@ -19,18 +19,20 @@
 
 namespace ursa {
 
+// Scale of the stage MAD added to the median-based threshold.
+inline constexpr double kMadMultiplier = 3.0;
+// Require this many completed tasks in the stage before trusting the stage
+// statistics.
+inline constexpr int kMinStageSamples = 3;
+// Never speculate on a task younger than this (seconds); short tasks finish
+// before the copy could help.
+inline constexpr double kSpecMinRuntime = 1.0;
+
 struct SpeculationConfig {
   bool enabled = false;
   // A placed task is a straggler candidate once its elapsed time exceeds
-  // slowdown_threshold * stage_median + mad_multiplier * stage_MAD.
+  // slowdown_threshold * stage_median + kMadMultiplier * stage_MAD.
   double slowdown_threshold = 1.75;
-  double mad_multiplier = 3.0;
-  // Never speculate on a task younger than this (seconds); short tasks
-  // finish before the copy could help.
-  double min_runtime = 1.0;
-  // Require this many completed tasks in the stage before trusting the
-  // stage statistics.
-  int min_stage_samples = 3;
   // At most floor(budget_fraction * running placed tasks) speculative copies
   // may be live at once (but at least one whenever the fraction is positive
   // and anything is running). This caps the duplicate work the cluster can
@@ -112,7 +114,7 @@ class SpeculationManager {
 
 // Detection predicate: is a task that has been running for `elapsed` seconds
 // a straggler given its stage's completed-duration statistics? False until
-// the stage has config.min_stage_samples completions.
+// the stage has kMinStageSamples completions.
 bool IsStraggler(const SpeculationConfig& config, const RobustSample& stage_durations,
                  double elapsed);
 

@@ -10,9 +10,15 @@ namespace ursa {
 
 namespace {
 
+// Per-stage task-count bounds.
+constexpr int kMaxParallelism = 640;
+constexpr int kMinParallelism = 4;
+// User memory declaration M(j) = kDeclaredMemoryFactor * touched bytes.
+constexpr double kDeclaredMemoryFactor = 1.5;
+
 int Parallelism(double bytes, const SqlBuildOptions& options) {
   const int p = static_cast<int>(std::ceil(bytes / options.bytes_per_partition));
-  return std::clamp(p, options.min_parallelism, options.max_parallelism);
+  return std::clamp(p, kMinParallelism, kMaxParallelism);
 }
 
 // External dataset with mild per-partition jitter (HDFS blocks are nearly
@@ -49,7 +55,7 @@ JobSpec BuildSqlJob(const SqlQueryProfile& profile, double db_bytes,
 
   const double touched = db_bytes * profile.touched_fraction;
   spec.declared_memory_bytes =
-      std::max(touched * options.declared_memory_factor, 4.0 * 1024 * 1024 * 1024);
+      std::max(touched * kDeclaredMemoryFactor, 4.0 * 1024 * 1024 * 1024);
 
   // Table byte shares: the first (fact) table dominates.
   std::vector<double> table_bytes(static_cast<size_t>(profile.tables));
@@ -97,7 +103,7 @@ JobSpec BuildSqlJob(const SqlQueryProfile& profile, double db_bytes,
     const bool last = level == profile.depth - 1;
     int p = Parallelism(current_bytes, options);
     if (last) {
-      p = std::max(options.min_parallelism, p / 8);  // Final aggregation is narrow.
+      p = std::max(kMinParallelism, p / 8);  // Final aggregation is narrow.
     }
     const std::string suffix = std::to_string(level);
     const DataId shuffled = graph.CreateData(p, "shuffled" + suffix);

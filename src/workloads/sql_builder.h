@@ -32,10 +32,6 @@ struct SqlQueryProfile {
 struct SqlBuildOptions {
   // Target bytes per scan partition (controls task granularity).
   double bytes_per_partition = 256.0 * 1024 * 1024;
-  int max_parallelism = 640;
-  int min_parallelism = 4;
-  // User memory declaration M(j) = declared_memory_factor * touched bytes.
-  double declared_memory_factor = 1.5;
   double true_m2i = 1.1;
   double default_m2i = 2.0;
 };

@@ -1,7 +1,7 @@
-// SLO-aware admission control (DESIGN.md section 11): shed policies over the
-// bounded pending queue, the checkUvalue-style utilization gate, tier
-// deferral under degradation, the backpressure ladder and the counters
-// identity. Also covers the open-loop config parsers the CLI relies on.
+// SLO-aware admission control (DESIGN.md section 11): the priority-tier shed
+// rule over the bounded pending queue, the checkUvalue-style utilization
+// gate, tier deferral under degradation, the backpressure ladder and the
+// counters identity. Also covers the open-loop config parsers the CLI relies on.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,20 +27,6 @@ void ExpectIdentity(const AdmissionCounters& c) {
   EXPECT_EQ(c.submitted, c.admitted + c.shed + c.pending_now);
 }
 
-TEST(ShedPolicyTest, ParseAndName) {
-  ShedPolicy policy = ShedPolicy::kRejectNewest;
-  EXPECT_TRUE(ParseShedPolicy("newest", &policy));
-  EXPECT_EQ(policy, ShedPolicy::kRejectNewest);
-  EXPECT_TRUE(ParseShedPolicy("largest", &policy));
-  EXPECT_EQ(policy, ShedPolicy::kRejectLargestWork);
-  EXPECT_TRUE(ParseShedPolicy("tier", &policy));
-  EXPECT_EQ(policy, ShedPolicy::kPriorityTier);
-  EXPECT_FALSE(ParseShedPolicy("", &policy));
-  EXPECT_FALSE(ParseShedPolicy("priority", &policy));
-  EXPECT_STREQ(ShedPolicyName(ShedPolicy::kPriorityTier), "priority-tier");
-  EXPECT_STREQ(BackpressureLevelName(BackpressureLevel::kDegrade), "degrade");
-}
-
 TEST(AdmissionControllerTest, SloUnattainableShedAtSubmit) {
   AdmissionConfig config;
   config.enabled = true;
@@ -57,58 +43,10 @@ TEST(AdmissionControllerTest, SloUnattainableShedAtSubmit) {
   ExpectIdentity(c);
 }
 
-TEST(AdmissionControllerTest, RejectNewestShedsIncomingWhenFull) {
-  AdmissionConfig config;
-  config.enabled = true;
-  config.max_pending = 2;
-  config.shed_policy = ShedPolicy::kRejectNewest;
-  AdmissionController ac(config);
-  EXPECT_TRUE(ac.OnSubmit(MakeJob(1, 0, 1.0), 0.0).accepted);
-  EXPECT_TRUE(ac.OnSubmit(MakeJob(2, 0, 1.0), 1.0).accepted);
-  const auto decision = ac.OnSubmit(MakeJob(3, 0, 1.0), 2.0);
-  EXPECT_FALSE(decision.accepted);
-  EXPECT_EQ(decision.evicted, kInvalidId);
-  EXPECT_STREQ(decision.reason, "queue-full");
-  const AdmissionCounters c = ac.counters();
-  EXPECT_EQ(c.submitted, 3);
-  EXPECT_EQ(c.accepted, 2);
-  EXPECT_EQ(c.shed, 1);
-  EXPECT_EQ(c.evictions, 0);
-  EXPECT_EQ(c.pending_now, 2);
-  EXPECT_EQ(c.max_pending_depth, 2);
-  ExpectIdentity(c);
-}
-
-TEST(AdmissionControllerTest, LargestWorkEvictsStrictlyLargestPending) {
-  AdmissionConfig config;
-  config.enabled = true;
-  config.max_pending = 2;
-  config.shed_policy = ShedPolicy::kRejectLargestWork;
-  AdmissionController ac(config);
-  EXPECT_TRUE(ac.OnSubmit(MakeJob(1, 0, 5.0), 0.0).accepted);
-  EXPECT_TRUE(ac.OnSubmit(MakeJob(2, 0, 10.0), 1.0).accepted);
-  // Incoming 8s of work: job 2 (10s) is the largest and gets evicted.
-  const auto evicting = ac.OnSubmit(MakeJob(3, 0, 8.0), 2.0);
-  EXPECT_TRUE(evicting.accepted);
-  EXPECT_EQ(evicting.evicted, 2);
-  EXPECT_STREQ(evicting.reason, "evicted");
-  // Incoming work ties the largest pending (8s): the incoming job loses the
-  // tie and is shed, because evicting a queued job is strictly more
-  // disruptive than rejecting a new one.
-  const auto tie = ac.OnSubmit(MakeJob(4, 0, 8.0), 3.0);
-  EXPECT_FALSE(tie.accepted);
-  EXPECT_EQ(tie.evicted, kInvalidId);
-  const AdmissionCounters c = ac.counters();
-  EXPECT_EQ(c.evictions, 1);
-  EXPECT_EQ(c.shed, 2);
-  ExpectIdentity(c);
-}
-
 TEST(AdmissionControllerTest, PriorityTierShedsLowestTierNewestFirst) {
   AdmissionConfig config;
   config.enabled = true;
   config.max_pending = 3;
-  config.shed_policy = ShedPolicy::kPriorityTier;
   AdmissionController ac(config);
   EXPECT_TRUE(ac.OnSubmit(MakeJob(1, 1, 1.0), 0.0).accepted);
   EXPECT_TRUE(ac.OnSubmit(MakeJob(2, 2, 1.0), 1.0).accepted);
@@ -117,28 +55,36 @@ TEST(AdmissionControllerTest, PriorityTierShedsLowestTierNewestFirst) {
   const auto decision = ac.OnSubmit(MakeJob(4, 0, 1.0), 3.0);
   EXPECT_TRUE(decision.accepted);
   EXPECT_EQ(decision.evicted, 3);
+  EXPECT_STREQ(decision.reason, "evicted");
   // Incoming lower-priority than everything pending: sheds itself.
   const auto low = ac.OnSubmit(MakeJob(5, 3, 1.0), 4.0);
   EXPECT_FALSE(low.accepted);
   EXPECT_EQ(low.evicted, kInvalidId);
-  ExpectIdentity(ac.counters());
+  EXPECT_STREQ(low.reason, "queue-full");
+  const AdmissionCounters c = ac.counters();
+  EXPECT_EQ(c.submitted, 5);
+  EXPECT_EQ(c.accepted, 4);
+  EXPECT_EQ(c.shed, 2);
+  EXPECT_EQ(c.evictions, 1);
+  EXPECT_EQ(c.pending_now, 3);
+  EXPECT_EQ(c.max_pending_depth, 3);
+  ExpectIdentity(c);
 }
 
 TEST(AdmissionControllerTest, StarvationGuardProtectsLongWaiters) {
   AdmissionConfig config;
   config.enabled = true;
   config.max_pending = 1;
-  config.shed_policy = ShedPolicy::kPriorityTier;
-  config.starvation_guard = 2;
   AdmissionController ac(config);
   // A low-tier job waits while same-tier arrivals bounce off the full queue
   // (same tier + newer loses, so each incoming sheds itself).
   EXPECT_TRUE(ac.OnSubmit(MakeJob(1, 2, 1.0), 0.0).accepted);
-  EXPECT_FALSE(ac.OnSubmit(MakeJob(2, 2, 1.0), 1.0).accepted);
-  EXPECT_FALSE(ac.OnSubmit(MakeJob(3, 2, 1.0), 2.0).accepted);
-  // Job 1 survived starvation_guard shed rounds and is now protected: even
+  for (int round = 1; round <= kStarvationGuard; ++round) {
+    EXPECT_FALSE(ac.OnSubmit(MakeJob(1 + round, 2, 1.0), round).accepted);
+  }
+  // Job 1 survived kStarvationGuard shed rounds and is now protected: even
   // a tier-0 arrival cannot evict it and is shed instead.
-  const auto high = ac.OnSubmit(MakeJob(4, 0, 1.0), 3.0);
+  const auto high = ac.OnSubmit(MakeJob(100, 0, 1.0), 100.0);
   EXPECT_FALSE(high.accepted);
   EXPECT_EQ(high.evicted, kInvalidId);
   EXPECT_STREQ(high.reason, "queue-full");
@@ -175,35 +121,36 @@ TEST(AdmissionControllerTest, TierDeferralNeedsDegradeAndCompetingWork) {
   AdmissionConfig config;
   config.enabled = true;
   config.max_pending = 4;
-  config.degrade_start = 0.75;
-  config.defer_age_cap = 30.0;
   AdmissionController ac(config);
   EXPECT_TRUE(ac.OnSubmit(MakeJob(1, 1, 1.0), 0.0).accepted);
   // Not degraded: a low-tier job activates normally.
   EXPECT_EQ(ac.GateActivation(1, 1.0, true), AdmissionController::Gate::kAdmit);
-  // Fill to the degrade threshold and refresh the level.
+  // Fill to the degrade threshold (3 of 4 = kDegradeStart) and refresh the
+  // level.
+  static_assert(kDegradeStart == 0.75);
   EXPECT_TRUE(ac.OnSubmit(MakeJob(2, 0, 1.0), 1.0).accepted);
   EXPECT_TRUE(ac.OnSubmit(MakeJob(3, 0, 1.0), 1.0).accepted);
-  EXPECT_TRUE(ac.UpdateBackpressure(2.0, 1.0));
+  EXPECT_TRUE(ac.UpdateBackpressure(1.0));
   ASSERT_EQ(ac.level(), BackpressureLevel::kDegrade);
   // Degraded + a higher-priority job waiting: the tier-1 job defers...
   EXPECT_EQ(ac.GateActivation(1, 2.0, true), AdmissionController::Gate::kDeferTier);
   // ...but without competing work deferral is suppressed (it would only
   // idle the cluster), and past the age cap it is admitted regardless.
   EXPECT_EQ(ac.GateActivation(1, 2.0, false), AdmissionController::Gate::kAdmit);
-  EXPECT_EQ(ac.GateActivation(1, 40.0, true), AdmissionController::Gate::kAdmit);
-  EXPECT_EQ(ac.counters().deferrals, 1);
+  EXPECT_EQ(ac.GateActivation(1, kDeferAgeCap - 1.0, true),
+            AdmissionController::Gate::kDeferTier);
+  EXPECT_EQ(ac.GateActivation(1, kDeferAgeCap + 10.0, true),
+            AdmissionController::Gate::kAdmit);
+  EXPECT_EQ(ac.counters().deferrals, 2);
 }
 
 TEST(AdmissionControllerTest, BackpressureLadderAndThrottleFactor) {
   AdmissionConfig config;
   config.enabled = true;
   config.max_pending = 10;
-  config.throttle_start = 0.5;
-  config.degrade_start = 0.8;
   config.max_throttle_factor = 3.0;
-  config.headroom_floor = 0.05;
   AdmissionController ac(config);
+  static_assert(kThrottleStart == 0.5 && kDegradeStart == 0.75 && kHeadroomFloor > 0.01);
   EXPECT_EQ(ac.level(), BackpressureLevel::kNone);
   EXPECT_DOUBLE_EQ(ac.throttle_factor(), 1.0);
 
@@ -216,23 +163,24 @@ TEST(AdmissionControllerTest, BackpressureLadderAndThrottleFactor) {
   // One pending job + a saturated cluster (no D_r headroom) escalates one
   // step even though the queue is nearly empty.
   fill_to(1);
-  EXPECT_TRUE(ac.UpdateBackpressure(1.0, 0.01));
+  EXPECT_TRUE(ac.UpdateBackpressure(0.01));
   EXPECT_EQ(ac.level(), BackpressureLevel::kThrottle);
-  EXPECT_TRUE(ac.UpdateBackpressure(2.0, 1.0));
+  EXPECT_TRUE(ac.UpdateBackpressure(1.0));
   EXPECT_EQ(ac.level(), BackpressureLevel::kNone);
 
   fill_to(5);  // Ratio 0.5: throttle band.
-  EXPECT_TRUE(ac.UpdateBackpressure(3.0, 1.0));
+  EXPECT_TRUE(ac.UpdateBackpressure(1.0));
   EXPECT_EQ(ac.level(), BackpressureLevel::kThrottle);
   const double factor = ac.throttle_factor();
   EXPECT_GE(factor, 1.0);
   EXPECT_LT(factor, 3.0);
 
   fill_to(8);  // Ratio 0.8: degrade, max backoff.
-  EXPECT_TRUE(ac.UpdateBackpressure(4.0, 1.0));
+  EXPECT_TRUE(ac.UpdateBackpressure(1.0));
   EXPECT_EQ(ac.level(), BackpressureLevel::kDegrade);
+  EXPECT_STREQ(BackpressureLevelName(ac.level()), "degrade");
   EXPECT_DOUBLE_EQ(ac.throttle_factor(), 3.0);
-  EXPECT_FALSE(ac.UpdateBackpressure(5.0, 1.0));  // No change, no transition.
+  EXPECT_FALSE(ac.UpdateBackpressure(1.0));  // No change, no transition.
   EXPECT_EQ(ac.counters().level_changes, 4);
   ExpectIdentity(ac.counters());
 }

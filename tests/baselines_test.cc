@@ -137,7 +137,6 @@ TEST(ExecutorRuntime, DynamicAllocationReleasesIdleExecutors) {
   ExecutorModelConfig exec_config;
   exec_config.mode = ExecutorMode::kTaskSlots;
   exec_config.dynamic_allocation = true;
-  exec_config.idle_timeout = 2.0;
   ExecutorModelScheduler scheduler(&sim, &cluster, exec_config, {});
   auto job = Job::Create(0, MakeTpchQuery(6, 100.0 * 1024 * 1024 * 1024, 3));
   scheduler.SubmitJob(std::move(job));

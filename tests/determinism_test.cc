@@ -175,9 +175,11 @@ TEST(Determinism, VerifiedHotPathWithPerWorkerRates) {
   pc.num_workers = config.cluster.num_workers;
   pc.horizon_end = 60.0;
   pc.degrades = 12;
-  pc.degrade_factor = 0.4;
-  pc.degrade_duration = 20.0;
   config.fault_plan = MakeRandomFaultPlan(pc);
+  for (FaultEvent& event : config.fault_plan.events) {
+    event.factor = 0.4;
+    event.duration = 20.0;
+  }
   ExperimentResult result;
   ExpectVerifiedHotPathMatches(SeededTpch(10, 19), config, "ursa-srjf", &result);
   const UrsaScheduler::SchedulerCounters& sc = result.scheduler_counters;

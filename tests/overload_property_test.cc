@@ -30,7 +30,6 @@ ExperimentConfig MakeOverloadConfig(uint64_t seed) {
 
   config.ursa.admission.enabled = true;
   config.ursa.admission.max_pending = kMaxPending;
-  config.ursa.admission.shed_policy = ShedPolicy::kPriorityTier;
   config.ursa.admission.default_slo = 15.0;
   config.ursa.admission.utilization_bound = 1.0;
   config.ursa.admission.max_throttle_factor = 2.0;

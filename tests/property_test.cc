@@ -243,8 +243,6 @@ TEST_P(ChaosInvariants, WorkerCountersNeverGoNegativeAndDrainToZero) {
   Cluster cluster(&sim, cc);
   UrsaSchedulerConfig sc;
   sc.spec.enabled = true;  // Speculative cancellations join the chaos mix.
-  sc.spec.min_runtime = 0.5;
-  sc.spec.min_stage_samples = 2;
   sc.spec.slowdown_threshold = 1.3;
   UrsaScheduler scheduler(&sim, &cluster, sc);
 
@@ -361,8 +359,6 @@ TEST_P(CtrlChaosInvariants, ExactlyOnceObservablesHoldUnderMessageChaos) {
   // Odd seeds journal, even seeds exercise the full-restart fallback.
   sc.ctrl.checkpoint_interval = (seed % 2 == 1) ? 1.0 : 0.0;
   sc.spec.enabled = true;  // Speculative channels join the dedup surface.
-  sc.spec.min_runtime = 0.5;
-  sc.spec.min_stage_samples = 2;
   sc.spec.slowdown_threshold = 1.3;
   UrsaScheduler scheduler(&sim, &cluster, sc);
 

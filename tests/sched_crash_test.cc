@@ -356,24 +356,15 @@ TEST(FaultPlanValidationDeathTest, RejectsNegativeCounts) {
   pc.crashes = 0;
   pc.sched_crash_recovers = -2;
   EXPECT_DEATH(MakeRandomFaultPlan(pc), "sched_crash_recovers");
-  pc.sched_crash_recovers = 0;
-  pc.transient_count = -1;
-  EXPECT_DEATH(MakeRandomFaultPlan(pc), "transient_count");
-}
-
-TEST(FaultPlanValidationDeathTest, RejectsOutOfRangeDegradeFactor) {
-  FaultPlanConfig pc;
-  pc.degrade_factor = 0.0;
-  EXPECT_DEATH(MakeRandomFaultPlan(pc), "degrade_factor");
-  pc.degrade_factor = 1.5;
-  EXPECT_DEATH(MakeRandomFaultPlan(pc), "degrade_factor");
 }
 
 TEST(FaultPlanValidationDeathTest, RejectsInvertedDowntimes) {
   FaultPlanConfig pc;
-  pc.min_downtime = 10.0;
-  pc.max_downtime = 5.0;
-  EXPECT_DEATH(MakeRandomFaultPlan(pc), "downtime");
+  pc.min_sched_downtime = 10.0;
+  pc.max_sched_downtime = 5.0;
+  EXPECT_DEATH(MakeRandomFaultPlan(pc), "sched_downtime");
+  pc.min_sched_downtime = -1.0;
+  EXPECT_DEATH(MakeRandomFaultPlan(pc), "min_sched_downtime");
 }
 
 }  // namespace

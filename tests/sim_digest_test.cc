@@ -215,7 +215,9 @@ std::string DigestLine(const DigestCase& c) {
   config.trace_sample = 1 << 30;
   config.trace_capacity = 1;
   const ExperimentResult result = RunExperiment(c.workload, config, c.name);
-  const int64_t placed = result.trace->tick_summary().placed;
+  // The executor model records no trace; its placed count reads 0.
+  const int64_t placed =
+      result.trace != nullptr ? result.trace->tick_summary().placed : 0;
 
   Digest d;
   for (const JobRecord& record : result.records) {

@@ -77,12 +77,11 @@ TEST(RobustStats, MadTracksEveryAdd) {
 
 TEST(Detection, RequiresMinimumStageSamples) {
   SpeculationConfig config;
-  config.min_stage_samples = 3;
-  config.min_runtime = 0.0;
   RobustSample durations;
-  durations.Add(1.0);
-  durations.Add(1.0);
-  // Two completions: never a straggler, however slow.
+  for (int i = 1; i < kMinStageSamples; ++i) {
+    durations.Add(1.0);
+  }
+  // One completion short of the gate: never a straggler, however slow.
   EXPECT_FALSE(IsStraggler(config, durations, 1000.0));
   durations.Add(1.0);
   EXPECT_TRUE(IsStraggler(config, durations, 1000.0));
@@ -90,27 +89,32 @@ TEST(Detection, RequiresMinimumStageSamples) {
 
 TEST(Detection, ThresholdIsMedianPlusMadScaled) {
   SpeculationConfig config;
-  config.min_stage_samples = 3;
-  config.min_runtime = 0.0;
   config.slowdown_threshold = 1.75;
-  config.mad_multiplier = 3.0;
   RobustSample durations;
   for (double v : {2.0, 2.0, 2.0, 4.0}) {
     durations.Add(v);
   }
-  // Median 2, MAD 0 -> limit 3.5.
+  // Median 2, MAD 0 -> limit 3.5 (above the kSpecMinRuntime floor).
   EXPECT_FALSE(IsStraggler(config, durations, 3.5));
   EXPECT_TRUE(IsStraggler(config, durations, 3.51));
+  // Median 2, MAD 1 -> limit 1.75 * 2 + kMadMultiplier * 1.
+  for (double v : {1.0, 1.0, 3.0, 3.0}) {
+    durations.Add(v);
+  }
+  ASSERT_DOUBLE_EQ(durations.Mad(), 1.0);
+  const double limit = 1.75 * 2.0 + kMadMultiplier;
+  EXPECT_FALSE(IsStraggler(config, durations, limit));
+  EXPECT_TRUE(IsStraggler(config, durations, limit + 0.01));
 }
 
 TEST(Detection, MinRuntimeFloorsTheThreshold) {
   SpeculationConfig config;
-  config.min_stage_samples = 1;
-  config.min_runtime = 5.0;
   RobustSample durations;
-  durations.Add(0.01);  // Tiny tasks: threshold alone would be ~0.02 s.
-  EXPECT_FALSE(IsStraggler(config, durations, 4.9));
-  EXPECT_TRUE(IsStraggler(config, durations, 5.1));
+  for (int i = 0; i < kMinStageSamples; ++i) {
+    durations.Add(0.01);  // Tiny tasks: threshold alone would be ~0.02 s.
+  }
+  EXPECT_FALSE(IsStraggler(config, durations, kSpecMinRuntime - 0.1));
+  EXPECT_TRUE(IsStraggler(config, durations, kSpecMinRuntime + 0.1));
 }
 
 TEST(Detection, EttfRanksNoProgressHighest) {
@@ -867,10 +871,7 @@ class SpeculationSchedulerTest : public ::testing::Test {
 TEST_F(SpeculationSchedulerTest, SpeculatesAgainstDegradedWorkerAndFinishes) {
   UrsaSchedulerConfig sc;
   sc.spec.enabled = true;
-  sc.spec.min_runtime = 0.5;
-  sc.spec.min_stage_samples = 2;
   sc.spec.slowdown_threshold = 1.3;
-  sc.spec.mad_multiplier = 2.0;
   UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
   SubmitTpch(scheduler, 6, 7);
   // A severe straggler appears early and never recovers.
@@ -908,8 +909,6 @@ TEST_F(SpeculationSchedulerTest, DisabledByDefaultLaunchesNothing) {
 TEST_F(SpeculationSchedulerTest, SpeculationSurvivesWorkerFailureMidRace) {
   UrsaSchedulerConfig sc;
   sc.spec.enabled = true;
-  sc.spec.min_runtime = 0.5;
-  sc.spec.min_stage_samples = 2;
   sc.spec.slowdown_threshold = 1.3;
   UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
   SubmitTpch(scheduler, 4, 13);
@@ -941,8 +940,6 @@ TEST_F(SpeculationSchedulerTest, CopyReportAfterFullRestartIsFenced) {
   sc.ctrl.enabled = true;
   sc.ctrl.loss_prob = 0.3;  // Retransmits keep reports in flight longer.
   sc.spec.enabled = true;
-  sc.spec.min_runtime = 0.5;
-  sc.spec.min_stage_samples = 2;
   sc.spec.slowdown_threshold = 1.3;
   Tracer tracer;
   cluster_->set_tracer(&tracer);

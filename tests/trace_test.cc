@@ -153,8 +153,6 @@ TEST_F(TraceTest, BusyTimeMatchesStepTrackerIntegralsUnderKillsAndSpeculation) {
   Tracer tracer;
   UrsaSchedulerConfig sc;
   sc.spec.enabled = true;
-  sc.spec.min_runtime = 0.5;
-  sc.spec.min_stage_samples = 2;
   sc.spec.slowdown_threshold = 1.3;
   sim_.Schedule(1.0, [&] { cluster_->worker(0).set_speed_factor(0.05); });
   sim_.Schedule(8.0, [&] { scheduler_->FailWorker(2); });

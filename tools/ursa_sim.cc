@@ -11,23 +11,22 @@
 //              --series=STEP
 // Tracing:     --trace (record + summary only) --trace-out=FILE (Chrome
 //              trace JSON) --trace-sample=N --trace-capacity=EVENTS
+//              (ursa schemes only: y+s, y+t and y+u record no trace)
 // Chaos:       --fault-crashes=N --fault-recovers=N --fault-transients=N
 //              --fault-degrades=N --fault-seed=N --fault-horizon=SEC
 //              --detect-timeout=SEC --heartbeat=SEC --no-lineage
 //              --retry-attempts=N
 // Control:     --ctrl (scheduler<->worker message layer) --msg-loss=P
-//              --msg-dup=P --msg-delay=P --msg-delay-extra=SEC
-//              --msg-latency=SEC --sched-crash=N --sched-downtime=SEC
+//              --msg-dup=P --msg-delay=P --sched-crash=N --sched-downtime=SEC
 //              --checkpoint-interval=SEC (enables the decision journal;
 //              0 = crash degrades to full job restarts). Any of these
 //              implies --ctrl. DESIGN.md section 14.
 // Speculation: --spec --spec-threshold=X --spec-budget=FRAC
-//              --spec-min-runtime=SEC
 // Open loop:   --open-loop (or --workload=openloop) --arrival-rate=JOBS/S
 //              --arrival-trace=FILE --tenants=name:weight:tier:slo,...
 //              (--jobs bounds the arrival count)
-// Admission:   --admission --max-pending=N --shed-policy=newest|largest|tier
-//              --slo=SEC --u-bound=X (ursa schemes only)
+// Admission:   --admission --max-pending=N --slo=SEC --u-bound=X (ursa
+//              schemes only)
 // Hot path:    --sched-counters (tick/load-refresh/scan counters; DESIGN.md
 //              section 12)
 //
@@ -87,8 +86,6 @@ struct Flags {
   double msg_loss = 0.0;
   double msg_dup = 0.0;
   double msg_delay = 0.0;
-  double msg_delay_extra = 0.05;
-  double msg_latency = 0.0005;
   int sched_crashes = 0;
   double sched_downtime = 5.0;
   double checkpoint_interval = 0.0;
@@ -96,7 +93,6 @@ struct Flags {
   bool spec = false;
   double spec_threshold = 1.75;
   double spec_budget = 0.1;
-  double spec_min_runtime = 1.0;
   // Open-loop serving + admission control (DESIGN.md section 11).
   bool open_loop = false;
   double arrival_rate = 0.5;
@@ -104,7 +100,6 @@ struct Flags {
   std::string tenants;
   bool admission = false;
   int max_pending = 64;
-  std::string shed_policy = "tier";
   double slo = 300.0;
   double u_bound = 4.0;
   // Hot path (DESIGN.md section 12).
@@ -168,15 +163,12 @@ int Usage() {
                "                [--detect-timeout=SEC] [--heartbeat=SEC]\n"
                "                [--no-lineage] [--retry-attempts=N]\n"
                "                [--ctrl] [--msg-loss=P] [--msg-dup=P] [--msg-delay=P]\n"
-               "                [--msg-delay-extra=SEC] [--msg-latency=SEC]\n"
                "                [--sched-crash=N] [--sched-downtime=SEC]\n"
                "                [--checkpoint-interval=SEC]\n"
                "                [--spec] [--spec-threshold=X] [--spec-budget=FRAC]\n"
-               "                [--spec-min-runtime=SEC]\n"
                "                [--open-loop] [--arrival-rate=JOBS/S] [--arrival-trace=FILE]\n"
                "                [--tenants=name:weight:tier:slo,...]\n"
-               "                [--admission] [--max-pending=N]\n"
-               "                [--shed-policy=newest|largest|tier] [--slo=SEC] [--u-bound=X]\n"
+               "                [--admission] [--max-pending=N] [--slo=SEC] [--u-bound=X]\n"
                "                [--sched-counters]\n");
   return 2;
 }
@@ -278,14 +270,6 @@ int main(int argc, char** argv) {
       if (!ToDouble(value, 0.0, 0.999, &flags.msg_delay)) {
         return BadFlagValue("msg-delay", value);
       }
-    } else if (ParseFlag(argv[i], "msg-delay-extra", &value)) {
-      if (!ToDouble(value, 0.0, 1e6, &flags.msg_delay_extra)) {
-        return BadFlagValue("msg-delay-extra", value);
-      }
-    } else if (ParseFlag(argv[i], "msg-latency", &value)) {
-      if (!ToDouble(value, 0.0, 1e6, &flags.msg_latency)) {
-        return BadFlagValue("msg-latency", value);
-      }
     } else if (ParseFlag(argv[i], "sched-crash", &value)) {
       if (!ToInt(value, 0, 100000, &flags.sched_crashes)) {
         return BadFlagValue("sched-crash", value);
@@ -308,10 +292,6 @@ int main(int argc, char** argv) {
       if (!ToDouble(value, 0.0, 1.0, &flags.spec_budget)) {
         return BadFlagValue("spec-budget", value);
       }
-    } else if (ParseFlag(argv[i], "spec-min-runtime", &value)) {
-      if (!ToDouble(value, 0.0, 1e9, &flags.spec_min_runtime)) {
-        return BadFlagValue("spec-min-runtime", value);
-      }
     } else if (std::strcmp(argv[i], "--open-loop") == 0) {
       flags.open_loop = true;
     } else if (ParseFlag(argv[i], "arrival-rate", &value)) {
@@ -328,8 +308,6 @@ int main(int argc, char** argv) {
       if (!ToInt(value, 1, 10000000, &flags.max_pending)) {
         return BadFlagValue("max-pending", value);
       }
-    } else if (ParseFlag(argv[i], "shed-policy", &value)) {
-      flags.shed_policy = value;
     } else if (ParseFlag(argv[i], "slo", &value)) {
       if (!ToDouble(value, 1e-9, 1e9, &flags.slo)) return BadFlagValue("slo", value);
     } else if (ParseFlag(argv[i], "u-bound", &value)) {
@@ -404,6 +382,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ursa_sim: unknown scheduler '%s'\n", flags.scheduler.c_str());
     return Usage();
   }
+  if (config.kind == SchedulerKind::kExecutorModel &&
+      (flags.trace || !flags.trace_out.empty())) {
+    std::fprintf(stderr,
+                 "ursa_sim: %s is not supported with --scheduler=%s (the executor model "
+                 "records no trace)\n",
+                 flags.trace ? "--trace" : "--trace-out", flags.scheduler.c_str());
+    return 2;
+  }
   config.cluster.num_workers = flags.workers;
   config.cluster.downlink_bytes_per_sec = GbpsToBytesPerSec(flags.gbps);
   config.cm.cpu_subscription_ratio = flags.subscription;
@@ -438,11 +424,6 @@ int main(int argc, char** argv) {
   }
   config.ursa.admission.enabled = flags.admission;
   config.ursa.admission.max_pending = flags.max_pending;
-  if (!ParseShedPolicy(flags.shed_policy, &config.ursa.admission.shed_policy)) {
-    std::fprintf(stderr, "ursa_sim: --shed-policy rejects '%s' (want newest|largest|tier)\n",
-                 flags.shed_policy.c_str());
-    return 2;
-  }
   config.ursa.admission.default_slo = flags.slo;
   config.ursa.admission.utilization_bound = flags.u_bound;
 
@@ -454,7 +435,6 @@ int main(int argc, char** argv) {
   config.ursa.spec.enabled = flags.spec;
   config.ursa.spec.slowdown_threshold = flags.spec_threshold;
   config.ursa.spec.budget_fraction = flags.spec_budget;
-  config.ursa.spec.min_runtime = flags.spec_min_runtime;
   // Control-plane message layer + chaos (DESIGN.md section 14). Any chaos
   // knob implies the message layer; with none of them the layer stays off and
   // seeded runs are byte-identical to the direct-call path.
@@ -462,11 +442,9 @@ int main(int argc, char** argv) {
                              flags.msg_delay > 0.0 || flags.sched_crashes > 0 ||
                              flags.checkpoint_interval > 0.0;
   config.ursa.ctrl.seed = flags.fault_seed;
-  config.ursa.ctrl.base_latency = flags.msg_latency;
   config.ursa.ctrl.loss_prob = flags.msg_loss;
   config.ursa.ctrl.dup_prob = flags.msg_dup;
   config.ursa.ctrl.delay_prob = flags.msg_delay;
-  config.ursa.ctrl.delay_extra = flags.msg_delay_extra;
   config.ursa.ctrl.checkpoint_interval = flags.checkpoint_interval;
   if (flags.fault_crashes + flags.fault_recovers + flags.fault_transients +
           flags.fault_degrades + flags.sched_crashes >
