@@ -25,8 +25,6 @@
 // With --baseline, the run fails (exit 1) when jct_ratio_journal rises more
 // than 20% above the baseline file's value (higher ratio = worse recovery).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,12 +42,6 @@ struct Options {
   std::string json_out = "BENCH_fault.json";
   std::string baseline;
 };
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--seed=N] [--full] [--json-out=FILE] [--baseline=FILE]\n",
-               argv0);
-  return 2;
-}
 
 struct Row {
   uint64_t fault_seed = 0;
@@ -127,10 +119,8 @@ Row RunRow(const Workload& workload, uint64_t fault_seed, bool journaled,
   return row;
 }
 
-void AppendRowJson(std::string* out, const Row& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"fault_seed\": %llu, \"mode\": \"%s\", \"makespan\": %.3f, "
+std::string RowJson(const Row& r) {
+  return Format("{\"fault_seed\": %llu, \"mode\": \"%s\", \"makespan\": %.3f, "
                 "\"avg_jct\": %.3f, \"jct_ratio\": %.4f, \"sched_crashes\": %d, "
                 "\"sched_recoveries\": %d, \"recovery_latency\": %.3f, "
                 "\"checkpoints\": %d, \"journal_records\": %lld, "
@@ -140,27 +130,19 @@ void AppendRowJson(std::string* out, const Row& r) {
                 r.avg_jct, r.jct_ratio, r.sched_crashes, r.sched_recoveries,
                 r.recovery_latency, r.checkpoints, r.journal_records, r.redispatched,
                 r.fenced, r.retransmits, r.full_restarts, r.tasks_reset);
-  *out += buf;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strcmp(arg, "--full") == 0) {
-      opt.full = true;
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      opt.baseline = arg + 11;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      return Usage(argv[0]);
-    }
+  FlagSet flags;
+  flags.Num("seed", &opt.seed, "first fault seed");
+  flags.Bool("full", &opt.full, "5 fault seeds on 60 jobs");
+  flags.Str("json-out", &opt.json_out, "JSON summary file");
+  flags.Str("baseline", &opt.baseline, "gate jct_ratio_journal against this JSON");
+  if (const int rc = flags.Parse(argc, argv)) {
+    return rc;
   }
 
   const Workload workload = MakeFaultWorkload(opt);
@@ -255,22 +237,13 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::string json = "{\n  \"bench\": \"fault\",\n";
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "  \"seed\": %llu,\n  \"full\": %s,\n  \"clean_avg_jct\": %.3f,\n"
-                "  \"jct_ratio_journal\": %.4f,\n  \"jct_ratio_restart\": %.4f,\n"
-                "  \"mean_recovery_latency\": %.3f,\n  \"mean_redispatched\": %.1f,\n",
-                static_cast<unsigned long long>(opt.seed), opt.full ? "true" : "false",
-                clean_jct, ratio_journal, ratio_restart, mean_recovery, mean_redispatched);
-  json += buf;
-  std::snprintf(buf, sizeof(buf), "  \"pass\": %s,\n  \"rows\": [\n", ok ? "true" : "false");
-  json += buf;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendRowJson(&json, rows[i]);
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-
-  return WriteBenchJson(opt.json_out, json, ok);
+  return WriteBenchReport(opt.json_out, "fault",
+                          {{"seed", Format("%llu", static_cast<unsigned long long>(opt.seed))},
+                           {"full", opt.full ? "true" : "false"},
+                           {"clean_avg_jct", Format("%.3f", clean_jct)},
+                           {"jct_ratio_journal", Format("%.4f", ratio_journal)},
+                           {"jct_ratio_restart", Format("%.4f", ratio_restart)},
+                           {"mean_recovery_latency", Format("%.3f", mean_recovery)},
+                           {"mean_redispatched", Format("%.1f", mean_redispatched)}},
+                          rows, RowJson, ok);
 }

@@ -47,7 +47,10 @@ void RunSingleJob(const std::string& label, JobSpec spec, const ExperimentConfig
 }  // namespace
 }  // namespace ursa
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = ursa::FlagSet().Parse(argc, argv)) {
+    return rc;  // This bench takes no flags.
+  }
   using namespace ursa;
 
   // 1a: LR on Petuum - regular BSP alternation, ~2.5 s compute + sync.

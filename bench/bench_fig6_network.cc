@@ -15,7 +15,10 @@
 #include "src/common/units.h"
 #include "src/workloads/tpch.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = ursa::FlagSet().Parse(argc, argv)) {
+    return rc;  // This bench takes no flags.
+  }
   using namespace ursa;
   const Workload workload = MakeTpch2Workload(1234);
 

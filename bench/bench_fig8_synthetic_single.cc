@@ -34,7 +34,10 @@ void RunType(int type) {
 }  // namespace
 }  // namespace ursa
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = ursa::FlagSet().Parse(argc, argv)) {
+    return rc;  // This bench takes no flags.
+  }
   ursa::RunType(1);
   ursa::RunType(2);
   return 0;

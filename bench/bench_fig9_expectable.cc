@@ -7,7 +7,10 @@
 #include "bench/bench_util.h"
 #include "src/workloads/synthetic.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = ursa::FlagSet().Parse(argc, argv)) {
+    return rc;  // This bench takes no flags.
+  }
   using namespace ursa;
   const int kJobs = 40;
   const Workload workload = MakeSyntheticType1Workload(kJobs, 900);

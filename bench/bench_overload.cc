@@ -25,7 +25,6 @@
 //                  [--chaos]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -45,19 +44,11 @@ struct Options {
   int jobs = 120;      // Arrivals per sweep point.
   int workers = 8;
   int max_pending = 32;
-  std::vector<double> mults = {0.5, 1.0, 1.5, 2.0, 3.0};
+  std::vector<double> mults;  // From --mults.
   std::string json_out = "BENCH_overload.json";
   std::string trace_out;
   bool chaos = false;
 };
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--seed=N] [--jobs=N] [--workers=N] [--mults=CSV]\n"
-               "       [--max-pending=N] [--json-out=FILE] [--trace-out=FILE] [--chaos]\n",
-               argv0);
-  return 2;
-}
 
 bool ParseMults(const std::string& csv, std::vector<double>* out) {
   out->clear();
@@ -176,9 +167,7 @@ Point RunPoint(const Options& opt, double mult, double rate) {
   const double slo_attainment =
       point.completed > 0 ? slo_weighted / point.completed : 1.0;
 
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
+  point.json = Format(
       "    {\"mult\": %.6g, \"arrival_rate\": %.6g, \"submitted\": %d, "
       "\"completed\": %d, \"shed\": %lld, \"slo_rejects\": %lld, "
       "\"evictions\": %lld, \"deferrals\": %lld, \"goodput\": %.6g, "
@@ -194,7 +183,6 @@ Point RunPoint(const Options& opt, double mult, double rate) {
       jct.p95, jct.p99, slo_attainment, result.tenants.jain_fairness,
       point.max_pending_depth, static_cast<long long>(result.admission.level_changes),
       result.admission.avg_admission_latency(), result.makespan());
-  point.json = buf;
   return point;
 }
 
@@ -202,35 +190,21 @@ Point RunPoint(const Options& opt, double mult, double rate) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(arg + 7);
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      opt.workers = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--max-pending=", 14) == 0) {
-      opt.max_pending = std::atoi(arg + 14);
-    } else if (std::strncmp(arg, "--mults=", 8) == 0) {
-      if (!ParseMults(arg + 8, &opt.mults)) {
-        std::fprintf(stderr, "bad --mults value '%s'\n", arg + 8);
-        return Usage(argv[0]);
-      }
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      opt.trace_out = arg + 12;
-    } else if (std::strcmp(arg, "--chaos") == 0) {
-      opt.chaos = true;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      return Usage(argv[0]);
-    }
+  std::string mults = "0.5,1,1.5,2,3";
+  FlagSet flags;
+  flags.Num("seed", &opt.seed, "arrival and workload seed");
+  flags.Num("jobs", &opt.jobs, 1, 10000000, "arrivals per sweep point");
+  flags.Num("workers", &opt.workers, 1, 100000, "cluster size");
+  flags.Str("mults", &mults, "comma-separated saturation multiples");
+  flags.Num("max-pending", &opt.max_pending, 1, 10000000, "pending-queue bound");
+  flags.Str("json-out", &opt.json_out, "JSON summary file");
+  flags.Str("trace-out", &opt.trace_out, "Chrome trace JSON, one file per multiple");
+  flags.Bool("chaos", &opt.chaos, "a worker crash and a slowdown at every point");
+  if (const int rc = flags.Parse(argc, argv)) {
+    return rc;
   }
-  if (opt.jobs < 1 || opt.workers < 1 || opt.max_pending < 1) {
-    std::fprintf(stderr, "flag out of range\n");
-    return Usage(argv[0]);
+  if (!ParseMults(mults, &opt.mults)) {
+    return flags.Reject("mults", mults);
   }
 
   // Calibration: a closed batch of the same jobs, all submitted at t = 0;
@@ -316,25 +290,20 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::string json;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\n  \"bench\": \"overload\",\n  \"seed\": %llu,\n"
-                "  \"workers\": %d,\n  \"jobs_per_point\": %d,\n"
-                "  \"max_pending\": %d,\n"
-                "  \"chaos\": %s,\n  \"saturation_rate\": %.6g,\n  \"points\": [\n",
-                static_cast<unsigned long long>(opt.seed), opt.workers, opt.jobs,
-                opt.max_pending, opt.chaos ? "true" : "false", sat_rate);
-  json += buf;
+  std::string json =
+      Format("{\n  \"bench\": \"overload\",\n  \"seed\": %llu,\n"
+             "  \"workers\": %d,\n  \"jobs_per_point\": %d,\n"
+             "  \"max_pending\": %d,\n"
+             "  \"chaos\": %s,\n  \"saturation_rate\": %.6g,\n  \"points\": [\n",
+             static_cast<unsigned long long>(opt.seed), opt.workers, opt.jobs,
+             opt.max_pending, opt.chaos ? "true" : "false", sat_rate);
   for (size_t i = 0; i < points.size(); ++i) {
     json += points[i].json;
     json += i + 1 < points.size() ? ",\n" : "\n";
   }
-  std::snprintf(buf, sizeof(buf),
-                "  ],\n  \"goodput_retention\": %.6g,\n  \"deterministic\": %s,\n"
-                "  \"pass\": %s\n}\n",
-                peak > 0.0 ? top.goodput / peak : 1.0,
-                replay.json == top.json ? "true" : "false", ok ? "true" : "false");
-  json += buf;
+  json += Format("  ],\n  \"goodput_retention\": %.6g,\n  \"deterministic\": %s,\n"
+                 "  \"pass\": %s\n}\n",
+                 peak > 0.0 ? top.goodput / peak : 1.0,
+                 replay.json == top.json ? "true" : "false", ok ? "true" : "false");
   return WriteBenchJson(opt.json_out, json, ok);
 }

@@ -23,8 +23,6 @@
 // base policy's mean JCT over Graphene's — > 1 means Graphene wins) drops
 // more than 20% below the committed baseline's value.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,12 +42,6 @@ struct Options {
   std::string json_out = "BENCH_policy.json";
   std::string baseline;
 };
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--seed=N] [--jobs=N] [--json-out=FILE] [--baseline=FILE]\n",
-               argv0);
-  return 2;
-}
 
 struct Contender {
   std::string name;
@@ -90,15 +82,12 @@ Row RunRow(const Workload& workload, const Contender& contender) {
   return row;
 }
 
-void AppendRowJson(std::string* out, const Row& r) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"workload\": \"%s\", \"policy\": \"%s\", \"makespan\": %.3f, "
+std::string RowJson(const Row& r) {
+  return Format("{\"workload\": \"%s\", \"policy\": \"%s\", \"makespan\": %.3f, "
                 "\"avg_jct\": %.3f, \"ue_cpu\": %.2f, \"se_cpu\": %.2f, "
                 "\"events\": %llu, \"wall_seconds\": %.3f}",
                 r.workload.c_str(), r.policy.c_str(), r.makespan, r.avg_jct, r.ue_cpu,
                 r.se_cpu, static_cast<unsigned long long>(r.events), r.wall_seconds);
-  *out += buf;
 }
 
 const Row* FindRow(const std::vector<Row>& rows, const std::string& workload,
@@ -115,23 +104,13 @@ const Row* FindRow(const std::vector<Row>& rows, const std::string& workload,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(arg + 7);
-      if (opt.jobs < 1) {
-        return Usage(argv[0]);
-      }
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      opt.baseline = arg + 11;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      return Usage(argv[0]);
-    }
+  FlagSet flags;
+  flags.Num("seed", &opt.seed, "workload seed");
+  flags.Num("jobs", &opt.jobs, 1, 10000000, "TPC-H and TPC-DS jobs");
+  flags.Str("json-out", &opt.json_out, "JSON summary file");
+  flags.Str("baseline", &opt.baseline, "gate graphene_gain_mixed against this JSON");
+  if (const int rc = flags.Parse(argc, argv)) {
+    return rc;
   }
 
   TpchWorkloadConfig tpch_config;
@@ -217,19 +196,9 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::string json = "{\n  \"bench\": \"policy\",\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  \"seed\": %llu,\n  \"jobs\": %d,\n  \"graphene_gain_mixed\": %.3f,\n"
-                "  \"pass\": %s,\n  \"rows\": [\n",
-                static_cast<unsigned long long>(opt.seed), opt.jobs, gain,
-                ok ? "true" : "false");
-  json += buf;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendRowJson(&json, rows[i]);
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-
-  return WriteBenchJson(opt.json_out, json, ok);
+  return WriteBenchReport(opt.json_out, "policy",
+                          {{"seed", Format("%llu", static_cast<unsigned long long>(opt.seed))},
+                           {"jobs", Format("%d", opt.jobs)},
+                           {"graphene_gain_mixed", Format("%.3f", gain)}},
+                          rows, RowJson, ok);
 }

@@ -22,8 +22,6 @@
 // rises more than 20% above the baseline file's value.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,12 +39,6 @@ struct Options {
   std::string json_out = "BENCH_scale.json";
   std::string baseline;
 };
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--seed=N] [--full] [--json-out=FILE] [--baseline=FILE]\n",
-               argv0);
-  return 2;
-}
 
 struct Row {
   int workers = 0;
@@ -120,10 +112,8 @@ Row RunRow(const Options& opt, int workers) {
   return row;
 }
 
-void AppendRowJson(std::string* out, const Row& r) {
-  char buf[640];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"workers\": %d, \"jobs\": %d, "
+std::string RowJson(const Row& r) {
+  return Format("{\"workers\": %d, \"jobs\": %d, "
                 "\"monotasks\": %lld, \"events\": %llu, \"wall_seconds\": %.3f, "
                 "\"events_per_sec\": %.1f, \"placed\": %lld, "
                 "\"placements_per_sec\": %.1f, \"p99_tick_ms\": %.3f, "
@@ -137,7 +127,6 @@ void AppendRowJson(std::string* out, const Row& r) {
                 static_cast<long long>(r.load_refreshes),
                 static_cast<long long>(r.bestworker_calls),
                 static_cast<long long>(r.workers_scanned), r.makespan, r.avg_jct);
-  *out += buf;
 }
 
 const Row* FindRow(const std::vector<Row>& rows, int workers) {
@@ -153,20 +142,13 @@ const Row* FindRow(const std::vector<Row>& rows, int workers) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strcmp(arg, "--full") == 0) {
-      opt.full = true;
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      opt.baseline = arg + 11;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      return Usage(argv[0]);
-    }
+  FlagSet flags;
+  flags.Num("seed", &opt.seed, "workload seed");
+  flags.Bool("full", &opt.full, "extend the sweep to 1000, 3000 and 10000 workers");
+  flags.Str("json-out", &opt.json_out, "JSON summary file");
+  flags.Str("baseline", &opt.baseline, "gate scanned_per_call_300 against this JSON");
+  if (const int rc = flags.Parse(argc, argv)) {
+    return rc;
   }
 
   std::vector<int> sweep = {100, 300};
@@ -225,20 +207,9 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::string json = "{\n  \"bench\": \"scale\",\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  \"seed\": %llu,\n  \"full\": %s,\n  \"scanned_per_call_300\": %.3f,\n",
-                static_cast<unsigned long long>(opt.seed), opt.full ? "true" : "false",
-                scanned_per_call);
-  json += buf;
-  std::snprintf(buf, sizeof(buf), "  \"pass\": %s,\n  \"rows\": [\n", ok ? "true" : "false");
-  json += buf;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendRowJson(&json, rows[i]);
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-
-  return WriteBenchJson(opt.json_out, json, ok);
+  return WriteBenchReport(opt.json_out, "scale",
+                          {{"seed", Format("%llu", static_cast<unsigned long long>(opt.seed))},
+                           {"full", opt.full ? "true" : "false"},
+                           {"scanned_per_call_300", Format("%.3f", scanned_per_call)}},
+                          rows, RowJson, ok);
 }

@@ -17,8 +17,6 @@
 //
 //   bench_straggler_mitigation [--seed=N] [--jobs=N] [--trace-out=FILE]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -70,19 +68,12 @@ int main(int argc, char** argv) {
   uint64_t seed = 42;
   int jobs = 40;
   std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_out = argv[i] + 12;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_straggler_mitigation [--seed=N] [--jobs=N] "
-                   "[--trace-out=FILE]\n");
-      return 2;
-    }
+  FlagSet flags;
+  flags.Num("seed", &seed, "workload seed");
+  flags.Num("jobs", &jobs, 1, 10000000, "TPC-H jobs");
+  flags.Str("trace-out", &trace_out, "Chrome trace JSON, one file per speculating scenario");
+  if (const int rc = flags.Parse(argc, argv)) {
+    return rc;
   }
 
   TpchWorkloadConfig wc;

@@ -28,7 +28,10 @@ double SingleJobUe(JobSpec spec, const ExperimentConfig& base) {
 }  // namespace
 }  // namespace ursa
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = ursa::FlagSet().Parse(argc, argv)) {
+    return rc;  // This bench takes no flags.
+  }
   using namespace ursa;
   Table table({"system", "LR", "CC", "TPC-H Q14", "TPC-H Q8"});
   table.Row()

@@ -7,14 +7,21 @@
 // makespan for much better average JCT; Ursa's memory UE roughly doubles
 // Y+S's. Figure 4: Ursa's cluster CPU utilization is consistently high,
 // Y+S/Y+T fluctuate heavily (printed as CSV series over a 10-minute window).
+#include <limits>
+
 #include "bench/bench_util.h"
 #include "src/workloads/tpch.h"
 
 int main(int argc, char** argv) {
   using namespace ursa;
   BenchTraceOptions trace;
-  if (!ParseBenchTraceFlags(argc, argv, &trace)) {
-    return 2;
+  FlagSet flags;
+  flags.Str("trace-out", &trace.out, "Chrome trace JSON, one file per scheme");
+  flags.Num("trace-sample", &trace.sample, 1, 1000000, "record 1 in N monotasks");
+  flags.Num("trace-capacity", &trace.capacity, size_t{1}, std::numeric_limits<size_t>::max(),
+            "trace ring events");
+  if (const int rc = flags.Parse(argc, argv)) {
+    return rc;
   }
   TpchWorkloadConfig wc;
   wc.num_jobs = 200;

@@ -9,7 +9,10 @@
 #include "bench/bench_util.h"
 #include "src/workloads/tpcds.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = ursa::FlagSet().Parse(argc, argv)) {
+    return rc;  // This bench takes no flags.
+  }
   using namespace ursa;
   TpcdsWorkloadConfig wc;
   wc.num_jobs = 200;

@@ -10,7 +10,10 @@
 #include "bench/bench_util.h"
 #include "src/workloads/mixed.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = ursa::FlagSet().Parse(argc, argv)) {
+    return rc;  // This bench takes no flags.
+  }
   using namespace ursa;
   MixedWorkloadConfig wc;
   wc.seed = 2020;

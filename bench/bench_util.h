@@ -4,13 +4,15 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/driver/experiment.h"
 #include "src/obs/trace.h"
@@ -22,36 +24,14 @@ struct SchemeRun {
   ExperimentConfig config;
 };
 
-// Tracing options shared by the bench binaries; filled from the standard
-// --trace-out=FILE / --trace-sample=N / --trace-capacity=EVENTS flags.
+// Tracing options for RunSchemes, from the --trace-out / --trace-sample /
+// --trace-capacity flags.
 struct BenchTraceOptions {
   std::string out;  // Chrome trace JSON path ("" = tracing off).
   int sample = 1;
   size_t capacity = size_t{1} << 20;
   bool enabled() const { return !out.empty(); }
 };
-
-// Parses the trace flags out of a bench's argv. Returns false (after
-// printing usage) on any unrecognized argument.
-inline bool ParseBenchTraceFlags(int argc, char** argv, BenchTraceOptions* opts) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      opts->out = arg + 12;
-    } else if (std::strncmp(arg, "--trace-sample=", 15) == 0) {
-      opts->sample = std::atoi(arg + 15);
-    } else if (std::strncmp(arg, "--trace-capacity=", 17) == 0) {
-      opts->capacity = std::strtoull(arg + 17, nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--trace-out=FILE] [--trace-sample=N] "
-                   "[--trace-capacity=EVENTS]\n",
-                   argv[0]);
-      return false;
-    }
-  }
-  return true;
-}
 
 // Per-scheme trace file name: inserts "-<scheme>" before the extension so a
 // multi-scheme bench writes one loadable trace per scheme.
@@ -147,6 +127,20 @@ inline bool PassesBaselineGate(const std::string& path, const char* key, double 
   return true;
 }
 
+// printf into a std::string.
+[[gnu::format(printf, 1, 2)]] inline std::string Format(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list size_args;
+  va_copy(size_args, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, size_args);
+  va_end(size_args);
+  std::string out(static_cast<size_t>(std::max(n, 0)), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  va_end(args);
+  return out;
+}
+
 // Writes a bench's JSON summary and returns the process exit code: 1 when the
 // file cannot be written or the bench failed, 0 otherwise.
 inline int WriteBenchJson(const std::string& path, const std::string& json, bool ok) {
@@ -159,6 +153,28 @@ inline int WriteBenchJson(const std::string& path, const std::string& json, bool
   std::fclose(f);
   std::printf("%s written (%s)\n", path.c_str(), ok ? "pass" : "FAIL");
   return ok ? 0 : 1;
+}
+
+// The gated benches' report, {"bench", <fields>, "pass", "rows": [...]},
+// written with WriteBenchJson. `fields` are (key, JSON value) pairs in output
+// order; `row_json` formats one row as a JSON object.
+template <typename Row>
+int WriteBenchReport(const std::string& path, const char* bench,
+                     const std::vector<std::pair<const char*, std::string>>& fields,
+                     const std::vector<Row>& rows, std::string (*row_json)(const Row&),
+                     bool ok) {
+  std::string json = Format("{\n  \"bench\": \"%s\",\n", bench);
+  for (const auto& [key, value] : fields) {
+    json += Format("  \"%s\": %s,\n", key, value.c_str());
+  }
+  json += Format("  \"pass\": %s,\n  \"rows\": [\n", ok ? "true" : "false");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    json += "    ";
+    json += row_json(rows[i]);
+    json += i + 1 < rows.size() ? ",\n" : "\n";
+  }
+  json += "  ]\n}\n";
+  return WriteBenchJson(path, json, ok);
 }
 
 // Prints a utilization window of a result as CSV series rows.

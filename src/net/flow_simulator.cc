@@ -54,12 +54,6 @@ void FlowSimulator::KeepRxHistories() {
   }
 }
 
-void FlowSimulator::set_local_copy_rate(double bytes_per_sec) {
-  AdvanceProgress();
-  local_copy_rate_ = bytes_per_sec;
-  Reschedule();
-}
-
 void FlowSimulator::set_enforce_uplinks(bool enforce) {
   CHECK(!enforce) << "uplinks are not modelled: shuffles are limited only by the "
                      "receiver's downlink (section 4.2.3)";
@@ -92,18 +86,6 @@ size_t FlowSimulator::FindFlow(FlowId id) const {
                              [](const Flow& flow, FlowId key) { return flow.id < key; });
   return it != flows_.end() && it->id == id ? static_cast<size_t>(it - flows_.begin())
                                             : flows_.size();
-}
-
-void FlowSimulator::CancelFlow(FlowId id) {
-  const size_t i = FindFlow(id);
-  if (i == flows_.size()) {
-    return;
-  }
-  AdvanceProgress();
-  CountInFlow(flows_[i], -1);
-  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(i));
-  callbacks_.erase(callbacks_.begin() + static_cast<std::ptrdiff_t>(i));
-  Reschedule();
 }
 
 double FlowSimulator::FlowRateForTest(FlowId id) const {

@@ -54,11 +54,6 @@ class FlowSimulator {
   // clusters). Applies at once to the flows it receives.
   void SetDownlink(int node, double bytes_per_sec);
 
-  // Rate used for src == dst transfers (defaults to 8 GB/s memory copies).
-  // Applies at once: in-flight local flows keep their progress so far and
-  // move at the new rate from now on.
-  void set_local_copy_rate(double bytes_per_sec);
-
   // CHECK-fails on true: only the receiver side is modelled. perfbench's net
   // replay calls it with false; it goes with the next benchmark change.
   void set_enforce_uplinks(bool enforce);
@@ -67,12 +62,6 @@ class FlowSimulator {
   // simulator when the last byte arrives. Zero-byte flows complete after an
   // infinitesimal delay (still asynchronously, preserving callback ordering).
   FlowId StartFlow(int src, int dst, double bytes, std::function<void()> on_complete);
-
-  // Cancels an in-flight flow and drops its completion callback. No-op if
-  // the flow already completed. Nothing in the simulator calls it: a failed
-  // worker's in-flight pull runs to completion, and the worker's
-  // failure-epoch guard discards it.
-  void CancelFlow(FlowId id);
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   size_t active_flows() const { return flows_.size(); }
@@ -109,8 +98,10 @@ class FlowSimulator {
     StepTracker rx_tracker;
   };
 
+  // Rate of src == dst transfers: 8 GB/s memory copies.
+  static constexpr double kLocalCopyRate = 8e9;
   double Rate(const Flow& flow) const {
-    return flow.src == flow.dst ? local_copy_rate_ : nodes_[flow.dst].share;
+    return flow.src == flow.dst ? kLocalCopyRate : nodes_[flow.dst].share;
   }
   // Advances `remaining` of all flows to the current simulator time.
   void AdvanceProgress();
@@ -138,7 +129,6 @@ class FlowSimulator {
   FlowId next_id_ = 1;
   double last_progress_time_ = 0.0;
   EventId completion_event_ = kInvalidEventId;
-  double local_copy_rate_ = 8e9;
   double total_delivered_ = 0.0;
   RefillStats stats_;
   // Receivers whose count or capacity changed since the last refill.

@@ -1291,14 +1291,13 @@ void UrsaScheduler::ApplyToLoad(const TaskUsage& usage, double ept, WorkerLoad* 
   load->d[mem] = load->free_memory / load->memory_capacity;
 }
 
-UrsaScheduler::StagePlan UrsaScheduler::ScoreStage(
-    const JobEntry& entry, StageId stage, const std::vector<TaskId>& tasks,
-    const std::vector<WorkerLoad>& base,
-    const int base_headroom[kNumMonotaskResources], double ept) const {
-  StagePlan plan;
-  plan.job = entry.job->id;
-  plan.stage = stage;
-  plan.complete = true;
+double UrsaScheduler::ScoreStage(const JobEntry& entry, StageId stage,
+                                 const std::vector<TaskId>& tasks,
+                                 const std::vector<WorkerLoad>& base,
+                                 const int base_headroom[kNumMonotaskResources],
+                                 double ept) const {
+  bool complete = true;  // All ready tasks of the stage placed.
+  size_t placed = 0;
   // Overlay view: candidate scoring mutates only the workers it touches
   // instead of copying all W loads per candidate.
   int headroom[kNumMonotaskResources];
@@ -1314,35 +1313,34 @@ UrsaScheduler::StagePlan UrsaScheduler::ScoreStage(
     WorkerId w = kInvalidId;
     double f = 0.0;
     if (!BestWorker(usage, view, ept, &w, &f, entry.jm->avoided_worker(t))) {
-      plan.complete = false;  // The stage bonus <- 0 in Algorithm 1.
+      complete = false;  // The stage bonus <- 0 in Algorithm 1.
       continue;
     }
-    plan.assignments.emplace_back(t, w);
+    ++placed;
     score_sum += f;
     OverlayApply(w, usage, ept, base, headroom);
   }
   OverlayReset();
-  if (plan.assignments.empty()) {
-    plan.score = -std::numeric_limits<double>::infinity();
-    return plan;
+  if (placed == 0) {
+    return -std::numeric_limits<double>::infinity();
   }
-  plan.score = score_sum / static_cast<double>(plan.assignments.size());
-  if (config_.stage_aware && plan.complete) {
-    plan.score += kStageBonus;
+  double score = score_sum / static_cast<double>(placed);
+  if (config_.stage_aware && complete) {
+    score += kStageBonus;
   }
   if (config_.enable_job_ordering) {
-    plan.score += PlacementPriorityBonus(
+    score += PlacementPriorityBonus(
         EffectiveJobPolicy(config_.policy), kPriorityWeight,
         sim_->Now() - entry.job->submit_time, entry.srjf_rank);
     if (config_.policy == OrderingPolicy::kGraphene) {
       // "Do the hard stuff first": troublesome stages outrank the rest of
       // their job (the job term above is constant within a job), deeper
       // long-pole stages first.
-      plan.score += GrapheneStageBonus(entry.crit.IsTroublesome(stage),
-                                       entry.crit.BottomShare(stage));
+      score += GrapheneStageBonus(entry.crit.IsTroublesome(stage),
+                                  entry.crit.BottomShare(stage));
     }
   }
-  return plan;
+  return score;
 }
 
 UrsaScheduler::PlacementStats UrsaScheduler::RunPackingPlacement() {
@@ -1483,8 +1481,7 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
   order.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
-    StagePlan plan = ScoreStage(*c.entry, c.stage, c.tasks, master, headroom, ept);
-    order.emplace_back(plan.score, i);
+    order.emplace_back(ScoreStage(*c.entry, c.stage, c.tasks, master, headroom, ept), i);
   }
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });

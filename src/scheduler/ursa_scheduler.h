@@ -249,14 +249,6 @@ class UrsaScheduler : public JobManagerListener {
   void EnsureCheckpointScheduled();
   void CheckpointTick();
 
-  // One candidate placement for a stage of ready tasks.
-  struct StagePlan {
-    JobId job = kInvalidId;
-    StageId stage = kInvalidId;
-    double score = 0.0;
-    std::vector<std::pair<TaskId, WorkerId>> assignments;
-    bool complete = false;  // All ready tasks of the stage placed.
-  };
   // Per-worker load snapshot: ursa::WorkerLoad (src/scheduler/
   // placement_policy.h), the input of Algorithm1Score.
 
@@ -326,11 +318,11 @@ class UrsaScheduler : public JobManagerListener {
   // state after a placement pass.
   void OverlayReset() const;
   // Evaluates Algorithm 1's StageScore for the ready tasks of (job, stage)
-  // against `base` (mutating only a private overlay); returns the plan.
-  StagePlan ScoreStage(const JobEntry& entry, StageId stage,
-                       const std::vector<TaskId>& tasks,
-                       const std::vector<WorkerLoad>& base,
-                       const int base_headroom[kNumMonotaskResources], double ept) const;
+  // against `base` (mutating only a private overlay); -inf when no task
+  // finds a worker.
+  double ScoreStage(const JobEntry& entry, StageId stage, const std::vector<TaskId>& tasks,
+                    const std::vector<WorkerLoad>& base,
+                    const int base_headroom[kNumMonotaskResources], double ept) const;
   // Best worker for one task by Algorithm1Score; returns false if no worker
   // qualifies. `avoid` (from retry-exhaustion escalation) is a preference,
   // not a ban: its best qualifying score is tracked in the same pass and

@@ -89,7 +89,7 @@ class Lexer {
     for (const char* op : {"!=", "<>", "<=", ">="}) {
       if (input_.compare(pos_, 2, op) == 0) {
         token->kind = TokenKind::kSymbol;
-        token->text = op;
+        token->text = input_.substr(pos_, 2);
         pos_ += 2;
         return true;
       }

@@ -61,7 +61,8 @@ Workload MakeSyntheticType1Workload(int count, uint64_t seed) {
     params.type = 1;
     WorkloadJob job;
     job.spec = BuildSyntheticJob(params, seed + static_cast<uint64_t>(i));
-    job.spec.name += "-" + std::to_string(i);
+    job.spec.name += '-';
+    job.spec.name += std::to_string(i);
     job.submit_time = 0.25 * i;  // Closely spaced, strictly ordered.
     workload.jobs.push_back(std::move(job));
   }
@@ -76,7 +77,8 @@ Workload MakeSyntheticMixedWorkload(int count_each, uint64_t seed) {
     params.type = (i % 2 == 0) ? 1 : 2;
     WorkloadJob job;
     job.spec = BuildSyntheticJob(params, seed + static_cast<uint64_t>(i));
-    job.spec.name += "-" + std::to_string(i);
+    job.spec.name += '-';
+    job.spec.name += std::to_string(i);
     job.submit_time = 0.25 * i;
     workload.jobs.push_back(std::move(job));
   }
@@ -96,7 +98,8 @@ Workload MakePlacementStressWorkload(int workers, uint64_t seed) {
     params.complexity = 4.0;
     WorkloadJob job;
     job.spec = BuildSyntheticJob(params, seed + static_cast<uint64_t>(i) * 7919);
-    job.spec.name += "-" + std::to_string(i);
+    job.spec.name += '-';
+    job.spec.name += std::to_string(i);
     job.submit_time = 0.25 * i;
     workload.jobs.push_back(std::move(job));
   }

@@ -76,7 +76,8 @@ Workload MakeTpcdsWorkload(const TpcdsWorkloadConfig& config) {
     WorkloadJob job;
     job.spec = MakeTpcdsQuery(query, PickDbBytes(rng),
                               config.seed * 15485863 + static_cast<uint64_t>(i));
-    job.spec.name += "-" + std::to_string(i);
+    job.spec.name += '-';
+    job.spec.name += std::to_string(i);
     job.submit_time = config.submit_interval * i;
     workload.jobs.push_back(std::move(job));
   }

@@ -78,7 +78,8 @@ Workload MakeTpchWorkload(const TpchWorkloadConfig& config) {
     const double db = PickDbBytes(rng);
     WorkloadJob job;
     job.spec = MakeTpchQuery(query, db, config.seed * 7919 + static_cast<uint64_t>(i));
-    job.spec.name += "-" + std::to_string(i);
+    job.spec.name += '-';
+    job.spec.name += std::to_string(i);
     job.submit_time = config.submit_interval * i;
     workload.jobs.push_back(std::move(job));
   }

@@ -71,9 +71,6 @@ TEST(FlowSimulator, DownlinkChangeRecomputesShareAndRxRate) {
   EXPECT_EQ(net.FlowRateForTest(a), 2 * kGbps);
   EXPECT_EQ(net.FlowRateForTest(b), 2 * kGbps);
   EXPECT_EQ(net.NodeRxRate(2), 4 * kGbps);
-  net.CancelFlow(a);
-  EXPECT_EQ(net.FlowRateForTest(b), 4 * kGbps);
-  EXPECT_EQ(net.NodeRxRate(2), 4 * kGbps);
   EXPECT_DEATH(net.SetDownlink(2, -1.0), "CHECK failed");
 }
 
@@ -101,37 +98,12 @@ TEST(FlowSimulator, FanInSharesDownlinkExactly) {
 TEST(FlowSimulator, LocalFlowsBypassLinks) {
   Simulator sim;
   FlowSimulator net(&sim, 2, 10 * kGbps, 10 * kGbps);
-  net.set_local_copy_rate(1e9);
   double done = -1.0;
-  net.StartFlow(0, 0, 2e9, [&] { done = sim.Now(); });
-  net.StartFlow(0, 1, 1e12, nullptr);  // Unrelated remote flow.
+  net.StartFlow(0, 0, 16e9, [&] { done = sim.Now(); });  // 8 GB/s local copy.
+  net.StartFlow(0, 1, 1e12, nullptr);                     // Unrelated remote flow.
   sim.Run(3.0);
   EXPECT_NEAR(done, 2.0, 1e-6);
   EXPECT_DOUBLE_EQ(net.NodeRxRate(0), 0.0);  // Local copy not counted as rx.
-}
-
-TEST(FlowSimulator, LocalCopyRateChangeAppliesMidFlow) {
-  Simulator sim;
-  FlowSimulator net(&sim, 2, 10 * kGbps, 10 * kGbps);
-  net.set_local_copy_rate(1e9);
-  double done = -1.0;
-  net.StartFlow(0, 0, 2e9, [&] { done = sim.Now(); });
-  sim.ScheduleAt(0.5, [&] { net.set_local_copy_rate(2e9); });
-  sim.Run();
-  // 0.5e9 bytes at the old rate by t = 0.5, the other 1.5e9 at 2e9 B/s.
-  EXPECT_NEAR(done, 1.25, 1e-9);
-}
-
-TEST(FlowSimulator, CancelDropsCallback) {
-  Simulator sim;
-  FlowSimulator net(&sim, 2, 10 * kGbps, 10 * kGbps);
-  bool fired = false;
-  const FlowId id = net.StartFlow(0, 1, 10 * kGbps, [&] { fired = true; });
-  sim.Run(0.5);
-  net.CancelFlow(id);
-  sim.Run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(net.active_flows(), 0u);
 }
 
 TEST(FlowSimulator, ZeroByteFlowCompletesImmediately) {
@@ -205,26 +177,12 @@ class RefFlowModel {
     nodes_[static_cast<size_t>(node)].down = down;
     Reschedule();
   }
-  void set_local_copy_rate(double bytes_per_sec) {
-    local_copy_rate_ = bytes_per_sec;
-    Reschedule();
-  }
 
   FlowId StartFlow(int src, int dst, double bytes, std::function<void()> on_complete) {
     const FlowId id = next_id_++;
     flows_.emplace(id, Flow{src, dst, std::max(bytes, 1.0), 0.0, std::move(on_complete)});
     Reschedule();
     return id;
-  }
-
-  void CancelFlow(FlowId id) {
-    auto it = flows_.find(id);
-    if (it == flows_.end()) {
-      return;
-    }
-    AdvanceProgress();
-    flows_.erase(it);
-    Reschedule();
   }
 
   double FlowRateForTest(FlowId id) const { return flows_.at(id).rate; }
@@ -273,7 +231,7 @@ class RefFlowModel {
     std::vector<Flow*> remote;
     for (auto& [id, flow] : flows_) {
       if (flow.src == flow.dst) {
-        flow.rate = local_copy_rate_;
+        flow.rate = 8e9;  // FlowSimulator's local-copy rate.
         continue;
       }
       flow.rate = 0.0;
@@ -366,7 +324,6 @@ class RefFlowModel {
   FlowId next_id_ = 1;
   double last_progress_time_ = 0.0;
   EventId completion_event_ = kInvalidEventId;
-  double local_copy_rate_ = 8e9;
   double total_delivered_ = 0.0;
 };
 
@@ -388,13 +345,11 @@ struct FlowRun {
 // filling drifts (FanInSharesDownlinkExactly).
 enum class FlowShape { kSmall, kWide };
 
-// Random cluster and flow set (local flows, zero-byte flows, simultaneous
-// starts and cancellations included), plus mid-run downlink and
-// local-copy-rate changes. Every draw is made before the run, so both models
-// see the same schedule. Without `uniform_links`, kSmall gives half its
-// nodes and kWide every node a downlink of its own; with it, every downlink
-// keeps 10 Gbps, the benchmarks' regime, and only the local-copy rate
-// changes mid-run.
+// Random cluster and flow set (local flows, zero-byte flows and
+// simultaneous starts included). Every draw is made before the run, so both
+// models see the same schedule. Without `uniform_links`, kSmall gives half
+// its nodes and kWide every node a downlink of its own, and downlinks change
+// mid-run; with it, every downlink keeps 10 Gbps, the benchmarks' regime.
 template <typename Net>
 FlowRun DriveRandomFlows(uint64_t seed, FlowShape shape, bool uniform_links) {
   Simulator sim;
@@ -445,35 +400,16 @@ FlowRun DriveRandomFlows(uint64_t seed, FlowShape shape, bool uniform_links) {
       });
       record_rates();
     });
-    if (rng.UniformInt(uint64_t{6}) == 0) {
-      sim.ScheduleAt(start + rng.Uniform(0.0, 2.0), [&, i] {
-        net.CancelFlow(ids[static_cast<size_t>(i)]);
-        over[static_cast<size_t>(i)] = 1;
-      });
-    }
   }
-  const int controls = static_cast<int>(rng.UniformInt(uint64_t{7}));
+  const int controls = uniform_links ? 0 : static_cast<int>(rng.UniformInt(uint64_t{7}));
   for (int c = 0; c < controls; ++c) {
     const double at = rng.Uniform(0.0, window + 2.0);
-    switch (uniform_links ? 1 : rng.UniformInt(uint64_t{2})) {
-      case 0: {
-        const int node = static_cast<int>(rng.UniformInt(n));
-        const double down = rng.Uniform(1.0, 20.0) * kGbps;
-        sim.ScheduleAt(at, [&, node, down] {
-          net.SetDownlink(node, down);
-          record_rates();
-        });
-        break;
-      }
-      default: {
-        const double rate = rng.Uniform(0.5, 16.0) * 1e9;
-        sim.ScheduleAt(at, [&, rate] {
-          net.set_local_copy_rate(rate);
-          record_rates();
-        });
-        break;
-      }
-    }
+    const int node = static_cast<int>(rng.UniformInt(n));
+    const double down = rng.Uniform(1.0, 20.0) * kGbps;
+    sim.ScheduleAt(at, [&, node, down] {
+      net.SetDownlink(node, down);
+      record_rates();
+    });
   }
   sim.Run();
   for (int node = 0; node < nodes; ++node) {

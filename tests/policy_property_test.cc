@@ -70,15 +70,16 @@ ExecutionPlan RandomChainPlan(Lcg* rng) {
   DataId cur = mapped;
   for (int d = 1; d < depth; ++d) {
     const int parts = rng->Range(2, 6);
-    const DataId shuffled = graph.CreateData(parts, "s" + std::to_string(d));
-    const DataId out = graph.CreateData(parts, "m" + std::to_string(d));
-    OpHandle shuffle = graph.CreateOp(ResourceType::kNetwork, "sh" + std::to_string(d))
+    const std::string level = std::to_string(d);
+    const DataId shuffled = graph.CreateData(parts, "s" + level);
+    const DataId out = graph.CreateData(parts, "m" + level);
+    OpHandle shuffle = graph.CreateOp(ResourceType::kNetwork, "sh" + level)
                            .Read(cur)
                            .Create(shuffled);
     OpCostModel c2;
     c2.cpu_complexity = rng->Uniform(0.5, 4.0);
     c2.output_selectivity = rng->Uniform(0.3, 1.0);
-    OpHandle deser = graph.CreateOp(ResourceType::kCpu, "de" + std::to_string(d))
+    OpHandle deser = graph.CreateOp(ResourceType::kCpu, "de" + level)
                          .Read(shuffled)
                          .Create(out)
                          .SetCost(c2);

@@ -2,47 +2,25 @@
 //
 //   ursa_sim --workload=tpch --scheduler=ursa-ejf --jobs=50 [options]
 //
-// Workloads:   tpch | tpcds | tpch2 | mixed | synthetic | openloop
-// Schedulers:  ursa-ejf | ursa-srjf | ursa-graphene | y+s | y+t | y+u |
-//              tetris | tetris2 | capacity
-// Options:     --jobs=N --interval=SEC --seed=N --workers=N
-//              --gbps=G (each worker's downlink; the receiver side is the
-//              only network limit) --subscription=R (executor schemes)
-//              --series=STEP
-// Tracing:     --trace (record + summary only) --trace-out=FILE (Chrome
-//              trace JSON) --trace-sample=N --trace-capacity=EVENTS
-//              (ursa schemes only: y+s, y+t and y+u record no trace)
-// Chaos:       --fault-crashes=N --fault-recovers=N --fault-transients=N
-//              --fault-degrades=N --fault-seed=N --fault-horizon=SEC
-//              --detect-timeout=SEC --heartbeat=SEC --no-lineage
-//              --retry-attempts=N
-// Control:     --ctrl (scheduler<->worker message layer) --msg-loss=P
-//              --msg-dup=P --msg-delay=P --sched-crash=N --sched-downtime=SEC
-//              --checkpoint-interval=SEC (enables the decision journal;
-//              0 = crash degrades to full job restarts). Any of these
-//              implies --ctrl. DESIGN.md section 14.
-// Speculation: --spec --spec-threshold=X --spec-budget=FRAC
-// Open loop:   --open-loop (or --workload=openloop) --arrival-rate=JOBS/S
-//              --arrival-trace=FILE --tenants=name:weight:tier:slo,...
-//              (--jobs bounds the arrival count)
-// Admission:   --admission --max-pending=N --slo=SEC --u-bound=X (ursa
-//              schemes only)
-// Hot path:    --sched-counters (tick/load-refresh/scan counters; DESIGN.md
-//              section 12)
+// The flags are the table at the top of main(), which also prints as the
+// usage. Chaos, control-plane, speculation and admission flags act on the
+// ursa schemes only, and y+s, y+t and y+u record no trace.
 //
-// Unknown flags and out-of-range values are errors: the offending flag is
-// named on stderr and the process exits 2 (the usage exit code), so typos
-// never silently fall back to defaults.
+// Like every bench binary, ursa_sim parses its flags through
+// src/common/flags.h: an unknown flag, a malformed value or an out-of-range
+// value is named on stderr and the process exits 2 (the usage exit code), so
+// typos never silently fall back to defaults.
 //
 // Prints the paper-style summary (makespan, avg JCT, SE/UE), a fault report
 // when chaos was injected, the per-tenant/admission report for open-loop
 // runs, and optionally a sampled cluster-utilization series.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
 #include "src/driver/experiment.h"
@@ -106,218 +84,59 @@ struct Flags {
   bool sched_counters = false;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) {
-    *out = arg + prefix.size();
-    return true;
-  }
-  return false;
-}
-
-// Strict numeric parsers: the whole value must parse and land in
-// [min_v, max_v], otherwise the flag is rejected by name.
-bool ToInt(const std::string& s, long min_v, long max_v, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || v < min_v || v > max_v) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool ToUint64(const std::string& s, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || s[0] == '-') {
-    return false;
-  }
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-bool ToDouble(const std::string& s, double min_v, double max_v, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || !(v >= min_v) || !(v <= max_v)) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: ursa_sim [--workload=tpch|tpcds|tpch2|mixed|synthetic|openloop]\n"
-               "                [--scheduler=ursa-ejf|ursa-srjf|ursa-graphene|y+s|y+t|y+u|"
-               "tetris|tetris2|capacity]\n"
-               "                [--jobs=N] [--interval=SEC] [--seed=N] [--workers=N]\n"
-               "                [--gbps=G (worker downlink)] [--subscription=R]\n"
-               "                [--series=STEP]\n"
-               "                [--trace] [--trace-out=FILE] [--trace-sample=N]\n"
-               "                [--trace-capacity=EVENTS]\n"
-               "                [--fault-crashes=N] [--fault-recovers=N]\n"
-               "                [--fault-transients=N] [--fault-degrades=N]\n"
-               "                [--fault-seed=N] [--fault-horizon=SEC]\n"
-               "                [--detect-timeout=SEC] [--heartbeat=SEC]\n"
-               "                [--no-lineage] [--retry-attempts=N]\n"
-               "                [--ctrl] [--msg-loss=P] [--msg-dup=P] [--msg-delay=P]\n"
-               "                [--sched-crash=N] [--sched-downtime=SEC]\n"
-               "                [--checkpoint-interval=SEC]\n"
-               "                [--spec] [--spec-threshold=X] [--spec-budget=FRAC]\n"
-               "                [--open-loop] [--arrival-rate=JOBS/S] [--arrival-trace=FILE]\n"
-               "                [--tenants=name:weight:tier:slo,...]\n"
-               "                [--admission] [--max-pending=N] [--slo=SEC] [--u-bound=X]\n"
-               "                [--sched-counters]\n");
-  return 2;
-}
-
-int BadFlagValue(const char* name, const std::string& value) {
-  std::fprintf(stderr, "ursa_sim: flag --%s rejects '%s' (not a number or out of range)\n",
-               name, value.c_str());
-  return Usage();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ursa;
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "workload", &value)) {
-      flags.workload = value;
-    } else if (ParseFlag(argv[i], "scheduler", &value)) {
-      flags.scheduler = value;
-    } else if (ParseFlag(argv[i], "jobs", &value)) {
-      if (!ToInt(value, 1, 10000000, &flags.jobs)) return BadFlagValue("jobs", value);
-    } else if (ParseFlag(argv[i], "interval", &value)) {
-      if (!ToDouble(value, 0.0, 1e9, &flags.interval)) return BadFlagValue("interval", value);
-    } else if (ParseFlag(argv[i], "seed", &value)) {
-      if (!ToUint64(value, &flags.seed)) return BadFlagValue("seed", value);
-    } else if (ParseFlag(argv[i], "workers", &value)) {
-      if (!ToInt(value, 1, 100000, &flags.workers)) return BadFlagValue("workers", value);
-    } else if (ParseFlag(argv[i], "gbps", &value)) {
-      if (!ToDouble(value, 1e-3, 1e6, &flags.gbps)) return BadFlagValue("gbps", value);
-    } else if (ParseFlag(argv[i], "subscription", &value)) {
-      if (!ToDouble(value, 1e-3, 100.0, &flags.subscription)) {
-        return BadFlagValue("subscription", value);
-      }
-    } else if (ParseFlag(argv[i], "series", &value)) {
-      if (!ToDouble(value, 0.0, 1e9, &flags.series)) return BadFlagValue("series", value);
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      flags.trace = true;
-    } else if (ParseFlag(argv[i], "trace-out", &value)) {
-      flags.trace_out = value;
-    } else if (ParseFlag(argv[i], "trace-sample", &value)) {
-      if (!ToInt(value, 1, 1000000, &flags.trace_sample)) {
-        return BadFlagValue("trace-sample", value);
-      }
-    } else if (ParseFlag(argv[i], "trace-capacity", &value)) {
-      uint64_t capacity = 0;
-      if (!ToUint64(value, &capacity) || capacity == 0) {
-        return BadFlagValue("trace-capacity", value);
-      }
-      flags.trace_capacity = static_cast<size_t>(capacity);
-    } else if (ParseFlag(argv[i], "fault-crashes", &value)) {
-      if (!ToInt(value, 0, 100000, &flags.fault_crashes)) {
-        return BadFlagValue("fault-crashes", value);
-      }
-    } else if (ParseFlag(argv[i], "fault-recovers", &value)) {
-      if (!ToInt(value, 0, 100000, &flags.fault_recovers)) {
-        return BadFlagValue("fault-recovers", value);
-      }
-    } else if (ParseFlag(argv[i], "fault-transients", &value)) {
-      if (!ToInt(value, 0, 100000, &flags.fault_transients)) {
-        return BadFlagValue("fault-transients", value);
-      }
-    } else if (ParseFlag(argv[i], "fault-degrades", &value)) {
-      if (!ToInt(value, 0, 100000, &flags.fault_degrades)) {
-        return BadFlagValue("fault-degrades", value);
-      }
-    } else if (ParseFlag(argv[i], "fault-seed", &value)) {
-      if (!ToUint64(value, &flags.fault_seed)) return BadFlagValue("fault-seed", value);
-    } else if (ParseFlag(argv[i], "fault-horizon", &value)) {
-      if (!ToDouble(value, 1e-9, 1e9, &flags.fault_horizon)) {
-        return BadFlagValue("fault-horizon", value);
-      }
-    } else if (ParseFlag(argv[i], "detect-timeout", &value)) {
-      if (!ToDouble(value, 1e-9, 1e9, &flags.detect_timeout)) {
-        return BadFlagValue("detect-timeout", value);
-      }
-    } else if (ParseFlag(argv[i], "heartbeat", &value)) {
-      if (!ToDouble(value, 1e-9, 1e9, &flags.heartbeat)) {
-        return BadFlagValue("heartbeat", value);
-      }
-    } else if (std::strcmp(argv[i], "--no-lineage") == 0) {
-      flags.no_lineage = true;
-    } else if (ParseFlag(argv[i], "retry-attempts", &value)) {
-      if (!ToInt(value, 1, 1000, &flags.retry_attempts)) {
-        return BadFlagValue("retry-attempts", value);
-      }
-    } else if (std::strcmp(argv[i], "--ctrl") == 0) {
-      flags.ctrl = true;
-    } else if (ParseFlag(argv[i], "msg-loss", &value)) {
-      if (!ToDouble(value, 0.0, 0.999, &flags.msg_loss)) {
-        return BadFlagValue("msg-loss", value);
-      }
-    } else if (ParseFlag(argv[i], "msg-dup", &value)) {
-      if (!ToDouble(value, 0.0, 0.999, &flags.msg_dup)) {
-        return BadFlagValue("msg-dup", value);
-      }
-    } else if (ParseFlag(argv[i], "msg-delay", &value)) {
-      if (!ToDouble(value, 0.0, 0.999, &flags.msg_delay)) {
-        return BadFlagValue("msg-delay", value);
-      }
-    } else if (ParseFlag(argv[i], "sched-crash", &value)) {
-      if (!ToInt(value, 0, 100000, &flags.sched_crashes)) {
-        return BadFlagValue("sched-crash", value);
-      }
-    } else if (ParseFlag(argv[i], "sched-downtime", &value)) {
-      if (!ToDouble(value, 0.0, 1e9, &flags.sched_downtime)) {
-        return BadFlagValue("sched-downtime", value);
-      }
-    } else if (ParseFlag(argv[i], "checkpoint-interval", &value)) {
-      if (!ToDouble(value, 0.0, 1e9, &flags.checkpoint_interval)) {
-        return BadFlagValue("checkpoint-interval", value);
-      }
-    } else if (std::strcmp(argv[i], "--spec") == 0) {
-      flags.spec = true;
-    } else if (ParseFlag(argv[i], "spec-threshold", &value)) {
-      if (!ToDouble(value, 1.0, 1e3, &flags.spec_threshold)) {
-        return BadFlagValue("spec-threshold", value);
-      }
-    } else if (ParseFlag(argv[i], "spec-budget", &value)) {
-      if (!ToDouble(value, 0.0, 1.0, &flags.spec_budget)) {
-        return BadFlagValue("spec-budget", value);
-      }
-    } else if (std::strcmp(argv[i], "--open-loop") == 0) {
-      flags.open_loop = true;
-    } else if (ParseFlag(argv[i], "arrival-rate", &value)) {
-      if (!ToDouble(value, 1e-9, 1e9, &flags.arrival_rate)) {
-        return BadFlagValue("arrival-rate", value);
-      }
-    } else if (ParseFlag(argv[i], "arrival-trace", &value)) {
-      flags.arrival_trace = value;
-    } else if (ParseFlag(argv[i], "tenants", &value)) {
-      flags.tenants = value;
-    } else if (std::strcmp(argv[i], "--admission") == 0) {
-      flags.admission = true;
-    } else if (ParseFlag(argv[i], "max-pending", &value)) {
-      if (!ToInt(value, 1, 10000000, &flags.max_pending)) {
-        return BadFlagValue("max-pending", value);
-      }
-    } else if (ParseFlag(argv[i], "slo", &value)) {
-      if (!ToDouble(value, 1e-9, 1e9, &flags.slo)) return BadFlagValue("slo", value);
-    } else if (ParseFlag(argv[i], "u-bound", &value)) {
-      if (!ToDouble(value, 1e-9, 1e9, &flags.u_bound)) return BadFlagValue("u-bound", value);
-    } else if (std::strcmp(argv[i], "--sched-counters") == 0) {
-      flags.sched_counters = true;
-    } else {
-      std::fprintf(stderr, "ursa_sim: unknown flag '%s'\n", argv[i]);
-      return Usage();
-    }
+  FlagSet cli;
+  cli.Str("workload", &flags.workload, "tpch|tpcds|tpch2|mixed|synthetic|openloop");
+  cli.Str("scheduler", &flags.scheduler,
+          "ursa-ejf|ursa-srjf|ursa-graphene|y+s|y+t|y+u|tetris|tetris2|capacity");
+  cli.Num("jobs", &flags.jobs, 1, 10000000, "jobs to submit (open loop: arrivals)");
+  cli.Num("interval", &flags.interval, 0.0, 1e9, "seconds between submissions");
+  cli.Num("seed", &flags.seed, "workload seed");
+  cli.Num("workers", &flags.workers, 1, 100000, "cluster size");
+  cli.Num("gbps", &flags.gbps, 1e-3, 1e6, "worker downlink, Gbit/s (the only network limit)");
+  cli.Num("subscription", &flags.subscription, 1e-3, 100.0, "executor CPU subscription");
+  cli.Num("series", &flags.series, 0.0, 1e9, "utilization series step, s (0 = off)");
+  cli.Bool("trace", &flags.trace, "record a trace, print its summary");
+  cli.Str("trace-out", &flags.trace_out, "Chrome trace JSON file");
+  cli.Num("trace-sample", &flags.trace_sample, 1, 1000000, "record 1 in N monotasks");
+  cli.Num("trace-capacity", &flags.trace_capacity, size_t{1},
+          std::numeric_limits<size_t>::max(), "trace ring events");
+  cli.Num("fault-crashes", &flags.fault_crashes, 0, 100000, "worker crashes");
+  cli.Num("fault-recovers", &flags.fault_recovers, 0, 100000, "worker crash+rejoins");
+  cli.Num("fault-transients", &flags.fault_transients, 0, 100000, "transient failures");
+  cli.Num("fault-degrades", &flags.fault_degrades, 0, 100000, "worker slowdowns");
+  cli.Num("fault-seed", &flags.fault_seed, "fault plan seed");
+  cli.Num("fault-horizon", &flags.fault_horizon, 1e-9, 1e9, "faults land before, s");
+  cli.Num("detect-timeout", &flags.detect_timeout, 1e-9, 1e9, "failure detection, s");
+  cli.Num("heartbeat", &flags.heartbeat, 1e-9, 1e9, "heartbeat interval, s");
+  cli.Bool("no-lineage", &flags.no_lineage, "restart jobs instead of lineage recovery");
+  cli.Num("retry-attempts", &flags.retry_attempts, 1, 1000, "attempts per monotask");
+  cli.Bool("ctrl", &flags.ctrl, "scheduler<->worker message layer");
+  cli.Num("msg-loss", &flags.msg_loss, 0.0, 0.999, "message loss probability");
+  cli.Num("msg-dup", &flags.msg_dup, 0.0, 0.999, "message duplication probability");
+  cli.Num("msg-delay", &flags.msg_delay, 0.0, 0.999, "message delay probability");
+  cli.Num("sched-crash", &flags.sched_crashes, 0, 100000, "scheduler crash+recovers");
+  cli.Num("sched-downtime", &flags.sched_downtime, 0.0, 1e9, "scheduler downtime, s");
+  cli.Num("checkpoint-interval", &flags.checkpoint_interval, 0.0, 1e9,
+          "journal checkpoint period, s (0 = crashes restart jobs)");
+  cli.Bool("spec", &flags.spec, "speculative copies of stragglers");
+  cli.Num("spec-threshold", &flags.spec_threshold, 1.0, 1e3, "straggler slowdown");
+  cli.Num("spec-budget", &flags.spec_budget, 0.0, 1.0, "speculative share of running");
+  cli.Bool("open-loop", &flags.open_loop, "open-loop arrivals");
+  cli.Num("arrival-rate", &flags.arrival_rate, 1e-9, 1e9, "jobs/s");
+  cli.Str("arrival-trace", &flags.arrival_trace, "interarrival gaps file");
+  cli.Str("tenants", &flags.tenants, "name:weight:tier:slo,...");
+  cli.Bool("admission", &flags.admission, "SLO-aware admission (ursa schemes)");
+  cli.Num("max-pending", &flags.max_pending, 1, 10000000, "pending-queue bound");
+  cli.Num("slo", &flags.slo, 1e-9, 1e9, "default SLO, s");
+  cli.Num("u-bound", &flags.u_bound, 1e-9, 1e9, "admission utilization bound");
+  cli.Bool("sched-counters", &flags.sched_counters, "print hot-path counters");
+  if (const int rc = cli.Parse(argc, argv)) {
+    return rc;
   }
   if (flags.workload == "openloop") {
     flags.open_loop = true;
@@ -348,8 +167,7 @@ int main(int argc, char** argv) {
   } else if (flags.workload == "synthetic") {
     workload = MakeSyntheticMixedWorkload(std::max(1, flags.jobs / 2), flags.seed);
   } else {
-    std::fprintf(stderr, "ursa_sim: unknown workload '%s'\n", flags.workload.c_str());
-    return Usage();
+    return cli.Reject("workload", flags.workload);
   }
 
   // Scheduler. The ursa-* job-ordering variants are driven by the policy
@@ -379,8 +197,7 @@ int main(int argc, char** argv) {
     config = UrsaEjfConfig();
     config.ursa.placement = packing;
   } else {
-    std::fprintf(stderr, "ursa_sim: unknown scheduler '%s'\n", flags.scheduler.c_str());
-    return Usage();
+    return cli.Reject("scheduler", flags.scheduler);
   }
   if (config.kind == SchedulerKind::kExecutorModel &&
       (flags.trace || !flags.trace_out.empty())) {
