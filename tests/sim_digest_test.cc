@@ -31,6 +31,7 @@
 #include "src/driver/experiment.h"
 #include "src/obs/trace.h"
 #include "src/workloads/mixed.h"
+#include "src/workloads/synthetic.h"
 #include "src/workloads/tpcds.h"
 #include "src/workloads/tpch.h"
 #include "tests/golden_util.h"
@@ -185,6 +186,14 @@ std::vector<DigestCase> MakeCases() {
     c.config.ursa.ctrl.checkpoint_interval = 5.0;
     c.config.ursa.spec.enabled = true;
     c.config.fault_plan = Faults(9, 100, 100.0, 2, 2, 10, 0, 1);
+    cases.push_back(c);
+  }
+  {
+    // bench_scale's 300-worker row (bench_scale --seed=42): submissions,
+    // scheduling ticks and heartbeats all land on the 0.25 s grid, so
+    // heartbeats tie with other events at almost every instant.
+    DigestCase c{"scale-300", MakePlacementStressWorkload(300, 42), UrsaEjfConfig()};
+    c.config.cluster.num_workers = 300;
     cases.push_back(c);
   }
   return cases;
