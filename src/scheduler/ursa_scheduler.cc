@@ -970,7 +970,7 @@ void UrsaScheduler::OverlayReset() const {
   for (const WorkerId w : overlay_touched_) {
     overlay_slot_[static_cast<size_t>(w)] = -1;
     const size_t b = static_cast<size_t>(scan_bucket_of_[static_cast<size_t>(w)]);
-    scan_pass_[b].fresh = static_cast<uint32_t>(scan_buckets_[b].members.size());
+    scan_pass_[b].fresh = scan_buckets_[b].size;
     scan_pass_[b].cursor = 0;
   }
   overlay_touched_.clear();
@@ -1011,10 +1011,10 @@ void UrsaScheduler::RebuildScanOrder(std::vector<WorkerId>* refreshed) {
                                }),
                 order.end());
     std::sort(refreshed->begin(), refreshed->end(), before);
-    std::vector<WorkerId> merged(order.size() + refreshed->size());
+    scan_merge_.resize(order.size() + refreshed->size());
     std::merge(order.begin(), order.end(), refreshed->begin(), refreshed->end(),
-               merged.begin(), before);
-    order.swap(merged);
+               scan_merge_.begin(), before);
+    order.swap(scan_merge_);
     if (config_.verify_hot_path) {
       CHECK(sort_all() == order) << "merged scan order diverged from the full sort";
     }
@@ -1034,11 +1034,12 @@ void UrsaScheduler::RebuildScanOrder(std::vector<WorkerId>* refreshed) {
     while (j < order.size() &&
            std::memcmp(&loads[static_cast<size_t>(order[j])], &load,
                        sizeof(WorkerLoad)) == 0) {
-      bucket.members.push_back(order[j]);
       scan_bucket_of_[static_cast<size_t>(order[j])] = index;
       ++j;
     }
-    scan_buckets_.push_back(std::move(bucket));
+    bucket.begin = static_cast<uint32_t>(i);
+    bucket.size = static_cast<uint32_t>(j - i);
+    scan_buckets_.push_back(bucket);
     i = j;
   }
   const size_t n = scan_buckets_.size();
@@ -1054,7 +1055,7 @@ void UrsaScheduler::RebuildScanOrder(std::vector<WorkerId>* refreshed) {
     });
   }
   for (size_t b = 0; b < n; ++b) {
-    scan_pass_[b] = BucketPass{0, static_cast<uint32_t>(scan_buckets_[b].members.size()), 0};
+    scan_pass_[b] = BucketPass{0, scan_buckets_[b].size, 0};
   }
 }
 
@@ -1202,7 +1203,7 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
     // Smallest member still on its tick-start load: the cursor only moves
     // past members this pass has sent to the overlay (a live bucket keeps
     // at least one).
-    const std::vector<WorkerId>& members = bucket.members;
+    const std::span<const WorkerId> members = Members(bucket);
     uint32_t& cursor = scan_pass_[b].cursor;
     while (overlay_slot_[static_cast<size_t>(members[cursor])] >= 0) {
       ++cursor;

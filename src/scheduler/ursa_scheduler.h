@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -405,10 +406,13 @@ class UrsaScheduler : public JobManagerListener {
   // signature mask for O(1) skipping of saturated and failed workers. The
   // common homogeneous case collapses thousands of workers into a handful
   // of buckets, each scored once per call.
+  // A bucket's members, ascending ids with identical loads, are the run
+  // scan_order_[begin, begin + size).
   struct ScanBucket {
     double key[kNumResourceDims] = {};  // BoundKeys at build time.
     uint32_t mask = 0;  // Bits 0..2: d_r > 0 at build time; bit 3: d_mem > 0.
-    std::vector<WorkerId> members;  // Ascending ids, identical loads.
+    uint32_t begin = 0;
+    uint32_t size = 0;
   };
   std::vector<ScanBucket> scan_buckets_;
   // Per dimension, the buckets by key desc, index asc: the sorted lists of
@@ -423,6 +427,12 @@ class UrsaScheduler : public JobManagerListener {
   // All workers sorted by (raw load bytes, id): the concatenated bucket
   // members, kept so a rebuild merges the refreshed workers back in.
   std::vector<WorkerId> scan_order_;
+  // RebuildScanOrder's merge output, swapped with scan_order_ so neither
+  // buffer is reallocated on a rebuild.
+  std::vector<WorkerId> scan_merge_;
+  std::span<const WorkerId> Members(const ScanBucket& bucket) const {
+    return std::span<const WorkerId>(scan_order_).subspan(bucket.begin, bucket.size);
+  }
   // Per base bucket state during a placement pass.
   struct BucketPass {
     uint64_t visited = 0;  // Stamp of the last BestWorker call to visit it.
