@@ -9,7 +9,12 @@ namespace ursa {
 FailureDetector::FailureDetector(Simulator* sim, Cluster* cluster,
                                  const FailureDetectorConfig& config,
                                  std::function<bool()> active)
-    : sim_(sim), cluster_(cluster), config_(config), active_(std::move(active)) {
+    : sim_(sim),
+      cluster_(cluster),
+      config_(config),
+      active_(std::move(active)),
+      beats_(sim, config.heartbeat_interval,
+             [this](int32_t w) { Beat(static_cast<WorkerId>(w)); }) {
   CHECK_GT(config_.heartbeat_interval, 0.0);
   CHECK_GT(config_.detect_timeout, config_.heartbeat_interval)
       << "detect_timeout must cover at least one missed heartbeat";
@@ -39,23 +44,23 @@ void FailureDetector::Activate() {
   ScheduleSweep();
 }
 
-void FailureDetector::ScheduleBeat(WorkerId w) {
-  sim_->Schedule(config_.heartbeat_interval, [this, w] {
-    if (!active_()) {
-      beating_[static_cast<size_t>(w)] = false;  // Let the simulator drain.
-      return;
+void FailureDetector::ScheduleBeat(WorkerId w) { beats_.Arm(w); }
+
+void FailureDetector::Beat(WorkerId w) {
+  if (!active_()) {
+    beating_[static_cast<size_t>(w)] = false;  // Let the simulator drain.
+    return;
+  }
+  if (!cluster_->worker(w).failed()) {
+    if (transport_) {
+      // Route the beat through the control-plane transport; a dropped
+      // closure is a lost beat.
+      transport_(w, [this, w] { OnHeartbeat(w); });
+    } else {
+      OnHeartbeat(w);
     }
-    if (!cluster_->worker(w).failed()) {
-      if (transport_) {
-        // Route the beat through the control-plane transport; a dropped
-        // closure is a lost beat.
-        transport_(w, [this, w] { OnHeartbeat(w); });
-      } else {
-        OnHeartbeat(w);
-      }
-    }
-    ScheduleBeat(w);
-  });
+  }
+  ScheduleBeat(w);
 }
 
 void FailureDetector::Reset(double now) {

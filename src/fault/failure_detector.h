@@ -2,7 +2,10 @@
 //
 // The detector owns the heartbeat chains: one per worker, firing every
 // heartbeat_interval, that sends a beat (through the transport, when set)
-// whenever the worker is alive. It sweeps the cluster and declares a worker
+// whenever the worker is alive. Every chain re-arms with the same delay, so
+// all beats ride one FixedDelayLane (src/sim/event_queue.h) instead of the
+// event heap: a beat allocates nothing and costs no heap sift, and it fires
+// at the same instant and in the same order as a heap event would. It sweeps the cluster and declares a worker
 // dead once it has been silent for longer than detect_timeout. A heartbeat
 // arriving from a declared-dead worker means the machine came back: the
 // detector un-declares it and fires the rejoin callback so the scheduler can
@@ -81,8 +84,10 @@ class FailureDetector {
   int detections() const { return detections_; }
 
  private:
-  // One link of worker `w`'s heartbeat chain.
+  // Arms the next link of worker `w`'s heartbeat chain on the lane.
   void ScheduleBeat(WorkerId w);
+  // One link: the lane handler.
+  void Beat(WorkerId w);
   void OnHeartbeat(WorkerId w);
   void ScheduleSweep();
   void Sweep();
@@ -100,6 +105,8 @@ class FailureDetector {
   std::vector<bool> beating_;  // Worker's heartbeat chain is scheduled.
   bool running_ = false;       // The sweep chain is scheduled.
   int detections_ = 0;
+  // Last, so it is destroyed first: a dead detector's beats never fire.
+  FixedDelayLane beats_;
 };
 
 }  // namespace ursa

@@ -17,10 +17,7 @@ EventId Simulator::ScheduleAt(double when, Callback cb) {
 uint64_t Simulator::Run(double until) {
   uint64_t fired = 0;
   while (!queue_.Empty() && queue_.NextTime() <= until) {
-    EventQueue::Fired event = queue_.Pop();
-    CHECK_GE(event.when, now_);
-    now_ = event.when;
-    event.cb();
+    FireNext();
     ++fired;
   }
   return fired;
@@ -30,10 +27,22 @@ bool Simulator::Step() {
   if (queue_.Empty()) {
     return false;
   }
-  EventQueue::Fired event = queue_.Pop();
-  now_ = event.when;
-  event.cb();
+  FireNext();
   return true;
 }
+
+void Simulator::FireNext() {
+  EventQueue::Fired event = queue_.Pop();
+  CHECK_GE(event.when, now_);
+  now_ = event.when;
+  if (event.lane != nullptr) {
+    event.lane->Fire(event.arg);
+  } else {
+    event.cb();
+  }
+}
+
+FixedDelayLane::FixedDelayLane(Simulator* sim, double delay, Handler handler)
+    : FixedDelayLane(&sim->queue_, &sim->now_, delay, std::move(handler)) {}
 
 }  // namespace ursa

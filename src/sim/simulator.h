@@ -1,6 +1,7 @@
 // Discrete-event simulator. Owns a virtual clock and an event queue;
 // everything in the simulated cluster (monotask completions, heartbeats,
-// scheduling ticks, flow re-computations) is driven by events scheduled here.
+// scheduling ticks, flow re-computations) is driven by events scheduled here
+// or armed on a FixedDelayLane (src/sim/event_queue.h) built on it.
 //
 // The simulator is strictly single-threaded; all simulated components may
 // freely share state without locks.
@@ -36,7 +37,7 @@ class Simulator {
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 
   // Runs until the queue drains or the clock passes `until`.
-  // Returns the number of events fired.
+  // Returns the number of events fired, lane events included.
   uint64_t Run(double until = std::numeric_limits<double>::infinity());
 
   // Fires exactly one event if any is pending; returns whether one fired.
@@ -45,6 +46,12 @@ class Simulator {
   bool Idle() const { return queue_.Empty(); }
 
  private:
+  friend class FixedDelayLane;
+
+  // Pops the earliest event, advances the clock to it and runs it. Must not
+  // be called when the queue is empty.
+  void FireNext();
+
   EventQueue queue_;
   double now_ = 0.0;
 };

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -78,11 +80,22 @@ TEST(EventQueueTest, EagerCompactionBoundsTombstones) {
 
 TEST(EventQueueTest, InterleavedPushPopCancelMatchesShadowModel) {
   EventQueue queue;
+  // The lane's clock, like the simulator's, never goes back.
+  double now = 0.0;
+  FixedDelayLane lane(&queue, &now, 3.0, [](int32_t) {});
   // Every Pop must return the minimum (when, id) among the events pending at
-  // that instant; a shadow ordered set is the reference model.
+  // that instant, heap and lane alike; a shadow ordered set is the
+  // reference model.
   std::set<std::pair<double, EventId>> shadow;
   std::vector<EventId> ids;
   std::vector<double> whens;
+  auto pop = [&] {
+    const auto fired = queue.Pop();
+    ASSERT_FALSE(shadow.empty());
+    EXPECT_EQ(std::make_pair(fired.when, fired.id), *shadow.begin());
+    shadow.erase(shadow.begin());
+    now = std::max(now, fired.when);
+  };
   for (int round = 0; round < 20; ++round) {
     for (int i = 0; i < 50; ++i) {
       const double when = static_cast<double>((i * 37 + round) % 13);
@@ -90,6 +103,9 @@ TEST(EventQueueTest, InterleavedPushPopCancelMatchesShadowModel) {
       ids.push_back(id);
       whens.push_back(when);
       shadow.emplace(when, id);
+      if (i % 5 == 0) {
+        shadow.emplace(now + 3.0, lane.Arm(i));
+      }
     }
     for (size_t i = 0; i < ids.size(); i += 3) {
       if (queue.Cancel(ids[i])) {
@@ -97,17 +113,11 @@ TEST(EventQueueTest, InterleavedPushPopCancelMatchesShadowModel) {
       }
     }
     for (int i = 0; i < 10 && !queue.Empty(); ++i) {
-      const auto fired = queue.Pop();
-      ASSERT_FALSE(shadow.empty());
-      EXPECT_EQ(std::make_pair(fired.when, fired.id), *shadow.begin());
-      shadow.erase(shadow.begin());
+      pop();
     }
   }
   while (!queue.Empty()) {
-    const auto fired = queue.Pop();
-    ASSERT_FALSE(shadow.empty());
-    EXPECT_EQ(std::make_pair(fired.when, fired.id), *shadow.begin());
-    shadow.erase(shadow.begin());
+    pop();
   }
   EXPECT_TRUE(shadow.empty());
 }
@@ -164,13 +174,23 @@ TEST(EventQueueTest, SlotReuseFuzzMatchesShadowModel) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
     EventQueue queue;
+    double now = 0.0;
+    int fired_tag = -1;
+    FixedDelayLane lane(&queue, &now, 2.0, [&fired_tag](int32_t tag) { fired_tag = tag; });
     std::set<std::pair<double, EventId>> shadow;
     std::map<EventId, std::pair<double, int>> live;  // id -> (when, tag)
+    std::set<EventId> lane_ids;  // Lane events cannot be cancelled.
     std::vector<EventId> issued;
-    int fired_tag = -1;
     for (int step = 0; step < 20000; ++step) {
-      const uint64_t op = rng.UniformInt(uint64_t{10});
-      if (op < 4 || live.empty()) {
+      const uint64_t op = rng.UniformInt(uint64_t{11});
+      if (op == 10) {
+        const EventId id = lane.Arm(step);
+        ASSERT_TRUE(issued.empty() || id > issued.back());
+        issued.push_back(id);
+        lane_ids.insert(id);
+        shadow.emplace(now + 2.0, id);
+        live.emplace(id, std::make_pair(now + 2.0, step));
+      } else if (op < 4 || live.empty()) {
         const double when = static_cast<double>(rng.UniformInt(uint64_t{16}));
         const EventId id = queue.Push(when, [&fired_tag, step] { fired_tag = step; });
         ASSERT_TRUE(issued.empty() || id > issued.back());
@@ -180,8 +200,9 @@ TEST(EventQueueTest, SlotReuseFuzzMatchesShadowModel) {
       } else if (op < 7) {
         const EventId id = issued[rng.UniformInt(issued.size())];
         auto it = live.find(id);
-        EXPECT_EQ(queue.Cancel(id), it != live.end());
-        if (it != live.end()) {
+        const bool cancellable = it != live.end() && lane_ids.count(id) == 0;
+        EXPECT_EQ(queue.Cancel(id), cancellable);
+        if (cancellable) {
           shadow.erase({it->second.first, id});
           live.erase(it);
         }
@@ -191,8 +212,14 @@ TEST(EventQueueTest, SlotReuseFuzzMatchesShadowModel) {
         EXPECT_DOUBLE_EQ(queue.NextTime(), shadow.begin()->first);
         EventQueue::Fired fired = queue.Pop();
         ASSERT_EQ(std::make_pair(fired.when, fired.id), *shadow.begin());
-        fired.cb();
+        ASSERT_EQ(fired.lane != nullptr, lane_ids.count(fired.id) == 1);
+        if (fired.lane != nullptr) {
+          fired.lane->Fire(fired.arg);
+        } else {
+          fired.cb();
+        }
         EXPECT_EQ(fired_tag, live.at(fired.id).second);
+        now = std::max(now, fired.when);
         shadow.erase(shadow.begin());
         live.erase(fired.id);
       }
@@ -200,6 +227,80 @@ TEST(EventQueueTest, SlotReuseFuzzMatchesShadowModel) {
       ASSERT_EQ(queue.Empty(), live.empty());
     }
   }
+}
+
+TEST(EventQueueDeathTest, LaneAppendBeforeItsTailAborts) {
+  EventQueue queue;
+  double now = 5.0;
+  FixedDelayLane lane(&queue, &now, 1.0, [](int32_t) {});
+  lane.Arm(0);
+  now = 4.0;  // A clock that went back would break the lane's order.
+  EXPECT_DEATH(lane.Arm(1), "lane append before its tail");
+}
+
+TEST(Simulator, LaneAndHeapTiesFireInPushOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  FixedDelayLane lane(&sim, 1.0, [&order](int32_t tag) { order.push_back(tag); });
+  // Alternate heap and lane events at the same instant, t = 1; then two
+  // more rounds armed from inside a firing event, at t = 2.
+  for (int i = 0; i < 6; ++i) {
+    if (i % 2 == 0) {
+      sim.Schedule(1.0, [&order, i] { order.push_back(i); });
+    } else {
+      lane.Arm(i);
+    }
+  }
+  sim.Schedule(1.0, [&sim, &lane, &order] {
+    lane.Arm(10);
+    sim.Schedule(1.0, [&order] { order.push_back(11); });
+    lane.Arm(12);
+  });
+  sim.Schedule(0.5, [&lane] { lane.Arm(-1); });  // Fires at 1.5.
+  while (sim.Step()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, -1, 10, 11, 12}));
+  EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
+}
+
+TEST(Simulator, RunCountsLaneEvents) {
+  Simulator sim;
+  int beats = 0;
+  std::unique_ptr<FixedDelayLane> lane;
+  lane = std::make_unique<FixedDelayLane>(&sim, 0.5, [&](int32_t w) {
+    ++beats;
+    if (beats < 20) {
+      lane->Arm(w);
+    }
+  });
+  lane->Arm(0);
+  sim.Schedule(3.0, [] {});
+  sim.Schedule(7.0, [] {});
+  EXPECT_EQ(sim.Run(), 22u);
+  EXPECT_EQ(beats, 20);
+  EXPECT_DOUBLE_EQ(sim.Now(), 10.0);
+}
+
+TEST(Simulator, DestroyedLaneDropsItsPendingEvents) {
+  Simulator sim;
+  int beats = 0;
+  // A chain that re-arms forever, like a heartbeat with nothing to stop it;
+  // destroying its lane mid-run drops the pending link, so Run terminates.
+  std::unique_ptr<FixedDelayLane> lane;
+  lane = std::make_unique<FixedDelayLane>(&sim, 1.0, [&](int32_t w) {
+    ++beats;
+    lane->Arm(w);
+    lane->Arm(w + 1);
+  });
+  lane->Arm(0);
+  sim.Schedule(3.5, [&lane] { lane.reset(); });
+  bool later = false;
+  sim.Schedule(5.0, [&later] { later = true; });
+  // Beats at t = 1 (1 link), 2 (2 links) and 3 (4 links), then the reset.
+  EXPECT_EQ(sim.Run(), 1u + 2u + 4u + 2u);
+  EXPECT_EQ(beats, 7);
+  EXPECT_TRUE(later);
+  EXPECT_TRUE(sim.Idle());
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {
