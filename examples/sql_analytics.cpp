@@ -2,17 +2,22 @@
 // cluster, comparing Ursa's fine-grained scheduling with an executor-model
 // baseline - the paper's headline scenario at a friendly scale.
 //
-//   $ ./examples/sql_analytics [num_jobs]
+//   $ ./examples/sql_analytics [--jobs=N]
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/driver/experiment.h"
 #include "src/workloads/tpch.h"
 
 int main(int argc, char** argv) {
   using namespace ursa;
-  const int num_jobs = argc > 1 ? std::atoi(argv[1]) : 30;
+  int num_jobs = 30;
+  FlagSet flags;
+  flags.Num("jobs", &num_jobs, 1, 10'000'000, "TPC-H-shaped jobs to submit");
+  if (const int rc = flags.Parse(argc, argv)) {
+    return rc;
+  }
 
   TpchWorkloadConfig wc;
   wc.num_jobs = num_jobs;

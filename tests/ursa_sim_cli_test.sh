@@ -1,20 +1,23 @@
 #!/usr/bin/env bash
-# Exit-code contract of ursa_sim (tools/ursa_sim.cc) and the bench binaries,
-# which all parse their flags through src/common/flags.h:
+# Exit-code contract of ursa_sim (tools/ursa_sim.cc), the bench binaries and
+# examples/sql_analytics, which all parse their flags through
+# src/common/flags.h:
 #   0 — the run finished and printed its report
 #   2 — usage error: an unknown flag, a malformed or out-of-range value or
 #       an unsupported combination, with the offending flag named on stderr
 #       and nothing written (no JSON report, no trace)
 #
 # Usage: ursa_sim_cli_test.sh <path-to-ursa_sim> <bench-binary-dir>
+#          <path-to-sql_analytics>
 set -u
 
-if [ "$#" -ne 2 ] || [ ! -x "$1" ] || [ ! -d "$2" ]; then
-  echo "usage: $0 <path-to-ursa_sim> <bench-binary-dir>" >&2
+if [ "$#" -ne 3 ] || [ ! -x "$1" ] || [ ! -d "$2" ] || [ ! -x "$3" ]; then
+  echo "usage: $0 <path-to-ursa_sim> <bench-binary-dir> <path-to-sql_analytics>" >&2
   exit 2
 fi
 URSA_SIM="$1"
 BENCH_DIR="$2"
+SQL_ANALYTICS="$3"
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "${WORKDIR}"' EXIT
 # Benches write their default JSON into the working directory.
@@ -85,5 +88,12 @@ expect_usage_error --trace-sample "${BENCH_DIR}/bench_table2_tpch" --trace-out=o
 # 2: a bench that takes no flags rejects any argument.
 expect_usage_error --bogus "${BENCH_DIR}/bench_fig6_network" --bogus
 
-echo "PASS: ursa_sim and bench exit codes 0/2 behave as documented"
+# 2: the example takes its job count as --jobs only, whole and in range; a
+# bare count is an unknown argument, not a number read up to its first
+# non-digit.
+expect_usage_error abc "${SQL_ANALYTICS}" abc
+expect_usage_error --jobs "${SQL_ANALYTICS}" --jobs=2x
+expect_usage_error --jobs "${SQL_ANALYTICS}" --jobs=0
+
+echo "PASS: ursa_sim, bench and example exit codes 0/2 behave as documented"
 exit 0
