@@ -136,8 +136,9 @@ class EventQueue {
 // floating point, so appends arrive in (when, id) order (CHECKed) and the
 // FIFO head is the lane's earliest event without any heap work. A lane
 // event takes no callback slot and builds no std::function, and it cannot
-// be cancelled. The lane registers with its queue for its lifetime;
-// destroying it drops its pending events.
+// be cancelled. The lane registers with its queue for its lifetime, so the
+// queue (and the clock) must outlive it; destroying the lane drops its
+// pending events.
 class FixedDelayLane {
  public:
   using Handler = std::function<void(int32_t)>;
