@@ -5,10 +5,11 @@
 // whenever the worker is alive. Every chain re-arms with the same delay, so
 // all beats ride one FixedDelayLane (src/sim/event_queue.h) instead of the
 // event heap: a beat allocates nothing and costs no heap sift, and it fires
-// at the same instant and in the same order as a heap event would. It sweeps the cluster and declares a worker
-// dead once it has been silent for longer than detect_timeout. A heartbeat
-// arriving from a declared-dead worker means the machine came back: the
-// detector un-declares it and fires the rejoin callback so the scheduler can
+// at the same instant and in the same order as a heap event would. The
+// detector sweeps the cluster and declares a worker dead once it has been
+// silent for longer than detect_timeout. A heartbeat arriving from a
+// declared-dead worker means the machine came back: the detector
+// un-declares it and fires the rejoin callback so the scheduler can
 // re-admit it to placement.
 //
 // Heartbeat and sweep chains are gated on an activity predicate (typically

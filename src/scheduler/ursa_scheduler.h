@@ -405,9 +405,8 @@ class UrsaScheduler : public JobManagerListener {
   // the whole tick — loads only worsen between refreshes) and a headroom
   // signature mask for O(1) skipping of saturated and failed workers. The
   // common homogeneous case collapses thousands of workers into a handful
-  // of buckets, each scored once per call.
-  // A bucket's members, ascending ids with identical loads, are the run
-  // scan_order_[begin, begin + size).
+  // of buckets, each scored once per call. A bucket's members, ascending
+  // ids with identical loads, are the run scan_order_[begin, begin + size).
   struct ScanBucket {
     double key[kNumResourceDims] = {};  // BoundKeys at build time.
     uint32_t mask = 0;  // Bits 0..2: d_r > 0 at build time; bit 3: d_mem > 0.
