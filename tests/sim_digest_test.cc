@@ -11,6 +11,12 @@
 //
 //   tests/golden/sim_digests.golden
 //
+// The same runs also write those host-work counters, unhashed, to a second
+// golden, the deterministic scan gate: an exact change to the placement
+// index must leave both files alone.
+//
+//   tests/golden/scan_counts.golden
+//
 // A change that moves simulated output regenerates it in its own commit and
 // names the moved configs:
 //
@@ -40,6 +46,7 @@ namespace ursa {
 namespace {
 
 constexpr char kGoldenPath[] = URSA_SOURCE_DIR "/tests/golden/sim_digests.golden";
+constexpr char kScanGoldenPath[] = URSA_SOURCE_DIR "/tests/golden/scan_counts.golden";
 
 struct DigestCase {
   std::string name;
@@ -216,7 +223,13 @@ class Digest {
   uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-std::string DigestLine(const DigestCase& c) {
+// One config's lines in the two goldens.
+struct CaseLines {
+  std::string digest;
+  std::string scan;
+};
+
+CaseLines RunCase(const DigestCase& c) {
   ExperimentConfig config = c.config;
   // The tracer's tick totals give the placement count; only they are read,
   // so monotask events are sampled out and the ring kept tiny.
@@ -252,23 +265,34 @@ std::string DigestLine(const DigestCase& c) {
   }
   d.Add(f.journal_records);
 
-  std::string line;
-  AppendF(&line, "%-20s %016llx jobs=%zu events=%llu placed=%lld\n", c.name.c_str(),
+  CaseLines lines;
+  AppendF(&lines.digest, "%-20s %016llx jobs=%zu events=%llu placed=%lld\n", c.name.c_str(),
           static_cast<unsigned long long>(d.value()), result.records.size(),
           static_cast<unsigned long long>(result.events_fired),
           static_cast<long long>(placed));
-  return line;
+  const UrsaScheduler::SchedulerCounters& s = result.scheduler_counters;
+  AppendF(&lines.scan, "%-20s bestworker_calls=%lld workers_scanned=%lld load_refreshes=%lld\n",
+          c.name.c_str(), static_cast<long long>(s.bestworker_calls),
+          static_cast<long long>(s.workers_scanned),
+          static_cast<long long>(s.load_refreshes));
+  return lines;
 }
 
 TEST(SimDigest, StandingSetMatchesCommittedGolden) {
   std::string actual = "# Simulation digests. Regenerate with URSA_REGEN_GOLDEN=1\n";
   actual += "# ./tests/sim_digest_test (see tests/sim_digest_test.cc).\n";
+  std::string scans = "# Placement scan counts of the digest configs. Regenerate with\n";
+  scans += "# URSA_REGEN_GOLDEN=1 ./tests/sim_digest_test (see tests/sim_digest_test.cc).\n";
   for (const DigestCase& c : MakeCases()) {
-    actual += DigestLine(c);
+    const CaseLines lines = RunCase(c);
+    actual += lines.digest;
+    scans += lines.scan;
   }
   CheckGolden(kGoldenPath, actual);
+  CheckGolden(kScanGoldenPath, scans);
   if (HasFailure()) {
     std::printf("every config's digest:\n%s", actual.c_str());
+    std::printf("every config's scan counts:\n%s", scans.c_str());
   }
 }
 
