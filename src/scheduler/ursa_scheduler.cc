@@ -891,7 +891,6 @@ const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
                     << " diverged from the full rescan (missing dirty mark?)";
       }
     }
-    // The dirty marks tell RebuildScanOrder which workers moved.
     RebuildScanOrder(&load_cache_.dirty_list);
     for (const WorkerId w : load_cache_.dirty_list) {
       load_cache_.dirty[static_cast<size_t>(w)] = 0;
@@ -914,16 +913,6 @@ uint32_t UrsaScheduler::LoadMask(const WorkerLoad& load) {
   return mask;
 }
 
-uint64_t UrsaScheduler::HashLoad(const WorkerLoad& load) {
-  const unsigned char* bytes = reinterpret_cast<const unsigned char*>(&load);
-  uint64_t h = 14695981039346656037ull;  // FNV-1a.
-  for (size_t i = 0; i < sizeof(WorkerLoad); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
                                  const std::vector<WorkerLoad>& base,
                                  int headroom[kNumMonotaskResources]) const {
@@ -931,7 +920,7 @@ void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
   const int32_t old_slot = overlay_slot_[static_cast<size_t>(w)];
   if (old_slot >= 0) {
     OverlayBucket& old_bucket = overlay_buckets_[static_cast<size_t>(old_slot)];
-    load = old_bucket.load;
+    load = overlay_loads_.load(old_slot);
     old_bucket.members.erase(
         std::lower_bound(old_bucket.members.begin(), old_bucket.members.end(), w));
   } else {
@@ -940,29 +929,24 @@ void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
     --scan_pass_[static_cast<size_t>(scan_bucket_of_[static_cast<size_t>(w)])].fresh;
   }
   ApplyToLoad(usage, ept, &load, headroom);
-  // Find or create the bucket holding this exact load. Emptied buckets stay
-  // in the index as tombstones and get reused when the load recurs.
-  int32_t target = -1;
-  std::vector<int32_t>& hits = overlay_index_[HashLoad(load)];
-  for (const int32_t idx : hits) {
-    if (std::memcmp(&overlay_buckets_[static_cast<size_t>(idx)].load, &load,
-                    sizeof(WorkerLoad)) == 0) {
-      target = idx;
-      break;
-    }
-  }
-  if (target < 0) {
-    target = static_cast<int32_t>(overlay_buckets_.size());
-    OverlayBucket bucket;
-    bucket.load = load;
-    BoundKeys(load, bucket.key);
-    bucket.mask = LoadMask(load);
-    overlay_buckets_.push_back(std::move(bucket));
-    hits.push_back(target);
+  // Find or create the bucket holding this exact load. Emptied buckets keep
+  // their load interned as tombstones and get reused when the load recurs.
+  bool added = false;
+  const int32_t target = overlay_loads_.Intern(load, &added);
+  if (static_cast<size_t>(target) == overlay_buckets_.size()) {
+    overlay_buckets_.emplace_back();
   }
   OverlayBucket& bucket = overlay_buckets_[static_cast<size_t>(target)];
-  bucket.members.insert(
-      std::lower_bound(bucket.members.begin(), bucket.members.end(), w), w);
+  if (added) {
+    BoundKeys(load, bucket.key);
+    bucket.mask = LoadMask(load);
+  }
+  std::vector<WorkerId>& members = bucket.members;
+  if (members.empty() || members.back() < w) {
+    members.push_back(w);  // The common case: placements in ascending ids.
+  } else {
+    members.insert(std::lower_bound(members.begin(), members.end(), w), w);
+  }
   overlay_slot_[static_cast<size_t>(w)] = target;
 }
 
@@ -974,73 +958,124 @@ void UrsaScheduler::OverlayReset() const {
     scan_pass_[b].cursor = 0;
   }
   overlay_touched_.clear();
-  overlay_buckets_.clear();
-  overlay_index_.clear();
+  for (int32_t b = 0; b < overlay_loads_.id_limit(); ++b) {
+    overlay_buckets_[static_cast<size_t>(b)].members.clear();
+  }
+  overlay_loads_.Clear();
 }
 
-void UrsaScheduler::RebuildScanOrder(std::vector<WorkerId>* refreshed) {
+void UrsaScheduler::JoinLoadClass(WorkerId w) {
+  bool added = false;
+  const int32_t id = load_classes_.Intern(load_cache_.loads[static_cast<size_t>(w)], &added);
+  if (static_cast<size_t>(id) == classes_.size()) {
+    classes_.emplace_back();
+  }
+  LoadClass& load_class = classes_[static_cast<size_t>(id)];
+  if (added) {
+    load_class.count = 0;
+  }
+  ++load_class.count;
+  class_of_[static_cast<size_t>(w)] = id;
+}
+
+void UrsaScheduler::RebuildScanOrder(const std::vector<WorkerId>* refreshed) {
   // The per-bucket pass state below is indexed by the buckets being
   // replaced; loads are only refreshed between placement passes.
   CHECK(overlay_touched_.empty()) << "scan order rebuilt during a placement pass";
   const std::vector<WorkerLoad>& loads = load_cache_.loads;
-  // Group workers with bit-identical loads: sort by the raw load bytes
-  // (WorkerLoad is all doubles, so memcmp is a total order with no padding
-  // hazards), then cut runs of equal loads into buckets. The index
-  // tie-break keeps each bucket's member list ascending.
-  const auto before = [&loads](WorkerId a, WorkerId b) {
-    const int c = std::memcmp(&loads[static_cast<size_t>(a)],
-                              &loads[static_cast<size_t>(b)], sizeof(WorkerLoad));
-    return c != 0 ? c < 0 : a < b;
-  };
-  const auto sort_all = [&loads, &before] {
-    std::vector<WorkerId> all(loads.size());
-    std::iota(all.begin(), all.end(), 0);
-    std::sort(all.begin(), all.end(), before);
-    return all;
-  };
-  std::vector<WorkerId>& order = scan_order_;
+  const size_t num_workers = loads.size();
   if (refreshed == nullptr) {
-    order = sort_all();
+    load_classes_.Clear();
+    classes_.clear();
+    class_of_.assign(num_workers, -1);
+    for (size_t w = 0; w < num_workers; ++w) {
+      JoinLoadClass(static_cast<WorkerId>(w));
+    }
   } else {
-    // `before` is a strict total order, so the sorted order is unique: the
-    // workers whose loads did not move keep their relative order, and
-    // merging the re-sorted movers back in yields exactly the full sort.
-    order.erase(std::remove_if(order.begin(), order.end(),
-                               [this](WorkerId w) {
-                                 return load_cache_.dirty[static_cast<size_t>(w)] != 0;
-                               }),
-                order.end());
-    std::sort(refreshed->begin(), refreshed->end(), before);
-    scan_merge_.resize(order.size() + refreshed->size());
-    std::merge(order.begin(), order.end(), refreshed->begin(), refreshed->end(),
-               scan_merge_.begin(), before);
-    order.swap(scan_merge_);
-    if (config_.verify_hot_path) {
-      CHECK(sort_all() == order) << "merged scan order diverged from the full sort";
+    for (const WorkerId w : *refreshed) {
+      const int32_t old = class_of_[static_cast<size_t>(w)];
+      if (SameLoad(load_classes_.load(old), loads[static_cast<size_t>(w)])) {
+        continue;
+      }
+      if (--classes_[static_cast<size_t>(old)].count == 0) {
+        load_classes_.Erase(old);
+      }
+      JoinLoadClass(w);
     }
   }
-  scan_buckets_.clear();
-  scan_bucket_of_.resize(loads.size());
-  for (size_t i = 0; i < order.size();) {
-    const WorkerLoad& load = loads[static_cast<size_t>(order[i])];
-    const int32_t index = static_cast<int32_t>(scan_buckets_.size());
-    ScanBucket bucket;
+  // One bucket per live class, in memcmp order of the class loads: a strict
+  // total order, as interned loads are distinct.
+  class_order_.clear();
+  for (int32_t id = 0; id < load_classes_.id_limit(); ++id) {
+    if (classes_[static_cast<size_t>(id)].count > 0) {
+      class_order_.push_back(id);
+    }
+  }
+  std::sort(class_order_.begin(), class_order_.end(), [this](int32_t a, int32_t b) {
+    return CompareLoads(load_classes_.load(a), load_classes_.load(b)) < 0;
+  });
+  scan_buckets_.resize(class_order_.size());
+  for (int r = 0; r < kNumMonotaskResources; ++r) {
+    base_headroom_[r] = 0;
+  }
+  uint32_t begin = 0;
+  for (size_t b = 0; b < class_order_.size(); ++b) {
+    LoadClass& load_class = classes_[static_cast<size_t>(class_order_[b])];
+    const WorkerLoad& load = load_classes_.load(class_order_[b]);
+    load_class.bucket = static_cast<int32_t>(b);
+    ScanBucket& bucket = scan_buckets_[b];
     // The keys bound every fresh member for the whole tick: every d only
     // decreases as placements are applied, and modified workers leave the
     // bucket's fresh set via the overlay.
     BoundKeys(load, bucket.key);
     bucket.mask = LoadMask(load);
-    size_t j = i;
-    while (j < order.size() &&
-           std::memcmp(&loads[static_cast<size_t>(order[j])], &load,
-                       sizeof(WorkerLoad)) == 0) {
-      scan_bucket_of_[static_cast<size_t>(order[j])] = index;
-      ++j;
+    bucket.begin = begin;
+    bucket.size = static_cast<uint32_t>(load_class.count);
+    begin += bucket.size;
+    for (int r = 0; r < kNumMonotaskResources; ++r) {
+      if (load.d[r] > 0.0) {
+        base_headroom_[r] += load_class.count;
+      }
     }
-    bucket.begin = static_cast<uint32_t>(i);
-    bucket.size = static_cast<uint32_t>(j - i);
-    scan_buckets_.push_back(bucket);
-    i = j;
+  }
+  // Counting pass: each bucket's `begin` runs as its fill cursor, and
+  // ascending worker ids keep each bucket's members ascending.
+  scan_order_.resize(num_workers);
+  scan_bucket_of_.resize(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
+    const int32_t b = classes_[static_cast<size_t>(class_of_[w])].bucket;
+    scan_bucket_of_[w] = b;
+    scan_order_[scan_buckets_[static_cast<size_t>(b)].begin++] = static_cast<WorkerId>(w);
+  }
+  for (ScanBucket& bucket : scan_buckets_) {
+    bucket.begin -= bucket.size;
+  }
+  if (config_.verify_hot_path) {
+    // Reference: all workers sorted by (raw load bytes, id), cut into runs
+    // of bit-identical loads, and the headroom counted over all W loads.
+    const auto before = [&loads](WorkerId a, WorkerId b) {
+      const int c = std::memcmp(&loads[static_cast<size_t>(a)],
+                                &loads[static_cast<size_t>(b)], sizeof(WorkerLoad));
+      return c != 0 ? c < 0 : a < b;
+    };
+    std::vector<WorkerId> all(num_workers);
+    std::iota(all.begin(), all.end(), 0);
+    std::sort(all.begin(), all.end(), before);
+    CHECK(all == scan_order_) << "class-derived scan order diverged from the full sort";
+    for (size_t i = 0; i < num_workers; ++i) {
+      const size_t w = static_cast<size_t>(all[i]);
+      const bool run_starts =
+          i == 0 || std::memcmp(&loads[static_cast<size_t>(all[i - 1])], &loads[w],
+                                sizeof(WorkerLoad)) != 0;
+      const ScanBucket& bucket = scan_buckets_[static_cast<size_t>(scan_bucket_of_[w])];
+      CHECK(run_starts == (bucket.begin == i) && i - bucket.begin < bucket.size)
+          << "worker " << w << " is in the wrong scan bucket";
+    }
+    int reference[kNumMonotaskResources];
+    CountHeadroom(loads, reference);
+    for (int r = 0; r < kNumMonotaskResources; ++r) {
+      CHECK_EQ(base_headroom_[r], reference[r]) << "class-derived headroom, resource " << r;
+    }
   }
   const size_t n = scan_buckets_.size();
   scan_pass_.resize(n);
@@ -1243,11 +1278,13 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
   // avoided worker only needs explicit tracking when it is the bucket
   // minimum: any other member qualifies with the identical score, so the
   // avoid fallback would never fire.
-  for (const OverlayBucket& bucket : overlay_buckets_) {
+  for (int32_t b = 0; b < overlay_loads_.id_limit(); ++b) {
+    const OverlayBucket& bucket = overlay_buckets_[static_cast<size_t>(b)];
     if (bucket.members.empty()) {
       continue;  // Tombstone: every member moved to another load.
     }
-    if (best.score > BoundScore(coef, bucket.key, TieTerm(usage, bucket.load))) {
+    const WorkerLoad& load = overlay_loads_.load(b);
+    if (best.score > BoundScore(coef, bucket.key, TieTerm(usage, load))) {
       continue;
     }
     ++*scanned;
@@ -1261,8 +1298,7 @@ UrsaScheduler::Pick UrsaScheduler::BucketedScan(const TaskUsage& usage,
       cand = bucket.members.size() > 1 ? bucket.members[1] : kInvalidId;
     }
     double score = 0.0;
-    if (!Algorithm1Score(usage, bucket.load, ept, view.headroom, config_.consider_network,
-                         &score)) {
+    if (!Algorithm1Score(usage, load, ept, view.headroom, config_.consider_network, &score)) {
       continue;
     }
     if (avoid_here) {
@@ -1401,7 +1437,7 @@ void UrsaScheduler::RunSpeculation() {
   const double ept = config_.scheduling_interval * kEptSlack;
   const std::vector<WorkerLoad>& loads = CurrentLoads();
   int headroom[kNumMonotaskResources];
-  CountHeadroom(loads, headroom);
+  std::copy_n(base_headroom_, kNumMonotaskResources, headroom);
   // Mutations go through the overlay so the bucket scan's fresh/modified
   // split stays exact against the refreshed base (see RunPlacement).
   LoadView view;
@@ -1439,7 +1475,7 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
   const double ept = config_.scheduling_interval * kEptSlack;
   const std::vector<WorkerLoad>& master = CurrentLoads();
   int headroom[kNumMonotaskResources];
-  CountHeadroom(master, headroom);
+  std::copy_n(base_headroom_, kNumMonotaskResources, headroom);
 
   // Gather candidate (job, stage, ready tasks) groups from every admitted
   // job, in submission order.

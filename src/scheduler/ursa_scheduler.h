@@ -25,7 +25,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "src/metrics/metrics.h"
 #include "src/scheduler/admission.h"
 #include "src/scheduler/job_ordering.h"
+#include "src/scheduler/load_table.h"
 #include "src/scheduler/placement_policy.h"
 #include "src/spec/speculation.h"
 
@@ -257,13 +257,12 @@ class UrsaScheduler : public JobManagerListener {
   // placement pass, grouped by bit-identical current load exactly like the
   // base scan buckets: wide placement rounds touch most of the cluster, but
   // with uniform tasks the modified loads collapse into a handful of
-  // distinct values, each scored once per BestWorker call. `key` and `mask`
-  // are exact for the bucket's current load (workers move buckets on every
-  // placement).
+  // distinct values, each scored once per BestWorker call. A bucket's index
+  // is its load's id in overlay_loads_. `key` and `mask` are exact for that
+  // load (workers move buckets on every placement).
   struct OverlayBucket {
-    double key[kNumResourceDims] = {};  // BoundKeys of `load`.
+    double key[kNumResourceDims] = {};  // BoundKeys of the load.
     uint32_t mask = 0;  // Same encoding as ScanBucket::mask, always current.
-    WorkerLoad load;
     std::vector<WorkerId> members;  // Ascending ids; empty = tombstone.
   };
 
@@ -280,7 +279,7 @@ class UrsaScheduler : public JobManagerListener {
   // Worker `w`'s load in `view`: its overlay bucket's load, else the base.
   const WorkerLoad& LoadAt(const LoadView& view, size_t w) const {
     const int32_t s = overlay_slot_[w];
-    return s >= 0 ? overlay_buckets_[static_cast<size_t>(s)].load : (*view.base)[w];
+    return s >= 0 ? overlay_loads_.load(s) : (*view.base)[w];
   }
 
   // Full-rescan load snapshot: primes the cold load cache and is the
@@ -292,31 +291,33 @@ class UrsaScheduler : public JobManagerListener {
   void MarkLoadDirty(WorkerId w);
   // Brings the cached loads up to date — drains the dirty set, or primes a
   // cold cache with a full rescan — and rebuilds the bucketed scan order
-  // when anything changed. Never called during a placement pass, so a pass
-  // may hold the returned reference.
+  // and base_headroom_ when anything changed. Never called during a
+  // placement pass, so a pass may hold the returned reference.
   const std::vector<WorkerLoad>& CurrentLoads();
-  // Rebuilds scan_buckets_ from cached loads, grouping bit-identical loads
-  // into one bucket each, and the per-dimension key orders over them. The
-  // sorted worker order is kept across calls: `refreshed` lists the workers
-  // whose loads changed since the last call (each carries its dirty mark),
-  // and only those are re-sorted and merged back in; nullptr sorts all W.
-  void RebuildScanOrder(std::vector<WorkerId>* refreshed);
+  // Moves the workers in `refreshed` (nullptr: all W, from scratch) to the
+  // load classes of their cached loads, then rebuilds from the live
+  // classes: scan_buckets_ (one per class, in memcmp order of the loads),
+  // the worker order over them, base_headroom_ and the per-dimension key
+  // orders.
+  void RebuildScanOrder(const std::vector<WorkerId>* refreshed);
+  // Puts worker `w` into the class of its cached load, interning the load.
+  void JoinLoadClass(WorkerId w);
+  // Workers with d_r > 0 per resource, counted over all W loads: the
+  // verify_hot_path reference for base_headroom_.
   static void CountHeadroom(const std::vector<WorkerLoad>& loads,
                             int out[kNumMonotaskResources]);
   // Headroom signature: bits 0..2 set for d_r > 0, bit
   // kNumMonotaskResources for d_mem > 0 (shared by ScanBucket and
   // OverlayBucket).
   static uint32_t LoadMask(const WorkerLoad& load);
-  // FNV-1a over the load's raw bytes; keys the overlay bucket index.
-  static uint64_t HashLoad(const WorkerLoad& load);
   // Moves `w` (fresh, or already in an overlay bucket) to the overlay
   // bucket matching its load after applying one placement of `usage`; a
   // fresh `w` also leaves its base bucket's fresh members.
   void OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
                     const std::vector<WorkerLoad>& base,
                     int headroom[kNumMonotaskResources]) const;
-  // Clears the overlay (slots, buckets, index) and the base buckets' pass
-  // state after a placement pass.
+  // Clears the overlay (slots, bucket members, load table) and the base
+  // buckets' pass state after a placement pass.
   void OverlayReset() const;
   // Evaluates Algorithm 1's StageScore for the ready tasks of (job, stage)
   // against `base` (mutating only a private overlay); -inf when no task
@@ -400,6 +401,19 @@ class UrsaScheduler : public JobManagerListener {
     bool primed = false;
   };
   LoadCache load_cache_;
+  // Load classes: the distinct cached loads, interned in load_classes_. A
+  // refreshed worker moves between classes in O(1); a class whose last
+  // worker leaves is erased.
+  struct LoadClass {
+    int32_t count = 0;   // Workers whose cached load is this class's load.
+    int32_t bucket = 0;  // Its scan_buckets_ index at the last rebuild.
+  };
+  LoadTable load_classes_;
+  std::vector<LoadClass> classes_;  // By class id.
+  std::vector<int32_t> class_of_;   // Worker -> class id.
+  std::vector<int32_t> class_order_;  // Live class ids in bucket order.
+  // Workers with d_r > 0 in the cached loads, summed over live classes.
+  int base_headroom_[kNumMonotaskResources] = {};
   // BestWorker candidates: workers with bit-identical cached loads are
   // grouped into one bucket carrying the shared score-bound keys (valid for
   // the whole tick — loads only worsen between refreshes) and a headroom
@@ -424,11 +438,8 @@ class UrsaScheduler : public JobManagerListener {
   std::vector<KeyEntry> scan_by_key_[kNumResourceDims];
   std::vector<int32_t> scan_bucket_of_;  // Worker -> scan_buckets_ index.
   // All workers sorted by (raw load bytes, id): the concatenated bucket
-  // members, kept so a rebuild merges the refreshed workers back in.
+  // members, filled by one counting pass over worker ids per rebuild.
   std::vector<WorkerId> scan_order_;
-  // RebuildScanOrder's merge output, swapped with scan_order_ so neither
-  // buffer is reallocated on a rebuild.
-  std::vector<WorkerId> scan_merge_;
   std::span<const WorkerId> Members(const ScanBucket& bucket) const {
     return std::span<const WorkerId>(scan_order_).subspan(bucket.begin, bucket.size);
   }
@@ -441,15 +452,16 @@ class UrsaScheduler : public JobManagerListener {
   mutable std::vector<BucketPass> scan_pass_;
   mutable uint64_t scan_stamp_ = 0;  // Bumped by every bucketed call.
   mutable SchedulerCounters counters_;
-  // Placement overlay scratch: worker -> overlay_buckets_ index (-1 when the
-  // worker is unmodified; sized once, one entry per worker), the
-  // load-grouped buckets, the load-hash -> bucket index map, and the
-  // touched-worker list for O(touched) reset. ScoreStage resets the overlay
-  // after every candidate; the commit and speculation passes reset it when
-  // they finish.
+  // Placement overlay scratch: worker -> overlay bucket index (-1 when the
+  // worker is unmodified; sized once, one entry per worker), the pass's
+  // modified loads interned in overlay_loads_ (id = bucket index), the
+  // buckets, and the touched-worker list for O(touched) reset. Buckets
+  // past overlay_loads_.id_limit() are unused but keep their member
+  // vectors' storage. ScoreStage resets the overlay after every candidate;
+  // the commit and speculation passes reset it when they finish.
   mutable std::vector<int32_t> overlay_slot_;
+  mutable LoadTable overlay_loads_;
   mutable std::vector<OverlayBucket> overlay_buckets_;
-  mutable std::unordered_map<uint64_t, std::vector<int32_t>> overlay_index_;
   mutable std::vector<WorkerId> overlay_touched_;
 
   // Admission queue and tick/progress counters.
