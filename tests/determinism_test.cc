@@ -301,6 +301,31 @@ TEST(Determinism, VerifiedHotPathOnPlacementStress) {
   EXPECT_LT(sc.workers_scanned, 30 * sc.bestworker_calls);
 }
 
+TEST(Determinism, VerifiedHotPathOnAThousandWorkersWithKills) {
+  // 1,000 workers that learn their own processing rates, with degrade
+  // windows, kills and rejoins. The load-class table starts with one class
+  // (every idle worker) and grows to hundreds as rates diverge, rehashing
+  // on the way; a worker that leaves a load it alone held erases that
+  // class; and loads whose class was erased recur and are interned again.
+  // Every rebuild is CHECKed against the full memcmp sort and the headroom
+  // recount.
+  ExperimentConfig config = UrsaSrjfConfig();
+  config.cluster.num_workers = 1000;
+  FaultPlanConfig pc;
+  pc.seed = 17;
+  pc.num_workers = config.cluster.num_workers;
+  pc.horizon_start = 2.0;
+  pc.horizon_end = 40.0;
+  pc.crashes = 4;
+  pc.crash_recovers = 4;
+  pc.degrades = 40;
+  config.fault_plan = MakeRandomFaultPlan(pc);
+  ExperimentResult result;
+  ExpectVerifiedHotPathMatches(SeededTpch(8, 37), config, "ursa-srjf", &result);
+  EXPECT_GT(result.faults.crashes_injected, 0);
+  EXPECT_GT(result.faults.rejoins, 0);
+}
+
 // --- Flow-model refill (DESIGN.md section 12). ---
 // A flow start or finish recomputes only the share of the receiver it
 // touches. Debug builds recount every receiver's flows after each refill.

@@ -1,9 +1,14 @@
 // Tests for the Ursa scheduler: memory-gated admission, Algorithm 1
 // placement behaviour (load balancing, blocked-resource avoidance, stage
 // bonus), job ordering policies, and the packing-placement variants.
+#include <bit>
+#include <cstring>
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "src/obs/trace.h"
+#include "src/scheduler/load_table.h"
 #include "src/scheduler/ursa_scheduler.h"
 #include "src/workloads/synthetic.h"
 #include "src/workloads/tpch.h"
@@ -167,6 +172,98 @@ TEST(PlacementPriorityBonus, EjfGrowsWithWaitTime) {
 TEST(PlacementPriorityBonus, SrjfInverseInRank) {
   EXPECT_GT(PlacementPriorityBonus(OrderingPolicy::kSrjf, 1.0, 0.0, 0.1),
             PlacementPriorityBonus(OrderingPolicy::kSrjf, 1.0, 0.0, 1.0));
+}
+
+// Random loads whose fields come from a small pool, so pairs often share
+// long prefixes and differ late, in one byte, or only in the sign of zero.
+WorkerLoad RandomLoad(std::mt19937_64& rng) {
+  const double pool[] = {0.0, -0.0, 1.0, 0.5, 0.25, 1e-300, 3.0e9, -1.0};
+  double fields[kLoadWords];
+  for (double& field : fields) {
+    const uint64_t pick = rng() % 10;
+    if (pick < 8) {
+      field = pool[pick];
+    } else {
+      const uint64_t bits = pick == 8 ? rng() : std::bit_cast<uint64_t>(1.0) ^ (rng() % 256);
+      std::memcpy(&field, &bits, sizeof(field));
+    }
+  }
+  WorkerLoad load;
+  std::memcpy(&load, fields, sizeof(load));
+  return load;
+}
+
+int Sign(int v) { return (v > 0) - (v < 0); }
+
+TEST(LoadWords, ComparisonAndEqualityMatchMemcmp) {
+  std::mt19937_64 rng(20240531);
+  std::vector<WorkerLoad> loads;
+  for (int i = 0; i < 400; ++i) {
+    loads.push_back(RandomLoad(rng));
+  }
+  for (const WorkerLoad& a : loads) {
+    for (const WorkerLoad& b : loads) {
+      const int bytes = std::memcmp(&a, &b, sizeof(WorkerLoad));
+      ASSERT_EQ(Sign(CompareLoads(a, b)), Sign(bytes));
+      ASSERT_EQ(SameLoad(a, b), bytes == 0);
+      if (bytes == 0) {
+        ASSERT_EQ(HashLoad(a), HashLoad(b));
+      }
+    }
+  }
+  // Equality is bitwise: 0.0 == -0.0 as doubles, but not as loads.
+  WorkerLoad plus;
+  WorkerLoad minus;
+  minus.apt[1] = -0.0;
+  EXPECT_FALSE(SameLoad(plus, minus));
+  EXPECT_EQ(Sign(CompareLoads(plus, minus)),
+            Sign(std::memcmp(&plus, &minus, sizeof(WorkerLoad))));
+  EXPECT_NE(CompareLoads(plus, minus), 0);
+}
+
+TEST(LoadTable, GrowsErasesAndReinterns) {
+  std::vector<WorkerLoad> loads(1000);
+  for (size_t i = 0; i < loads.size(); ++i) {
+    loads[i].d[0] = static_cast<double>(i);
+    loads[i].rate[2] = static_cast<double>(i % 7);
+  }
+  LoadTable table;
+  bool added = false;
+  for (size_t i = 0; i < loads.size(); ++i) {
+    ASSERT_EQ(table.Intern(loads[i], &added), static_cast<int32_t>(i));
+    ASSERT_TRUE(added);
+  }
+  EXPECT_EQ(table.size(), 1000);
+  EXPECT_GE(table.capacity(), 2000u);  // Grown from 16 slots, rehashing each time.
+  // Erase every third load: the backward shift must keep the rest findable.
+  for (size_t i = 0; i < loads.size(); i += 3) {
+    table.Erase(static_cast<int32_t>(i));
+  }
+  for (size_t i = 0; i < loads.size(); ++i) {
+    if (i % 3 != 0) {
+      ASSERT_EQ(table.Intern(loads[i], &added), static_cast<int32_t>(i));
+      ASSERT_FALSE(added);
+    }
+  }
+  // Erased loads come back under recycled ids, each holding its load.
+  for (size_t i = 0; i < loads.size(); i += 3) {
+    const int32_t id = table.Intern(loads[i], &added);
+    ASSERT_TRUE(added);
+    ASSERT_LT(id, 1000);
+    ASSERT_TRUE(SameLoad(table.load(id), loads[i]));
+    ASSERT_EQ(table.Intern(loads[i], &added), id);
+    ASSERT_FALSE(added);
+  }
+  EXPECT_EQ(table.id_limit(), 1000);
+  EXPECT_EQ(table.size(), 1000);
+  // A cleared table starts again from id 0, and a -0.0 load is a new key.
+  table.Clear();
+  EXPECT_EQ(table.size(), 0);
+  WorkerLoad minus;
+  minus.d[0] = -0.0;
+  EXPECT_EQ(table.Intern(loads[0], &added), 0);
+  EXPECT_EQ(table.Intern(minus, &added), 1);
+  EXPECT_TRUE(added);
 }
 
 }  // namespace
