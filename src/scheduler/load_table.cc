@@ -16,23 +16,23 @@ int32_t LoadTable::Intern(const WorkerLoad& load, bool* added) {
     if (id < 0) {
       break;
     }
-    if (hashes_[static_cast<size_t>(id)] == hash && SameLoad(load, loads_[static_cast<size_t>(id)])) {
+    if (hashes_[static_cast<size_t>(id)] == hash &&
+        SameLoad(load, loads_[static_cast<size_t>(id)])) {
       *added = false;
       return id;
     }
   }
-  int32_t id;
-  if (!free_ids_.empty()) {
+  int32_t id = id_limit();
+  if (free_ids_.empty()) {
+    loads_.push_back(load);
+    hashes_.push_back(hash);
+    slot_of_.push_back(static_cast<uint32_t>(slot));
+  } else {
     id = free_ids_.back();
     free_ids_.pop_back();
     loads_[static_cast<size_t>(id)] = load;
     hashes_[static_cast<size_t>(id)] = hash;
     slot_of_[static_cast<size_t>(id)] = static_cast<uint32_t>(slot);
-  } else {
-    id = id_limit();
-    loads_.push_back(load);
-    hashes_.push_back(hash);
-    slot_of_.push_back(static_cast<uint32_t>(slot));
   }
   slots_[slot] = id;
   *added = true;
