@@ -1,28 +1,26 @@
 // A program-counter sampler to answer "where did the host time go?" for any
 // binary of this repository, without a profiler installed. Load it into the
-// process to sample:
+// process to sample, then symbolize what it wrote:
 //
-//   export PC_SAMPLER_OUT=samples.txt
 //   LD_PRELOAD=build/tools/libpc_sampler.so ./build/tools/ursa_sim --jobs=50
-//   python3 tools/pc_sampler_report.py samples.txt
+//   python3 tools/pc_sampler_report.py pc_samples.txt
 //
-// At load time it arms ITIMER_PROF on its own process (PC_SAMPLER_USEC
-// microseconds of CPU time between samples, default 1000; the kernel may
-// deliver them at its tick, often every 4 ms). Each SIGPROF records the
-// interrupted PC and the word at the stack pointer (on aarch64, the link
-// register). Inside a libc leaf such as memcmp or memcpy, which pushes no
-// frame, that word is the return address, so the report can charge the
-// sample to the calling function. At exit the library writes the samples and
-// the process's memory map to PC_SAMPLER_OUT (default pc_samples.txt); only
-// the process that armed the timer writes, so a forked child adds nothing.
-// Sample one process at a time: an exec'd child inherits LD_PRELOAD and
-// would rewrite the same file.
-#define _GNU_SOURCE
+// At load time it arms ITIMER_PROF on its own process, one sample per
+// millisecond of CPU time (the kernel may deliver them at its tick, often
+// every 4 ms). Each SIGPROF records the interrupted PC and the word at the
+// stack pointer (on aarch64, the link register). Inside a libc leaf such as
+// memcmp or memcpy, which pushes no frame, that word is the return address,
+// so the report can charge the sample to the calling function. At exit the
+// library writes the samples and the process's memory map to pc_samples.txt
+// in the working directory. Only the process that armed the timer writes,
+// so a forked child adds nothing; an exec'd child inherits LD_PRELOAD and
+// rewrites the file, so sample one process at a time.
+//
+// CMake defines _GNU_SOURCE for this file (REG_RIP, REG_RSP).
 #include <signal.h>
 #include <stdatomic.h>
 #include <stdint.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
@@ -47,7 +45,9 @@ static void OnProf(int sig, siginfo_t* info, void* context) {
   uintptr_t word = 0;
 #if defined(__x86_64__)
   pc = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
-  word = *(const uintptr_t*)uc->uc_mcontext.gregs[REG_RSP];
+  const uintptr_t* sp = NULL;  // The register's bits, copied into a pointer.
+  memcpy(&sp, &uc->uc_mcontext.gregs[REG_RSP], sizeof(sp));
+  word = *sp;
 #elif defined(__aarch64__)
   pc = (uintptr_t)uc->uc_mcontext.pc;
   word = (uintptr_t)uc->uc_mcontext.regs[30];
@@ -62,11 +62,6 @@ static void OnProf(int sig, siginfo_t* info, void* context) {
 }
 
 __attribute__((constructor)) static void Start(void) {
-  const char* usec_env = getenv("PC_SAMPLER_USEC");
-  long usec = usec_env != NULL ? strtol(usec_env, NULL, 10) : 1000;
-  if (usec <= 0) {
-    usec = 1000;
-  }
   owner = getpid();
   struct sigaction action;
   memset(&action, 0, sizeof(action));
@@ -75,8 +70,8 @@ __attribute__((constructor)) static void Start(void) {
   sigemptyset(&action.sa_mask);
   sigaction(SIGPROF, &action, NULL);
   struct itimerval timer;
-  timer.it_interval.tv_sec = usec / 1000000;
-  timer.it_interval.tv_usec = usec % 1000000;
+  memset(&timer, 0, sizeof(timer));
+  timer.it_interval.tv_usec = 1000;
   timer.it_value = timer.it_interval;
   setitimer(ITIMER_PROF, &timer, NULL);
 }
@@ -88,13 +83,12 @@ __attribute__((destructor)) static void Stop(void) {
   struct itimerval off;
   memset(&off, 0, sizeof(off));
   setitimer(ITIMER_PROF, &off, NULL);
-  const char* path = getenv("PC_SAMPLER_OUT");
-  FILE* out = fopen(path != NULL ? path : "pc_samples.txt", "w");
+  FILE* out = fopen("pc_samples.txt", "w");
   if (out == NULL) {
     return;
   }
   char line[4096];
-  ssize_t len = readlink("/proc/self/exe", line, sizeof(line) - 1);
+  const ssize_t len = readlink("/proc/self/exe", line, sizeof(line) - 1);
   if (len > 0) {
     line[len] = '\0';
     fprintf(out, "exe %s\n", line);
