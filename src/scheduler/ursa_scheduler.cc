@@ -941,12 +941,8 @@ void UrsaScheduler::OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
     BoundKeys(load, bucket.key);
     bucket.mask = LoadMask(load);
   }
-  std::vector<WorkerId>& members = bucket.members;
-  if (members.empty() || members.back() < w) {
-    members.push_back(w);  // The common case: placements in ascending ids.
-  } else {
-    members.insert(std::lower_bound(members.begin(), members.end(), w), w);
-  }
+  bucket.members.insert(
+      std::lower_bound(bucket.members.begin(), bucket.members.end(), w), w);
   overlay_slot_[static_cast<size_t>(w)] = target;
 }
 
@@ -958,9 +954,7 @@ void UrsaScheduler::OverlayReset() const {
     scan_pass_[b].cursor = 0;
   }
   overlay_touched_.clear();
-  for (int32_t b = 0; b < overlay_loads_.id_limit(); ++b) {
-    overlay_buckets_[static_cast<size_t>(b)].members.clear();
-  }
+  overlay_buckets_.clear();
   overlay_loads_.Clear();
 }
 
@@ -973,6 +967,7 @@ void UrsaScheduler::JoinLoadClass(WorkerId w) {
   LoadClass& load_class = classes_[static_cast<size_t>(id)];
   if (added) {
     load_class.count = 0;
+    new_classes_.push_back(id);
   }
   ++load_class.count;
   class_of_[static_cast<size_t>(w)] = id;
@@ -984,36 +979,47 @@ void UrsaScheduler::RebuildScanOrder(const std::vector<WorkerId>* refreshed) {
   CHECK(overlay_touched_.empty()) << "scan order rebuilt during a placement pass";
   const std::vector<WorkerLoad>& loads = load_cache_.loads;
   const size_t num_workers = loads.size();
+  new_classes_.clear();
   if (refreshed == nullptr) {
     load_classes_.Clear();
     classes_.clear();
+    class_order_.clear();
     class_of_.assign(num_workers, -1);
     for (size_t w = 0; w < num_workers; ++w) {
       JoinLoadClass(static_cast<WorkerId>(w));
     }
   } else {
+    // Moved workers leave their classes first, and the emptied classes
+    // leave the order, before a join can hand their erased ids out again.
     for (const WorkerId w : *refreshed) {
-      const int32_t old = class_of_[static_cast<size_t>(w)];
+      int32_t& old = class_of_[static_cast<size_t>(w)];
       if (SameLoad(load_classes_.load(old), loads[static_cast<size_t>(w)])) {
         continue;
       }
       if (--classes_[static_cast<size_t>(old)].count == 0) {
         load_classes_.Erase(old);
       }
-      JoinLoadClass(w);
+      old = -1;
+    }
+    std::erase_if(class_order_,
+                  [this](int32_t id) { return classes_[static_cast<size_t>(id)].count == 0; });
+    for (const WorkerId w : *refreshed) {
+      if (class_of_[static_cast<size_t>(w)] < 0) {
+        JoinLoadClass(w);
+      }
     }
   }
   // One bucket per live class, in memcmp order of the class loads: a strict
-  // total order, as interned loads are distinct.
-  class_order_.clear();
-  for (int32_t id = 0; id < load_classes_.id_limit(); ++id) {
-    if (classes_[static_cast<size_t>(id)].count > 0) {
-      class_order_.push_back(id);
-    }
-  }
-  std::sort(class_order_.begin(), class_order_.end(), [this](int32_t a, int32_t b) {
+  // total order, as interned loads are distinct. The surviving classes keep
+  // their order, so only the new ones are sorted and merged in.
+  const auto before = [this](int32_t a, int32_t b) {
     return CompareLoads(load_classes_.load(a), load_classes_.load(b)) < 0;
-  });
+  };
+  std::sort(new_classes_.begin(), new_classes_.end(), before);
+  class_merge_.resize(class_order_.size() + new_classes_.size());
+  std::merge(class_order_.begin(), class_order_.end(), new_classes_.begin(), new_classes_.end(),
+             class_merge_.begin(), before);
+  class_order_.swap(class_merge_);
   scan_buckets_.resize(class_order_.size());
   for (int r = 0; r < kNumMonotaskResources; ++r) {
     base_headroom_[r] = 0;

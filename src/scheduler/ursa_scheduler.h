@@ -295,12 +295,13 @@ class UrsaScheduler : public JobManagerListener {
   // placement pass, so a pass may hold the returned reference.
   const std::vector<WorkerLoad>& CurrentLoads();
   // Moves the workers in `refreshed` (nullptr: all W, from scratch) to the
-  // load classes of their cached loads, then rebuilds from the live
-  // classes: scan_buckets_ (one per class, in memcmp order of the loads),
-  // the worker order over them, base_headroom_ and the per-dimension key
-  // orders.
+  // load classes of their cached loads, merges the new classes into the
+  // class order, then rebuilds from the live classes: scan_buckets_ (one
+  // per class, in memcmp order of the loads), the worker order over them,
+  // base_headroom_ and the per-dimension key orders.
   void RebuildScanOrder(const std::vector<WorkerId>* refreshed);
-  // Puts worker `w` into the class of its cached load, interning the load.
+  // Puts worker `w` into the class of its cached load, interning the load;
+  // a newly interned class is also appended to new_classes_.
   void JoinLoadClass(WorkerId w);
   // Workers with d_r > 0 per resource, counted over all W loads: the
   // verify_hot_path reference for base_headroom_.
@@ -316,7 +317,7 @@ class UrsaScheduler : public JobManagerListener {
   void OverlayApply(WorkerId w, const TaskUsage& usage, double ept,
                     const std::vector<WorkerLoad>& base,
                     int headroom[kNumMonotaskResources]) const;
-  // Clears the overlay (slots, bucket members, load table) and the base
+  // Clears the overlay (slots, buckets, load table) and the base
   // buckets' pass state after a placement pass.
   void OverlayReset() const;
   // Evaluates Algorithm 1's StageScore for the ready tasks of (job, stage)
@@ -403,7 +404,9 @@ class UrsaScheduler : public JobManagerListener {
   LoadCache load_cache_;
   // Load classes: the distinct cached loads, interned in load_classes_. A
   // refreshed worker moves between classes in O(1); a class whose last
-  // worker leaves is erased.
+  // worker leaves is erased. Loads rarely collapse on shuffle workloads
+  // (there the class count is about W), so the class order is kept across
+  // rebuilds: a rebuild costs O(C + new log new), not a full sort.
   struct LoadClass {
     int32_t count = 0;   // Workers whose cached load is this class's load.
     int32_t bucket = 0;  // Its scan_buckets_ index at the last rebuild.
@@ -412,6 +415,8 @@ class UrsaScheduler : public JobManagerListener {
   std::vector<LoadClass> classes_;  // By class id.
   std::vector<int32_t> class_of_;   // Worker -> class id.
   std::vector<int32_t> class_order_;  // Live class ids in bucket order.
+  std::vector<int32_t> new_classes_;  // Classes interned by this rebuild.
+  std::vector<int32_t> class_merge_;  // Merge output, swapped with class_order_.
   // Workers with d_r > 0 in the cached loads, summed over live classes.
   int base_headroom_[kNumMonotaskResources] = {};
   // BestWorker candidates: workers with bit-identical cached loads are
@@ -455,10 +460,9 @@ class UrsaScheduler : public JobManagerListener {
   // Placement overlay scratch: worker -> overlay bucket index (-1 when the
   // worker is unmodified; sized once, one entry per worker), the pass's
   // modified loads interned in overlay_loads_ (id = bucket index), the
-  // buckets, and the touched-worker list for O(touched) reset. Buckets
-  // past overlay_loads_.id_limit() are unused but keep their member
-  // vectors' storage. ScoreStage resets the overlay after every candidate;
-  // the commit and speculation passes reset it when they finish.
+  // buckets, and the touched-worker list for O(touched) reset. ScoreStage
+  // resets the overlay after every candidate; the commit and speculation
+  // passes reset it when they finish.
   mutable std::vector<int32_t> overlay_slot_;
   mutable LoadTable overlay_loads_;
   mutable std::vector<OverlayBucket> overlay_buckets_;
