@@ -91,7 +91,6 @@ class LoadTable {
   // Every id is below id_limit(); erased ones among them are free.
   int32_t id_limit() const { return static_cast<int32_t>(loads_.size()); }
   int32_t size() const { return id_limit() - static_cast<int32_t>(free_ids_.size()); }
-  size_t capacity() const { return slots_.size(); }
 
  private:
   static constexpr uint32_t kNoSlot = ~0u;

@@ -234,7 +234,11 @@ TEST(LoadTable, GrowsErasesAndReinterns) {
     ASSERT_TRUE(added);
   }
   EXPECT_EQ(table.size(), 1000);
-  EXPECT_GE(table.capacity(), 2000u);  // Grown from 16 slots, rehashing each time.
+  // Grown from 16 slots, rehashing each time: every load keeps its id.
+  for (size_t i = 0; i < loads.size(); ++i) {
+    ASSERT_EQ(table.Intern(loads[i], &added), static_cast<int32_t>(i));
+    ASSERT_FALSE(added);
+  }
   // Erase every third load: the backward shift must keep the rest findable.
   for (size_t i = 0; i < loads.size(); i += 3) {
     table.Erase(static_cast<int32_t>(i));
