@@ -3,7 +3,6 @@
 
 #include "src/dag/plan.h"
 #include "src/net/flow_simulator.h"
-#include "src/sql/parser.h"
 
 namespace ursa {
 namespace {
@@ -55,35 +54,6 @@ TEST(FlowEdge, ManyConcurrentFlowsConverge) {
   }
   sim.Run();
   EXPECT_EQ(completed, 200);
-}
-
-TEST(SqlParserEdge, QualifiedAggregateAndAliases) {
-  const SelectStatement s =
-      ParseSql("SELECT MAX(t.price) AS top, t.region FROM t GROUP BY t.region");
-  EXPECT_EQ(s.items[0].agg, AggFn::kMax);
-  EXPECT_EQ(s.items[0].column, "t.price");
-  EXPECT_EQ(s.items[0].alias, "top");
-  EXPECT_EQ(s.items[1].column, "t.region");
-}
-
-TEST(SqlParserEdge, NegativeAndFloatLiterals) {
-  const SelectStatement s = ParseSql("SELECT a FROM t WHERE a >= -3 AND b < 2.5");
-  ASSERT_EQ(s.where.size(), 2u);
-  EXPECT_EQ(std::get<int64_t>(s.where[0].literal), -3);
-  EXPECT_DOUBLE_EQ(std::get<double>(s.where[1].literal), 2.5);
-}
-
-TEST(SqlParserEdge, CaseInsensitiveKeywords) {
-  const SelectStatement s = ParseSql("select count(*) from t where x = 1 limit 3");
-  EXPECT_EQ(s.items[0].agg, AggFn::kCount);
-  EXPECT_EQ(*s.limit, 3);
-}
-
-TEST(SqlValueEdge, CompareAndHash) {
-  EXPECT_LT(CompareValues(int64_t{2}, 2.5), 0);
-  EXPECT_EQ(CompareValues(int64_t{2}, 2.0), 0);
-  EXPECT_GT(CompareValues(std::string("b"), std::string("a")), 0);
-  EXPECT_EQ(HashValue(std::string("x")), HashValue(std::string("x")));
 }
 
 }  // namespace
