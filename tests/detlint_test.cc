@@ -73,7 +73,7 @@ TEST(Detlint, FlagsUnorderedContainersOnlyInCoreDirs) {
   EXPECT_TRUE(Hit("src/net/flow_simulator.h", decl, "no-unordered-in-core"));
   EXPECT_TRUE(Hit("src/sim/simulator.cc", decl, "no-unordered-in-core"));
   // Outside the order-sensitive core the rule stays quiet.
-  EXPECT_FALSE(Hit("src/sql/engine.cc", decl, "no-unordered-in-core"));
+  EXPECT_FALSE(Hit("src/runtime/local_runtime.h", decl, "no-unordered-in-core"));
   EXPECT_FALSE(Hit("src/api/dataset.h", decl, "no-unordered-in-core"));
   EXPECT_TRUE(
       Hit("src/exec/worker.h", "std::unordered_set<EventId> s;\n", "no-unordered-in-core"));

@@ -235,5 +235,49 @@ TEST(DatasetApi, JoinMatchesKeysAcrossDatasets) {
   EXPECT_EQ(it->second.second, "bob");
 }
 
+TEST(DatasetApi, JoinThenReduceByKeyMatchesSerialReference) {
+  // A two-input CPU op (the join) whose output is serialized into a second
+  // shuffle: total order amount per customer name, against a serial fold.
+  UrsaContext ctx;
+  std::vector<std::vector<std::pair<int, std::string>>> customers(2);
+  std::map<int, std::string> name_of;
+  for (int cid = 0; cid < 40; ++cid) {
+    if (cid % 5 == 4) {
+      continue;  // Orders for these customers have no match.
+    }
+    // Several customers share a name, so the reduce merges across join keys.
+    const std::string name = "c" + std::to_string(cid % 7);
+    customers[cid % 2].emplace_back(cid, name);
+    name_of[cid] = name;
+  }
+  std::vector<std::vector<std::pair<int, int64_t>>> orders(3);
+  std::map<std::string, int64_t> expected;
+  uint64_t state = 777;
+  for (int i = 0; i < 600; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const int cid = static_cast<int>(state % 40);
+    const int64_t amount = static_cast<int64_t>((state >> 8) % 1000);
+    orders[i % 3].emplace_back(cid, amount);
+    if (auto it = name_of.find(cid); it != name_of.end()) {
+      expected[it->second] += amount;
+    }
+  }
+  auto totals =
+      ctx.Parallelize<std::pair<int, int64_t>>(orders)
+          .Join(ctx.Parallelize<std::pair<int, std::string>>(customers), 2)
+          .Map([](const std::pair<int, std::pair<int64_t, std::string>>& row) {
+            return std::make_pair(row.second.second, row.second.first);
+          })
+          .ReduceByKey([](int64_t a, int64_t b) { return a + b; }, 3)
+          .Collect();
+  std::map<std::string, int64_t> actual;
+  for (const auto& [name, total] : totals) {
+    EXPECT_TRUE(actual.emplace(name, total).second) << "duplicate key " << name;
+  }
+  EXPECT_EQ(actual, expected);
+  // Two join-side shuffles of 2 partitions each, then the 3-way reduce shuffle.
+  EXPECT_EQ(ctx.runtime().monotasks_executed(ResourceType::kNetwork), 2 + 2 + 3);
+}
+
 }  // namespace
 }  // namespace ursa
