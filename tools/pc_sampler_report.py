@@ -9,7 +9,10 @@ shared library (libc, libstdc++, libm) is charged to the main program's
 function that the word at the stack pointer returns into, when it does: that
 is a leaf call such as memcmp, shown as "caller <- lib". Other library
 samples stay with the library. Names are demangled and cut at their argument
-list, so a lambda counts toward its enclosing function.
+list, so a lambda counts toward its enclosing function. A PC past the end of
+the symbol before it (by the size `nm -S` reports) lies in code the symbol
+table does not name, such as libc's static malloc internals, and is named
+"?" rather than after that symbol.
 
 --group sums the shares of the charged names matching REGEX under NAME (a
 layer, say) and may repeat. --require exits 1 unless at least one sample is
@@ -49,22 +52,29 @@ def short_name(name):
 
 
 def load_symbols(path):
-    """Sorted (address, name) of the text symbols of one ELF file."""
+    """Sorted (address, size, name) lists of the text symbols of one ELF file.
+
+    A size is 0 where nm reports none; such a symbol's extent is unknown.
+    """
     for extra in ([], ["-D"]):
         try:
-            out = subprocess.run(["nm", "-C", "-n", "--defined-only"] + extra + [path],
+            out = subprocess.run(["nm", "-C", "-n", "-S", "--defined-only"] + extra + [path],
                                  capture_output=True, text=True).stdout
         except OSError:
-            return [], []
-        addrs, names = [], []
+            return [], [], []
+        addrs, sizes, names = [], [], []
         for line in out.splitlines():
-            parts = line.split(" ", 2)
-            if len(parts) == 3 and parts[1] in TEXT_TYPES:
+            # "addr size type name", or "addr type name" for a symbol without a size.
+            parts = line.split(" ", 3)
+            if len(parts) >= 3 and len(parts[1]) == 1:
+                parts = [parts[0], "0"] + line.split(" ", 2)[1:]
+            if len(parts) == 4 and parts[2] in TEXT_TYPES:
                 addrs.append(int(parts[0], 16))
-                names.append(short_name(parts[2]))
+                sizes.append(int(parts[1], 16))
+                names.append(short_name(parts[3]))
         if addrs:
-            return addrs, names
-    return [], []
+            return addrs, sizes, names
+    return [], [], []
 
 
 def elf_is_pie(path):
@@ -83,11 +93,14 @@ class Image:
         self.path = path
         self.name = os.path.basename(path)
         self.bias = bias if elf_is_pie(path) else 0
-        self.addrs, self.names = load_symbols(path)
+        self.addrs, self.sizes, self.names = load_symbols(path)
 
     def symbol(self, pc):
-        i = bisect.bisect_right(self.addrs, pc - self.bias) - 1
-        return self.names[i] if i >= 0 else "?"
+        offset = pc - self.bias
+        i = bisect.bisect_right(self.addrs, offset) - 1
+        if i < 0 or 0 < self.sizes[i] <= offset - self.addrs[i]:
+            return "?"
+        return self.names[i]
 
 
 def parse(path):
